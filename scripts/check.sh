@@ -39,16 +39,19 @@ echo "== tier-1 tests =="
 ctest --test-dir build -L tier1 --output-on-failure -j "$jobs"
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== Address+UB sanitizer: solver and simulator core =="
+  echo "== Address+UB sanitizer: solver, simulator and waveform core =="
   cmake -B build-asan -S . -DDN_SANITIZE=address,undefined -DDN_WERROR=ON >/dev/null
   cmake --build build-asan -j "$jobs" \
     --target test_matrix test_sparse test_linear_sim test_nonlinear_sim \
-             test_adaptive_sim
+             test_adaptive_sim test_pwl test_numeric
   ./build-asan/tests/test_matrix
   ./build-asan/tests/test_sparse
   ./build-asan/tests/test_linear_sim
   ./build-asan/tests/test_nonlinear_sim
   ./build-asan/tests/test_adaptive_sim
+  # The waveform algebra's forward cursors index raw spans.
+  ./build-asan/tests/test_pwl
+  ./build-asan/tests/test_numeric
 fi
 
 if [[ "$run_tsan" == 1 ]]; then

@@ -22,21 +22,29 @@ Pwl TheveninModel::source(double t_end) const {
   return Pwl(std::move(ts), std::move(vs));
 }
 
+namespace {
+
+/// Normalized response at the end of the ramp, w(tr): the level the
+/// exponential settling tail starts from.
+double ramp_end_w(double tr, double tau) {
+  return (tr - tau * (1.0 - std::exp(-tr / tau))) / tr;
+}
+
+/// Normalized rising response w in [0,1] at u = t - t0 for time constant
+/// tau; `w_end` = ramp_end_w(tr, tau) is read only on the settling tail.
+double normalized_response(double u, double tr, double tau, double w_end) {
+  if (u <= 0.0) return 0.0;
+  if (tau <= 0.0) return std::min(u / tr, 1.0);
+  if (u <= tr) return (u - tau * (1.0 - std::exp(-u / tau))) / tr;
+  return 1.0 - (1.0 - w_end) * std::exp(-(u - tr) / tau);
+}
+
+}  // namespace
+
 double TheveninModel::response(double t, double cload) const {
-  // Normalized rising response w in [0,1]; direction handled by mapping.
+  // Direction is handled by mapping w onto [v_from, v_to].
   const double tau = rth * cload;
-  const double u = t - t0;
-  double w;
-  if (u <= 0.0) {
-    w = 0.0;
-  } else if (tau <= 0.0) {
-    w = std::min(u / tr, 1.0);
-  } else if (u <= tr) {
-    w = (u - tau * (1.0 - std::exp(-u / tau))) / tr;
-  } else {
-    const double w_end = (tr - tau * (1.0 - std::exp(-tr / tau))) / tr;
-    w = 1.0 - (1.0 - w_end) * std::exp(-(u - tr) / tau);
-  }
+  const double w = normalized_response(t - t0, tr, tau, ramp_end_w(tr, tau));
   return v_from + w * (v_to - v_from);
 }
 
@@ -48,7 +56,13 @@ std::optional<double> TheveninModel::response_crossing(double frac,
   const double dir = (v_to > v_from) ? 1.0 : -1.0;
   // Response is monotonic: bracket between t0 and deep settling.
   const double t_hi = t0 + tr + std::max(40.0 * tau, 1e-15);
-  auto f = [&](double t) { return dir * (response(t, cload) - target); };
+  // response(t, cload) with the per-solve constants hoisted out of the
+  // Brent iterations; every evaluation performs the same operations.
+  const double w_end = ramp_end_w(tr, tau);
+  auto f = [&](double t) {
+    const double w = normalized_response(t - t0, tr, tau, w_end);
+    return dir * (v_from + w * (v_to - v_from) - target);
+  };
   if (f(t_hi) < 0.0) return std::nullopt;  // Never reaches the level.
   return brent(f, t0, t_hi, 1e-18);
 }

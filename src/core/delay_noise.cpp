@@ -35,8 +35,7 @@ AlignmentResult choose_alignment(const DelayNoiseOptions& opts,
         throw std::invalid_argument(
             "analyze_delay_noise: Predicted method needs an AlignmentTable");
       const PulseParams p = measure_pulse(composite);
-      double t_pred =
-          opts.table->predict_peak_time(noiseless_sink, measure_pulse(composite));
+      double t_pred = opts.table->predict_peak_time(noiseless_sink, p);
       // Guard candidate: the 50% crossing. For pulses near the functional-
       // noise boundary, the min-load table can predict an alignment so
       // late that a loaded receiver filters the noise entirely (the
@@ -59,7 +58,7 @@ AlignmentResult choose_alignment(const DelayNoiseOptions& opts,
         r.t_peak = t_peak;
         r.shift = t_peak - p.t_peak;
         r.align_voltage = noiseless_sink.at(t_peak);
-        const Pwl noisy = noiseless_sink + composite.shifted(r.shift);
+        const Pwl noisy = noiseless_sink.add_shifted(composite, r.shift);
         r.t_out_50 =
             evaluate_receiver(receiver, noisy, rcv_load, rising,
                               opts.search.dt, opts.search.lte_tol, nullptr,
@@ -289,8 +288,8 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
     c_exc.add(static_cast<std::uint64_t>(prune.by_exclusion));
   }
 
-  out.noisy_sink =
-      out.noiseless_sink + out.composite.at_sink.shifted(out.alignment.shift);
+  out.noisy_sink = out.noiseless_sink.add_shifted(out.composite.at_sink,
+                                                  out.alignment.shift);
 
   // Combined (receiver-output) delays.
   out.nominal_t50 =

@@ -11,11 +11,6 @@ bool almost_equal(double a, double b, double rtol, double atol) {
   return std::abs(a - b) <= atol + rtol * std::max(std::abs(a), std::abs(b));
 }
 
-double lerp(double x0, double y0, double x1, double y1, double x) {
-  if (x1 == x0) return 0.5 * (y0 + y1);
-  return y0 + (y1 - y0) * (x - x0) / (x1 - x0);
-}
-
 double interp1(std::span<const double> xs, std::span<const double> ys, double x) {
   assert(xs.size() == ys.size());
   if (xs.empty()) throw std::invalid_argument("interp1: empty table");
@@ -80,62 +75,6 @@ std::optional<double> bisect(const std::function<double(double)>& f, double lo,
     }
   }
   return 0.5 * (lo + hi);
-}
-
-std::optional<double> brent(const std::function<double(double)>& f, double lo,
-                            double hi, double xtol, int max_iter) {
-  double a = lo, b = hi;
-  double fa = f(a), fb = f(b);
-  if (fa == 0.0) return a;
-  if (fb == 0.0) return b;
-  if ((fa > 0) == (fb > 0)) return std::nullopt;
-  if (std::abs(fa) < std::abs(fb)) {
-    std::swap(a, b);
-    std::swap(fa, fb);
-  }
-  double c = a, fc = fa;
-  bool mflag = true;
-  double d = 0.0;
-  for (int it = 0; it < max_iter; ++it) {
-    if (fb == 0.0 || std::abs(b - a) < xtol) return b;
-    double s;
-    if (fa != fc && fb != fc) {
-      // Inverse quadratic interpolation.
-      s = a * fb * fc / ((fa - fb) * (fa - fc)) +
-          b * fa * fc / ((fb - fa) * (fb - fc)) +
-          c * fa * fb / ((fc - fa) * (fc - fb));
-    } else {
-      s = b - fb * (b - a) / (fb - fa);  // Secant.
-    }
-    const double m = 0.5 * (a + b);
-    const bool cond = (s < std::min(m, b) || s > std::max(m, b)) ||
-                      (mflag && std::abs(s - b) >= 0.5 * std::abs(b - c)) ||
-                      (!mflag && std::abs(s - b) >= 0.5 * std::abs(c - d)) ||
-                      (mflag && std::abs(b - c) < xtol) ||
-                      (!mflag && std::abs(c - d) < xtol);
-    if (cond) {
-      s = m;
-      mflag = true;
-    } else {
-      mflag = false;
-    }
-    const double fs = f(s);
-    d = c;
-    c = b;
-    fc = fb;
-    if ((fa > 0) != (fs > 0)) {
-      b = s;
-      fb = fs;
-    } else {
-      a = s;
-      fa = fs;
-    }
-    if (std::abs(fa) < std::abs(fb)) {
-      std::swap(a, b);
-      std::swap(fa, fb);
-    }
-  }
-  return b;
 }
 
 double golden_min(const std::function<double(double)>& f, double lo, double hi,

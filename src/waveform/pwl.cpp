@@ -73,39 +73,72 @@ double Pwl::slope_at(double t) const {
 }
 
 namespace {
-std::vector<double> merge_grids(std::span<const double> a, std::span<const double> b) {
+
+/// Pwl::at() over raw (times, values) arrays for a non-decreasing sequence
+/// of query times. The segment index only moves forward, so a sweep over
+/// a grid costs O(grid + knots) instead of a binary search per query.
+/// Each query finds the same segment upper_bound would and applies the
+/// same boundary clamps and lerp, so every value is bit-identical to at().
+/// `times` may repeat a value (a shifted grid whose knots rounded
+/// together); the upper_bound segment is still the one found.
+class ForwardCursor {
+ public:
+  ForwardCursor(std::span<const double> times, std::span<const double> values)
+      : t_(times), v_(values) {}
+
+  double at(double t) {
+    if (t_.empty()) return 0.0;
+    if (t <= t_.front()) return v_.front();
+    if (t >= t_.back()) return v_.back();
+    // t_.front() < t < t_.back(), so the scan stops at a valid i_ <= size-1.
+    while (t_[i_] <= t) ++i_;
+    return lerp(t_[i_ - 1], v_[i_ - 1], t_[i_], v_[i_], t);
+  }
+
+ private:
+  std::span<const double> t_, v_;
+  std::size_t i_ = 1;  // First knot after the last interior query.
+};
+
+/// Sorted union of two non-decreasing time axes in one pass: the output
+/// of std::merge followed by std::unique. On a tie the left operand's
+/// knot is kept, and repeated values within one axis collapse as well.
+std::vector<double> merge_grids(std::span<const double> a,
+                                std::span<const double> b) {
   std::vector<double> out;
   out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::size_t i = 0, j = 0;
+  while (i < a.size() || j < b.size()) {
+    // std::merge takes from the right only when it is strictly smaller.
+    const double t =
+        (j == b.size() || (i < a.size() && !(b[j] < a[i]))) ? a[i++] : b[j++];
+    if (out.empty() || !(out.back() == t)) out.push_back(t);
+  }
   return out;
 }
+
+/// `op(a(t), b(t))` at every knot of the merged grid of two non-empty
+/// operands, both evaluated with forward cursors.
+template <class Op>
+Pwl merge_combine(std::span<const double> ta, std::span<const double> va,
+                  std::span<const double> tb, std::span<const double> vb,
+                  Op op) {
+  std::vector<double> grid = merge_grids(ta, tb);
+  std::vector<double> vals(grid.size());
+  ForwardCursor ca(ta, va), cb(tb, vb);
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    vals[i] = op(ca.at(grid[i]), cb.at(grid[i]));
+  return Pwl(std::move(grid), std::move(vals));
+}
+
 }  // namespace
 
 Pwl Pwl::operator+(const Pwl& rhs) const {
   if (empty()) return rhs;
   if (rhs.empty()) return *this;
-  auto grid = merge_grids(times_, rhs.times_);
-  std::vector<double> vals(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) vals[i] = at(grid[i]) + rhs.at(grid[i]);
-  return Pwl(std::move(grid), std::move(vals));
+  return merge_combine(times_, values_, rhs.times_, rhs.values_,
+                       [](double a, double b) { return a + b; });
 }
-
-namespace {
-
-/// at() over raw (times, values) arrays — the same boundary handling,
-/// search and lerp as Pwl::at, shared by the fused add_shifted path.
-double at_on(std::span<const double> times, std::span<const double> values,
-             double t) {
-  if (times.empty()) return 0.0;
-  if (t <= times.front()) return values.front();
-  if (t >= times.back()) return values.back();
-  const auto it = std::upper_bound(times.begin(), times.end(), t);
-  const std::size_t i = static_cast<std::size_t>(it - times.begin());
-  return lerp(times[i - 1], values[i - 1], times[i], values[i], t);
-}
-
-}  // namespace
 
 Pwl Pwl::add_shifted(const Pwl& rhs, double dt) const {
   if (empty()) return rhs.shifted(dt);
@@ -114,14 +147,16 @@ Pwl Pwl::add_shifted(const Pwl& rhs, double dt) const {
   // the intermediate Pwl's invariant pass.
   std::vector<double> st(rhs.times_.begin(), rhs.times_.end());
   for (double& t : st) t += dt;
-  auto grid = merge_grids(times_, st);
-  std::vector<double> vals(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i)
-    vals[i] = at(grid[i]) + at_on(st, rhs.values_, grid[i]);
-  return Pwl(std::move(grid), std::move(vals));
+  return merge_combine(times_, values_, st, rhs.values_,
+                       [](double a, double b) { return a + b; });
 }
 
-Pwl Pwl::operator-(const Pwl& rhs) const { return *this + rhs.scaled(-1.0); }
+Pwl Pwl::operator-(const Pwl& rhs) const {
+  if (empty()) return rhs.scaled(-1.0);
+  if (rhs.empty()) return *this;
+  return merge_combine(times_, values_, rhs.times_, rhs.values_,
+                       [](double a, double b) { return a - b; });
+}
 
 Pwl Pwl::scaled(double s) const {
   Pwl out = *this;
@@ -145,7 +180,10 @@ Pwl Pwl::resampled(double t0, double t1, int n) const {
   if (n < 2) throw std::invalid_argument("Pwl::resampled: n < 2");
   std::vector<double> ts = linspace(t0, t1, n);
   std::vector<double> vs(ts.size());
-  for (std::size_t i = 0; i < ts.size(); ++i) vs[i] = at(ts[i]);
+  // linspace is non-decreasing, so one forward cursor serves the sweep
+  // (a reversed or degenerate span is rejected by the constructor below).
+  ForwardCursor c(times_, values_);
+  for (std::size_t i = 0; i < ts.size(); ++i) vs[i] = c.at(ts[i]);
   return Pwl(std::move(ts), std::move(vs));
 }
 

@@ -49,6 +49,9 @@ class Pwl {
   double slope_at(double t) const;
 
   // -- Algebra (result sampled on the merged time grid) --------------------
+  // +, - and add_shifted are one linear merge pass over both time axes;
+  // each output value is bit-identical to at(t) of each operand combined
+  // at that knot (pinned by the PwlFastPaths tests).
   Pwl operator+(const Pwl& rhs) const;
   /// Fused `*this + rhs.shifted(dt)` without materializing the shifted
   /// copy — one allocation for the shifted grid instead of a full

@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "core/holding_resistance.hpp"
 #include "util/units.hpp"
 
 namespace dn {
@@ -211,6 +217,195 @@ TEST(PwlFastPaths, AtHintBitIdenticalToAt) {
   for (double kt : w.times()) {
     std::size_t c2 = cursor;
     EXPECT_EQ(w.at_hint(kt, c2), w.at(kt));
+  }
+}
+
+// Reference algebra: the merged grid by std::merge + std::unique and one
+// Pwl::at() binary search per knot. The cursor-based operators must
+// reproduce it bit for bit (compared as raw bit patterns, so a signed
+// zero counts too).
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_bitwise(const Pwl& got, const std::vector<double>& ts,
+                    const std::vector<double>& vs, const std::string& what) {
+  ASSERT_EQ(got.times().size(), ts.size()) << what;
+  ASSERT_EQ(got.values().size(), vs.size()) << what;
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    EXPECT_EQ(bits(got.times()[i]), bits(ts[i])) << what << " t[" << i << "]";
+    EXPECT_EQ(bits(got.values()[i]), bits(vs[i])) << what << " v[" << i << "]";
+  }
+}
+
+void expect_bitwise(const Pwl& got, const Pwl& want, const std::string& what) {
+  expect_bitwise(got, {want.times().begin(), want.times().end()},
+                 {want.values().begin(), want.values().end()}, what);
+}
+
+std::vector<double> ref_grid(std::span<const double> a,
+                             std::span<const double> b) {
+  std::vector<double> g;
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(g));
+  g.erase(std::unique(g.begin(), g.end()), g.end());
+  return g;
+}
+
+/// a(t) + sign * b(t) on the merged grid (both operands non-empty).
+void ref_combine(const Pwl& a, const Pwl& b, bool subtract,
+                 std::vector<double>& ts, std::vector<double>& vs) {
+  ts = ref_grid(a.times(), b.times());
+  vs.clear();
+  for (double t : ts)
+    vs.push_back(subtract ? a.at(t) - b.at(t) : a.at(t) + b.at(t));
+}
+
+void check_algebra(const Pwl& a, const Pwl& b, const std::string& what) {
+  std::vector<double> ts, vs;
+  ref_combine(a, b, false, ts, vs);
+  expect_bitwise(a + b, ts, vs, what + " a+b");
+  ref_combine(a, b, true, ts, vs);
+  expect_bitwise(a - b, ts, vs, what + " a-b");
+  for (double dt : {0.0, 0.7e-12, -3.3e-12, 1e-9}) {
+    // shifted() copies without the invariant pass, so its knots may round
+    // together; at() still answers on such a grid.
+    ref_combine(a, b.shifted(dt), false, ts, vs);
+    expect_bitwise(a.add_shifted(b, dt), ts, vs,
+                   what + " add_shifted dt=" + std::to_string(dt));
+  }
+}
+
+Pwl ref_resampled(const Pwl& w, double t0, double t1, int n) {
+  std::vector<double> ts, vs;
+  for (int i = 0; i < n; ++i) {
+    ts.push_back(t0 + (t1 - t0) * i / (n - 1));  // linspace's expression.
+    vs.push_back(w.at(ts.back()));
+  }
+  return Pwl(std::move(ts), std::move(vs));
+}
+
+Pwl ref_differentiate(const Pwl& w, double dt) {
+  const double t0 = w.t_begin(), t1 = w.t_end();
+  const int n = std::max(static_cast<int>((t1 - t0) / dt), 4);
+  const Pwl rs = ref_resampled(w, t0, t1, n + 1);
+  std::vector<double> ts(rs.times().begin(), rs.times().end());
+  const auto vs = rs.values();
+  std::vector<double> dv(ts.size(), 0.0);
+  const double h = ts[1] - ts[0];
+  for (std::size_t i = 1; i + 1 < ts.size(); ++i)
+    dv[i] = (vs[i + 1] - vs[i - 1]) / (2 * h);
+  dv.front() = (vs[1] - vs[0]) / h;
+  dv.back() = (vs[vs.size() - 1] - vs[vs.size() - 2]) / h;
+  return Pwl(std::move(ts), std::move(dv));
+}
+
+TEST(PwlFastPaths, AlgebraInterleavedKnots) {
+  check_algebra(wiggly(1, 0.0), wiggly(2, 0.4e-12), "interleaved");
+  check_algebra(wiggly(4, 3e-12), wiggly(5, 0.0), "interleaved, b first");
+}
+
+TEST(PwlFastPaths, AlgebraCoincidentKnots) {
+  const Pwl a = wiggly(6, 0.0);
+  // Every other knot of `a`, with different values, plus a knot between
+  // each pair: ties (left operand kept) and exact-knot queries on both.
+  std::vector<double> ts, vs;
+  for (std::size_t i = 0; i + 1 < a.size(); i += 2) {
+    ts.push_back(a.times()[i]);
+    vs.push_back(0.25 * static_cast<double>(i % 5) - 0.5);
+    ts.push_back(0.5 * (a.times()[i] + a.times()[i + 1]));
+    vs.push_back(-0.125 * static_cast<double>(i % 3));
+  }
+  const Pwl b(std::move(ts), std::move(vs));
+  check_algebra(a, b, "coincident");
+  check_algebra(b, a, "coincident, swapped");
+  check_algebra(a, a, "identical grids");
+  // -0.0 and +0.0 compare equal: the tie must keep the left operand's
+  // knot, sign bit included.
+  const Pwl neg({-0.0, 1.0}, {0.5, 1.5});
+  const Pwl pos({0.0, 2.0}, {-1.0, 1.0});
+  check_algebra(neg, pos, "signed-zero tie");
+  check_algebra(pos, neg, "signed-zero tie, swapped");
+}
+
+TEST(PwlFastPaths, AlgebraDisjointSpans) {
+  const Pwl a = wiggly(7, 0.0);
+  const Pwl b = wiggly(8, a.t_end() + 5e-12);  // Entirely after `a`.
+  check_algebra(a, b, "a before b");
+  check_algebra(b, a, "b before a");
+  // Touching spans: b starts exactly where a ends.
+  const Pwl c({a.t_end(), a.t_end() + 1e-12}, {0.3, -0.2});
+  check_algebra(a, c, "touching");
+}
+
+TEST(PwlFastPaths, AlgebraTwoSampleAndEmptyOperands) {
+  const Pwl w = wiggly(9, 0.0);
+  const Pwl r = Pwl::ramp(5e-12, 10e-12, 0.0, 1.8);
+  const Pwl k = Pwl::constant(0.4, 1e-12, 2e-12);
+  check_algebra(w, r, "wiggly/ramp");
+  check_algebra(r, w, "ramp/wiggly");
+  check_algebra(r, k, "ramp/constant");
+  check_algebra(k, r, "constant/ramp");
+
+  const Pwl e;
+  expect_bitwise(e + r, r, "e+r");
+  expect_bitwise(r + e, r, "r+e");
+  expect_bitwise(r - e, r, "r-e");
+  expect_bitwise(e - r, r.scaled(-1.0), "e-r");
+  expect_bitwise(e.add_shifted(r, 2e-12), r.shifted(2e-12), "e.add_shifted");
+  expect_bitwise(r.add_shifted(e, 2e-12), r, "r.add_shifted(e)");
+  EXPECT_TRUE((e + e).empty());
+  EXPECT_TRUE((e - e).empty());
+}
+
+TEST(PwlFastPaths, ShiftedKnotsRoundingTogether) {
+  // Knots one ulp apart collapse when shifted by a much larger dt; the
+  // fused merge must dedupe them exactly as std::unique did.
+  const double t = 1e-12;
+  const Pwl b({t, std::nextafter(t, 1.0), 2 * t}, {0.0, 1.0, 0.5});
+  const Pwl a({0.0, 1e-3}, {0.2, 0.9});
+  for (double dt : {1e-6, 1e-4}) {
+    std::vector<double> ts, vs;
+    ref_combine(a, b.shifted(dt), false, ts, vs);
+    expect_bitwise(a.add_shifted(b, dt), ts, vs, "collapsed knots");
+  }
+}
+
+TEST(PwlFastPaths, SelfSubtractionIsPositiveZero) {
+  for (const Pwl& w : {wiggly(10, 0.0), Pwl::ramp(0.0, 1e-12, 1.8, 0.0),
+                       Pwl({0.0, 1.0}, {-0.0, 0.0})}) {
+    const Pwl d = w - w;
+    ASSERT_EQ(d.size(), w.size());
+    for (double v : d.values()) EXPECT_EQ(bits(v), bits(0.0));
+  }
+}
+
+TEST(PwlFastPaths, ResampledAndDifferentiateMatchReference) {
+  const Pwl w = wiggly(11, 0.0);
+  const double t0 = w.t_begin(), t1 = w.t_end();
+  expect_bitwise(w.resampled(t0, t1, 97), ref_resampled(w, t0, t1, 97),
+                 "inside");
+  // Wider than the data: clamped head and tail.
+  expect_bitwise(w.resampled(t0 - 5e-12, t1 + 5e-12, 301),
+                 ref_resampled(w, t0 - 5e-12, t1 + 5e-12, 301), "clamped");
+  // Coarser than the knots: the cursor skips several segments per query.
+  expect_bitwise(w.resampled(t0, t1, 7), ref_resampled(w, t0, t1, 7),
+                 "coarse");
+  // A grid landing exactly on every knot.
+  const Pwl unit({0, 1, 2, 3, 4, 5, 6, 7, 8}, {0, 3, -1, 4, 1, -5, 9, 2, 6});
+  expect_bitwise(unit.resampled(0.0, 8.0, 9), ref_resampled(unit, 0.0, 8.0, 9),
+                 "on knots");
+  expect_bitwise(unit.resampled(0.0, 8.0, 33),
+                 ref_resampled(unit, 0.0, 8.0, 33), "on and between knots");
+  const Pwl two = Pwl::ramp(1e-12, 4e-12, 0.0, 1.8);
+  expect_bitwise(two.resampled(0.0, 6e-12, 50),
+                 ref_resampled(two, 0.0, 6e-12, 50), "two samples");
+  expect_bitwise(Pwl{}.resampled(0.0, 1.0, 4), ref_resampled(Pwl{}, 0.0, 1.0, 4),
+                 "empty");
+
+  for (double dt : {0.1e-12, 0.37e-12, 2e-12}) {
+    expect_bitwise(differentiate(w, dt), ref_differentiate(w, dt),
+                   "differentiate dt=" + std::to_string(dt));
+    expect_bitwise(differentiate(two, dt), ref_differentiate(two, dt),
+                   "differentiate two-sample dt=" + std::to_string(dt));
   }
 }
 
