@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   // delay noise must sit below the threshold.
   int missed = 0;
   for (std::size_t i = 0; i < r_on.nets.size(); ++i) {
-    if (!r_on.nets[i].screened_out) continue;
+    if (r_on.nets[i].outcome != AnalysisOutcome::kScreened) continue;
     if (!r_off.nets[i].status.ok()) continue;  // No reference to compare.
     if (r_off.nets[i].result.delay_noise() >= threshold_ps * ps) {
       ++missed;

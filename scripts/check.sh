@@ -43,7 +43,7 @@ if [[ "$run_asan" == 1 ]]; then
   cmake -B build-asan -S . -DDN_SANITIZE=address,undefined -DDN_WERROR=ON >/dev/null
   cmake --build build-asan -j "$jobs" \
     --target test_matrix test_sparse test_linear_sim test_nonlinear_sim \
-             test_adaptive_sim test_pwl test_numeric
+             test_adaptive_sim test_pwl test_numeric test_fault_tolerance
   ./build-asan/tests/test_matrix
   ./build-asan/tests/test_sparse
   ./build-asan/tests/test_linear_sim
@@ -52,6 +52,10 @@ if [[ "$run_asan" == 1 ]]; then
   # The waveform algebra's forward cursors index raw spans.
   ./build-asan/tests/test_pwl
   ./build-asan/tests/test_numeric
+  # Deep retry ladders scale the backoff by 2^attempt; any UB there (an
+  # int shift past its width) must fail the stage, not just print.
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ./build-asan/tests/test_fault_tolerance
 fi
 
 if [[ "$run_tsan" == 1 ]]; then
@@ -198,14 +202,19 @@ printf '%s\n' \
   '{"id":10,"verb":"shutdown"}' \
   | ./build/tools/dnoise_cli --serve --jobs 2 2>/dev/null \
   > build/serve_smoke.ndjson
-python3 - build/serve_smoke.ndjson <<'PY'
-import json, sys
+python3 - build/serve_smoke.ndjson src/clarinet/report.hpp <<'PY'
+import json, re, sys
 with open(sys.argv[1]) as f:
     resps = [json.loads(line) for line in f if line.strip()]
+# The expected version is the library's own constant, so a deliberate
+# schema bump needs no edit here while any drift still fails exactly.
+with open(sys.argv[2]) as f:
+    schema = int(re.search(r"kReportSchemaVersion\s*=\s*(\d+)\s*;",
+                           f.read()).group(1))
 assert len(resps) == 10, f"expected 10 responses, got {len(resps)}"
 for i, r in enumerate(resps, 1):
     assert r["id"] == i, f"response order broken at {i}: {r}"
-    assert r["schema_version"] == 2, f"missing schema_version: {r}"
+    assert r["schema_version"] == schema, f"schema_version != {schema}: {r}"
 ok = {i: r["ok"] for i, r in enumerate(resps, 1)}
 assert all(ok[i] for i in (1, 2, 3, 4, 5, 6, 9, 10)), f"unexpected failure: {ok}"
 # The fault-injected analyze must degrade or fail CLEANLY: either an ok

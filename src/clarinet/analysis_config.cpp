@@ -45,14 +45,6 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
   AnalyzerConfig& a = b.analyzer;
   if (key == "jobs") return set_int(v, "jobs", b.jobs);
   if (key == "top_k") return set_int(v, "top_k", b.top_k);
-  if (key == "screen_below_ps") {
-    double ps_v = 0;
-    Status s = set_num(v, "screen_below_ps", ps_v);
-    if (s.ok()) b.screen_threshold = ps_v < 0 ? -1.0 : ps_v * ps;
-    return s;
-  }
-  if (key == "screen_vn_below_v")
-    return set_num(v, "screen_vn_below_v", b.screen_vn_threshold);
   if (key == "fidelity_ladder")
     return set_bool(v, "fidelity_ladder", b.ladder.enabled);
   if (key == "fidelity_threshold_ps") {
@@ -289,9 +281,6 @@ json::Value AnalysisConfig::to_json() const {
   json::Object o;
   o["jobs"] = b.jobs;
   o["top_k"] = b.top_k;
-  o["screen_below_ps"] =
-      b.screen_threshold < 0 ? -1.0 : b.screen_threshold / ps;
-  o["screen_vn_below_v"] = b.screen_vn_threshold;
   o["fidelity_ladder"] = b.ladder.enabled;
   o["fidelity_threshold_ps"] = b.ladder.dn_threshold / ps;
   o["fidelity_margin"] = b.ladder.tier1_margin;

@@ -31,7 +31,8 @@ void finalize_batch_result(BatchResult& out, int top_k, bool ladder_enabled) {
   std::vector<std::size_t> ok_idx;
   ok_idx.reserve(out.nets.size());
   for (const auto& nr : out.nets)
-    if (nr.status.ok() && !nr.screened_out && !nr.deferred)
+    if (nr.outcome == AnalysisOutcome::kOk ||
+        nr.outcome == AnalysisOutcome::kDegraded)
       ok_idx.push_back(nr.index);
   const std::size_t k = std::min<std::size_t>(
       ok_idx.size(),
@@ -48,32 +49,37 @@ void finalize_batch_result(BatchResult& out, int top_k, bool ladder_enabled) {
 
   BatchStats& st = out.stats;
   st.total = out.nets.size();
-  st.analyzed = st.screened_out = st.degraded = st.deferred = 0;
+  st.analyzed = st.degraded = st.deferred_nets = 0;
   st.tier0_pruned = st.tier1_pruned = st.tier2_analyzed = 0;
   st.max_pruned_bound = 0.0;
   st.retries = 0;
   st.ladder = ladder_enabled;
   for (const auto& nr : out.nets) {
-    if (nr.screened_out) {
-      ++st.screened_out;
-      if (ladder_enabled) {
+    switch (nr.outcome) {
+      case AnalysisOutcome::kScreened:
         if (nr.decided_by == FidelityTier::kTier0)
           ++st.tier0_pruned;
         else
           ++st.tier1_pruned;
         st.max_pruned_bound = std::max(st.max_pruned_bound, nr.dn_bound);
-      }
-    } else if (nr.deferred) {
-      ++st.deferred;
-    } else if (nr.status.ok()) {
-      ++st.analyzed;
-      if (nr.outcome == AnalysisOutcome::kDegraded) ++st.degraded;
-      if (ladder_enabled) ++st.tier2_analyzed;
+        break;
+      case AnalysisOutcome::kDeferred:
+        ++st.deferred_nets;
+        break;
+      case AnalysisOutcome::kDegraded:
+        ++st.degraded;
+        [[fallthrough]];
+      case AnalysisOutcome::kOk:
+        ++st.analyzed;
+        if (ladder_enabled) ++st.tier2_analyzed;
+        break;
+      case AnalysisOutcome::kFailed:
+        break;
     }
     st.retries +=
         static_cast<std::uint64_t>(nr.attempts > 1 ? nr.attempts - 1 : 0);
   }
-  st.failed = st.total - st.analyzed - st.screened_out - st.deferred;
+  st.failed = st.total - st.analyzed - st.pruned() - st.deferred_nets;
 }
 
 BatchAnalyzer::BatchAnalyzer(BatchOptions opts)
@@ -129,11 +135,7 @@ BatchResult BatchAnalyzer::analyze(const std::vector<CoupledNet>& nets,
   const std::uint64_t hits0 = cache()->hits();
   const std::uint64_t misses0 = cache()->misses();
 
-  const ScreeningOptions screening = opts_.screening();
-  // The fidelity ladder replaces the single-threshold screen when
-  // enabled; off keeps the classic path byte-identical.
   const bool do_ladder = opts_.ladder.enabled;
-  const bool do_screen = !do_ladder && screening.active();
   const FidelityLadder ladder(opts_.ladder);
 
   BatchResult out;
@@ -167,30 +169,16 @@ BatchResult BatchAnalyzer::analyze(const std::vector<CoupledNet>& nets,
         if (dec.ok()) {
           slot.decided_by = dec->decided_by;
           slot.dn_bound = dec->dn_bound;
-          if (dec->tier1_ran) slot.screen = dec->tier1;
           if (dec->pruned) {
-            slot.screened_out = true;
             slot.outcome = AnalysisOutcome::kScreened;
             c_screened.add();
             skip = true;
           } else if (dec->decided_by != FidelityTier::kTier2) {
             // Capped ladder: the survivor is reported with its bound
             // instead of entering the full flow.
-            slot.deferred = true;
             slot.outcome = AnalysisOutcome::kDeferred;
             skip = true;
           }
-        }
-      } else if (do_screen) {
-        // Cheap deterministic triage; estimate failures fall through so
-        // the full analysis reports the authoritative Status.
-        StatusOr<ScreeningEstimate> est = try_screen_net(nets[i]);
-        if (est.ok() && !screening.passes(*est)) {
-          slot.screened_out = true;
-          slot.screen = *est;
-          slot.outcome = AnalysisOutcome::kScreened;
-          c_screened.add();
-          skip = true;
         }
       }
       if (!skip && deadline.expired()) {
@@ -210,8 +198,7 @@ BatchResult BatchAnalyzer::analyze(const std::vector<CoupledNet>& nets,
             // remaining budget: sleeping past the deadline would turn a
             // retryable blip into a guaranteed kDeadlineExceeded (and
             // stall the worker for the full backoff besides).
-            double ms =
-                opts_.retry_backoff_ms * static_cast<double>(1 << (attempt - 1));
+            double ms = std::ldexp(opts_.retry_backoff_ms, attempt - 1);
             const double remaining_ms =
                 std::max(0.0, deadline.remaining_s() * 1e3);
             ms = std::min(ms, remaining_ms);
@@ -285,31 +272,26 @@ void BatchResult::write_text(std::ostream& os) const {
   os << "batch delay-noise analysis: " << stats.total << " nets, "
      << stats.failed << " failed";
   if (stats.degraded) os << ", " << stats.degraded << " degraded";
-  if (stats.screened_out)
-    os << ", " << stats.screened_out << " screened out";
+  if (stats.pruned()) os << ", " << stats.pruned() << " screened out";
   if (stats.retries) os << ", " << stats.retries << " retries";
-  if (stats.ladder && stats.deferred)
-    os << ", " << stats.deferred << " deferred";
+  if (stats.ladder && stats.deferred_nets)
+    os << ", " << stats.deferred_nets << " deferred";
   os << "\n";
   if (stats.ladder) {
     os << "fidelity ladder: tier0 pruned " << stats.tier0_pruned
        << ", tier1 pruned " << stats.tier1_pruned << ", tier2 analyzed "
        << stats.tier2_analyzed;
-    if (stats.deferred) os << ", deferred " << stats.deferred;
-    if (stats.screened_out)
+    if (stats.deferred_nets) os << ", deferred " << stats.deferred_nets;
+    if (stats.pruned())
       os << "; max pruned bound " << stats.max_pruned_bound * 1e12 << " ps";
     os << "\n";
   }
   for (const auto& nr : nets) {
     os << "  [" << nr.index << "] " << nr.name << ": ";
-    if (nr.screened_out) {
-      if (stats.ladder)
-        os << "pruned at " << fidelity_tier_name(nr.decided_by) << " (bound "
-           << nr.dn_bound * 1e12 << " ps)\n";
-      else
-        os << "screened out (est " << nr.screen.dn_est * 1e12 << " ps)\n";
-    } else if (nr.deferred) {
-      os << "deferred at " << fidelity_tier_name(nr.decided_by) << " (bound "
+    if (nr.outcome == AnalysisOutcome::kScreened ||
+        nr.outcome == AnalysisOutcome::kDeferred) {
+      os << (nr.outcome == AnalysisOutcome::kScreened ? "pruned" : "deferred")
+         << " at " << fidelity_tier_name(nr.decided_by) << " (bound "
          << nr.dn_bound * 1e12 << " ps)\n";
     } else if (nr.status.ok()) {
       os << nr.report.delay_noise_ps << " ps combined ("
@@ -348,19 +330,13 @@ void BatchResult::write_json(std::ostream& os) const {
   for (std::size_t i = 0; i < nets.size(); ++i) {
     if (i) os << ",";
     const auto& nr = nets[i];
-    if (nr.screened_out) {
+    if (nr.outcome == AnalysisOutcome::kScreened ||
+        nr.outcome == AnalysisOutcome::kDeferred) {
       const auto saved = os.precision(6);
-      os << "{\"net\":\"" << nr.name << "\",\"screened_out\":true,";
-      if (stats.ladder)
-        os << "\"tier\":\"" << fidelity_tier_name(nr.decided_by)
-           << "\",\"bound_ps\":" << nr.dn_bound * 1e12 << "}";
-      else
-        os << "\"est_dnoise_ps\":" << nr.screen.dn_est * 1e12 << "}";
-      os.precision(saved);
-    } else if (nr.deferred) {
-      const auto saved = os.precision(6);
-      os << "{\"net\":\"" << nr.name << "\",\"deferred\":true,"
-         << "\"tier\":\"" << fidelity_tier_name(nr.decided_by)
+      os << "{\"net\":\"" << nr.name << "\",\""
+         << (nr.outcome == AnalysisOutcome::kScreened ? "screened_out"
+                                                      : "deferred")
+         << "\":true,\"tier\":\"" << fidelity_tier_name(nr.decided_by)
          << "\",\"bound_ps\":" << nr.dn_bound * 1e12 << "}";
       os.precision(saved);
     } else if (nr.status.ok()) {
@@ -377,14 +353,14 @@ void BatchResult::write_json(std::ostream& os) const {
     os << (i ? "," : "") << worst[i];
   os << "],\"failed\":" << stats.failed;
   if (stats.degraded) os << ",\"degraded\":" << stats.degraded;
-  if (stats.screened_out) os << ",\"screened_out\":" << stats.screened_out;
+  if (stats.pruned()) os << ",\"screened_out\":" << stats.pruned();
   if (stats.retries) os << ",\"retries\":" << stats.retries;
   if (stats.ladder) {
     const auto saved = os.precision(6);
     os << ",\"ladder\":{\"tier0_pruned\":" << stats.tier0_pruned
        << ",\"tier1_pruned\":" << stats.tier1_pruned
        << ",\"tier2_analyzed\":" << stats.tier2_analyzed
-       << ",\"deferred\":" << stats.deferred
+       << ",\"deferred\":" << stats.deferred_nets
        << ",\"max_pruned_bound_ps\":" << stats.max_pruned_bound * 1e12 << "}";
     os.precision(saved);
   }
@@ -405,12 +381,11 @@ std::string BatchResult::stats_text() const {
      << stats.tables_cached << " tables characterized, cache hit rate "
      << 100.0 * stats.cache_hit_rate() << "% (" << stats.cache_hits << " hits / "
      << stats.cache_misses << " misses)";
-  if (stats.screened_out)
-    os << ", " << stats.screened_out << " nets screened out";
+  if (stats.pruned()) os << ", " << stats.pruned() << " nets screened out";
   if (stats.ladder)
     os << "; ladder: " << stats.tier0_pruned << " tier0 / "
        << stats.tier1_pruned << " tier1 pruned, " << stats.tier2_analyzed
-       << " tier2 analyzed, " << stats.deferred << " deferred";
+       << " tier2 analyzed, " << stats.deferred_nets << " deferred";
   return os.str();
 }
 

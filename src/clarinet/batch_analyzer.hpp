@@ -28,7 +28,6 @@
 
 #include "clarinet/analyzer.hpp"
 #include "clarinet/fidelity_ladder.hpp"
-#include "clarinet/screening.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dn {
@@ -39,30 +38,9 @@ struct BatchOptions {
   AnalyzerConfig analyzer{};
   int jobs = 0;    // Worker count; 0 = one per hardware thread.
   int top_k = 10;  // Size of the worst-nets ranking.
-  /// Screening filter: nets whose cheap moment-level estimated delay
-  /// noise (ScreeningEstimate::dn_est) falls below this threshold [s] are
-  /// recorded as screened-out and skip the full analysis — the
-  /// rank-and-filter triage, folded into the engine. Negative disables
-  /// (analyze everything). Deterministic: the estimate depends only on
-  /// the net.
-  double screen_threshold = -1.0;
-  /// Companion noise-peak threshold [V] for the same filter (see
-  /// ScreeningOptions::passes for how multiple active thresholds
-  /// combine). Negative disables.
-  double screen_vn_threshold = -1.0;
-
-  /// The equivalent ScreeningOptions for the configured thresholds.
-  ScreeningOptions screening() const {
-    ScreeningOptions s;
-    s.dn_est_min = screen_threshold;
-    s.vn_est_min = screen_vn_threshold;
-    return s;
-  }
-
-  /// Tiered multi-fidelity ladder (clarinet/fidelity_ladder.hpp). When
-  /// enabled it REPLACES the single-threshold screening above: Tier 0/1
-  /// prune quiet nets with recorded bounds, Tier 2 runs the full flow
-  /// for survivors. Disabled keeps the classic path byte-identical.
+  /// Pre-analysis triage (clarinet/fidelity_ladder.hpp): when enabled,
+  /// Tier 0/1 prune quiet nets with recorded bounds and Tier 2 runs the
+  /// full flow for survivors. Disabled analyzes every net.
   FidelityLadderOptions ladder{};
 
   /// Per-net retry budget for TRANSIENT failures (Status::is_transient(),
@@ -88,7 +66,7 @@ enum class AnalysisOutcome {
   kOk = 0,    // Clean analysis, no ladder steps.
   kDegraded,  // Analyzed, but at least one degradation rung was taken.
   kFailed,    // No result; BatchNetResult::status explains.
-  kScreened,  // Skipped: screening threshold or fidelity-ladder prune.
+  kScreened,  // Skipped: pruned by a cheap fidelity-ladder tier.
   kDeferred,  // Survived a capped ladder (max_tier < 2); not analyzed.
 };
 
@@ -98,28 +76,24 @@ const char* analysis_outcome_name(AnalysisOutcome o);
 struct BatchNetResult {
   std::size_t index = 0;
   std::string name;
-  Status status;             // OK iff the net analyzed cleanly or was screened out.
-  bool screened_out = false;  // Skipped by BatchOptions::screen_threshold.
-  ScreeningEstimate screen;  // Valid iff screened_out.
-  DelayNoiseResult result;   // Valid iff status.ok() && !screened_out.
-  DelayNoiseReport report;   // Valid iff status.ok() && !screened_out.
+  Status status;             // OK unless outcome == kFailed.
+  DelayNoiseResult result;   // Valid iff outcome is kOk or kDegraded.
+  DelayNoiseReport report;   // Valid iff outcome is kOk or kDegraded.
   AnalysisOutcome outcome = AnalysisOutcome::kOk;
   int attempts = 1;          // 1 + retries actually consumed.
 
   // Fidelity provenance (meaningful only when BatchOptions::ladder is
   // enabled): the tier that decided this net and the tightest cheap-tier
   // delay-noise upper bound [s] (bounds any violation a prune could
-  // miss). A deferred net survived every tier a capped ladder allowed.
+  // miss). A kDeferred net survived every tier a capped ladder allowed.
   FidelityTier decided_by = FidelityTier::kTier2;
   double dn_bound = 0.0;
-  bool deferred = false;
 };
 
 struct BatchStats {
   std::size_t total = 0;
   std::size_t analyzed = 0;   // Includes degraded nets: they have results.
   std::size_t failed = 0;
-  std::size_t screened_out = 0;
   std::size_t degraded = 0;   // Subset of `analyzed`.
   std::uint64_t retries = 0;  // Extra attempts consumed across all nets.
   int jobs = 1;
@@ -130,15 +104,17 @@ struct BatchStats {
   std::uint64_t cache_misses = 0;
 
   // Fidelity-ladder figures (all zero when the ladder is off; `ladder`
-  // gates every new rendering so classic output stays byte-identical).
+  // gates the tier rendering so ladder-off output carries none of it).
   bool ladder = false;
   std::size_t tier0_pruned = 0;
   std::size_t tier1_pruned = 0;
   std::size_t tier2_analyzed = 0;  // Nets that reached the full flow.
-  std::size_t deferred = 0;        // Survivors of a capped ladder.
+  std::size_t deferred_nets = 0;   // Survivors of a capped ladder.
   /// Largest delay-noise upper bound among pruned nets [s]: no violation
   /// bigger than this can have been missed by pruning.
   double max_pruned_bound = 0.0;
+  /// Nets the ladder's cheap tiers pruned (outcome kScreened).
+  std::size_t pruned() const { return tier0_pruned + tier1_pruned; }
   double cache_hit_rate() const {
     const double n = static_cast<double>(cache_hits + cache_misses);
     return n > 0 ? static_cast<double>(cache_hits) / n : 0.0;

@@ -27,17 +27,6 @@ namespace {
 /// tests/test_fidelity_ladder.cpp — loosen it there, not here.
 constexpr double kTier0Safety = 2.0;
 
-/// Saturated drive resistance of the device holding the victim while it
-/// switches (same proxy the Tier-1 estimator uses — the two tiers must
-/// agree on the physics, they differ only in how much slack they keep).
-double drive_resistance_proxy(const GateParams& g, bool rising_output) {
-  const MosfetParams& p = rising_output ? g.pmos_proto : g.nmos_proto;
-  const double w = rising_output ? g.wp() : g.wn();
-  const double vov = g.vdd - p.vt;
-  const double idsat = 0.5 * p.kp * (w / p.l) * vov * vov;
-  return idsat > 0 ? g.vdd / idsat : 1e9;
-}
-
 Tier0Bound bound_validated(const CoupledNet& net) {
   static obs::Counter& c_nets = obs::metrics().counter("ladder.tier0_evals");
   static obs::Histogram& h_seconds =

@@ -47,8 +47,8 @@ struct Tier0Bound {
 StatusOr<Tier0Bound> try_tier0_bound(const CoupledNet& net);
 
 struct FidelityLadderOptions {
-  /// Master switch. Off = the classic single-threshold screening path;
-  /// batch output is then byte-identical to a build without the ladder.
+  /// Master switch. Off = no triage: every net runs the full flow and
+  /// batch output carries no ladder fields.
   bool enabled = false;
   /// Violation threshold [s]: the delay noise that matters downstream.
   /// Nets whose tier bound falls below it are pruned. Negative prunes

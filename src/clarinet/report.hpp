@@ -26,7 +26,12 @@ namespace dn {
 /// batch envelope carry "tier"/"bound_ps", analyzed reports may carry
 /// "fidelity_tier" and pruned-aggressor counts, and the envelope gains a
 /// "ladder" stats object when the ladder is enabled.
-inline constexpr int kReportSchemaVersion = 2;
+///
+/// v3: the single-threshold screen is gone — a "screened_out" batch entry
+/// is always a ladder prune carrying "tier"/"bound_ps". The ladder-off
+/// entry with the raw screening estimate and the screen's two config
+/// keys no longer exist.
+inline constexpr int kReportSchemaVersion = 3;
 
 struct DelayNoiseReport {
   std::string net_name;         // Optional caller-assigned label.

@@ -10,10 +10,6 @@
 
 namespace dn {
 
-namespace {
-
-/// Saturated drive resistance proxy of the device opposing the noise
-/// (the one holding the victim while it switches).
 double drive_resistance_proxy(const GateParams& g, bool rising_output) {
   // Rising output is pulled up by the PMOS; the opposing noise is absorbed
   // by that same device mid-transition.
@@ -23,8 +19,6 @@ double drive_resistance_proxy(const GateParams& g, bool rising_output) {
   const double idsat = 0.5 * p.kp * (w / p.l) * vov * vov;
   return idsat > 0 ? g.vdd / idsat : 1e9;
 }
-
-}  // namespace
 
 namespace {
 

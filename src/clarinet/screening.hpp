@@ -9,10 +9,10 @@
 // both computable from moments only (no simulation).
 //
 // API: try_screen_net() is the Status-based entry point (malformed nets
-// come back as kInvalidArgument, never an exception); ScreeningOptions
-// holds the skip thresholds. BatchAnalyzer folds the whole
-// rank -> filter -> analyze dance behind BatchOptions::screen_threshold,
-// so callers no longer hand-roll it.
+// come back as kInvalidArgument, never an exception). It is the Tier 1
+// estimator of the fidelity ladder (clarinet/fidelity_ladder.hpp), the
+// only pre-analysis triage the batch engine runs. rank_by_severity()
+// orders nets by the same estimate for `dnoise_cli --screen`.
 #pragma once
 
 #include <vector>
@@ -28,29 +28,11 @@ struct ScreeningEstimate {
   double victim_tau = 0.0;  // Holding time constant proxy [s].
 };
 
-/// Skip thresholds for the cheap pre-analysis filter.
-///
-/// Combination semantics (pinned by ScreeningOptionsSemantics tests): the
-/// thresholds combine with OR on the PASS side — a net proceeds to full
-/// analysis when ANY active threshold is met. Equivalently, screening-out
-/// is an AND: a net is skipped only when EVERY active threshold rejects
-/// it. This is the conservative reading — each threshold can only add
-/// nets to the analyzed set, never veto one another threshold admitted.
-/// A negative threshold is inactive; with no active threshold every net
-/// passes.
-struct ScreeningOptions {
-  double dn_est_min = -1.0;  // Estimated delay noise [s] worth analyzing.
-  double vn_est_min = -1.0;  // Estimated noise peak [V] worth analyzing.
-
-  bool active() const { return dn_est_min >= 0.0 || vn_est_min >= 0.0; }
-  /// True when `est` clears the filter (net deserves full analysis):
-  /// OR over the active thresholds, as documented above.
-  bool passes(const ScreeningEstimate& est) const {
-    if (!active()) return true;
-    return (dn_est_min >= 0.0 && est.dn_est >= dn_est_min) ||
-           (vn_est_min >= 0.0 && est.vn_est >= vn_est_min);
-  }
-};
+/// Saturated drive resistance proxy [ohm] of the device holding a net
+/// while it switches (the one that absorbs the opposing noise). Shared by
+/// every ladder tier so the Tier 0 bound and the Tier 1 estimate agree on
+/// the physics and differ only in how much slack they keep.
+double drive_resistance_proxy(const GateParams& g, bool rising_output);
 
 /// Moment-level estimate for one coupled net (microseconds of work, no
 /// transient simulation). Malformed nets come back as kInvalidArgument.

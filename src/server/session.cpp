@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -17,24 +18,19 @@ namespace dn::server {
 
 namespace {
 
-/// The config keys that change ANALYSIS RESULTS (as opposed to
-/// scheduling: jobs, retries, deadlines, ranking depth). A config change
-/// dirties every victim iff this fingerprint changes.
+/// Every config key except the SCHEDULING ones (worker count, ranking
+/// depth, retries, deadlines), which cannot change a net's result. A
+/// config change dirties every victim iff this fingerprint changes, so a
+/// new key invalidates stored results unless it is listed here.
 std::string analysis_fingerprint(const AnalysisConfig& cfg) {
+  static constexpr const char* kSchedulingKeys[] = {
+      "jobs", "top_k", "max_retries", "retry_backoff_ms", "deadline_ms"};
   const json::Value all = cfg.to_json();
-  static constexpr const char* kKeys[] = {
-      "screen_below_ps",   "screen_vn_below_v",
-      "fidelity_ladder",   "fidelity_threshold_ps",
-      "fidelity_margin",   "fidelity_max_tier",
-      "window_pruning",
-      "exhaustive",        "thevenin",
-      "prereduce",         "solver",
-      "dt_ps",             "horizon_ns",
-      "model_alignment_iterations", "rtr_max_iterations",
-      "newton_max_iterations",      "newton_v_tol"};
   json::Object subset;
-  for (const char* key : kKeys)
-    if (const json::Value* v = all.find(key)) subset[key] = *v;
+  for (const auto& [key, v] : all.as_object())
+    if (std::find(std::begin(kSchedulingKeys), std::end(kSchedulingKeys),
+                  key) == std::end(kSchedulingKeys))
+      subset[key] = v;
   return json::Value(std::move(subset)).dump();
 }
 

@@ -7,12 +7,9 @@
 #include <string>
 
 #include "matrix/solver.hpp"
-#include "util/units.hpp"
 
 namespace dn {
 namespace {
-
-using dn::units::ps;
 
 TEST(AnalysisConfig, DefaultsValidateAndRoundTrip) {
   const AnalysisConfig cfg;
@@ -27,8 +24,7 @@ TEST(AnalysisConfig, DefaultsValidateAndRoundTrip) {
 TEST(AnalysisConfig, EveryKeyRoundTripsThroughJson) {
   AnalysisConfig cfg;
   const Status applied = cfg.apply(*json::parse(R"({
-    "jobs": 3, "top_k": 7, "screen_below_ps": 2.5,
-    "screen_vn_below_v": 0.05, "max_retries": 2, "retry_backoff_ms": 1.5,
+    "jobs": 3, "top_k": 7, "max_retries": 2, "retry_backoff_ms": 1.5,
     "deadline_ms": 250, "exhaustive": true, "thevenin": true,
     "prereduce": true, "solver": "sparse", "dt_ps": 2, "horizon_ns": 4,
     "model_alignment_iterations": 2, "rtr_max_iterations": 6,
@@ -37,7 +33,6 @@ TEST(AnalysisConfig, EveryKeyRoundTripsThroughJson) {
 
   EXPECT_EQ(cfg.batch.jobs, 3);
   EXPECT_EQ(cfg.batch.top_k, 7);
-  EXPECT_NEAR(cfg.batch.screen_threshold, 2.5 * ps, 1e-18);
   EXPECT_EQ(cfg.batch.max_retries, 2);
   EXPECT_FALSE(cfg.batch.analyzer.use_prediction_tables);  // exhaustive
   EXPECT_FALSE(
@@ -95,12 +90,19 @@ TEST(AnalysisConfig, ApplyHasTheStrongGuarantee) {
   EXPECT_EQ(cfg.batch.jobs, 5);
 }
 
-TEST(AnalysisConfig, ScreenThresholdsDisableBelowZero) {
-  AnalysisConfig cfg;
-  ASSERT_TRUE(cfg.apply(*json::parse("{\"screen_below_ps\":-1}")).ok());
-  EXPECT_LT(cfg.batch.screen_threshold, 0.0);
-  ASSERT_TRUE(cfg.apply(*json::parse("{\"screen_below_ps\":10}")).ok());
-  EXPECT_NEAR(cfg.batch.screen_threshold, 10 * ps, 1e-18);
+// The single-threshold screen is gone (the fidelity ladder is the only
+// triage path). Its keys are unknown keys now, so a config dump written
+// before the removal fails cleanly on recovery instead of half-applying.
+TEST(AnalysisConfig, RemovedScreenKeysAreUnknownKeys) {
+  for (const char* text :
+       {"{\"screen_below_ps\":5}", "{\"screen_vn_below_v\":0.1}"}) {
+    AnalysisConfig cfg;
+    ASSERT_TRUE(cfg.apply(*json::parse("{\"jobs\":5}")).ok());
+    const std::string before = cfg.to_json_text();
+    const Status s = cfg.apply(*json::parse(text));
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_EQ(cfg.to_json_text(), before) << text;
+  }
 }
 
 TEST(AnalysisConfig, FromJsonTextRejectsMalformedDocuments) {

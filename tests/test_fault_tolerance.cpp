@@ -410,6 +410,24 @@ TEST(FaultSites, TransientTaskFaultsRetryAndRecover) {
   EXPECT_GT(with.stats.retries, 0u);
 }
 
+TEST(FaultSites, DeepRetryBudgetWithZeroBackoffExhaustsCleanly) {
+  // Every attempt faults, so the engine walks all 40 retries. The
+  // exponential backoff doubles per attempt; past attempt 31 an int
+  // shift would overflow, so the base-2 scaling must stay in floating
+  // point (zero backoff times any power of two is still zero).
+  ScopedFaults faults("task:1.0", 3);
+  const auto nets = random_population(1, 53);
+  BatchOptions opts = chaos_options(1);
+  opts.max_retries = 40;
+  opts.retry_backoff_ms = 0.0;
+  const BatchResult r = BatchAnalyzer(opts).analyze(nets);
+  ASSERT_EQ(r.nets.size(), 1u);
+  EXPECT_EQ(r.nets[0].attempts, 41);
+  EXPECT_EQ(r.nets[0].status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(r.nets[0].outcome, AnalysisOutcome::kFailed);
+  EXPECT_EQ(r.stats.retries, 40u);
+}
+
 // ---------------------------------------------------------------------------
 // Chaos determinism across job counts
 // ---------------------------------------------------------------------------

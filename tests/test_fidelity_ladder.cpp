@@ -309,12 +309,11 @@ TEST(FidelityLadderBatch, TierTalliesAreConsistent) {
 
   const BatchStats& st = r.stats;
   EXPECT_TRUE(st.ladder);
-  EXPECT_EQ(st.tier0_pruned + st.tier1_pruned, st.screened_out);
-  EXPECT_EQ(st.tier2_analyzed, st.analyzed);
-  EXPECT_EQ(st.analyzed + st.screened_out + st.failed + st.deferred,
-            st.total);
+  std::size_t screened = 0;
   for (const auto& nr : r.nets) {
-    if (nr.screened_out) {
+    EXPECT_NE(nr.outcome, AnalysisOutcome::kDeferred);  // Uncapped ladder.
+    if (nr.outcome == AnalysisOutcome::kScreened) {
+      ++screened;
       EXPECT_NE(nr.decided_by, FidelityTier::kTier2);
       EXPECT_GT(nr.dn_bound, 0.0);
       EXPECT_LT(nr.dn_bound, opts.ladder.dn_threshold);
@@ -322,7 +321,10 @@ TEST(FidelityLadderBatch, TierTalliesAreConsistent) {
       EXPECT_EQ(nr.report.fidelity_tier, "tier2");
     }
   }
-  if (st.screened_out) {
+  EXPECT_EQ(st.tier0_pruned + st.tier1_pruned, screened);
+  EXPECT_EQ(st.tier2_analyzed, st.analyzed);
+  EXPECT_EQ(st.analyzed + screened + st.failed, st.total);
+  if (screened) {
     EXPECT_GT(st.max_pruned_bound, 0.0);
   }
 
@@ -345,11 +347,11 @@ TEST(FidelityLadderBatch, CappedLadderDefersSurvivors) {
   opts.ladder.dn_threshold = 0.0;  // Nothing prunes...
   opts.ladder.max_tier = 1;        // ...and nothing reaches Tier 2.
   const BatchResult r = BatchAnalyzer(opts).analyze(nets);
-  EXPECT_EQ(r.stats.deferred, nets.size());
+  EXPECT_EQ(r.stats.deferred_nets, nets.size());
   EXPECT_EQ(r.stats.analyzed, 0u);
+  EXPECT_EQ(r.stats.failed, 0u);
   EXPECT_TRUE(r.worst.empty());
   for (const auto& nr : r.nets) {
-    EXPECT_TRUE(nr.deferred);
     EXPECT_EQ(nr.outcome, AnalysisOutcome::kDeferred);
     EXPECT_EQ(nr.decided_by, FidelityTier::kTier1);
   }

@@ -187,43 +187,6 @@ TEST(Screening, RankBySeverityOrdersDescending) {
   EXPECT_EQ(order[2], 0u);
 }
 
-// ScreeningOptionsSemantics: pins the OR-on-pass / AND-on-skip reading
-// documented on ScreeningOptions (a net proceeds to full analysis when
-// ANY active threshold is met; it is screened out only when EVERY active
-// threshold rejects it).
-TEST(ScreeningOptionsSemantics, PassesIsOrOverActiveThresholds) {
-  ScreeningEstimate est;
-  est.dn_est = 10e-12;
-  est.vn_est = 0.05;
-
-  ScreeningOptions o;
-  EXPECT_FALSE(o.active());
-  EXPECT_TRUE(o.passes(est));  // No active threshold: everything passes.
-
-  o.dn_est_min = 5e-12;  // dn admits on its own.
-  EXPECT_TRUE(o.passes(est));
-
-  o.vn_est_min = 0.1;  // vn rejects, dn still admits -> OR passes.
-  EXPECT_TRUE(o.passes(est));
-
-  o.dn_est_min = 20e-12;  // Now BOTH reject -> screened out.
-  EXPECT_FALSE(o.passes(est));
-
-  o.vn_est_min = 0.01;  // vn admits on its own, dn rejects -> passes.
-  EXPECT_TRUE(o.passes(est));
-
-  o.vn_est_min = -1.0;  // Only dn active and it rejects.
-  EXPECT_FALSE(o.passes(est));
-}
-
-TEST(ScreeningOptionsSemantics, BoundaryValueMeetsThreshold) {
-  ScreeningEstimate est;
-  est.dn_est = 5e-12;
-  ScreeningOptions o;
-  o.dn_est_min = 5e-12;
-  EXPECT_TRUE(o.passes(est));  // ">=": exactly at threshold analyzes.
-}
-
 TEST(Screening, RankBySeverityBreaksTiesByIndex) {
   // Four identical nets tie exactly on dn_est: order must be the input
   // order, reproducibly, so ladder tier ordering is stable at any --jobs.

@@ -223,6 +223,62 @@ TEST(ServerSession, SchedulingConfigKeepsResultsSchemaInvalidatesOnEngine) {
             6.0);
 }
 
+TEST(ServerSession, TransientEngineConfigChangeReanalyzesEveryVictim) {
+  // lte_tol changes every transient the flow runs, so stored results are
+  // stale after it changes: the next analyze must recompute all victims
+  // and serve what a session configured that way from the start serves.
+  Session warm;
+  ASSERT_TRUE(ok(req(warm, load_line(7, 6, 2))));
+  ASSERT_TRUE(ok(req(warm, "{\"verb\":\"analyze\"}")));
+  ASSERT_TRUE(ok(req(warm, "{\"verb\":\"config\",\"set\":{\"lte_tol\":0}}")));
+  const json::Value incr = req(warm, "{\"verb\":\"analyze\"}");
+  ASSERT_TRUE(ok(incr));
+  EXPECT_EQ(result_of(incr).find("reanalyzed")->as_number(), 6.0);
+
+  Session fresh;
+  ASSERT_TRUE(ok(req(fresh, "{\"verb\":\"config\",\"set\":{\"lte_tol\":0}}")));
+  ASSERT_TRUE(ok(req(fresh, load_line(7, 6, 2))));
+  const json::Value cold = req(fresh, "{\"verb\":\"analyze\"}");
+  ASSERT_TRUE(ok(cold));
+  EXPECT_EQ(report_bytes(incr), report_bytes(cold));
+}
+
+TEST(ServerSession, EveryNonSchedulingConfigKeyDirtiesAllVictims) {
+  // The fingerprint is the whole config minus the scheduling keys, so
+  // each engine knob must dirty every victim (checked via `stats`, with
+  // an analyze in between to clean the slate).
+  // Each value differs from the config it is applied to (the flow keys
+  // fan out to their per-family overrides, so those follow with a third
+  // value).
+  const char* engine_sets[] = {
+      "{\"lte_tol\":0}",
+      "{\"max_dt_growth\":1.5}",
+      "{\"ceff_max_dt_growth\":2.5}",
+      "{\"rtr_max_dt_growth\":3.5}",
+      "{\"stale_jacobian_iters\":0}",
+      "{\"search_stale_jacobian_iters\":2}",
+      "{\"warm_start\":false}"};
+  Session s;
+  ASSERT_TRUE(ok(req(s, load_line(3, 2, 1))));
+  ASSERT_TRUE(ok(req(s, "{\"verb\":\"analyze\"}")));
+  const auto dirty = [&] {
+    return result_of(req(s, "{\"verb\":\"stats\"}")).find("dirty")->as_number();
+  };
+  ASSERT_EQ(dirty(), 0.0);
+  for (const char* set : engine_sets) {
+    ASSERT_TRUE(ok(req(s, std::string("{\"verb\":\"config\",\"set\":") +
+                              set + "}")))
+        << set;
+    EXPECT_EQ(dirty(), 2.0) << set;
+    ASSERT_TRUE(ok(req(s, "{\"verb\":\"analyze\"}")));
+  }
+  // Scheduling keys leave stored results valid.
+  ASSERT_TRUE(ok(req(s, "{\"verb\":\"config\",\"set\":{\"jobs\":2,"
+                        "\"top_k\":3,\"max_retries\":1,"
+                        "\"retry_backoff_ms\":2,\"deadline_ms\":5000}}")));
+  EXPECT_EQ(dirty(), 0.0);
+}
+
 TEST(ServerSession, InvalidConfigIsRejectedAndLeavesConfigIntact) {
   Session s;
   const json::Value before = req(s, "{\"verb\":\"config\"}");

@@ -111,7 +111,7 @@ const char* str_flag(int argc, char** argv, const char* name,
 std::vector<std::string> positional_args(int argc, char** argv) {
   static constexpr const char* kValueFlags[] = {
       "--jobs",        "--top",        "--random",      "--seed",
-      "--screen-below", "--solver",    "--metrics-json", "--trace-out",
+      "--solver",      "--metrics-json", "--trace-out",
       "--deadline-ms", "--max-retries", "--inject-faults", "--fault-seed",
       "--config",      "--socket",     "--queue-soft",  "--queue-hard",
       "--save-cache",  "--load-cache", "--lte-tol",     "--max-dt-growth",
@@ -140,7 +140,7 @@ int usage() {
       "usage: dnoise_cli <file.spef> [--exhaustive] [--thevenin]\n"
       "                  [--functional] [--golden] [--csv] [--json]\n"
       "       dnoise_cli --batch <file.spef>... [--jobs N] [--top K] [--json]\n"
-      "                  [--screen-below PS] [--load-cache F] [--save-cache F]\n"
+      "                  [--load-cache F] [--save-cache F]\n"
       "                  [--fidelity off|0|1|2]  tiered screening ladder:\n"
       "                      max tier to run (2 = full verification)\n"
       "                  [--fidelity-threshold PS] ladder prune threshold\n"
@@ -199,8 +199,6 @@ StatusOr<AnalysisConfig> config_from_flags(int argc, char** argv) {
     flags["jobs"] = int_flag(argc, argv, "--jobs", 0);
   if (str_flag(argc, argv, "--top", nullptr))
     flags["top_k"] = int_flag(argc, argv, "--top", 10);
-  if (str_flag(argc, argv, "--screen-below", nullptr))
-    flags["screen_below_ps"] = double_flag(argc, argv, "--screen-below", -1.0);
   if (const char* fid = str_flag(argc, argv, "--fidelity", nullptr)) {
     if (std::strcmp(fid, "off") == 0) {
       flags["fidelity_ladder"] = false;
@@ -313,7 +311,7 @@ int run_screening(int argc, char** argv) {
   }
   const auto order = rank_by_severity(nets);
   std::printf("%-40s %12s %12s\n", "file (most severe first)", "est_noise_V",
-              "est_dnoise_ps");
+              "est_dn_ps");
   for (const std::size_t i : order) {
     StatusOr<ScreeningEstimate> est = try_screen_net(nets[i]);
     if (!est.ok()) {
@@ -352,6 +350,7 @@ int run_batch(int argc, char** argv, const AnalysisConfig& cfg) {
         BatchNetResult fail;
         fail.name = f;
         fail.status = net.status();
+        fail.outcome = AnalysisOutcome::kFailed;
         load_failures.push_back(std::move(fail));
       }
     }
