@@ -21,11 +21,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "bench_util.hpp"
+#include "clarinet/analysis_config.hpp"
 #include "clarinet/analyzer.hpp"
 #include "util/metrics.hpp"
 
@@ -40,6 +43,19 @@ double now_s() {
       .count();
 }
 
+/// `c` with the AnalysisConfig keys in `keys` applied (the one path that
+/// fans a knob out to every sim family).
+AnalyzerConfig with_keys(AnalyzerConfig c, const char* keys) {
+  AnalysisConfig cfg;
+  cfg.batch.analyzer = std::move(c);
+  const Status s = cfg.apply(*json::parse(keys));
+  if (!s.ok()) {
+    std::fprintf(stderr, "bench_perf_sim: %s\n", s.to_string().c_str());
+    std::exit(2);
+  }
+  return cfg.batch.analyzer;
+}
+
 /// Coarse-but-representative alignment grid (the solver-bench grid), sparse
 /// backend forced for every sim family so both runs differ only in the
 /// transient engine.
@@ -51,33 +67,15 @@ AnalyzerConfig base_config() {
   c.analysis.search.coarse_points = 17;
   c.analysis.search.fine_points = 9;
   c.analysis.search.dt = 2 * ps;
-  c.engine.solver.backend = SolverBackend::kSparse;
-  c.engine.ceff.solver.backend = SolverBackend::kSparse;
-  c.engine.newton.solver.backend = SolverBackend::kSparse;
-  return c;
+  return with_keys(std::move(c), R"({"solver":"sparse"})");
 }
 
 /// The engine exactly as it was before this rework: uniform trapezoidal
 /// grid, a fresh factorization every Newton iteration, no DC reuse.
 AnalyzerConfig fixed_config() {
-  AnalyzerConfig c = base_config();
-  c.engine.lte_tol = 0.0;
-  c.engine.ceff.lte_tol = 0.0;
-  c.engine.ceff.fit.lte_tol = 0.0;
-  c.analysis.search.lte_tol = 0.0;
-  c.table_spec.search.lte_tol = 0.0;
-  c.analysis.rtr.lte_tol = 0.0;
-  c.engine.warm_start = false;
-  c.engine.ceff.warm_start = false;
-  c.analysis.search.warm_start = false;
-  c.table_spec.search.warm_start = false;
-  c.analysis.rtr.warm_start = false;
-  c.engine.newton.stale_jacobian_iters = 0;
-  c.engine.ceff.fit.stale_jacobian_iters = 0;
-  c.analysis.search.stale_jacobian_iters = 0;
-  c.table_spec.search.stale_jacobian_iters = 0;
-  c.analysis.rtr.stale_jacobian_iters = 0;
-  return c;
+  return with_keys(base_config(),
+                   R"({"lte_tol":0,"warm_start":false,)"
+                   R"("stale_jacobian_iters":0})");
 }
 
 struct RunResult {

@@ -41,7 +41,6 @@ CeffResult compute_ceff(const GateParams& driver, const Pwl& vin,
     LinearSim sim(ckt, opts.solver);
     TransientSpec spec{0.0, t_stop, opts.sim_dt};
     spec.lte_tol = opts.lte_tol;
-    spec.max_dt_growth = opts.max_dt_growth;
     const auto res = sim.try_run(spec);
     if (!res.ok()) raise(res.status());
     const Pwl v_port = res->waveform(port);

@@ -30,7 +30,6 @@ struct CeffOptions {
   /// LTE bound for adaptive stepping in the inner linear sims [V];
   /// 0 = fixed sim_dt grid.
   double lte_tol = 5e-4;
-  double max_dt_growth = 4.0;
   /// Warm-start the repeated Thevenin-fit reference sims from the
   /// previous iteration's operating point.
   bool warm_start = true;

@@ -82,7 +82,6 @@ TheveninFit fit_thevenin(const GateParams& gate, const Pwl& vin, double cload,
   TheveninFit out;
   TransientSpec spec = default_gate_spec(vin, opts.tail, opts.dt);
   spec.lte_tol = opts.lte_tol;
-  spec.max_dt_growth = opts.max_dt_growth;
   spec.stale_jacobian_iters = opts.stale_jacobian_iters;
   auto ref = try_simulate_gate(gate, vin, cload, spec, std::nullopt, opts.warm);
   if (!ref.ok()) raise(ref.status());

@@ -41,10 +41,9 @@ struct TheveninFitOptions {
   int max_iterations = 60;
   /// LTE bound for the adaptive nonlinear reference sim [V]; 0 = fixed dt.
   double lte_tol = 5e-4;
-  double max_dt_growth = 4.0;
-  /// Chord-Newton budget for the reference sim; -1 = engine default,
-  /// 0 = classic full Newton (sim/transient.hpp).
-  int stale_jacobian_iters = -1;
+  /// Chord-Newton budget for the reference sim; 0 = classic full Newton
+  /// (sim/transient.hpp).
+  int stale_jacobian_iters = 16;
   /// Optional warm-start cache for the reference sim (non-owning). The
   /// Ceff loop refits the same gate repeatedly with a slightly different
   /// cload; the DC operating point is identical every time.

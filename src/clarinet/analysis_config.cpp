@@ -8,6 +8,10 @@ namespace dn {
 
 namespace {
 
+/// Worker-thread cap: a pool that cannot spawn its threads aborts the
+/// process, so the count is bounded before it reaches ThreadPool.
+constexpr int kMaxJobs = 1024;
+
 Status range_error(const char* key, const char* constraint) {
   std::ostringstream os;
   os << "config: " << key << " " << constraint;
@@ -81,11 +85,11 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
     if (!name.ok()) return name.status();
     StatusOr<SolverBackend> backend = parse_solver_backend(*name);
     if (!backend.ok()) return backend.status();
-    // One backend rules every sim: the superposition transients, the Ceff
-    // inner sims, and the Newton solves of the nonlinear reference.
+    // One backend rules every linear-system sim: the superposition
+    // transients (and the nonlinear reference, which inherits it) and the
+    // Ceff inner sims.
     a.engine.solver.backend = *backend;
     a.engine.ceff.solver.backend = *backend;
-    a.engine.newton.solver.backend = *backend;
     return Status::Ok();
   }
   if (key == "dt_ps") {
@@ -115,66 +119,27 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
     if (!s.ok()) return s;
     // One LTE bound rules every adaptive sim: the superposition
     // transients, the Ceff inner sims, the Thevenin-fit reference, and
-    // the alignment-search receiver probes. The Rtr extraction keeps its
-    // own tighter bound (RtrOptions.lte_tol): it measures the DIFFERENCE
-    // of two nearly identical waveforms and must not be loosened by a
-    // flow-level knob. 0 disables adaptivity everywhere (fixed dt grid).
+    // the alignment-search receiver probes. The Rtr extraction always
+    // runs on the fixed grid (RtrOptions). 0 = fixed dt grid everywhere.
     a.engine.lte_tol = tol;
     a.engine.ceff.lte_tol = tol;
     a.engine.ceff.fit.lte_tol = tol;
     a.analysis.search.lte_tol = tol;
     a.table_spec.search.lte_tol = tol;
-    // analysis.rtr.lte_tol is NOT fanned out: the Rtr extraction measures
-    // the difference of two sims and stays on the fixed grid regardless.
     return Status::Ok();
   }
-  if (key == "max_dt_growth") {
-    double growth = 0;
-    Status s = set_num(v, "max_dt_growth", growth);
-    if (!s.ok()) return s;
-    a.engine.max_dt_growth = growth;
-    a.engine.ceff.max_dt_growth = growth;
-    a.engine.ceff.fit.max_dt_growth = growth;
-    a.analysis.rtr.max_dt_growth = growth;
-    return Status::Ok();
-  }
-  // Per-family overrides for the fanned-out knobs above. The defaults
-  // differ between families (the Ceff inner sims regrow at 4x where the
-  // superposition engine allows 32x; the search/fit sims inherit their
-  // NewtonOptions stale budget where the engine pins 16), so the flow
-  // key alone cannot reconstruct a config exactly. to_json emits these
-  // AFTER the flow key; apply_key runs in document order, so a dumped
-  // config round-trips bit-exactly — the invariant the server's
-  // snapshot/recovery path depends on for byte-identical re-analysis.
-  if (key == "ceff_max_dt_growth") {
-    double growth = 0;
-    Status s = set_num(v, "ceff_max_dt_growth", growth);
-    if (!s.ok()) return s;
-    a.engine.ceff.max_dt_growth = growth;
-    a.engine.ceff.fit.max_dt_growth = growth;
-    return Status::Ok();
-  }
-  if (key == "rtr_max_dt_growth")
-    return set_num(v, "rtr_max_dt_growth", a.analysis.rtr.max_dt_growth);
+  // Only the superposition engine's linear sims take a growth knob; the
+  // Ceff and Thevenin-fit sims keep the TransientSpec default (DESIGN.md
+  // §12).
+  if (key == "max_dt_growth")
+    return set_num(v, "max_dt_growth", a.engine.max_dt_growth);
   if (key == "stale_jacobian_iters") {
-    // One flow-level knob (like lte_tol): every nonlinear sim family.
-    Status s = set_int(v, "stale_jacobian_iters",
-                       a.engine.newton.stale_jacobian_iters);
-    if (!s.ok()) return s;
-    const int n = a.engine.newton.stale_jacobian_iters;
-    a.engine.ceff.fit.stale_jacobian_iters = n;
-    a.analysis.search.stale_jacobian_iters = n;
-    a.table_spec.search.stale_jacobian_iters = n;
-    a.analysis.rtr.stale_jacobian_iters = n;
-    return Status::Ok();
-  }
-  if (key == "search_stale_jacobian_iters") {
-    // One override for the four spec-level budgets: apply() is the only
-    // writer of a served config, and it always moves them in lockstep,
-    // so a single representative key reconstructs all of them.
+    // Every nonlinear sim family: the engine's Newton options and the
+    // fit/search/Rtr spec budgets.
     int n = 0;
-    Status s = set_int(v, "search_stale_jacobian_iters", n);
+    Status s = set_int(v, "stale_jacobian_iters", n);
     if (!s.ok()) return s;
+    a.engine.newton.stale_jacobian_iters = n;
     a.engine.ceff.fit.stale_jacobian_iters = n;
     a.analysis.search.stale_jacobian_iters = n;
     a.table_spec.search.stale_jacobian_iters = n;
@@ -185,7 +150,6 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
     bool warm = true;
     Status s = set_bool(v, "warm_start", warm);
     if (!s.ok()) return s;
-    a.engine.warm_start = warm;
     a.engine.ceff.warm_start = warm;
     a.analysis.search.warm_start = warm;
     a.table_spec.search.warm_start = warm;
@@ -200,7 +164,8 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
 Status AnalysisConfig::validate() const {
   const BatchOptions& b = batch;
   const AnalyzerConfig& a = b.analyzer;
-  if (b.jobs < 0) return range_error("jobs", "must be >= 0 (0 = auto)");
+  if (b.jobs < 0 || b.jobs > kMaxJobs)
+    return range_error("jobs", "must be in [0, 1024] (0 = auto)");
   if (b.top_k < 0) return range_error("top_k", "must be >= 0");
   if (b.max_retries < 0) return range_error("max_retries", "must be >= 0");
   if (b.retry_backoff_ms < 0)
@@ -227,21 +192,10 @@ Status AnalysisConfig::validate() const {
     return range_error("lte_tol", "must be >= 0 (0 = fixed step)");
   if (!(a.engine.max_dt_growth > 1.0) || a.engine.max_dt_growth > 64.0)
     return range_error("max_dt_growth", "must be in (1, 64]");
-  if (!(a.engine.ceff.max_dt_growth > 1.0) ||
-      a.engine.ceff.max_dt_growth > 64.0)
-    return range_error("ceff_max_dt_growth", "must be in (1, 64]");
-  if (!(a.analysis.rtr.max_dt_growth > 1.0) ||
-      a.analysis.rtr.max_dt_growth > 64.0)
-    return range_error("rtr_max_dt_growth", "must be in (1, 64]");
   if (a.engine.newton.stale_jacobian_iters < 0 ||
       a.engine.newton.stale_jacobian_iters > 1000)
     return range_error("stale_jacobian_iters",
                        "must be in [0, 1000] (0 = full Newton)");
-  if (a.engine.ceff.fit.stale_jacobian_iters < -1 ||
-      a.engine.ceff.fit.stale_jacobian_iters > 1000)
-    return range_error("search_stale_jacobian_iters",
-                       "must be in [-1, 1000] (-1 = inherit the sim's "
-                       "Newton budget, 0 = full Newton)");
   return Status::Ok();
 }
 
@@ -300,16 +254,9 @@ json::Value AnalysisConfig::to_json() const {
   o["newton_max_iterations"] = a.engine.newton.max_iterations;
   o["newton_v_tol"] = a.engine.newton.v_tol;
   o["lte_tol"] = a.engine.lte_tol;
-  // Flow key first, per-family overrides second: apply_key consumes
-  // keys in document order, so this ordering makes the dump reconstruct
-  // every fanned-out field exactly even though the families default
-  // differently.
   o["max_dt_growth"] = a.engine.max_dt_growth;
-  o["ceff_max_dt_growth"] = a.engine.ceff.max_dt_growth;
-  o["rtr_max_dt_growth"] = a.analysis.rtr.max_dt_growth;
   o["stale_jacobian_iters"] = a.engine.newton.stale_jacobian_iters;
-  o["search_stale_jacobian_iters"] = a.engine.ceff.fit.stale_jacobian_iters;
-  o["warm_start"] = a.engine.warm_start;
+  o["warm_start"] = a.engine.ceff.warm_start;
   return json::Value(std::move(o));
 }
 

@@ -12,6 +12,9 @@
 // Contract:
 //   - apply() merges keys into the current config; unknown keys and
 //     out-of-range values are kInvalidArgument and leave *this intact.
+//   - Each key writes one value. A key that fans out to several sim
+//     families writes fields that share one default, so apply() is a
+//     plain field map: key order never matters.
 //   - to_json() emits EVERY key in a fixed order, so
 //     from_json(cfg.to_json()) round-trips and two configs are equal iff
 //     their JSON renderings are byte-identical.

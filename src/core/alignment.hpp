@@ -103,9 +103,9 @@ struct AlignmentSearchOptions {
   double dt = 1e-12;
   /// LTE bound for the adaptive receiver sims [V]; 0 = fixed dt grid.
   double lte_tol = 5e-4;
-  /// Chord-Newton budget for the receiver sims; -1 = engine default,
-  /// 0 = classic full Newton (sim/transient.hpp).
-  int stale_jacobian_iters = -1;
+  /// Chord-Newton budget for the receiver sims; 0 = classic full Newton
+  /// (sim/transient.hpp).
+  int stale_jacobian_iters = 16;
   /// Warm-start each probe's receiver sim from the previous probe's
   /// operating point (the quiet input level — and hence the DC solution —
   /// is the same at every alignment).

@@ -37,8 +37,6 @@ RtrResult compute_rtr(const SuperpositionEngine& eng,
   const double cload = vm.ceff;
   const Pwl vin = eng.victim_input();
   TransientSpec spec{0.0, eng.options().horizon, dt};
-  spec.lte_tol = opts.lte_tol;
-  spec.max_dt_growth = opts.max_dt_growth;
   spec.stale_jacobian_iters = opts.stale_jacobian_iters;
   GateSimCache cache;
   GateSimCache* warm = opts.warm_start ? &cache : nullptr;
@@ -123,8 +121,6 @@ AggressorRtrResult compute_aggressor_rtr(const SuperpositionEngine& eng, int k,
   const double vin_quiet = ramp.values().front();
   const Pwl vin = Pwl::constant(vin_quiet, 0.0, eng.options().horizon);
   TransientSpec spec{0.0, eng.options().horizon, dt};
-  spec.lte_tol = opts.lte_tol;
-  spec.max_dt_growth = opts.max_dt_growth;
   spec.stale_jacobian_iters = opts.stale_jacobian_iters;
   GateSimCache cache;
   GateSimCache* warm = opts.warm_start ? &cache : nullptr;

@@ -27,22 +27,18 @@
 
 namespace dn {
 
+/// The driver sims always run on the fixed dt grid: the extraction
+/// measures the small DIFFERENCE V2 - V1 of two nearly identical
+/// transitions, which only stays clean when both sims share one grid so
+/// their discretization error cancels.
 struct RtrOptions {
   int max_iterations = 4;
   double rel_tol = 0.05;     // Convergence on |dRtr|/Rtr.
   double r_min = 1.0;        // Clamp range for pathological nets [Ohm].
   double r_max = 1e7;
-  /// LTE bound for the nonlinear driver sims [V]; 0 = fixed step (the
-  /// default). The extraction measures the small DIFFERENCE V2 - V1 of two
-  /// nearly identical transitions, which only stays clean when both sims
-  /// share one grid so their discretization error cancels — adaptive
-  /// stepping puts them on different grids and the interpolation residue
-  /// swamps weakly-coupled nets. Opt in only for strongly-coupled probes.
-  double lte_tol = 0.0;
-  double max_dt_growth = 4.0;
-  /// Chord-Newton budget for the driver sims; -1 = engine default,
-  /// 0 = classic full Newton (sim/transient.hpp).
-  int stale_jacobian_iters = -1;
+  /// Chord-Newton budget for the driver sims; 0 = classic full Newton
+  /// (sim/transient.hpp).
+  int stale_jacobian_iters = 16;
   /// Warm-start V2 from V1's operating point (same driver, same input
   /// level at t=0 — the DC solution is identical).
   bool warm_start = true;

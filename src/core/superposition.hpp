@@ -43,9 +43,6 @@ struct SuperpositionOptions {
   /// aggressive to skip intermediate rungs, unlike the nonlinear gate
   /// sims where a reject burns a full Newton solve sequence.
   double max_dt_growth = 32.0;
-  /// Warm-start repeated characterization sims from the previous
-  /// operating point (devices/gate.hpp GateSimCache).
-  bool warm_start = true;
   CeffOptions ceff{};
   SolverOptions solver{};   // Backend for the aggressor/victim sims.
   /// Newton controls for the nonlinear verification sims run in this

@@ -1,5 +1,6 @@
 #include "util/deadline.hpp"
 
+#include <algorithm>
 #include <limits>
 
 namespace dn {
@@ -36,10 +37,17 @@ const Deadline& current_deadline() noexcept {
 }
 
 Deadline Deadline::after(double seconds) {
+  // The cast below overflows the clock's int64 count for huge |seconds|:
+  // past half its range (~146 years for ns ticks) a deadline saturates to
+  // "no expiry", and a negative budget clamps to "expires now".
+  static const double kMaxSeconds =
+      0.5 * std::chrono::duration<double>(Clock::duration::max()).count();
   Deadline d;
-  d.has_expiry_ = true;
-  d.expiry_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(seconds));
+  d.has_expiry_ = seconds < kMaxSeconds;
+  if (d.has_expiry_)
+    d.expiry_ = Clock::now() +
+                std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double>(std::max(seconds, 0.0)));
   d.cancelled_ = std::make_shared<std::atomic<bool>>(false);
   return d;
 }

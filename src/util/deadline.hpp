@@ -31,7 +31,8 @@ class Deadline {
   /// No expiry, no cancel flag: never expires.
   Deadline() = default;
 
-  /// Expires `seconds` from now (<= 0 means already expired).
+  /// Expires `seconds` from now (<= 0 means already expired; a budget
+  /// beyond the clock's range never expires but stays cancellable).
   static Deadline after(double seconds);
 
   /// No expiry but cancellable: expires only when cancel() is called.

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "clarinet/analyzer.hpp"
 #include "matrix/solver.hpp"
+#include "rcnet/random_nets.hpp"
 
 namespace dn {
 namespace {
@@ -61,6 +66,7 @@ TEST(AnalysisConfig, BadTypesAndRangesAreInvalidArgumentNotCrashes) {
       "{\"jobs\":\"four\"}",          // wrong type
       "{\"jobs\":2.5}",               // non-integral
       "{\"jobs\":-1}",                // range
+      "{\"jobs\":1025}",              // above the worker cap
       "{\"top_k\":-2}",               // range
       "{\"dt_ps\":0}",                // dt must be > 0
       "{\"dt_ps\":5,\"horizon_ns\":0.000001}",  // horizon <= dt
@@ -91,18 +97,126 @@ TEST(AnalysisConfig, ApplyHasTheStrongGuarantee) {
 }
 
 // The single-threshold screen is gone (the fidelity ladder is the only
-// triage path). Its keys are unknown keys now, so a config dump written
-// before the removal fails cleanly on recovery instead of half-applying.
+// triage path), and so are the per-family override keys (each knob is
+// one key writing one value). Their keys are unknown keys now, so a
+// config dump written before the removal fails cleanly on recovery
+// instead of half-applying.
 TEST(AnalysisConfig, RemovedScreenKeysAreUnknownKeys) {
   for (const char* text :
-       {"{\"screen_below_ps\":5}", "{\"screen_vn_below_v\":0.1}"}) {
+       {"{\"screen_below_ps\":5}", "{\"screen_vn_below_v\":0.1}",
+        "{\"ceff_max_dt_growth\":2}", "{\"rtr_max_dt_growth\":2}",
+        "{\"search_stale_jacobian_iters\":2}"}) {
     AnalysisConfig cfg;
     ASSERT_TRUE(cfg.apply(*json::parse("{\"jobs\":5}")).ok());
     const std::string before = cfg.to_json_text();
     const Status s = cfg.apply(*json::parse(text));
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(s.message().find("unknown key"), std::string::npos) << text;
     EXPECT_EQ(cfg.to_json_text(), before) << text;
   }
+}
+
+TEST(AnalysisConfig, JobsCapIsInclusive) {
+  AnalysisConfig cfg;
+  ASSERT_TRUE(cfg.apply(*json::parse("{\"jobs\":1024}")).ok());
+  EXPECT_EQ(cfg.batch.jobs, 1024);
+}
+
+// A key that fans out to several sim families only round-trips when
+// those fields start out equal: to_json reads one of them back.
+TEST(AnalysisConfig, FannedOutFieldsShareOneDefault) {
+  const AnalyzerConfig a = AnalysisConfig().batch.analyzer;
+  EXPECT_EQ(a.engine.ceff.solver.backend, a.engine.solver.backend);
+  for (const double tol : {a.engine.ceff.lte_tol, a.engine.ceff.fit.lte_tol,
+                           a.analysis.search.lte_tol,
+                           a.table_spec.search.lte_tol})
+    EXPECT_EQ(tol, a.engine.lte_tol);
+  for (const int n : {a.engine.ceff.fit.stale_jacobian_iters,
+                      a.analysis.search.stale_jacobian_iters,
+                      a.table_spec.search.stale_jacobian_iters,
+                      a.analysis.rtr.stale_jacobian_iters})
+    EXPECT_EQ(n, a.engine.newton.stale_jacobian_iters);
+  for (const bool warm : {a.analysis.search.warm_start,
+                          a.table_spec.search.warm_start,
+                          a.analysis.rtr.warm_start})
+    EXPECT_EQ(warm, a.engine.ceff.warm_start);
+}
+
+/// A value for every key, each different from its default and each
+/// still a config the engine can run.
+json::Object every_key_non_default() {
+  return json::parse(R"({
+    "jobs": 3, "top_k": 7, "fidelity_ladder": true,
+    "fidelity_threshold_ps": 7, "fidelity_margin": 2.5,
+    "fidelity_max_tier": 1, "window_pruning": false, "max_retries": 2,
+    "retry_backoff_ms": 1.5, "deadline_ms": 60000, "exhaustive": true,
+    "thevenin": true, "prereduce": true, "solver": "sparse", "dt_ps": 2,
+    "horizon_ns": 5, "model_alignment_iterations": 3,
+    "rtr_max_iterations": 6, "newton_max_iterations": 50,
+    "newton_v_tol": 1e-8, "lte_tol": 1e-3, "max_dt_growth": 8,
+    "stale_jacobian_iters": 4, "warm_start": false})")
+              ->as_object();
+}
+
+/// The NoiseAnalyzer report of one small random net under `cfg`.
+std::string report_bytes(const AnalysisConfig& cfg) {
+  Rng rng(5);
+  const CoupledNet net = random_coupled_net(rng);
+  const NoiseAnalyzer analyzer(cfg.batch.analyzer);
+  const StatusOr<DelayNoiseResult> r = analyzer.try_analyze(net);
+  if (!r.ok()) return r.status().to_string();
+  return analyzer.report(net, *r, "n").to_json();
+}
+
+TEST(AnalysisConfig, NonDefaultTableCoversEveryKey) {
+  const json::Object table = every_key_non_default();
+  const json::Value defaults = AnalysisConfig().to_json();
+  EXPECT_EQ(defaults.as_object().size(), 24u);
+  EXPECT_EQ(table.size(), defaults.as_object().size());
+  for (const auto& [key, v] : defaults.as_object()) {
+    const json::Value* set = table.find(key);
+    ASSERT_NE(set, nullptr) << key;
+    EXPECT_NE(set->dump(), v.dump()) << key;
+  }
+}
+
+// The dump must rebuild the ENGINE, not just its own text: run the same
+// net under a config and under from_json of its dump.
+TEST(AnalysisConfig, DumpReproducesTheReport) {
+  AnalysisConfig custom;
+  ASSERT_TRUE(custom.apply(json::Value(every_key_non_default())).ok());
+  for (const AnalysisConfig& cfg : {AnalysisConfig(), custom}) {
+    const StatusOr<AnalysisConfig> back =
+        AnalysisConfig::from_json(cfg.to_json());
+    ASSERT_TRUE(back.ok()) << back.status().to_string();
+    EXPECT_EQ(back->to_json_text(), cfg.to_json_text());
+    const std::string bytes = report_bytes(cfg);
+    EXPECT_NE(bytes.find("\"delay_noise_ps\""), std::string::npos) << bytes;
+    EXPECT_EQ(report_bytes(*back), bytes);
+  }
+}
+
+// apply() is a field map: every dumped key, set to its non-default
+// value, builds the same config and the same engine in either order.
+TEST(AnalysisConfig, KeyOrderDoesNotMatter) {
+  const json::Object table = every_key_non_default();
+  json::Object forward_keys, reverse_keys;
+  std::vector<std::pair<std::string, json::Value>> entries;
+  const json::Value defaults = AnalysisConfig().to_json();
+  for (const auto& [key, v] : defaults.as_object()) {
+    const json::Value* set = table.find(key);
+    entries.emplace_back(key, set ? *set : v);
+  }
+  for (const auto& [key, v] : entries) forward_keys[key] = v;
+  std::reverse(entries.begin(), entries.end());
+  for (const auto& [key, v] : entries) reverse_keys[key] = v;
+
+  AnalysisConfig forward, backward;
+  ASSERT_TRUE(forward.apply(json::Value(std::move(forward_keys))).ok());
+  ASSERT_TRUE(backward.apply(json::Value(std::move(reverse_keys))).ok());
+  ASSERT_NE(forward.to_json_text(), AnalysisConfig().to_json_text());
+  EXPECT_EQ(backward.to_json_text(), forward.to_json_text());
+  EXPECT_EQ(report_bytes(backward), report_bytes(forward));
 }
 
 TEST(AnalysisConfig, FromJsonTextRejectsMalformedDocuments) {

@@ -81,6 +81,30 @@ TEST(Deadline, AfterExpires) {
   EXPECT_FALSE(Deadline::after(60.0).expired());
 }
 
+TEST(Deadline, BudgetsBeyondTheClockRangeSaturate) {
+  // 1e10 s and up overflow the clock's int64 nanosecond count; they must
+  // mean "never", not wrap into the past.
+  for (const double s : {1e10, 1e13, 1e300, HUGE_VAL}) {
+    const Deadline d = Deadline::after(s);
+    EXPECT_FALSE(d.expired()) << s;
+    EXPECT_TRUE(std::isinf(d.remaining_s())) << s;
+    d.cancel();  // Still cancellable, like any after() deadline.
+    EXPECT_TRUE(d.expired()) << s;
+  }
+  EXPECT_TRUE(Deadline::after(-1e13).expired());
+}
+
+TEST(Deadline, HugeBatchDeadlineAnalyzesEveryNet) {
+  BatchOptions opts;
+  opts.analyzer = fast_config();
+  opts.deadline_ms = 1e13;
+  BatchAnalyzer engine(opts);
+  const BatchResult result = engine.analyze(random_population(2, 1));
+  ASSERT_EQ(result.nets.size(), 2u);
+  for (const auto& nr : result.nets) EXPECT_TRUE(nr.status.ok());
+  EXPECT_EQ(result.stats.failed, 0u);
+}
+
 TEST(Deadline, CancellationReachesCopies) {
   const Deadline d = Deadline::cancellable();
   const Deadline copy = d;

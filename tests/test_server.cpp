@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "clarinet/analysis_config.hpp"
 #include "clarinet/characterization_cache.hpp"
 #include "server/design.hpp"
 #include "server/server.hpp"
@@ -246,18 +250,41 @@ TEST(ServerSession, TransientEngineConfigChangeReanalyzesEveryVictim) {
 TEST(ServerSession, EveryNonSchedulingConfigKeyDirtiesAllVictims) {
   // The fingerprint is the whole config minus the scheduling keys, so
   // each engine knob must dirty every victim (checked via `stats`, with
-  // an analyze in between to clean the slate).
-  // Each value differs from the config it is applied to (the flow keys
-  // fan out to their per-family overrides, so those follow with a third
-  // value).
-  const char* engine_sets[] = {
-      "{\"lte_tol\":0}",
-      "{\"max_dt_growth\":1.5}",
-      "{\"ceff_max_dt_growth\":2.5}",
-      "{\"rtr_max_dt_growth\":3.5}",
-      "{\"stale_jacobian_iters\":0}",
-      "{\"search_stale_jacobian_iters\":2}",
-      "{\"warm_start\":false}"};
+  // an analyze in between to clean the slate). One perturbed value per
+  // key; the table must cover every key, so a new key cannot skip this.
+  const std::pair<const char*, const char*> engine_sets[] = {
+      {"fidelity_ladder", "true"},
+      {"fidelity_threshold_ps", "7"},
+      {"fidelity_margin", "2.5"},
+      {"fidelity_max_tier", "1"},
+      {"window_pruning", "false"},
+      {"exhaustive", "true"},
+      {"thevenin", "true"},
+      {"prereduce", "true"},
+      {"solver", "\"sparse\""},
+      {"dt_ps", "1.5"},
+      {"horizon_ns", "4.5"},
+      {"model_alignment_iterations", "3"},
+      {"rtr_max_iterations", "5"},
+      {"newton_max_iterations", "70"},
+      {"newton_v_tol", "2e-7"},
+      {"lte_tol", "0"},
+      {"max_dt_growth", "8"},
+      {"stale_jacobian_iters", "0"},
+      {"warm_start", "false"}};
+  const char* scheduling_keys[] = {"jobs", "top_k", "max_retries",
+                                   "retry_backoff_ms", "deadline_ms"};
+  const json::Value keys = AnalysisConfig().to_json();
+  for (const auto& [key, v] : keys.as_object()) {
+    const bool listed =
+        std::any_of(std::begin(engine_sets), std::end(engine_sets),
+                    [&](const auto& e) { return key == e.first; }) ||
+        std::find(std::begin(scheduling_keys), std::end(scheduling_keys),
+                  key) != std::end(scheduling_keys);
+    EXPECT_TRUE(listed) << "config key \"" << key
+                        << "\" has no fingerprint check";
+  }
+
   Session s;
   ASSERT_TRUE(ok(req(s, load_line(3, 2, 1))));
   ASSERT_TRUE(ok(req(s, "{\"verb\":\"analyze\"}")));
@@ -265,9 +292,9 @@ TEST(ServerSession, EveryNonSchedulingConfigKeyDirtiesAllVictims) {
     return result_of(req(s, "{\"verb\":\"stats\"}")).find("dirty")->as_number();
   };
   ASSERT_EQ(dirty(), 0.0);
-  for (const char* set : engine_sets) {
-    ASSERT_TRUE(ok(req(s, std::string("{\"verb\":\"config\",\"set\":") +
-                              set + "}")))
+  for (const auto& [key, value] : engine_sets) {
+    const std::string set = std::string("{\"") + key + "\":" + value + "}";
+    ASSERT_TRUE(ok(req(s, "{\"verb\":\"config\",\"set\":" + set + "}")))
         << set;
     EXPECT_EQ(dirty(), 2.0) << set;
     ASSERT_TRUE(ok(req(s, "{\"verb\":\"analyze\"}")));
@@ -293,6 +320,10 @@ TEST(ServerSession, InvalidConfigIsRejectedAndLeavesConfigIntact) {
             "INVALID_ARGUMENT");
   EXPECT_EQ(error_code(req(
                 s, "{\"verb\":\"config\",\"set\":{\"jobs\":\"many\"}}")),
+            "INVALID_ARGUMENT");
+  // A worker count no pool can spawn is rejected before it reaches one.
+  EXPECT_EQ(error_code(req(
+                s, "{\"verb\":\"config\",\"set\":{\"jobs\":100000}}")),
             "INVALID_ARGUMENT");
 
   const json::Value after = req(s, "{\"verb\":\"config\"}");

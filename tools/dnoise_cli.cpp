@@ -163,7 +163,8 @@ int usage() {
       "       [--solver auto|dense|sparse]  linear-solver backend\n"
       "transient engine (DESIGN.md §12):\n"
       "       [--lte-tol V]  adaptive-step LTE bound [V]; 0 = fixed grid\n"
-      "       [--max-dt-growth F]  max per-step growth of the adaptive dt\n"
+      "       [--max-dt-growth F]  max per-step dt growth of the linear\n"
+      "                            superposition sims (Ceff/fit sims keep 4x)\n"
       "       [--stale-jacobian-iters N]  modified-Newton reuse budget\n"
       "                                   (0 = refactor every iteration)\n"
       "       [--warm-start 0|1]  reuse DC operating points across sims\n"
