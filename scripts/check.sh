@@ -7,7 +7,7 @@
 # characterization cache and the worker pool), a fuzz smoke stage over
 # the SPEF parser, and a chaos stage that runs a batch under injected
 # faults at every site and demands degraded-not-crashed, job-count-
-# independent output (DESIGN.md §10).
+# independent output (DESIGN.md §10), plus server and CLI smokes.
 #
 # Usage: scripts/check.sh [--no-asan] [--no-tsan] [--no-fuzz] [--no-chaos]
 #                         [--no-bench]
@@ -226,5 +226,24 @@ assert resps[8]["result"]["requests"] == 9, resps[8]["result"]
 print("server smoke: 10 responses, in order, dirty closure = 5 nets, "
       "fault-injected request handled " + ("ok" if ok[7] else "as clean error"))
 PY
+
+echo "== CLI smoke: unknown flags and malformed numbers exit 2 =="
+# An unknown flag or a numeric value that does not parse whole must stop
+# the run with usage naming the flag (exit 2), never fall back to a
+# silent default.
+cli_reject() {
+  local flag=$1 rc=0
+  shift
+  ./build/tools/dnoise_cli "$@" >/dev/null 2>build/cli_smoke.err || rc=$?
+  if [[ $rc -ne 2 ]] || ! grep -q -- "$flag" build/cli_smoke.err; then
+    echo "CLI smoke: 'dnoise_cli $*' exited $rc, want 2 naming $flag" >&2
+    cat build/cli_smoke.err >&2
+    exit 1
+  fi
+}
+cli_reject --prereduce --batch --random 2 --prereduce
+cli_reject --jobs --batch --random 2 --jobs four
+./build/tools/dnoise_cli --batch --random 2 --seed 1 --jobs 1 >/dev/null 2>&1
+echo "CLI smoke: unknown flag and malformed number rejected, valid run ok"
 
 echo "== all checks passed =="

@@ -12,6 +12,12 @@ namespace {
 /// process, so the count is bounded before it reaches ThreadPool.
 constexpr int kMaxJobs = 1024;
 
+/// Time-grid cap (horizon / dt): each sim's cost and memory scale with
+/// its step count, and the grid comes from outside input (CLI, config
+/// file, server `config` verb), so it is bounded before any engine runs.
+/// 250x the 4 ns / 1 ps default.
+constexpr double kMaxTimeSteps = 1e6;
+
 Status range_error(const char* key, const char* constraint) {
   std::ostringstream os;
   os << "config: " << key << " " << constraint;
@@ -79,7 +85,6 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
     if (s.ok()) a.analysis.use_transient_holding = !thevenin;
     return s;
   }
-  if (key == "prereduce") return set_bool(v, "prereduce", a.engine.prereduce);
   if (key == "solver") {
     StatusOr<std::string> name = v.require_string("solver");
     if (!name.ok()) return name.status();
@@ -179,6 +184,9 @@ Status AnalysisConfig::validate() const {
   if (!(a.engine.dt > 0)) return range_error("dt_ps", "must be > 0");
   if (!(a.engine.horizon > a.engine.dt))
     return range_error("horizon_ns", "must exceed the time step dt_ps");
+  if (!(a.engine.horizon / a.engine.dt <= kMaxTimeSteps))
+    return range_error("horizon_ns",
+                       "must be at most 1e6 time steps of dt_ps");
   if (a.analysis.model_alignment_iterations < 1 ||
       a.analysis.model_alignment_iterations > 16)
     return range_error("model_alignment_iterations", "must be in [1, 16]");
@@ -245,7 +253,6 @@ json::Value AnalysisConfig::to_json() const {
   o["deadline_ms"] = b.deadline_ms;
   o["exhaustive"] = !a.use_prediction_tables;
   o["thevenin"] = !a.analysis.use_transient_holding;
-  o["prereduce"] = a.engine.prereduce;
   o["solver"] = solver_backend_name(a.engine.solver.backend);
   o["dt_ps"] = a.engine.dt / ps;
   o["horizon_ns"] = a.engine.horizon / ns;

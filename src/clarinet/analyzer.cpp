@@ -46,7 +46,6 @@ StatusOr<DelayNoiseResult> NoiseAnalyzer::try_analyze(
     SuperpositionOptions eng_opts = config_.engine;
     // The ladder policy gates each rung wherever it lives.
     eng_opts.solver.allow_dense_fallback = opts.degrade.sparse_to_dense;
-    eng_opts.mor_fallback = opts.degrade.mor_to_unreduced;
     SuperpositionEngine eng(net, eng_opts);
     if (config_.use_prediction_tables) {
       opts.method = AlignmentMethod::Predicted;

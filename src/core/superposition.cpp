@@ -3,9 +3,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "mor/reduction_cache.hpp"
 #include "sim/linear_sim.hpp"
-#include "util/degradation.hpp"
 
 namespace dn {
 
@@ -32,29 +30,6 @@ std::vector<std::pair<int, double>> grounded_couplings_for_aggressor(
 SuperpositionEngine::SuperpositionEngine(const CoupledNet& net,
                                          SuperpositionOptions opts)
     : net_(net), opts_(opts) {
-  if (opts_.prereduce) {
-    try {
-      if (opts_.reduction_cache) {
-        // Resident path: shared, content-addressed reductions. A cached
-        // failure Status re-throws here so the ladder below treats cache
-        // and direct reduction identically.
-        StatusOr<std::shared_ptr<const CoupledNet>> reduced =
-            opts_.reduction_cache->try_reduce(net_, opts_.ticer);
-        reduced.status().throw_if_error();
-        net_ = **reduced;
-      } else {
-        net_ = reduce_coupled_net(net_, opts_.ticer);
-      }
-    } catch (const DeadlineError&) {
-      throw;  // A cancelled run must not silently degrade.
-    } catch (const std::exception& e) {
-      if (!opts_.mor_fallback) throw;
-      degrade::record(DegradeKind::kMorToUnreduced,
-                      std::string("ticer pre-reduction failed (") + e.what() +
-                          "); analyzing unreduced net");
-      net_ = net;
-    }
-  }
   net_.validate();
 
   // Victim driver: Ceff + Thevenin with coupling caps grounded.

@@ -21,13 +21,10 @@
 #include <vector>
 
 #include "ceff/effective_capacitance.hpp"
-#include "mor/ticer.hpp"
 #include "rcnet/net.hpp"
 #include "sim/nonlinear_sim.hpp"
 
 namespace dn {
-
-class ReductionCache;
 
 struct SuperpositionOptions {
   double dt = 1e-12;        // Reference simulation step [s].
@@ -49,20 +46,7 @@ struct SuperpositionOptions {
   /// engine's time frame (golden_nonlinear); the solver backend is
   /// overridden by `solver` so one --solver flag rules every sim.
   NewtonOptions newton{};
-  /// Opt-in TICER pre-reduction of all nets (victim and aggressors,
-  /// coupling nodes protected) before characterization. Off by default:
-  /// reduction perturbs the waveforms slightly, so the unreduced path
-  /// stays the reference.
-  bool prereduce = false;
-  TicerOptions ticer{};
-  /// Optional shared reduction cache (mor/reduction_cache.hpp): when set,
-  /// pre-reductions are looked up by net-content hash instead of being
-  /// re-derived per engine. Non-owning — the cache must outlive every
-  /// engine configured with it (the server session owns one).
-  ReductionCache* reduction_cache = nullptr;
-  /// Degradation-ladder rung (DESIGN.md §10): when pre-reduction fails,
-  /// analyze the unreduced net (recorded via dn::degrade) instead of
-  /// failing the whole net. Off turns that failure back into an error.
+  /// Nothing in src/ reads this; perfbench/ still sets it (see ROADMAP).
   bool mor_fallback = true;
 };
 

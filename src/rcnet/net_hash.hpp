@@ -1,18 +1,12 @@
-// Content hashing for net-level structures.
-//
-// The resident server and the reduction cache key cached artifacts by
-// WHAT a net is, not by where it lives: two bit-identical CoupledNets
-// hash equal regardless of pointer identity, session, or load order, and
-// any single-field edit (one resistor, one driver size) changes the hash.
-// FNV-1a over the exact IEEE-754 bit patterns — no float rounding in the
-// key, so "changed" means changed.
+// Incremental FNV-1a 64-bit content hashing over exact IEEE-754 bit
+// patterns — no float rounding in the key, so "changed" means changed.
+// The characterization cache uses it to validate persisted payloads.
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
-
-#include "rcnet/net.hpp"
 
 namespace dn {
 
@@ -42,14 +36,5 @@ class HashStream {
  private:
   std::uint64_t h_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis.
 };
-
-/// Feed a structure into an ongoing hash.
-void hash_tree(HashStream& h, const RcTree& t);
-void hash_gate(HashStream& h, const GateParams& g);
-void hash_coupled_net(HashStream& h, const CoupledNet& net);
-
-/// One-shot content hash of a full coupled net (victim, aggressors,
-/// couplings, drivers, receiver — everything analysis reads).
-std::uint64_t content_hash(const CoupledNet& net);
 
 }  // namespace dn

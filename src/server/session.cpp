@@ -55,12 +55,12 @@ StatusOr<std::string> required_string(const json::Value& req, const char* key) {
 
 namespace {
 
-/// State-directory file names. The caches are sidecars because they are
-/// large and regenerable; the snapshot holds pointers + content hashes.
+/// State-directory file names. The characterization cache is a sidecar
+/// because it is large and regenerable; the snapshot holds a pointer +
+/// content hash.
 constexpr const char* kSnapshotFile = "snapshot.json";
 constexpr const char* kJournalFile = "journal.wal";
 constexpr const char* kCharCacheFile = "char_cache.dat";
-constexpr const char* kReductionCacheFile = "reductions.dat";
 
 }  // namespace
 
@@ -136,7 +136,6 @@ Status Session::start_durability() {
     ::unlink(snap_path.c_str());
     ::unlink(wal_path.c_str());
     ::unlink((dir + "/" + kCharCacheFile).c_str());
-    ::unlink((dir + "/" + kReductionCacheFile).c_str());
   }
 
   Status s = journal_.open(wal_path, durability_.fsync);
@@ -168,7 +167,7 @@ Status Session::restore_from_snapshot(const SnapshotData& snap) {
   }
   seq_ = snap.seq;
 
-  // Cache sidecars are performance-only — a miss re-derives the same
+  // The cache sidecar is performance-only — a miss re-derives the same
   // bytes — so load is best-effort: verify the snapshot's whole-file
   // hash, then let the loader verify its embedded payload hash; any
   // mismatch skips the file.
@@ -179,14 +178,6 @@ Status Session::restore_from_snapshot(const SnapshotData& snap) {
     if (bytes.ok() && durable::fnv1a(*bytes) == snap.char_cache_hash) {
       std::istringstream is(*bytes);
       (void)cache_->load(is);
-    }
-  }
-  if (!snap.reduction_cache_file.empty()) {
-    StatusOr<std::string> bytes =
-        durable::read_file(dir + "/" + snap.reduction_cache_file);
-    if (bytes.ok() && durable::fnv1a(*bytes) == snap.reduction_cache_hash) {
-      std::istringstream is(*bytes);
-      (void)reductions_.load(is);
     }
   }
   return Status::Ok();
@@ -204,9 +195,9 @@ Status Session::snapshot_now() {
     snap.has_design = true;
     snap.design = design_.to_json();
   }
-  // Sidecars before the snapshot that points at them; each is atomic on
-  // its own, and a crash between leaves the OLD snapshot pointing at its
-  // own (still hash-consistent) files or at nothing.
+  // Sidecar before the snapshot that points at it; each is atomic on its
+  // own, and a crash between leaves the OLD snapshot pointing at its own
+  // (still hash-consistent) file or at nothing.
   if (cache_->tables_cached() > 0 &&
       cache_->save_file(dir + "/" + kCharCacheFile).ok()) {
     StatusOr<std::string> bytes =
@@ -214,15 +205,6 @@ Status Session::snapshot_now() {
     if (bytes.ok()) {
       snap.char_cache_file = kCharCacheFile;
       snap.char_cache_hash = durable::fnv1a(*bytes);
-    }
-  }
-  if (reductions_.size() > 0 &&
-      reductions_.save_file(dir + "/" + kReductionCacheFile).ok()) {
-    StatusOr<std::string> bytes =
-        durable::read_file(dir + "/" + kReductionCacheFile);
-    if (bytes.ok()) {
-      snap.reduction_cache_file = kReductionCacheFile;
-      snap.reduction_cache_hash = durable::fnv1a(*bytes);
     }
   }
 
@@ -562,9 +544,6 @@ Status Session::verb_analyze(const json::Value& req, json::Object& result,
     }
 
     BatchOptions opts = cfg_.batch;
-    // The resident caches: tables survive in cache_, reductions are
-    // content-addressed so edited nets never see stale ones.
-    opts.analyzer.engine.reduction_cache = &reductions_;
     if (degraded) {
       // Soft-pressure rung: Thevenin holding instead of the Rtr
       // iteration. The recomputed victims STAY dirty so full fidelity
@@ -705,11 +684,6 @@ Status Session::verb_stats(json::Object& result) {
   cache["misses"] = cache_->misses();
   cache["contention_waits"] = cache_->contention_waits();
   result["characterization_cache"] = json::Value(std::move(cache));
-  json::Object red;
-  red["entries"] = reductions_.size();
-  red["hits"] = reductions_.hits();
-  red["misses"] = reductions_.misses();
-  result["reduction_cache"] = json::Value(std::move(red));
   json::Object dur;
   dur["enabled"] = journal_.is_open();
   if (journal_.is_open()) dur["state_dir"] = durability_.state_dir;

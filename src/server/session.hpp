@@ -2,15 +2,15 @@
 //
 // One Session outlives every request (and, on the socket transport,
 // every connection): it owns the loaded Design, the shared
-// CharacterizationCache, the ReductionCache, the last per-victim
-// results, and the dirty set that makes re-analysis incremental.
+// CharacterizationCache, the last per-victim results, and the dirty set
+// that makes re-analysis incremental.
 //
 // Incremental model (DESIGN.md §11): each victim's analysis depends only
 // on its own CoupledNet view — its tree/driver/receiver plus the trees
 // and drivers of the nets coupled to it. So an edit of net i invalidates
 // exactly Design::affected_victims(i): i itself and the victims i
 // appears in as an aggressor. `analyze` re-runs only dirty victims
-// through a BatchAnalyzer sharing the resident caches and splices the
+// through a BatchAnalyzer sharing the resident cache and splices the
 // fresh results into the stored slots; because per-net analysis is
 // deterministic, the assembled result is byte-identical to a cold full
 // run over the same design state.
@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "clarinet/analysis_config.hpp"
-#include "mor/reduction_cache.hpp"
 #include "server/design.hpp"
 #include "server/journal.hpp"
 #include "server/snapshot.hpp"
@@ -63,7 +62,7 @@ enum class Admission { kAccept, kDegrade, kShed };
 
 /// Crash-safety knobs. Durability is on iff state_dir is non-empty.
 struct DurabilityOptions {
-  /// Directory holding snapshot.json, journal.wal, and cache sidecars.
+  /// Directory holding snapshot.json, journal.wal, and the cache sidecar.
   /// Empty disables journaling, snapshots, and recovery.
   std::string state_dir;
   /// Recover from existing state on start; false wipes any prior state.
@@ -150,7 +149,6 @@ class Session {
   DurabilityOptions durability_;
   ProtocolLimits limits_;
   std::shared_ptr<CharacterizationCache> cache_;
-  ReductionCache reductions_;
   Journal journal_;
 
   bool has_design_ = false;

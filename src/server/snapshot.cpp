@@ -47,10 +47,6 @@ Status write_snapshot(const std::string& path, const SnapshotData& snap) {
     o["char_cache"] = snap.char_cache_file;
     o["char_cache_hash"] = hex64(snap.char_cache_hash);
   }
-  if (!snap.reduction_cache_file.empty()) {
-    o["reduction_cache"] = snap.reduction_cache_file;
-    o["reduction_cache_hash"] = hex64(snap.reduction_cache_hash);
-  }
   return durable::atomic_write_file(path,
                                     json::Value(std::move(o)).dump() + "\n");
 }
@@ -98,16 +94,6 @@ StatusOr<SnapshotData> read_snapshot(const std::string& path) {
     if (!hash.ok()) return hash.status();
     snap.char_cache_file = std::move(*name);
     snap.char_cache_hash = *hash;
-  }
-  if (const json::Value* f = doc->find("reduction_cache")) {
-    StatusOr<std::string> name = f->require_string("reduction_cache");
-    if (!name.ok()) return name.status();
-    const json::Value* h = doc->find("reduction_cache_hash");
-    if (!h) return malformed("reduction_cache without reduction_cache_hash");
-    StatusOr<std::uint64_t> hash = parse_hex64(*h, "reduction_cache_hash");
-    if (!hash.ok()) return hash.status();
-    snap.reduction_cache_file = std::move(*name);
-    snap.reduction_cache_hash = *hash;
   }
   return snap;
 }

@@ -4,15 +4,16 @@
 // answer requests identically after a restart: the fully materialized
 // Design (not its generation spec — SPEF files may have moved), the
 // AnalysisConfig, the sequence number of the last mutation covered, and
-// pointers to the cache sidecar files with whole-file content hashes.
+// a pointer to the characterization-cache sidecar with its whole-file
+// content hash.
 // It is written with durable::atomic_write_file, so a crash mid-snapshot
 // leaves the previous snapshot intact, and a successful write is
 // immediately followed by truncating the journal it supersedes.
 //
-// The caches are a pure performance artifact — analysis results never
-// depend on whether a cache hit or re-derived — so recovery loads them
+// The cache is a pure performance artifact — analysis results never
+// depend on whether a cache hit or re-derived — so recovery loads it
 // best-effort: a missing, hash-mismatched, or spec-skewed sidecar is
-// simply skipped and the tables/reductions are recomputed on demand.
+// simply skipped and the tables are recomputed on demand.
 #pragma once
 
 #include <cstdint>
@@ -29,14 +30,12 @@ struct SnapshotData {
   json::Value config;  // AnalysisConfig::to_json().
   bool has_design = false;
   json::Value design;  // Design::to_json() when has_design.
-  /// Cache sidecars, relative to the state directory; empty = none.
+  /// Cache sidecar, relative to the state directory; empty = none.
   /// The hash is FNV-1a over the sidecar's whole byte content at
   /// snapshot time — recovery verifies it before feeding the file to
   /// the cache loader (which re-verifies its own embedded payload hash).
   std::string char_cache_file;
   std::uint64_t char_cache_hash = 0;
-  std::string reduction_cache_file;
-  std::uint64_t reduction_cache_hash = 0;
 };
 
 /// Atomically replaces `path` with the serialized snapshot.

@@ -9,9 +9,9 @@
 // Propagation is ambient rather than threaded through every constructor:
 // ScopedDeadline installs a deadline for the current thread, and the
 // long-running loops (LinearSim/NonlinearSim steps, PRIMA Krylov
-// iterations, TICER elimination passes, alignment-table characterization,
-// batch workers) poll deadline_checkpoint(), which throws DeadlineError
-// when the active deadline has expired. The Status boundary maps that to
+// iterations, alignment-table characterization, batch workers) poll
+// deadline_checkpoint(), which throws DeadlineError when the active
+// deadline has expired. The Status boundary maps that to
 // kDeadlineExceeded. With no deadline installed a checkpoint is two
 // thread-local reads and no clock access — free enough for step loops.
 #pragma once

@@ -9,7 +9,6 @@ const char* degrade_kind_name(DegradeKind k) {
     case DegradeKind::kRtrToRth: return "rtr_to_rth";
     case DegradeKind::kTableToVdd2: return "table_to_vdd2";
     case DegradeKind::kSparseToDense: return "sparse_to_dense";
-    case DegradeKind::kMorToUnreduced: return "mor_to_unreduced";
     case DegradeKind::kCount: break;
   }
   return "?";
@@ -36,7 +35,6 @@ bool DegradePolicy::allows(DegradeKind k) const {
     case DegradeKind::kRtrToRth: return rtr_to_rth;
     case DegradeKind::kTableToVdd2: return table_to_vdd2;
     case DegradeKind::kSparseToDense: return sparse_to_dense;
-    case DegradeKind::kMorToUnreduced: return mor_to_unreduced;
     case DegradeKind::kCount: break;
   }
   return false;

@@ -8,7 +8,6 @@
 //   table_to_vdd2     alignment-table characterization failure ->
 //                     peak-aligned-at-Vdd/2 baseline (paper method [5])
 //   sparse_to_dense   sparse LU pivot failure -> dense backend
-//   mor_to_unreduced  TICER/PRIMA breakdown -> analyze the unreduced net
 //
 // Recording uses the same ambient thread-local pattern as deadlines and
 // fault contexts: the Status boundary installs a degrade::ScopedLog, the
@@ -26,7 +25,6 @@ enum class DegradeKind : int {
   kRtrToRth = 0,
   kTableToVdd2,
   kSparseToDense,
-  kMorToUnreduced,
   kCount,
 };
 
@@ -50,6 +48,7 @@ struct DegradePolicy {
   bool rtr_to_rth = true;
   bool table_to_vdd2 = true;
   bool sparse_to_dense = true;
+  /// Nothing in src/ reads this; perfbench/ still sets it (see ROADMAP).
   bool mor_to_unreduced = true;
 
   bool allows(DegradeKind k) const;

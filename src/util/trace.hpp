@@ -14,7 +14,6 @@
 // Span taxonomy (cat.name, see DESIGN.md §8):
 //   parse.spef.parse          one SPEF deck parse
 //   reduce.mor.prima          one PRIMA reduction
-//   reduce.mor.ticer          one TICER node elimination
 //   screen.screen.net         one moment-level screening estimate
 //   characterize.cache.table  one 8-point alignment-table characterization
 //   analyze.net.analyze       one full per-net delay-noise analysis

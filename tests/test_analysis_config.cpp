@@ -31,7 +31,7 @@ TEST(AnalysisConfig, EveryKeyRoundTripsThroughJson) {
   const Status applied = cfg.apply(*json::parse(R"({
     "jobs": 3, "top_k": 7, "max_retries": 2, "retry_backoff_ms": 1.5,
     "deadline_ms": 250, "exhaustive": true, "thevenin": true,
-    "prereduce": true, "solver": "sparse", "dt_ps": 2, "horizon_ns": 4,
+    "solver": "sparse", "dt_ps": 2, "horizon_ns": 4,
     "model_alignment_iterations": 2, "rtr_max_iterations": 6,
     "newton_max_iterations": 50, "newton_v_tol": 1e-8})"));
   ASSERT_TRUE(applied.ok()) << applied.to_string();
@@ -42,7 +42,6 @@ TEST(AnalysisConfig, EveryKeyRoundTripsThroughJson) {
   EXPECT_FALSE(cfg.batch.analyzer.use_prediction_tables);  // exhaustive
   EXPECT_FALSE(
       cfg.batch.analyzer.analysis.use_transient_holding);  // thevenin
-  EXPECT_TRUE(cfg.batch.analyzer.engine.prereduce);
   EXPECT_EQ(cfg.batch.analyzer.engine.solver.backend, SolverBackend::kSparse);
   EXPECT_EQ(cfg.batch.analyzer.engine.newton.max_iterations, 50);
 
@@ -70,6 +69,9 @@ TEST(AnalysisConfig, BadTypesAndRangesAreInvalidArgumentNotCrashes) {
       "{\"top_k\":-2}",               // range
       "{\"dt_ps\":0}",                // dt must be > 0
       "{\"dt_ps\":5,\"horizon_ns\":0.000001}",  // horizon <= dt
+      "{\"horizon_ns\":2000}",        // 2e6 steps: above the grid cap
+      "{\"horizon_ns\":1e6}",         // 1e9 steps
+      "{\"dt_ps\":0.001}",            // 4e6 steps of the default horizon
       "{\"model_alignment_iterations\":0}",
       "{\"newton_v_tol\":-1}",
       "{\"solver\":\"quantum\"}",
@@ -97,15 +99,16 @@ TEST(AnalysisConfig, ApplyHasTheStrongGuarantee) {
 }
 
 // The single-threshold screen is gone (the fidelity ladder is the only
-// triage path), and so are the per-family override keys (each knob is
-// one key writing one value). Their keys are unknown keys now, so a
-// config dump written before the removal fails cleanly on recovery
-// instead of half-applying.
+// triage path), so are the per-family override keys (each knob is one
+// key writing one value), and so is the pre-reduction switch (PRIMA is
+// the one reducer). Their keys are unknown keys now, so a config dump
+// written before the removal fails cleanly on recovery instead of
+// half-applying.
 TEST(AnalysisConfig, RemovedScreenKeysAreUnknownKeys) {
   for (const char* text :
        {"{\"screen_below_ps\":5}", "{\"screen_vn_below_v\":0.1}",
         "{\"ceff_max_dt_growth\":2}", "{\"rtr_max_dt_growth\":2}",
-        "{\"search_stale_jacobian_iters\":2}"}) {
+        "{\"search_stale_jacobian_iters\":2}", "{\"prereduce\":true}"}) {
     AnalysisConfig cfg;
     ASSERT_TRUE(cfg.apply(*json::parse("{\"jobs\":5}")).ok());
     const std::string before = cfg.to_json_text();
@@ -150,7 +153,7 @@ json::Object every_key_non_default() {
     "fidelity_threshold_ps": 7, "fidelity_margin": 2.5,
     "fidelity_max_tier": 1, "window_pruning": false, "max_retries": 2,
     "retry_backoff_ms": 1.5, "deadline_ms": 60000, "exhaustive": true,
-    "thevenin": true, "prereduce": true, "solver": "sparse", "dt_ps": 2,
+    "thevenin": true, "solver": "sparse", "dt_ps": 2,
     "horizon_ns": 5, "model_alignment_iterations": 3,
     "rtr_max_iterations": 6, "newton_max_iterations": 50,
     "newton_v_tol": 1e-8, "lte_tol": 1e-3, "max_dt_growth": 8,
@@ -171,7 +174,7 @@ std::string report_bytes(const AnalysisConfig& cfg) {
 TEST(AnalysisConfig, NonDefaultTableCoversEveryKey) {
   const json::Object table = every_key_non_default();
   const json::Value defaults = AnalysisConfig().to_json();
-  EXPECT_EQ(defaults.as_object().size(), 24u);
+  EXPECT_EQ(defaults.as_object().size(), 23u);
   EXPECT_EQ(table.size(), defaults.as_object().size());
   for (const auto& [key, v] : defaults.as_object()) {
     const json::Value* set = table.find(key);

@@ -18,8 +18,6 @@
 
 #include "clarinet/batch_analyzer.hpp"
 #include "clarinet/characterization_cache.hpp"
-#include "mor/reduction_cache.hpp"
-#include "mor/ticer.hpp"
 #include "rcnet/random_nets.hpp"
 #include "server/journal.hpp"
 #include "server/session.hpp"
@@ -259,8 +257,6 @@ TEST(SnapshotTest, RoundTripPreservesAllFieldsIncludingFullWidthHashes) {
   // Full-width u64 with the top bit set: a double round-trip would lose
   // the low bits, which is exactly why hashes travel as hex strings.
   snap.char_cache_hash = 0xFEDCBA9876543210ULL;
-  snap.reduction_cache_file = "reductions.dat";
-  snap.reduction_cache_hash = 0x8000000000000001ULL;
   ASSERT_TRUE(server::write_snapshot(path, snap).ok());
 
   const StatusOr<SnapshotData> back = server::read_snapshot(path);
@@ -270,8 +266,6 @@ TEST(SnapshotTest, RoundTripPreservesAllFieldsIncludingFullWidthHashes) {
   EXPECT_EQ(back->design.dump(), snap.design.dump());
   EXPECT_EQ(back->char_cache_file, "char_cache.dat");
   EXPECT_EQ(back->char_cache_hash, 0xFEDCBA9876543210ULL);
-  EXPECT_EQ(back->reduction_cache_file, "reductions.dat");
-  EXPECT_EQ(back->reduction_cache_hash, 0x8000000000000001ULL);
   std::remove(path.c_str());
 }
 
@@ -469,6 +463,28 @@ TEST(Recovery, CorruptSnapshotFailsStartInsteadOfServingSilently) {
   std::filesystem::remove_all(dir);
 }
 
+// A state dir written before the pre-reduction switch was removed: its
+// snapshot config still carries that key. Recovery refuses it cleanly,
+// naming the key, rather than half-applying.
+TEST(Recovery, SnapshotWithRemovedConfigKeyFailsNamingTheKey) {
+  const std::string dir = state_dir("dn_rec_removed_key");
+  std::filesystem::create_directories(dir);
+  json::Object config = AnalysisConfig{}.to_json().as_object();
+  config["prereduce"] = false;
+  SnapshotData snap;
+  snap.seq = 1;
+  snap.config = json::Value(std::move(config));
+  snap.has_design = true;
+  snap.design = server::Design::random(3, 4, 1).to_json();
+  ASSERT_TRUE(server::write_snapshot(dir + "/snapshot.json", snap).ok());
+
+  Session r(AnalysisConfig{}, durable(dir, true));
+  const Status s = r.start_durability();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("prereduce"), std::string::npos) << s.message();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Recovery, GracefulStopWritesValidSnapshotAndEmptyJournal) {
   const std::string dir = state_dir("dn_rec_graceful");
   const std::string expected = control_report(eco_script());
@@ -663,73 +679,6 @@ std::string with_version(const std::string& bytes, const std::string& bad) {
   EXPECT_NE(sp1, std::string::npos);
   EXPECT_NE(sp2, std::string::npos);
   return bytes.substr(0, sp1 + 1) + bad + bytes.substr(sp2);
-}
-
-TEST(ReductionCachePersistence, RoundTripInstallsEntries) {
-  Rng rng(13);
-  const CoupledNet net = random_coupled_net(rng);
-  ReductionCache cache;
-  const auto reduced = cache.try_reduce(net, TicerOptions{});
-  ASSERT_TRUE(reduced.ok()) << reduced.status().to_string();
-  std::ostringstream saved;
-  ASSERT_TRUE(cache.save(saved).ok());
-
-  ReductionCache fresh;
-  std::istringstream is(saved.str());
-  const StatusOr<std::size_t> n = fresh.load(is);
-  ASSERT_TRUE(n.ok()) << n.status().to_string();
-  EXPECT_EQ(*n, 1u);
-  // The preloaded entry serves the lookup as a hit.
-  const auto again = fresh.try_reduce(net, TicerOptions{});
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(fresh.hits(), 1u);
-  EXPECT_EQ(fresh.misses(), 0u);
-}
-
-TEST(ReductionCachePersistence, VersionSkewCorruptionAndTruncationRejected) {
-  Rng rng(17);
-  const CoupledNet net = random_coupled_net(rng);
-  ReductionCache cache;
-  ASSERT_TRUE(cache.try_reduce(net, TicerOptions{}).ok());
-  std::ostringstream saved;
-  ASSERT_TRUE(cache.save(saved).ok());
-  const std::string good = saved.str();
-
-  ReductionCache fresh;
-  {  // Version skew.
-    std::istringstream is(with_version(good, "99"));
-    EXPECT_EQ(fresh.load(is).status().code(), StatusCode::kInvalidArgument);
-  }
-  {  // Flipped payload byte: content-hash mismatch.
-    std::string bad = good;
-    bad[bad.size() - bad.size() / 4] ^= 0x20;
-    std::istringstream is(bad);
-    EXPECT_EQ(fresh.load(is).status().code(), StatusCode::kInvalidArgument);
-  }
-  {  // Truncation.
-    std::istringstream is(good.substr(0, good.size() - 16));
-    EXPECT_EQ(fresh.load(is).status().code(), StatusCode::kInvalidArgument);
-  }
-  {  // Garbage and empty.
-    std::istringstream garbage("not a reduction cache\n");
-    EXPECT_EQ(fresh.load(garbage).status().code(),
-              StatusCode::kInvalidArgument);
-    std::istringstream empty("");
-    EXPECT_EQ(fresh.load(empty).status().code(),
-              StatusCode::kInvalidArgument);
-  }
-  // The cache rejected everything whole: still loads the good bytes.
-  std::istringstream is(good);
-  const StatusOr<std::size_t> n = fresh.load(is);
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 1u);
-}
-
-TEST(ReductionCachePersistence, LoadFileMissingIsNotFound) {
-  ReductionCache cache;
-  EXPECT_EQ(
-      cache.load_file(testing::TempDir() + "dn_no_red_cache").status().code(),
-      StatusCode::kNotFound);
 }
 
 TEST(CharacterizationCachePersistence, VersionSkewIsRejected) {

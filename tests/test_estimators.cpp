@@ -1,15 +1,11 @@
-// Tests for the estimator / export / table additions: Elmore & D2M
-// moments (validated against the transient simulator), the bus topology
-// builder, the SPICE exporter, and the pre-characterized Thevenin table.
+// Tests for the estimator / table additions: Elmore & D2M moments
+// (validated against the transient simulator), the bus topology builder,
+// and the pre-characterized Thevenin table.
 #include <gtest/gtest.h>
-
-#include <fstream>
-#include <sstream>
 
 #include "ceff/thevenin_table.hpp"
 #include "rcnet/elmore.hpp"
 #include "sim/linear_sim.hpp"
-#include "sim/spice_export.hpp"
 #include "util/units.hpp"
 
 namespace dn {
@@ -87,46 +83,6 @@ TEST(MakeBus, TopologyAndCoupling) {
                std::invalid_argument);
   EXPECT_THROW(make_bus(1, 6, 1 * kOhm, 60 * fF, 30 * fF),
                std::invalid_argument);
-}
-
-TEST(SpiceExport, DeckContainsAllElements) {
-  Circuit ckt;
-  const NodeId vdd = add_vdd(ckt, 1.8);
-  const NodeId in = ckt.node("in");
-  const NodeId out = ckt.node("out");
-  ckt.add_vsource(in, kGround, Pwl::ramp(100 * ps, 100 * ps, 0.0, 1.8));
-  GateParams g;
-  instantiate_gate(ckt, g, in, out, vdd);
-  ckt.add_capacitor(out, kGround, 20 * fF);
-  ckt.add_resistor(out, kGround, 10 * kOhm);
-  ckt.add_isource(out, kGround, Pwl::constant(0.0, 0.0, 1e-9));
-
-  std::ostringstream os;
-  export_spice(os, ckt, {0.0, 2 * ns, 1 * ps}, {"unit test", {out}});
-  const std::string deck = os.str();
-  EXPECT_NE(deck.find("* unit test"), std::string::npos);
-  EXPECT_NE(deck.find(".MODEL NMOD0 NMOS"), std::string::npos);
-  EXPECT_NE(deck.find("PMOS"), std::string::npos);
-  EXPECT_NE(deck.find("LEVEL=1"), std::string::npos);
-  EXPECT_NE(deck.find("VTO=-0.45"), std::string::npos);  // PMOS sign.
-  EXPECT_NE(deck.find("PWL("), std::string::npos);
-  EXPECT_NE(deck.find(".TRAN 1e-12 2e-09"), std::string::npos);
-  EXPECT_NE(deck.find(".PRINT TRAN V(out)"), std::string::npos);
-  EXPECT_NE(deck.find(".END"), std::string::npos);
-  // Two MOSFETs -> 8 explicit device-cap elements (C10001..C10008).
-  EXPECT_NE(deck.find("C10008"), std::string::npos);
-}
-
-TEST(SpiceExport, FileWriteAndBadPath) {
-  Circuit ckt;
-  const NodeId a = ckt.node("a");
-  ckt.add_resistor(a, kGround, 1.0);
-  const std::string path = ::testing::TempDir() + "/dn_export.sp";
-  export_spice_file(path, ckt, {0.0, 1e-9, 1e-12});
-  std::ifstream f(path);
-  EXPECT_TRUE(f.good());
-  EXPECT_THROW(export_spice_file("/nonexistent/x.sp", ckt, {0.0, 1e-9, 1e-12}),
-               std::runtime_error);
 }
 
 TEST(TheveninTable, GridPointsMatchDirectFit) {

@@ -260,7 +260,6 @@ TEST(ServerSession, EveryNonSchedulingConfigKeyDirtiesAllVictims) {
       {"window_pruning", "false"},
       {"exhaustive", "true"},
       {"thevenin", "true"},
-      {"prereduce", "true"},
       {"solver", "\"sparse\""},
       {"dt_ps", "1.5"},
       {"horizon_ns", "4.5"},
@@ -325,6 +324,13 @@ TEST(ServerSession, InvalidConfigIsRejectedAndLeavesConfigIntact) {
   EXPECT_EQ(error_code(req(
                 s, "{\"verb\":\"config\",\"set\":{\"jobs\":100000}}")),
             "INVALID_ARGUMENT");
+  // So is a ~1e9-step time grid, before any analyze could run it.
+  const json::Value grid =
+      req(s, "{\"verb\":\"config\",\"set\":{\"horizon_ns\":1e6}}");
+  EXPECT_EQ(error_code(grid), "INVALID_ARGUMENT");
+  EXPECT_NE(grid.find("error")->find("message")->as_string().find(
+                "horizon_ns"),
+            std::string::npos);
 
   const json::Value after = req(s, "{\"verb\":\"config\"}");
   EXPECT_EQ(result_of(after).find("config")->dump(), before_cfg);
@@ -380,6 +386,8 @@ TEST(ServerSession, StatsReportsCountersAndCacheState) {
   const json::Value* cc = r.find("characterization_cache");
   ASSERT_NE(cc, nullptr);
   EXPECT_GT(cc->find("tables")->as_number(), 0.0);
+  // The characterization cache is the only resident cache.
+  EXPECT_EQ(r.find("reduction_cache"), nullptr);
 }
 
 // --- Cache persistence ---------------------------------------------------

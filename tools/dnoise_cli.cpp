@@ -33,7 +33,8 @@
 // a key of dn::AnalysisConfig. Flags below are shorthand for those keys;
 // --config FILE loads a JSON object of them first (flags win). Flags and
 // server `config` requests share ONE validation path — a bad value is a
-// clean error, never a crash.
+// clean error, never a crash. An unknown flag, or a numeric flag whose
+// value does not parse whole, prints usage naming the flag and exits 2.
 //
 // Screening mode:
 //   dnoise_cli --screen <file.spef>... (rank by severity)
@@ -48,13 +49,14 @@
 //                          the one net); expired work reports
 //                          DEADLINE_EXCEEDED instead of hanging
 //   --max-retries N        batch: re-run transiently failed nets up to N times
-//   --prereduce            TICER-prereduce nets before analysis (exercises
-//                          the mor_to_unreduced rung on breakdown)
 //   --inject-faults SPEC   deterministic chaos testing: SPEC is
 //                          "site[:rate],..." with sites
 //                          parse|cache|factor|newton|task|all
 //   --fault-seed N         seed for the injection hash (default 1)
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -81,22 +83,115 @@ using namespace dn::units;
 
 namespace {
 
+/// What follows a flag on the command line.
+enum class FlagValue { kNone, kInt, kNumber, kString };
+
+struct FlagSpec {
+  const char* name;
+  FlagValue value;
+};
+
+/// Every flag the CLI knows. Argument validation and positional-argument
+/// extraction both read this table, so a flag is either listed here or
+/// rejected.
+constexpr FlagSpec kFlags[] = {
+    {"--batch", FlagValue::kNone},
+    {"--screen", FlagValue::kNone},
+    {"--serve", FlagValue::kNone},
+    {"--exhaustive", FlagValue::kNone},
+    {"--thevenin", FlagValue::kNone},
+    {"--functional", FlagValue::kNone},
+    {"--golden", FlagValue::kNone},
+    {"--csv", FlagValue::kNone},
+    {"--json", FlagValue::kNone},
+    {"--profile", FlagValue::kNone},
+    {"--recover", FlagValue::kNone},
+    {"--jobs", FlagValue::kInt},
+    {"--top", FlagValue::kInt},
+    {"--random", FlagValue::kInt},
+    {"--seed", FlagValue::kInt},
+    {"--max-retries", FlagValue::kInt},
+    {"--fault-seed", FlagValue::kInt},
+    {"--queue-soft", FlagValue::kInt},
+    {"--queue-hard", FlagValue::kInt},
+    {"--stale-jacobian-iters", FlagValue::kInt},
+    {"--warm-start", FlagValue::kInt},
+    {"--snapshot-every", FlagValue::kInt},
+    {"--max-request-bytes", FlagValue::kInt},
+    {"--max-request-nodes", FlagValue::kInt},
+    {"--max-design-nets", FlagValue::kInt},
+    {"--deadline-ms", FlagValue::kNumber},
+    {"--lte-tol", FlagValue::kNumber},
+    {"--max-dt-growth", FlagValue::kNumber},
+    {"--fidelity-threshold", FlagValue::kNumber},
+    {"--fidelity-margin", FlagValue::kNumber},
+    {"--watchdog-ms", FlagValue::kNumber},
+    {"--solver", FlagValue::kString},
+    {"--fidelity", FlagValue::kString},
+    {"--config", FlagValue::kString},
+    {"--metrics-json", FlagValue::kString},
+    {"--trace-out", FlagValue::kString},
+    {"--inject-faults", FlagValue::kString},
+    {"--socket", FlagValue::kString},
+    {"--save-cache", FlagValue::kString},
+    {"--load-cache", FlagValue::kString},
+    {"--state-dir", FlagValue::kString},
+    {"--fsync", FlagValue::kString},
+};
+
+const FlagSpec* find_flag(const char* name) {
+  for (const FlagSpec& f : kFlags)
+    if (std::strcmp(f.name, name) == 0) return &f;
+  return nullptr;
+}
+
+/// Whole-string base-10 int parse; false on junk, trailing text, or
+/// overflow.
+bool parse_int(const char* text, int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < INT_MIN ||
+      v > INT_MAX)
+    return false;
+  out = static_cast<int>(v);
+  return true;
+}
+
+/// Whole-string floating-point parse; false on junk or trailing text.
+bool parse_number(const char* text, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE) return false;
+  out = v;
+  return true;
+}
+
+/// Rejects unknown flags, missing values, and numeric values that do not
+/// parse whole. Returns the complaint, or an empty string when argv is
+/// well formed.
+std::string check_args(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i][0] != '-') continue;
+    const FlagSpec* f = find_flag(argv[i]);
+    if (!f) return std::string("unknown flag ") + argv[i];
+    if (f->value == FlagValue::kNone) continue;
+    if (i + 1 >= argc) return std::string("missing value for ") + f->name;
+    const char* value = argv[++i];
+    int iv = 0;
+    double dv = 0;
+    if ((f->value == FlagValue::kInt && !parse_int(value, iv)) ||
+        (f->value == FlagValue::kNumber && !parse_number(value, dv)))
+      return std::string("bad value '") + value + "' for " + f->name;
+  }
+  return {};
+}
+
 bool has_flag(int argc, char** argv, const char* name) {
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], name) == 0) return true;
   return false;
-}
-
-int int_flag(int argc, char** argv, const char* name, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return std::atoi(argv[i + 1]);
-  return fallback;
-}
-
-double double_flag(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  return fallback;
 }
 
 const char* str_flag(int argc, char** argv, const char* name,
@@ -106,27 +201,29 @@ const char* str_flag(int argc, char** argv, const char* name,
   return fallback;
 }
 
+// The numeric readers run after check_args, so every value parses.
+int int_flag(int argc, char** argv, const char* name, int fallback) {
+  int v = fallback;
+  if (const char* text = str_flag(argc, argv, name, nullptr))
+    parse_int(text, v);
+  return v;
+}
+
+double double_flag(int argc, char** argv, const char* name, double fallback) {
+  double v = fallback;
+  if (const char* text = str_flag(argc, argv, name, nullptr))
+    parse_number(text, v);
+  return v;
+}
+
 /// Positional (non-flag) arguments, skipping the values of flags that
 /// take one.
 std::vector<std::string> positional_args(int argc, char** argv) {
-  static constexpr const char* kValueFlags[] = {
-      "--jobs",        "--top",        "--random",      "--seed",
-      "--solver",      "--metrics-json", "--trace-out",
-      "--deadline-ms", "--max-retries", "--inject-faults", "--fault-seed",
-      "--config",      "--socket",     "--queue-soft",  "--queue-hard",
-      "--save-cache",  "--load-cache", "--lte-tol",     "--max-dt-growth",
-      "--stale-jacobian-iters", "--warm-start",
-      "--fidelity",    "--fidelity-threshold", "--fidelity-margin",
-      "--state-dir",   "--fsync",      "--snapshot-every", "--watchdog-ms",
-      "--max-request-bytes", "--max-request-nodes", "--max-design-nets"};
   std::vector<std::string> out;
   for (int i = 1; i < argc; ++i) {
     if (argv[i][0] == '-') {
-      for (const char* flag : kValueFlags)
-        if (std::strcmp(argv[i], flag) == 0) {
-          ++i;  // Skip the flag's value.
-          break;
-        }
+      const FlagSpec* f = find_flag(argv[i]);
+      if (f && f->value != FlagValue::kNone) ++i;  // Skip the flag's value.
       continue;
     }
     out.emplace_back(argv[i]);
@@ -171,7 +268,7 @@ int usage() {
       "observability (any mode):\n"
       "       [--profile] [--metrics-json FILE] [--trace-out FILE]\n"
       "fault tolerance (see DESIGN.md §10):\n"
-      "       [--deadline-ms MS] [--max-retries N] [--prereduce]\n"
+      "       [--deadline-ms MS] [--max-retries N]\n"
       "       [--inject-faults site[:rate],...] [--fault-seed N]\n"
       "       sites: parse|cache|factor|newton|task|all\n");
   return 2;
@@ -226,7 +323,6 @@ StatusOr<AnalysisConfig> config_from_flags(int argc, char** argv) {
     flags["solver"] = solver;
   if (has_flag(argc, argv, "--exhaustive")) flags["exhaustive"] = true;
   if (has_flag(argc, argv, "--thevenin")) flags["thevenin"] = true;
-  if (has_flag(argc, argv, "--prereduce")) flags["prereduce"] = true;
   if (str_flag(argc, argv, "--lte-tol", nullptr))
     flags["lte_tol"] = double_flag(argc, argv, "--lte-tol", 5e-4);
   if (str_flag(argc, argv, "--max-dt-growth", nullptr))
@@ -508,6 +604,10 @@ int run_serve(int argc, char** argv, const AnalysisConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (const std::string bad = check_args(argc, argv); !bad.empty()) {
+    std::fprintf(stderr, "error: %s\n", bad.c_str());
+    return usage();
+  }
   const ObsFlags obs_flags = setup_observability(argc, argv);
   // Chaos harness: install the deterministic fault-injection config before
   // any analysis runs. Probes key on stable identities (net index, cache
