@@ -39,11 +39,12 @@ echo "== tier-1 tests =="
 ctest --test-dir build -L tier1 --output-on-failure -j "$jobs"
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== Address+UB sanitizer: solver, simulator and waveform core =="
+  echo "== Address+UB sanitizer: solver, simulator, waveform and driver-model core =="
   cmake -B build-asan -S . -DDN_SANITIZE=address,undefined -DDN_WERROR=ON >/dev/null
   cmake --build build-asan -j "$jobs" \
     --target test_matrix test_sparse test_linear_sim test_nonlinear_sim \
-             test_adaptive_sim test_pwl test_numeric test_fault_tolerance
+             test_adaptive_sim test_pwl test_numeric test_thevenin test_ceff \
+             test_rtr test_fault_tolerance
   ./build-asan/tests/test_matrix
   ./build-asan/tests/test_sparse
   ./build-asan/tests/test_linear_sim
@@ -52,6 +53,11 @@ if [[ "$run_asan" == 1 ]]; then
   # The waveform algebra's forward cursors index raw spans.
   ./build-asan/tests/test_pwl
   ./build-asan/tests/test_numeric
+  # The driver-model numerics: closed-form crossing solve, secant Ceff
+  # iteration, and the V1 sim shared across Rtr extractions.
+  ./build-asan/tests/test_thevenin
+  ./build-asan/tests/test_ceff
+  ./build-asan/tests/test_rtr
   # Deep retry ladders scale the backoff by 2^attempt; any UB there (an
   # int shift past its width) must fail the stage, not just print.
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \

@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "sim/linear_sim.hpp"
-#include "util/numeric.hpp"
+#include "util/metrics.hpp"
 
 namespace dn {
 
@@ -17,7 +17,7 @@ CeffResult compute_ceff(const GateParams& driver, const Pwl& vin,
 
   CeffResult out;
   double ceff = c_total;
-  TheveninFit fit;
+  double prev_ceff = 0.0, prev_h = 0.0;  // Previous iterate, for the secant.
 
   // Every fit iteration re-simulates the same gate (only cload moves);
   // warm-start each reference sim from the previous operating point.
@@ -27,7 +27,7 @@ CeffResult compute_ceff(const GateParams& driver, const Pwl& vin,
 
   for (int it = 1; it <= opts.max_iterations; ++it) {
     out.iterations = it;
-    fit = fit_thevenin(driver, vin, ceff, fit_opts);
+    const TheveninFit fit = fit_thevenin(driver, vin, ceff, fit_opts);
     const TheveninModel& m = fit.model;
 
     // Linear simulation: Thevenin driver into the real load.
@@ -62,16 +62,32 @@ CeffResult compute_ceff(const GateParams& driver, const Pwl& vin,
     double ceff_new = std::abs(q) / half_swing;
     ceff_new = std::clamp(ceff_new, 1e-18, c_total);
 
-    const double delta = std::abs(ceff_new - ceff) / std::max(ceff, 1e-18);
-    ceff = (1.0 - opts.damping) * ceff + opts.damping * ceff_new;
-    if (delta < opts.rel_tol) {
+    // Report the load the model was fit at, converged or not.
+    out.ceff = ceff;
+    out.model = fit.model;
+    const double h = ceff_new - ceff;  // Fix-point residual h(C) = g(C) - C.
+    if (std::abs(h) / std::max(ceff, 1e-18) < opts.rel_tol) {
       out.converged = true;
       break;
     }
-  }
 
-  out.ceff = ceff;
-  out.model = fit.model;
+    // Secant step on h after the first iteration; the damped step seeds
+    // it and catches a secant that is non-finite or leaves (1e-18, c_total].
+    double next = (1.0 - opts.damping) * ceff + opts.damping * ceff_new;
+    if (it > 1) {
+      const double secant = ceff - h * (ceff - prev_ceff) / (h - prev_h);
+      if (std::isfinite(secant) && secant > 1e-18 && secant <= c_total)
+        next = secant;
+    }
+    prev_ceff = ceff;
+    prev_h = h;
+    ceff = next;
+  }
+  static obs::Histogram& h_iters =
+      obs::metrics().histogram("ceff.iterations_per_driver");
+  static obs::Counter& c_unconverged = obs::metrics().counter("ceff.unconverged");
+  h_iters.record(static_cast<double>(out.iterations));
+  if (!out.converged) c_unconverged.add(1);
   return out;
 }
 

@@ -5,7 +5,9 @@
 // smaller "effective" capacitance. The classic fix-point: characterize the
 // Thevenin model at Ceff, simulate it into the *real* RC load, match the
 // charge delivered up to the driver-output 50% crossing against an ideal
-// capacitor charged to half swing, update Ceff, repeat. The paper uses
+// capacitor charged to half swing, update Ceff, repeat. The first update
+// is damped; later ones are secant steps on the fix-point residual
+// g(C) - C, with the damped step as the fallback. The paper uses
 // these iterations to pick the single effective load for both the Thevenin
 // model and the one nonlinear driver simulation of the Rtr extraction.
 #pragma once
@@ -23,7 +25,9 @@ namespace dn {
 struct CeffOptions {
   int max_iterations = 15;
   double rel_tol = 1e-3;       // Convergence on |dCeff|/Ceff.
-  double damping = 0.7;        // New-value blend factor (1 = undamped).
+  /// New-value blend factor (1 = undamped) of the first step and of the
+  /// fallback when a secant step is non-finite or leaves (1e-18, Ctotal].
+  double damping = 0.7;
   TheveninFitOptions fit{};
   double sim_dt = 1e-12;       // Reference step of the inner linear sims.
   double sim_tail = 3e-9;      // Linear-sim horizon past the input end.
@@ -37,8 +41,8 @@ struct CeffOptions {
 };
 
 struct CeffResult {
-  double ceff = 0.0;
-  TheveninModel model;     // Thevenin fit at the final Ceff.
+  double ceff = 0.0;       // Last load fit, converged or not.
+  TheveninModel model;     // Thevenin fit at exactly `ceff`.
   int iterations = 0;
   bool converged = false;
 };

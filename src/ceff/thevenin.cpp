@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/numeric.hpp"
-
 namespace dn {
 
 Pwl TheveninModel::source(double t_end) const {
@@ -54,17 +52,30 @@ std::optional<double> TheveninModel::response_crossing(double frac,
   const double tau = rth * cload;
   const double target = v_from + frac * (v_to - v_from);
   const double dir = (v_to > v_from) ? 1.0 : -1.0;
-  // Response is monotonic: bracket between t0 and deep settling.
+  // The response is monotonic; a level it has not reached 40 tau past
+  // the ramp end counts as never reached.
   const double t_hi = t0 + tr + std::max(40.0 * tau, 1e-15);
-  // response(t, cload) with the per-solve constants hoisted out of the
-  // Brent iterations; every evaluation performs the same operations.
   const double w_end = ramp_end_w(tr, tau);
-  auto f = [&](double t) {
-    const double w = normalized_response(t - t0, tr, tau, w_end);
-    return dir * (v_from + w * (v_to - v_from) - target);
-  };
-  if (f(t_hi) < 0.0) return std::nullopt;  // Never reaches the level.
-  return brent(f, t0, t_hi, 1e-18);
+  const double w_hi = normalized_response(t_hi - t0, tr, tau, w_end);
+  if (dir * (v_from + w_hi * (v_to - v_from) - target) < 0.0)
+    return std::nullopt;
+  if (tau <= 0.0) return t0 + frac * tr;  // Bare ramp.
+  // Settling tail: w = 1 - (1 - w_end) exp(-(u - tr)/tau), inverted.
+  if (frac >= w_end)
+    return t0 + tr + tau * std::log((1.0 - w_end) / (1.0 - frac));
+  // Ramp segment: g(u) = u - tau(1 - exp(-u/tau)) - frac*tr is convex and
+  // increasing with g(tr) > 0, so Newton from u = tr descends onto the
+  // root monotonically; stop once it no longer moves it left.
+  const double level = frac * tr;
+  double u = tr;
+  for (int it = 0; it < 100; ++it) {
+    const double rise = -std::expm1(-u / tau);  // 1 - exp(-u/tau) = g'(u).
+    const double step = (u - tau * rise - level) / rise;
+    if (!(step > 0.0)) break;
+    u -= step;
+    if (step <= 1e-22) break;
+  }
+  return t0 + u;
 }
 
 TransientSpec default_gate_spec(const Pwl& vin, double tail, double dt) {

@@ -221,8 +221,10 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
   // `eff` carries the per-pass scan domain into the search options.
   DelayNoiseOptions eff = opts;
 
-  // Fix-point between the linear victim model and the alignment.
+  // Fix-point between the linear victim model and the alignment. Every
+  // pass's Rtr extraction shares one noiseless victim driver sim.
   const int iters = std::max(opts.model_alignment_iterations, 1);
+  NoiselessDriverSim v1;
   for (int pass = 0; pass < iters; ++pass) {
     out.composite = compose_pruned(eng, out.holding_r, prune_enabled,
                                    opts.search.domain, prune,
@@ -237,7 +239,8 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
     RtrResult rtr;
     try {
       obs::TraceSpan span("rtr.solve", "analyze");
-      rtr = compute_rtr(eng, shifts, opts.rtr, mask_of(out.composite));
+      rtr = compute_rtr(eng, shifts, opts.rtr, mask_of(out.composite),
+                        &v1);
     } catch (const DeadlineError&) {
       throw;  // A cancelled run must not silently degrade.
     } catch (const std::exception& e) {

@@ -28,7 +28,8 @@ Pwl differentiate(const Pwl& w, double dt) {
 RtrResult compute_rtr(const SuperpositionEngine& eng,
                       const std::vector<double>& shifts,
                       const RtrOptions& opts,
-                      const std::vector<char>* active) {
+                      const std::vector<char>* active,
+                      NoiselessDriverSim* noiseless) {
   const CeffResult& vm = eng.victim_model();
   RtrResult out;
   out.rth = vm.model.rth;
@@ -38,15 +39,22 @@ RtrResult compute_rtr(const SuperpositionEngine& eng,
   const Pwl vin = eng.victim_input();
   TransientSpec spec{0.0, eng.options().horizon, dt};
   spec.stale_jacobian_iters = opts.stale_jacobian_iters;
-  GateSimCache cache;
-  GateSimCache* warm = opts.warm_start ? &cache : nullptr;
 
   // Noiseless nonlinear victim driver into its effective load (V1) is
-  // independent of the holding resistance: simulate once.
-  auto v1r = try_simulate_gate(eng.net().victim.driver, vin, cload, spec,
-                               std::nullopt, warm);
-  if (!v1r.ok()) raise(v1r.status());
-  const Pwl v1 = std::move(v1r).value();
+  // independent of the holding resistance: simulate once per engine.
+  NoiselessDriverSim local;
+  NoiselessDriverSim& v1s = noiseless ? *noiseless : local;
+  if (v1s.v1.empty()) {
+    auto v1r = try_simulate_gate(eng.net().victim.driver, vin, cload, spec,
+                                 std::nullopt,
+                                 opts.warm_start ? &v1s.warm : nullptr);
+    if (!v1r.ok()) raise(v1r.status());
+    v1s.v1 = std::move(v1r).value();
+  }
+  const Pwl& v1 = v1s.v1;
+  // The V2 chain starts from V1's DC state and then follows itself.
+  GateSimCache cache = v1s.warm;
+  GateSimCache* warm = opts.warm_start ? &cache : nullptr;
 
   double holding = out.rth;
   for (int it = 1; it <= opts.max_iterations; ++it) {

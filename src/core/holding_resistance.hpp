@@ -54,15 +54,27 @@ struct RtrResult {
   Pwl vn_nonlinear;          // Step 4: V'n = V2 - V1.
 };
 
+/// The noiseless victim driver sim V1 of one engine: the waveform plus
+/// the DC state that seeds the first V2's warm start. V1 depends only on
+/// the driver, its input, Ceff and the time grid, so every extraction on
+/// the same engine (one per model/alignment pass) shares it.
+struct NoiselessDriverSim {
+  Pwl v1;                // Empty until the first extraction fills it.
+  GateSimCache warm;     // DC state after V1 (empty when !warm_start).
+};
+
 /// Computes Rtr for the victim driver of `eng`'s net with the aggressor
 /// time shifts currently in effect (one shift per aggressor; the shift is
 /// applied to each aggressor's reference-position noise waveform).
 /// `active`, when non-null, masks window/correlation-pruned aggressors
-/// out of the injected noise (core/composite_pulse.hpp).
+/// out of the injected noise (core/composite_pulse.hpp). `noiseless`,
+/// when non-null, is filled with V1 on first use and reused afterwards;
+/// the result is bit-identical either way.
 RtrResult compute_rtr(const SuperpositionEngine& eng,
                       const std::vector<double>& shifts,
                       const RtrOptions& opts = {},
-                      const std::vector<char>* active = nullptr);
+                      const std::vector<char>* active = nullptr,
+                      NoiselessDriverSim* noiseless = nullptr);
 
 /// Differentiates a waveform numerically on a uniform grid of step dt.
 Pwl differentiate(const Pwl& w, double dt);

@@ -4,12 +4,10 @@
 // hand-roll; everything else goes through matrix/ or waveform/.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace dn {
@@ -46,67 +44,6 @@ double interp2(std::span<const double> xs, std::span<const double> ys,
 /// Returns std::nullopt if f(lo) and f(hi) have the same sign.
 std::optional<double> bisect(const std::function<double(double)>& f, double lo,
                              double hi, double xtol = 1e-15, int max_iter = 200);
-
-/// Brent's method: bracketing root finder with superlinear convergence.
-/// Falls back to bisection steps internally; requires a sign change.
-/// Takes any callable double(double) directly, so a hot caller's lambda
-/// is inlined instead of dispatched through std::function per evaluation.
-template <class F>
-std::optional<double> brent(F&& f, double lo, double hi, double xtol = 1e-15,
-                            int max_iter = 200) {
-  double a = lo, b = hi;
-  double fa = f(a), fb = f(b);
-  if (fa == 0.0) return a;
-  if (fb == 0.0) return b;
-  if ((fa > 0) == (fb > 0)) return std::nullopt;
-  if (std::abs(fa) < std::abs(fb)) {
-    std::swap(a, b);
-    std::swap(fa, fb);
-  }
-  double c = a, fc = fa;
-  bool mflag = true;
-  double d = 0.0;
-  for (int it = 0; it < max_iter; ++it) {
-    if (fb == 0.0 || std::abs(b - a) < xtol) return b;
-    double s;
-    if (fa != fc && fb != fc) {
-      // Inverse quadratic interpolation.
-      s = a * fb * fc / ((fa - fb) * (fa - fc)) +
-          b * fa * fc / ((fb - fa) * (fb - fc)) +
-          c * fa * fb / ((fc - fa) * (fc - fb));
-    } else {
-      s = b - fb * (b - a) / (fb - fa);  // Secant.
-    }
-    const double m = 0.5 * (a + b);
-    const bool cond = (s < std::min(m, b) || s > std::max(m, b)) ||
-                      (mflag && std::abs(s - b) >= 0.5 * std::abs(b - c)) ||
-                      (!mflag && std::abs(s - b) >= 0.5 * std::abs(c - d)) ||
-                      (mflag && std::abs(b - c) < xtol) ||
-                      (!mflag && std::abs(c - d) < xtol);
-    if (cond) {
-      s = m;
-      mflag = true;
-    } else {
-      mflag = false;
-    }
-    const double fs = f(s);
-    d = c;
-    c = b;
-    fc = fb;
-    if ((fa > 0) != (fs > 0)) {
-      b = s;
-      fb = fs;
-    } else {
-      a = s;
-      fa = fs;
-    }
-    if (std::abs(fa) < std::abs(fb)) {
-      std::swap(a, b);
-      std::swap(fa, fb);
-    }
-  }
-  return b;
-}
 
 /// Golden-section minimization of a unimodal f on [lo, hi].
 double golden_min(const std::function<double(double)>& f, double lo, double hi,

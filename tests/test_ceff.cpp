@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "util/units.hpp"
 
 namespace dn {
@@ -95,7 +98,31 @@ TEST(Ceff, ConvergesQuickly) {
   const CeffResult r =
       compute_ceff_for_net(driver(), vin_fall_out(), line, {}, 10 * fF);
   EXPECT_TRUE(r.converged);
-  EXPECT_LE(r.iterations, 10);
+  EXPECT_LE(r.iterations, 6);
+}
+
+TEST(Ceff, ModelIsFitAtReportedCeff) {
+  // The reported load and the reported model belong together: refitting
+  // at r.ceff reproduces r.model bit for bit, whether the iteration
+  // converged or ran out of budget.
+  const RcTree line = make_line(10, 2 * kOhm, 100 * fF);
+  for (const int budget : {15, 2}) {
+    CeffOptions opts;
+    opts.max_iterations = budget;
+    const CeffResult r =
+        compute_ceff_for_net(driver(), vin_fall_out(), line, {}, 10 * fF, opts);
+    EXPECT_EQ(r.converged, budget == 15);
+    const TheveninModel m =
+        fit_thevenin(driver(), vin_fall_out(), r.ceff, opts.fit).model;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.t0),
+              std::bit_cast<std::uint64_t>(r.model.t0));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.tr),
+              std::bit_cast<std::uint64_t>(r.model.tr));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.rth),
+              std::bit_cast<std::uint64_t>(r.model.rth));
+    EXPECT_EQ(m.v_from, r.model.v_from);
+    EXPECT_EQ(m.v_to, r.model.v_to);
+  }
 }
 
 TEST(Ceff, InvalidTotalThrows) {

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/composite_pulse.hpp"
 #include "rcnet/random_nets.hpp"
 #include "util/units.hpp"
@@ -93,6 +97,38 @@ TEST(Rtr, ConvergesWithinBudget) {
   // The paper reports one or two iterations in practice.
   EXPECT_LE(r.iterations, 3);
   EXPECT_TRUE(r.converged);
+}
+
+bool bits_equal(const Pwl& a, const Pwl& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint64_t>(a.times()[i]) !=
+            std::bit_cast<std::uint64_t>(b.times()[i]) ||
+        std::bit_cast<std::uint64_t>(a.values()[i]) !=
+            std::bit_cast<std::uint64_t>(b.values()[i]))
+      return false;
+  return true;
+}
+
+TEST(Rtr, NoiselessSimReuseIsBitIdentical) {
+  // V1 filled by an extraction at another alignment, then reused: the
+  // result matches an extraction that simulates its own V1.
+  const CoupledNet net = slow_victim_net();
+  SuperpositionEngine eng(net);
+  const std::vector<double> shifts = shifts_for_level(eng, 0.9);
+  const RtrResult plain = compute_rtr(eng, shifts);
+
+  NoiselessDriverSim v1;
+  compute_rtr(eng, shifts_for_level(eng, 0.3), {}, nullptr, &v1);
+  ASSERT_FALSE(v1.v1.empty());
+  ASSERT_FALSE(v1.warm.dc.empty());
+  const RtrResult reused = compute_rtr(eng, shifts, {}, nullptr, &v1);
+
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.rtr),
+            std::bit_cast<std::uint64_t>(plain.rtr));
+  EXPECT_EQ(reused.iterations, plain.iterations);
+  EXPECT_EQ(reused.converged, plain.converged);
+  EXPECT_TRUE(bits_equal(reused.vn_nonlinear, plain.vn_nonlinear));
 }
 
 TEST(Rtr, NoCouplingMeansNoCorrection) {

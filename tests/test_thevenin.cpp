@@ -1,12 +1,20 @@
-// Thevenin model tests: analytic response properties and fit quality
-// against the nonlinear gate reference (ceff/thevenin.*).
+// Thevenin model tests: analytic response properties, the closed-form
+// crossing solve against a Brent reference, and fit quality against the
+// nonlinear gate reference (ceff/thevenin.*).
 #include "ceff/thevenin.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <optional>
 #include <tuple>
+#include <utility>
 
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace dn {
@@ -60,6 +68,169 @@ TEST(TheveninModel, ResponseCrossingInvertsResponse) {
   }
   EXPECT_FALSE(m.response_crossing(0.0, c).has_value());
   EXPECT_FALSE(m.response_crossing(1.0, c).has_value());
+}
+
+// Brent's method as the crossing solve used it before the closed form
+// replaced it, kept verbatim as the reference.
+std::optional<double> brent_std_function(const std::function<double(double)>& f,
+                                         double lo, double hi, double xtol,
+                                         int max_iter = 200) {
+  double a = lo, b = hi;
+  double fa = f(a), fb = f(b);
+  if (fa == 0.0) return a;
+  if (fb == 0.0) return b;
+  if ((fa > 0) == (fb > 0)) return std::nullopt;
+  if (std::abs(fa) < std::abs(fb)) {
+    std::swap(a, b);
+    std::swap(fa, fb);
+  }
+  double c = a, fc = fa;
+  bool mflag = true;
+  double d = 0.0;
+  for (int it = 0; it < max_iter; ++it) {
+    if (fb == 0.0 || std::abs(b - a) < xtol) return b;
+    double s;
+    if (fa != fc && fb != fc) {
+      s = a * fb * fc / ((fa - fb) * (fa - fc)) +
+          b * fa * fc / ((fb - fa) * (fb - fc)) +
+          c * fa * fb / ((fc - fa) * (fc - fb));
+    } else {
+      s = b - fb * (b - a) / (fb - fa);
+    }
+    const double m = 0.5 * (a + b);
+    const bool cond = (s < std::min(m, b) || s > std::max(m, b)) ||
+                      (mflag && std::abs(s - b) >= 0.5 * std::abs(b - c)) ||
+                      (!mflag && std::abs(s - b) >= 0.5 * std::abs(c - d)) ||
+                      (mflag && std::abs(b - c) < xtol) ||
+                      (!mflag && std::abs(c - d) < xtol);
+    if (cond) {
+      s = m;
+      mflag = true;
+    } else {
+      mflag = false;
+    }
+    const double fs = f(s);
+    d = c;
+    c = b;
+    fc = fb;
+    if ((fa > 0) != (fs > 0)) {
+      b = s;
+      fb = fs;
+    } else {
+      a = s;
+      fa = fs;
+    }
+    if (std::abs(fa) < std::abs(fb)) {
+      std::swap(a, b);
+      std::swap(fa, fb);
+    }
+  }
+  return b;
+}
+
+/// TheveninModel::response written out on its own, ramp-end constant
+/// recomputed on every evaluation.
+double reference_response(const TheveninModel& m, double t, double cload) {
+  const double tau = m.rth * cload;
+  const double u = t - m.t0;
+  double w;
+  if (u <= 0.0) {
+    w = 0.0;
+  } else if (tau <= 0.0) {
+    w = std::min(u / m.tr, 1.0);
+  } else if (u <= m.tr) {
+    w = (u - tau * (1.0 - std::exp(-u / tau))) / m.tr;
+  } else {
+    const double w_end = (m.tr - tau * (1.0 - std::exp(-m.tr / tau))) / m.tr;
+    w = 1.0 - (1.0 - w_end) * std::exp(-(u - m.tr) / tau);
+  }
+  return m.v_from + w * (m.v_to - m.v_from);
+}
+
+/// TheveninModel::response_crossing as a bracketed root solve: Brent on
+/// the response over [t0, t0 + tr + 40 tau] to a 1e-18 s bracket.
+std::optional<double> reference_crossing(const TheveninModel& m, double frac,
+                                         double cload) {
+  if (frac <= 0.0 || frac >= 1.0) return std::nullopt;
+  const double tau = m.rth * cload;
+  const double target = m.v_from + frac * (m.v_to - m.v_from);
+  const double dir = (m.v_to > m.v_from) ? 1.0 : -1.0;
+  const double t_hi = m.t0 + m.tr + std::max(40.0 * tau, 1e-15);
+  auto f = [&](double t) {
+    return dir * (reference_response(m, t, cload) - target);
+  };
+  if (f(t_hi) < 0.0) return std::nullopt;
+  return brent_std_function(f, m.t0, t_hi, 1e-18);
+}
+
+TEST(TheveninModel, ClosedFormCrossingMatchesBrentReference) {
+  Rng rng(20240611);
+  int solved = 0;
+  for (int i = 0; i < 2000; ++i) {
+    TheveninModel m;
+    m.t0 = rng.uniform(-50e-12, 400e-12);
+    m.tr = rng.log_uniform(5e-12, 2e-9);
+    m.rth = rng.log_uniform(20.0, 50e3);
+    const bool rising = (i % 2) == 0;
+    m.v_from = rising ? 0.0 : 1.8;
+    m.v_to = rising ? 1.8 : 0.0;
+    const double cload = rng.log_uniform(0.5e-15, 500e-15);
+    const double frac = rng.uniform(0.02, 0.98);
+    const auto got = m.response_crossing(frac, cload);
+    const auto want = reference_crossing(m, frac, cload);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "problem " << i;
+    if (!got) continue;
+    ++solved;
+    // 1e-18 s is the reference's own bracket tolerance.
+    EXPECT_LE(std::abs(*got - *want), 1e-18)
+        << "problem " << i << ": " << *got << " vs " << *want;
+    for (const double t : {*got, m.t0 + 0.5 * m.tr, m.t0 + 3.0 * m.tr})
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(m.response(t, cload)),
+                std::bit_cast<std::uint64_t>(reference_response(m, t, cload)))
+          << "problem " << i << " t " << t;
+  }
+  EXPECT_EQ(solved, 2000);
+}
+
+// Each branch of the crossing solve, both directions: the settling tail
+// (closed form), the ramp (Newton), the bare ramp (tau = 0) and a level
+// the response never reaches.
+TEST(TheveninModel, ClosedFormCrossingBranches) {
+  for (const bool rising : {true, false}) {
+    TheveninModel m{.t0 = 50 * ps, .tr = 100 * ps, .rth = 1 * kOhm,
+                    .v_from = rising ? 0.0 : kVdd, .v_to = rising ? kVdd : 0.0};
+    const double end = m.t0 + m.tr;
+    const auto check = [&](double frac, double cload) {
+      const auto t = m.response_crossing(frac, cload);
+      const auto want = reference_crossing(m, frac, cload);
+      EXPECT_TRUE(t.has_value());
+      EXPECT_TRUE(want.has_value());
+      if (!t || !want) return end;
+      EXPECT_LE(std::abs(*t - *want), 1e-18) << frac << " " << cload;
+      EXPECT_NEAR(m.response(*t, cload),
+                  m.v_from + frac * (m.v_to - m.v_from), 1e-9);
+      return *t;
+    };
+    // tau = 200 ps: the response is at 21% when the ramp ends.
+    EXPECT_GT(check(0.5, 200 * fF), end);   // Tail.
+    EXPECT_LT(check(0.1, 200 * fF), end);   // Ramp.
+    // tau = 5 ps: the response tracks the ramp closely.
+    EXPECT_LT(check(0.5, 5 * fF), end);     // Ramp.
+    EXPECT_GT(check(0.99, 5 * fF), end);    // Tail.
+    // tau = 0: the response is the ramp itself.
+    const auto bare = m.response_crossing(0.3, 0.0);
+    ASSERT_TRUE(bare.has_value());
+    EXPECT_DOUBLE_EQ(*bare, m.t0 + 0.3 * m.tr);
+    // 40 tau past a femtosecond ramp is below the resolution of a
+    // kilosecond t0: the horizon rounds back onto t0, so the level is
+    // never reached there.
+    TheveninModel late = m;
+    late.t0 = 1e3;
+    late.tr = 1e-15;
+    late.rth = 1.0;
+    EXPECT_FALSE(late.response_crossing(0.5, 1e-18).has_value());
+    EXPECT_FALSE(reference_crossing(late, 0.5, 1e-18).has_value());
+  }
 }
 
 TEST(TheveninFit, MatchesReferenceCrossings) {
