@@ -46,8 +46,8 @@ DescriptorSystem fig1b_system(const CoupledNet& net, double victim_holding_r,
 
   MnaSystem mna(ckt);
   DescriptorSystem sys;
-  sys.G = mna.G();
-  sys.C = mna.C();
+  sys.G = mna.Gs().to_dense();
+  sys.C = mna.Cs().to_dense();
   sys.B = Matrix(mna.dim(), 1);
   sys.B(mna.node_index(amap[0]), 0) = 1.0;
   sys.L = Matrix(mna.dim(), 1);

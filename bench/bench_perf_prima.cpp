@@ -29,8 +29,8 @@ std::unique_ptr<LineSystem> make_system(int segments) {
   const auto map = line.instantiate(ls->ckt, "n");
   ls->ckt.add_resistor(map[0], kGround, 500.0);
   MnaSystem mna(ls->ckt);
-  ls->sys.G = mna.G();
-  ls->sys.C = mna.C();
+  ls->sys.G = mna.Gs().to_dense();
+  ls->sys.C = mna.Cs().to_dense();
   ls->sys.B = Matrix(mna.dim(), 1);
   ls->sys.B(mna.node_index(map[0]), 0) = 1.0;
   ls->sys.L = Matrix(mna.dim(), 1);

@@ -33,12 +33,6 @@ inline std::string str_flag(int argc, char** argv, const char* name,
   return fallback;
 }
 
-inline bool has_flag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], name) == 0) return true;
-  return false;
-}
-
 inline void print_header(const char* fig, const char* claim) {
   std::printf("==============================================================\n");
   std::printf("%s\n", fig);

@@ -158,24 +158,27 @@ if [[ "$run_bench" == 1 ]]; then
   # end-to-end speedup is >= 5x (DESIGN.md §13).
   ./build/bench/bench_perf_ladder --out build/BENCH_perf_ladder.json
 
-  echo "== perf gate: batch engine throughput (bench_perf_batch) =="
-  # Byte-identical reports across job counts (the binary enforces that
-  # itself) plus a single-job throughput floor: 24.1 nets/s is the
+  echo "== perf gate: batch engine throughput (perfbench batch_warm) =="
+  # The benchmark's batch_warm workload checks its own output (jobs-1 vs
+  # jobs-P reports byte-identical, every net analyzed, the golden
+  # accuracy guard) and prints one JSON result as its last stdout line.
+  # On top of that, a single-job throughput floor: 24.1 nets/s is the
   # pre-kernel-fast-path baseline (DESIGN.md §14) — dipping below it
   # means the small-dense kernels / batched probing regressed.
-  ./build/bench/bench_perf_batch --out build/BENCH_perf_batch.json
-  python3 - build/BENCH_perf_batch.json <<'PY'
+  python3 perfbench/run.py --workload batch_warm --seed 1 --seconds 10 \
+    > build/perfbench_batch_warm.out
+  python3 - build/perfbench_batch_warm.out <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
-    r = json.load(f)
-one = [row for row in r["runs"] if row["jobs"] == 1]
-assert one, "no single-job run recorded"
-nps = one[0]["nets_per_s"]
+    r = json.loads(f.read().strip().splitlines()[-1])
+assert r["correct"] is True, "batch_warm output check failed"
+assert r["failed"] == 0, f"batch_warm: {r['failed']} failed operations"
+ops = r["metrics"]["ops_per_s"]["value"]
 floor = 24.1
-assert nps >= floor, (
-    f"batch throughput regression: {nps:.1f} nets/s at --jobs 1 "
+assert ops >= floor, (
+    f"batch throughput regression: {ops:.1f} nets/s at --jobs 1 "
     f"(floor {floor}, pre-fast-path baseline)")
-print(f"batch perf gate: {nps:.1f} nets/s at --jobs 1 (floor {floor})")
+print(f"batch perf gate: {ops:.1f} nets/s at --jobs 1 (floor {floor})")
 PY
 
   echo "== native-codegen build (DN_NATIVE=ON): kernel equivalence =="

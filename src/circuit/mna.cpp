@@ -64,16 +64,6 @@ MnaSystem::MnaSystem(const Circuit& ckt, double gmin)
   cs_ = SparseMatrix::from_triplets(dim_, dim_, ct);
 }
 
-const Matrix& MnaSystem::G() const {
-  if (!g_dense_) g_dense_ = gs_.to_dense();
-  return *g_dense_;
-}
-
-const Matrix& MnaSystem::C() const {
-  if (!c_dense_) c_dense_ = cs_.to_dense();
-  return *c_dense_;
-}
-
 Vector MnaSystem::rhs(double t) const {
   Vector b;
   rhs_into(t, b);

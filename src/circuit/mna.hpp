@@ -7,11 +7,10 @@
 //
 // Stamping goes into triplets and lands in CSR (Gs()/Cs()) — for the
 // paper's multi-thousand-node unreduced nets a dense G/C is O(n^2)
-// memory before any solve happens. Dense views (G()/C()) are
-// materialized lazily for small systems and legacy callers.
+// memory before any solve happens. Callers that want a dense matrix
+// ask for Gs().to_dense().
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -28,16 +27,10 @@ class MnaSystem {
 
   std::size_t dim() const { return dim_; }
   std::size_t num_node_vars() const { return n_nodes_ - 1; }
-  std::size_t num_vsources() const { return n_vsrc_; }
 
   /// Sparse stamps — the primary storage.
   const SparseMatrix& Gs() const { return gs_; }
   const SparseMatrix& Cs() const { return cs_; }
-
-  /// Dense views, materialized on first use and cached. Not synchronized:
-  /// an MnaSystem is per-analysis state, never shared across threads.
-  const Matrix& G() const;
-  const Matrix& C() const;
 
   /// Right-hand side at time t (independent sources evaluated at t).
   Vector rhs(double t) const;
@@ -63,11 +56,11 @@ class MnaSystem {
   std::size_t n_vsrc_ = 0;
   std::size_t dim_ = 0;
   SparseMatrix gs_, cs_;
-  mutable std::optional<Matrix> g_dense_, c_dense_;
   // Per-source Pwl segment cursors for rhs_into (isources first, then
-  // vsources). Like the dense views: per-analysis state, not shared
-  // across threads. Stale cursors (e.g. after a source-waveform swap)
-  // are validated and re-seeded by at_hint, never trusted.
+  // vsources). Not synchronized: an MnaSystem is per-analysis state,
+  // never shared across threads. Stale cursors (e.g. after a
+  // source-waveform swap) are validated and re-seeded by at_hint, never
+  // trusted.
   mutable std::vector<std::size_t> src_cursor_;
 };
 

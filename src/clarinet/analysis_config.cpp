@@ -1,5 +1,6 @@
 #include "clarinet/analysis_config.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "util/units.hpp"
@@ -31,9 +32,12 @@ Status set_int(const json::Value& v, const char* what, int& out) {
   return Status::Ok();
 }
 
+/// Every numeric key rejects Inf/NaN here, once: a range check such as
+/// `x >= 0` passes Inf and is silently false for NaN.
 Status set_num(const json::Value& v, const char* what, double& out) {
   StatusOr<double> r = v.require_number(what);
   if (!r.ok()) return r.status();
+  if (!std::isfinite(*r)) return range_error(what, "must be finite");
   out = *r;
   return Status::Ok();
 }

@@ -223,12 +223,11 @@ double delay_for_peak_at(const Pwl& noiseless_sink, const Pwl& composite,
 
 }  // namespace
 
-namespace {
-
-AlignmentResult exhaustive_extremum_alignment(
-    const Pwl& noiseless_sink, const Pwl& composite, const GateParams& receiver,
-    double rcv_load, bool victim_rising, const AlignmentSearchOptions& opts,
-    bool maximize) {
+AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
+                                           const Pwl& composite,
+                                           const GateParams& receiver,
+                                           double rcv_load, bool victim_rising,
+                                           const AlignmentSearchOptions& opts) {
   const PulseParams pulse = measure_pulse(composite);
   const auto t50 = noiseless_sink.crossing(0.5 * receiver.vdd, victim_rising);
   if (!t50)
@@ -254,7 +253,6 @@ AlignmentResult exhaustive_extremum_alignment(
     if (hi <= lo) hi = lo + 1e-15;
   }
 
-  const double sign = maximize ? 1.0 : -1.0;
   // Batched probing: every probe in this search simulates the same
   // receiver topology into the same load — only the input waveform
   // differs — so one built circuit/simulator serves the whole search
@@ -283,9 +281,9 @@ AlignmentResult exhaustive_extremum_alignment(
                       opts.stale_jacobian_iters);
     auto out = session.try_run(noisy, spec);
     if (!out.ok()) raise(out.status());
-    return sign * measure_receiver_output(std::move(out).value(), out_rising,
-                                          receiver.vdd)
-                      .t_out_50;
+    return measure_receiver_output(std::move(out).value(), out_rising,
+                                   receiver.vdd)
+        .t_out_50;
   };
 
   // Coarse sweep over the FEASIBLE part of the span only: the pruned
@@ -339,31 +337,8 @@ AlignmentResult exhaustive_extremum_alignment(
   out.t_peak = best_t;
   out.shift = best_t - pulse.t_peak;
   out.align_voltage = noiseless_sink.at(best_t);
-  out.t_out_50 = sign * best_d;
+  out.t_out_50 = best_d;
   return out;
-}
-
-}  // namespace
-
-AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
-                                           const Pwl& composite,
-                                           const GateParams& receiver,
-                                           double rcv_load, bool victim_rising,
-                                           const AlignmentSearchOptions& opts) {
-  return exhaustive_extremum_alignment(noiseless_sink, composite, receiver,
-                                       rcv_load, victim_rising, opts,
-                                       /*maximize=*/true);
-}
-
-AlignmentResult exhaustive_speedup_alignment(const Pwl& noiseless_sink,
-                                             const Pwl& composite,
-                                             const GateParams& receiver,
-                                             double rcv_load,
-                                             bool victim_rising,
-                                             const AlignmentSearchOptions& opts) {
-  return exhaustive_extremum_alignment(noiseless_sink, composite, receiver,
-                                       rcv_load, victim_rising, opts,
-                                       /*maximize=*/false);
 }
 
 AlignmentResult receiver_input_peak_alignment(

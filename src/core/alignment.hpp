@@ -141,18 +141,6 @@ AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
                                            double rcv_load, bool victim_rising,
                                            const AlignmentSearchOptions& opts = {});
 
-/// Best-case (speed-up) alignment: aggressors switching WITH the victim
-/// inject aiding noise that DECREASES its delay (the other half of the
-/// paper's "its delay can either increase or decrease"). Sweeps the same
-/// space but minimizes the receiver-output crossing — the bound needed for
-/// early-arrival (hold) analysis.
-AlignmentResult exhaustive_speedup_alignment(const Pwl& noiseless_sink,
-                                             const Pwl& composite,
-                                             const GateParams& receiver,
-                                             double rcv_load,
-                                             bool victim_rising,
-                                             const AlignmentSearchOptions& opts = {});
-
 /// Method of [5]: maximize the RECEIVER INPUT (interconnect) delay by
 /// placing the pulse peak where the noiseless transition crosses
 /// Vdd/2 + Vn (rising victim; mirrored when falling). The receiver is then

@@ -108,46 +108,6 @@ RtrResult compute_rtr(const SuperpositionEngine& eng,
   return out;
 }
 
-AggressorRtrResult compute_aggressor_rtr(const SuperpositionEngine& eng, int k,
-                                         const RtrOptions& opts) {
-  const auto& agg = eng.net().aggressors.at(static_cast<std::size_t>(k));
-  const CeffResult& am = eng.aggressor_model(k);
-
-  AggressorRtrResult out;
-  out.rth = am.model.rth;
-  out.vn_linear = eng.victim_noise_on_aggressor(k);
-
-  const double dt = eng.options().dt;
-  const double cload = am.ceff;
-  // Injected current through the Figure 4(a) model with the aggressor's
-  // own Rth and effective load.
-  const Pwl in_cur = out.vn_linear.scaled(1.0 / out.rth) +
-                     differentiate(out.vn_linear, dt).scaled(cload);
-
-  // The held aggressor's input sits at its pre-transition level.
-  const Pwl ramp = eng.aggressor_input(k);
-  const double vin_quiet = ramp.values().front();
-  const Pwl vin = Pwl::constant(vin_quiet, 0.0, eng.options().horizon);
-  TransientSpec spec{0.0, eng.options().horizon, dt};
-  spec.stale_jacobian_iters = opts.stale_jacobian_iters;
-  GateSimCache cache;
-  GateSimCache* warm = opts.warm_start ? &cache : nullptr;
-
-  auto v1r = try_simulate_gate(agg.driver, vin, cload, spec, std::nullopt,
-                               warm);
-  if (!v1r.ok()) raise(v1r.status());
-  auto v2r = try_simulate_gate(agg.driver, vin, cload, spec, in_cur, warm);
-  if (!v2r.ok()) raise(v2r.status());
-  out.vn_nonlinear = *v2r - *v1r;
-
-  const double q_in = in_cur.integral();
-  const double a_vn = out.vn_nonlinear.integral();
-  double rtr = (std::abs(q_in) < 1e-24) ? out.rth : a_vn / q_in;
-  if (!(rtr > 0.0) || !std::isfinite(rtr)) rtr = out.rth;
-  out.rtr = std::clamp(rtr, opts.r_min, opts.r_max);
-  return out;
-}
-
 double quiet_holding_resistance(const GateParams& driver, bool output_high,
                                 double ceff, double probe_width,
                                 double probe_amp) {

@@ -79,22 +79,6 @@ RtrResult compute_rtr(const SuperpositionEngine& eng,
 /// Differentiates a waveform numerically on a uniform grid of step dt.
 Pwl differentiate(const Pwl& w, double dt);
 
-/// Extension (paper Section 2, last paragraph): transient holding
-/// resistance of a HELD (shorted) aggressor driver while the victim
-/// switches. The victim transition couples noise onto the aggressor net;
-/// the aggressor driver absorbs it with its quiet-state conductance, which
-/// the aggregate Rth misrepresents. Computed with the same area-matching
-/// construction, except the driver input is constant, so the noiseless
-/// response V1 is just the quiet rail and V'n = V2 - V1 directly.
-struct AggressorRtrResult {
-  double rtr = 0.0;
-  double rth = 0.0;
-  Pwl vn_linear;      // Victim-induced noise at the aggressor root (Rth held).
-  Pwl vn_nonlinear;   // Nonlinear aggressor response to the injected current.
-};
-AggressorRtrResult compute_aggressor_rtr(const SuperpositionEngine& eng, int k,
-                                         const RtrOptions& opts = {});
-
 /// Holding resistance of a QUIET victim (functional-noise analysis): the
 /// driver sits at a rail, where its conductance is triode-strong — far
 /// stronger than the transition-aggregate Rth. Same area-matching recipe

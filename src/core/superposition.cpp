@@ -160,19 +160,7 @@ SuperpositionEngine::Waveforms SuperpositionEngine::run_victim() const {
   w.at_root = res->waveform(vmap[0]);
   w.at_sink =
       res->waveform(vmap[static_cast<std::size_t>(net_.victim.net.sink)]);
-  // Record the noise the victim injects on each aggressor root (the nets
-  // are at 0 quiet level in this circuit, so the waveform IS the noise).
-  for (std::size_t j = 0; j < amaps.size(); ++j)
-    victim_on_aggressor_cache_[static_cast<int>(j)] =
-        res->waveform(amaps[j][0]);
   return w;
-}
-
-const Pwl& SuperpositionEngine::victim_noise_on_aggressor(int k) const {
-  if (k < 0 || static_cast<std::size_t>(k) >= net_.aggressors.size())
-    throw std::out_of_range("victim_noise_on_aggressor: bad index");
-  victim_transition();  // Ensure the victim run populated the cache.
-  return victim_on_aggressor_cache_.at(k);
 }
 
 const SuperpositionEngine::Waveforms& SuperpositionEngine::aggressor_noise(

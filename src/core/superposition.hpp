@@ -75,11 +75,6 @@ class SuperpositionEngine {
   /// Noiseless victim transition (absolute waveforms), aggressors held.
   const Waveforms& victim_transition() const;
 
-  /// Noise the victim transition induces on aggressor k's root (deviation
-  /// from the aggressor's quiet level) — the Figure 1(c) side effect used
-  /// by the aggressor-Rtr extension. Cached.
-  const Pwl& victim_noise_on_aggressor(int k) const;
-
   /// Sum of all aggressor noise waveforms at the victim sink, each shifted
   /// by shifts[k], victim held with holding_r. `active`, when non-null,
   /// masks aggressors out of the sum (window/correlation pruning): entry
@@ -119,7 +114,6 @@ class SuperpositionEngine {
   std::vector<CeffResult> aggressor_models_;
   mutable std::map<std::pair<int, double>, Waveforms> noise_cache_;
   mutable std::optional<Waveforms> victim_cache_;
-  mutable std::map<int, Pwl> victim_on_aggressor_cache_;
 };
 
 }  // namespace dn

@@ -4,7 +4,9 @@
 // receiver gate, we precalculate... after which the alignment for any
 // instantiation of the gate is obtained easily through table lookup") needs
 // a notion of gate *types* shared across instances; this library provides
-// the named cells that the workload generators and STA layer draw from.
+// named cells for it. Only examples/library_characterization and the tests
+// use it: the random workload generators build their GateParams directly,
+// and the STA layer works on per-gate delays, not cells.
 #pragma once
 
 #include <string>

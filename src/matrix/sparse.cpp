@@ -134,11 +134,6 @@ Matrix SparseMatrix::to_dense() const {
   return m;
 }
 
-bool SparseMatrix::same_pattern(const SparseMatrix& other) const {
-  return rows_ == other.rows_ && cols_ == other.cols_ &&
-         row_ptr_ == other.row_ptr_ && col_ == other.col_;
-}
-
 // ---------------------------------------------------------------------------
 // Fill-reducing ordering.
 // ---------------------------------------------------------------------------

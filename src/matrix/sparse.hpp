@@ -82,9 +82,6 @@ class SparseMatrix {
 
   Matrix to_dense() const;
 
-  /// True when `other` has the identical CSR pattern (shape + structure).
-  bool same_pattern(const SparseMatrix& other) const;
-
  private:
   std::size_t rows_ = 0, cols_ = 0;
   std::vector<std::size_t> row_ptr_ = {0};

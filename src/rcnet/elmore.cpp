@@ -1,7 +1,5 @@
 #include "rcnet/elmore.hpp"
 
-#include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 namespace dn {
@@ -80,34 +78,9 @@ TreeMoments tree_moments(const RcTree& tree,
           to.r_up[static_cast<std::size_t>(u)] *
               cdown[static_cast<std::size_t>(u)];
   }
-  // Second moment: subtree sum of C_k * elmore_k upward, then accumulate
-  // resistance-weighted downward (Rubinstein-Penfield style recurrence).
-  std::vector<double> b(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) b[i] = cap[i] * elmore[i];
-  for (auto it = to.order.rbegin(); it != to.order.rend(); ++it) {
-    const int u = *it;
-    const int p = to.parent[static_cast<std::size_t>(u)];
-    if (p >= 0) b[static_cast<std::size_t>(p)] += b[static_cast<std::size_t>(u)];
-  }
-  std::vector<double> t2(n, 0.0);
-  for (const int u : to.order) {
-    const int p = to.parent[static_cast<std::size_t>(u)];
-    if (p >= 0)
-      t2[static_cast<std::size_t>(u)] =
-          t2[static_cast<std::size_t>(p)] +
-          to.r_up[static_cast<std::size_t>(u)] * b[static_cast<std::size_t>(u)];
-  }
-
   TreeMoments m;
   m.m1.resize(n);
-  m.m2.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    m.m1[i] = -elmore[i];
-    // Second moment of an RC tree: m2(i) = sum_k R_ik C_k Elmore(k) = t2
-    // (single-RC check: m2 = R^2 C^2, giving D2M = RC ln2, the exact 50%
-    // delay of a single pole).
-    m.m2[i] = t2[i];
-  }
+  for (std::size_t i = 0; i < n; ++i) m.m1[i] = -elmore[i];
   return m;
 }
 
@@ -115,15 +88,6 @@ double elmore_delay(const RcTree& tree, int node,
                     const std::vector<double>& extra_cap) {
   const TreeMoments m = tree_moments(tree, extra_cap);
   return -m.m1.at(static_cast<std::size_t>(node));
-}
-
-double d2m_delay(const RcTree& tree, int node,
-                 const std::vector<double>& extra_cap) {
-  const TreeMoments m = tree_moments(tree, extra_cap);
-  const double m1 = m.m1.at(static_cast<std::size_t>(node));
-  const double m2 = m.m2.at(static_cast<std::size_t>(node));
-  if (m2 <= 0) return -m1 * std::numbers::ln2;  // Degenerate: fall back.
-  return m1 * m1 / std::sqrt(m2) * std::numbers::ln2;
 }
 
 }  // namespace dn

@@ -1,10 +1,10 @@
 // Closed-form interconnect delay estimates on RC trees.
 //
-// Elmore delay (the first moment of the impulse response) and the D2M
-// "delay with two moments" metric. These are the quick estimators every
-// timing flow keeps next to simulation: the noise tool uses them for
-// net ordering/filtering (cf. Guardiani et al.'s crosstalk net sorting),
-// and the tests validate them against the transient simulator.
+// Elmore delay: the first moment of the impulse response. It is the
+// quick estimator every timing flow keeps next to simulation: the noise
+// tool uses it for net ordering/filtering (cf. Guardiani et al.'s
+// crosstalk net sorting), and the tests validate it against the
+// transient simulator.
 #pragma once
 
 #include <vector>
@@ -13,14 +13,13 @@
 
 namespace dn {
 
-/// First and second moments (m1, m2) of the transfer function from the
-/// root (node 0, driven ideally) to every node of the tree.
+/// First moment m1 of the transfer function from the root (node 0,
+/// driven ideally) to every node of the tree.
 struct TreeMoments {
   std::vector<double> m1;  // -m1[n] = Elmore delay to node n [s].
-  std::vector<double> m2;  // Second moment [s^2].
 };
 
-/// Computes moments by the standard tree traversal. `extra_cap[n]` (may be
+/// Computes m1 by the standard tree traversal. `extra_cap[n]` (may be
 /// empty) adds lumped grounded cap per node (pin loads, grounded coupling).
 /// Requires a tree (exactly one resistive path root->node); throws on
 /// resistor loops.
@@ -30,10 +29,5 @@ TreeMoments tree_moments(const RcTree& tree,
 /// Elmore delay to `node` [s] (= -m1).
 double elmore_delay(const RcTree& tree, int node,
                     const std::vector<double>& extra_cap = {});
-
-/// D2M metric of Alpert et al.: D2M = m1^2 / sqrt(m2) * ln(2) — a tighter
-/// 50% delay estimate than Elmore for far-from-root nodes.
-double d2m_delay(const RcTree& tree, int node,
-                 const std::vector<double>& extra_cap = {});
 
 }  // namespace dn

@@ -404,11 +404,4 @@ StatusOr<CoupledNet> try_read_spef_file(const std::string& path) {
   return try_read_spef(f);
 }
 
-void write_spef_file(const std::string& path, const CoupledNet& net,
-                     const std::string& design) {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("spef: cannot open '" + path + "' for write");
-  write_spef(f, net, design);
-}
-
 }  // namespace dn

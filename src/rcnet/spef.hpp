@@ -40,7 +40,4 @@ StatusOr<CoupledNet> try_read_spef(std::istream& is);
 /// File variant: kNotFound when the file cannot be opened.
 StatusOr<CoupledNet> try_read_spef_file(const std::string& path);
 
-void write_spef_file(const std::string& path, const CoupledNet& net,
-                     const std::string& design = "dnoise");
-
 }  // namespace dn

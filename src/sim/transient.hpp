@@ -142,7 +142,6 @@ class StepController {
   bool crossed_breakpoint(double t0, double t1);
 
   bool adaptive() const { return adaptive_; }
-  double reference_dt() const { return dt_ref_; }
 
  private:
   double quantize(double dt) const;  // Snap down to a dt_ref * 2^k rung.

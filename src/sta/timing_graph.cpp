@@ -54,10 +54,6 @@ const std::string& TimingGraph::net_name(int id) const {
   return names_.at(static_cast<std::size_t>(id));
 }
 
-bool TimingGraph::is_primary_input(int id) const {
-  return driver_of_.at(static_cast<std::size_t>(id)) == -1;
-}
-
 double TimingGraph::gate_delay(int output_net) const {
   const int g = driver_of_.at(static_cast<std::size_t>(output_net));
   if (g < 0) throw std::invalid_argument("TimingGraph: net has no gate");

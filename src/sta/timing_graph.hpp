@@ -33,7 +33,6 @@ class TimingGraph {
   int net_id(const std::string& name) const;  // Throws if unknown.
   const std::string& net_name(int id) const;
   int num_nets() const { return static_cast<int>(names_.size()); }
-  bool is_primary_input(int id) const;
   double gate_delay(int output_net) const;  // Throws for PIs.
 
   struct Windows {

@@ -30,16 +30,6 @@ std::vector<Degradation> dedup_degradations(std::vector<Degradation> log) {
   return out;
 }
 
-bool DegradePolicy::allows(DegradeKind k) const {
-  switch (k) {
-    case DegradeKind::kRtrToRth: return rtr_to_rth;
-    case DegradeKind::kTableToVdd2: return table_to_vdd2;
-    case DegradeKind::kSparseToDense: return sparse_to_dense;
-    case DegradeKind::kCount: break;
-  }
-  return false;
-}
-
 namespace degrade {
 
 namespace {

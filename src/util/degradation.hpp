@@ -50,8 +50,6 @@ struct DegradePolicy {
   bool sparse_to_dense = true;
   /// Nothing in src/ reads this; perfbench/ still sets it (see ROADMAP).
   bool mor_to_unreduced = true;
-
-  bool allows(DegradeKind k) const;
 };
 
 namespace degrade {

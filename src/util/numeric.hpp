@@ -12,9 +12,6 @@
 
 namespace dn {
 
-/// Relative/absolute comparison helper: |a-b| <= atol + rtol*max(|a|,|b|).
-bool almost_equal(double a, double b, double rtol = 1e-9, double atol = 1e-12);
-
 /// True when every element is finite (no NaN/Inf). The simulators guard
 /// each accepted step with this so numerical blow-ups surface as
 /// kNumericError instead of propagating garbage into the report.
@@ -31,36 +28,15 @@ inline double lerp(double x0, double y0, double x1, double y1, double x) {
   return y0 + (y1 - y0) * (x - x0) / (x1 - x0);
 }
 
-/// Clamped linear interpolation over tabulated, strictly increasing xs.
-/// Outside the table the boundary value is returned (no extrapolation).
-double interp1(std::span<const double> xs, std::span<const double> ys, double x);
-
-/// Bilinear interpolation on a 2-D table. `z[i*nx + j]` holds z(ys[i], xs[j]).
-/// Clamps outside the grid.
-double interp2(std::span<const double> xs, std::span<const double> ys,
-               std::span<const double> z, double x, double y);
-
 /// Bisection root finding of f on [lo, hi]; requires a sign change.
 /// Returns std::nullopt if f(lo) and f(hi) have the same sign.
 std::optional<double> bisect(const std::function<double(double)>& f, double lo,
                              double hi, double xtol = 1e-15, int max_iter = 200);
 
-/// Golden-section minimization of a unimodal f on [lo, hi].
-double golden_min(const std::function<double(double)>& f, double lo, double hi,
-                  double xtol = 1e-12, int max_iter = 200);
-
 /// Trapezoidal integral of samples ys over abscissae xs (same length).
 double trapz(std::span<const double> xs, std::span<const double> ys);
 
-/// Newton's method with step damping for a scalar equation f(x)=0.
-/// `dfdx` is evaluated by central finite differences with step h.
-std::optional<double> newton_fd(const std::function<double(double)>& f, double x0,
-                                double h, double ftol = 1e-12, int max_iter = 100);
-
 /// Evenly spaced grid of n points from lo to hi inclusive (n >= 2).
 std::vector<double> linspace(double lo, double hi, int n);
-
-/// Log-spaced grid of n points from lo to hi inclusive (lo, hi > 0, n >= 2).
-std::vector<double> logspace(double lo, double hi, int n);
 
 }  // namespace dn

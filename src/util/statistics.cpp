@@ -13,19 +13,6 @@ double mean(std::span<const double> v) {
   return acc / static_cast<double>(v.size());
 }
 
-double stddev(std::span<const double> v) {
-  if (v.size() < 2) return 0.0;
-  const double m = mean(v);
-  double acc = 0.0;
-  for (double x : v) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(v.size() - 1));
-}
-
-double min_of(std::span<const double> v) {
-  if (v.empty()) throw std::invalid_argument("min_of: empty");
-  return *std::min_element(v.begin(), v.end());
-}
-
 double max_of(std::span<const double> v) {
   if (v.empty()) throw std::invalid_argument("max_of: empty");
   return *std::max_element(v.begin(), v.end());

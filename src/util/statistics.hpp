@@ -8,8 +8,6 @@
 namespace dn {
 
 double mean(std::span<const double> v);
-double stddev(std::span<const double> v);  // Sample standard deviation.
-double min_of(std::span<const double> v);
 double max_of(std::span<const double> v);
 double median(std::span<const double> v);
 double percentile(std::span<const double> v, double p);  // p in [0,100].

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -96,6 +97,26 @@ TEST(AnalysisConfig, ApplyHasTheStrongGuarantee) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(cfg.to_json_text(), before);
   EXPECT_EQ(cfg.batch.jobs, 5);
+}
+
+// Inf passes a `>= 0` range check and NaN fails every comparison
+// silently, so non-finite numbers are rejected where they are read, with
+// the key named, and the config is left as it was.
+TEST(AnalysisConfig, NonFiniteNumbersAreRejected) {
+  for (const char* key : {"lte_tol", "deadline_ms"}) {
+    for (const double bad : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      AnalysisConfig cfg;
+      ASSERT_TRUE(cfg.apply(*json::parse("{\"jobs\":5}")).ok());
+      const std::string before = cfg.to_json_text();
+      json::Object o;
+      o[key] = bad;
+      const Status s = cfg.apply(json::Value(std::move(o)));
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << key << "=" << bad;
+      EXPECT_EQ(s.message(), std::string("config: ") + key + " must be finite");
+      EXPECT_EQ(cfg.to_json_text(), before) << key << "=" << bad;
+    }
+  }
 }
 
 // The single-threshold screen is gone (the fidelity ladder is the only

@@ -61,7 +61,7 @@ TEST(Mna, VoltageDividerDc) {
   c.add_resistor(v1, v2, 1 * kOhm);
   c.add_resistor(v2, kGround, 3 * kOhm);
   MnaSystem mna(c);
-  auto lu = LuFactor::make(mna.G());
+  auto lu = LuFactor::make(mna.Gs().to_dense());
   ASSERT_TRUE(lu.ok());
   const Vector x = lu->solve(mna.rhs(0.0));
   EXPECT_NEAR(mna.node_voltage(x, v1), 1.0, 1e-9);
@@ -76,7 +76,7 @@ TEST(Mna, CurrentSourceIntoResistor) {
   c.add_resistor(a, kGround, 2 * kOhm);
   c.add_isource(a, kGround, Pwl::constant(1 * mA));
   MnaSystem mna(c);
-  auto lu = LuFactor::make(mna.G());
+  auto lu = LuFactor::make(mna.Gs().to_dense());
   ASSERT_TRUE(lu.ok());
   const Vector x = lu->solve(mna.rhs(0.0));
   EXPECT_NEAR(mna.node_voltage(x, a), 2.0, 1e-6);
@@ -89,7 +89,7 @@ TEST(Mna, CouplingCapStampSymmetry) {
   c.add_capacitor(a, b, 10 * fF);
   c.add_capacitor(a, kGround, 4 * fF);
   MnaSystem mna(c);
-  const auto& cm = mna.C();
+  const Matrix cm = mna.Cs().to_dense();
   const std::size_t ia = mna.node_index(a), ib = mna.node_index(b);
   EXPECT_NEAR(cm(ia, ia), 14 * fF, 1e-20);
   EXPECT_NEAR(cm(ib, ib), 10 * fF, 1e-20);
@@ -114,9 +114,9 @@ TEST(Mna, MosfetCapsEnterCMatrix) {
   MnaSystem mna(c);
   const std::size_t ig = mna.node_index(g);
   // Gate sees cgs + cgd.
-  EXPECT_NEAR(mna.C()(ig, ig), p.cgs() + p.cgd(), 1e-20);
+  EXPECT_NEAR(mna.Cs().at(ig, ig), p.cgs() + p.cgd(), 1e-20);
   const std::size_t idd = mna.node_index(d);
-  EXPECT_NEAR(mna.C()(idd, ig), -p.cgd(), 1e-22);
+  EXPECT_NEAR(mna.Cs().at(idd, ig), -p.cgd(), 1e-22);
 }
 
 }  // namespace

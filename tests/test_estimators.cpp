@@ -1,5 +1,5 @@
-// Tests for the estimator / table additions: Elmore & D2M moments
-// (validated against the transient simulator), the bus topology builder,
+// Tests for the estimator / table additions: Elmore moments (validated
+// against the transient simulator), the bus topology builder,
 // and the pre-characterized Thevenin table.
 #include <gtest/gtest.h>
 
@@ -20,8 +20,6 @@ TEST(Elmore, SingleRcIsExact) {
   t.caps.push_back({1, 100 * fF});
   t.sink = 1;
   EXPECT_NEAR(elmore_delay(t, 1), 1000.0 * 100 * fF, 1e-18);
-  // D2M of a single pole equals the exact 50% delay RC*ln2.
-  EXPECT_NEAR(d2m_delay(t, 1), 1000.0 * 100 * fF * 0.6931471805599453, 1e-16);
 }
 
 TEST(Elmore, LineMatchesClosedForm) {
@@ -44,9 +42,9 @@ TEST(Elmore, ExtraCapAddsDelay) {
   EXPECT_GT(elmore_delay(t, 5, extra), elmore_delay(t, 5) + 10 * ps);
 }
 
-TEST(Elmore, D2mBracketsSimulated50PercentDelay) {
-  // Step-driven line: the simulated 50% delay must lie between D2M (tight,
-  // slightly optimistic for near nodes) and Elmore (pessimistic bound).
+TEST(Elmore, BoundsSimulated50PercentDelay) {
+  // Step-driven line: Elmore is a pessimistic bound on the simulated 50%
+  // delay, and stays within a factor of two of it.
   const RcTree t = make_line(10, 2 * kOhm, 200 * fF);
   Circuit ckt;
   const auto map = t.instantiate(ckt, "n");
@@ -57,10 +55,8 @@ TEST(Elmore, D2mBracketsSimulated50PercentDelay) {
     const double t50 =
         *res.waveform(map[static_cast<std::size_t>(node)]).crossing(0.5, true);
     const double el = elmore_delay(t, node);
-    const double d2m = d2m_delay(t, node);
-    EXPECT_LT(t50, el) << "node " << node;        // Elmore over-estimates.
-    EXPECT_GT(t50, 0.6 * d2m) << "node " << node; // D2M is the tight side.
-    EXPECT_LT(d2m, el) << "node " << node;
+    EXPECT_LT(t50, el) << "node " << node;  // Elmore over-estimates.
+    EXPECT_GT(t50, 0.5 * el) << "node " << node;
   }
 }
 

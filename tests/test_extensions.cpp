@@ -1,10 +1,7 @@
-// Tests for the paper's extension features: aggressor-side transient
-// holding resistance (Section 2, last paragraph), quiet-victim holding
-// resistance + functional noise, and speed-up (delay-decreasing) noise.
+// Tests for the paper's extension features: quiet-victim holding
+// resistance and functional noise.
 #include <gtest/gtest.h>
 
-#include "core/alignment.hpp"
-#include "core/composite_pulse.hpp"
 #include "core/functional_noise.hpp"
 #include "core/holding_resistance.hpp"
 #include "rcnet/random_nets.hpp"
@@ -14,35 +11,6 @@ namespace dn {
 namespace {
 
 using namespace dn::units;
-
-TEST(AggressorRtr, VictimInducesNoiseOnAggressor) {
-  const CoupledNet net = example_coupled_net(1);
-  SuperpositionEngine eng(net);
-  const Pwl& noise = eng.victim_noise_on_aggressor(0);
-  // Rising victim pushes the (quiet-high... quiet at 0-deviation) aggressor
-  // net up through the coupling caps.
-  EXPECT_GT(noise.peak().value, 0.01);
-  EXPECT_NEAR(noise.at(noise.t_end()), 0.0, 2e-3);
-  EXPECT_THROW(eng.victim_noise_on_aggressor(7), std::out_of_range);
-}
-
-TEST(AggressorRtr, QuietAggressorHoldsStrongerThanRth) {
-  // A held driver sits at a rail in deep triode: its transient holding
-  // resistance must come out well BELOW the transition-aggregate Rth.
-  const CoupledNet net = example_coupled_net(1);
-  SuperpositionEngine eng(net);
-  const AggressorRtrResult r = compute_aggressor_rtr(eng, 0);
-  EXPECT_GT(r.rth, 0.0);
-  // Strictly below Rth (triode at the rail), though not dramatically so
-  // for a strong driver whose aggregate Rth is already near its triode
-  // resistance.
-  EXPECT_LT(r.rtr, r.rth);
-  EXPECT_GT(r.rtr, 0.3 * r.rth);
-  EXPECT_FALSE(r.vn_linear.empty());
-  EXPECT_FALSE(r.vn_nonlinear.empty());
-  // Same polarity pulses.
-  EXPECT_GT(r.vn_linear.peak().value * r.vn_nonlinear.peak().value, 0.0);
-}
 
 TEST(QuietHolding, RailHoldingIsTriodeStrong) {
   GateParams inv;
@@ -104,41 +72,6 @@ TEST(FunctionalNoise, RisingAggressorsAttackQuietLow) {
   const FunctionalNoiseResult r = analyze_functional_noise(eng);
   EXPECT_FALSE(r.victim_quiet_high);
   EXPECT_GT(r.sink_noise.peak().value, 0.0);  // Upward pulse.
-}
-
-TEST(SpeedupNoise, AidingAggressorReducesDelay) {
-  // Aggressor switching WITH the victim: the composite pulse aids the
-  // transition and the best-case alignment must beat the nominal delay.
-  CoupledNet net = example_coupled_net(1);
-  net.aggressors[0].output_rising = true;  // Same direction as the victim.
-  SuperpositionEngine eng(net);
-  const double rth = eng.victim_model().model.rth;
-  const CompositeAlignment comp = align_aggressor_peaks(eng, rth);
-  EXPECT_GT(comp.params.height, 0.0);  // Aiding (positive on a rising victim).
-
-  const auto& vt = eng.victim_transition();
-  const GateParams& rcv = net.victim.receiver;
-  const double load = net.victim.receiver_load;
-  const double nominal = evaluate_receiver(rcv, vt.at_sink, load, true).t_out_50;
-  const AlignmentResult best = exhaustive_speedup_alignment(
-      vt.at_sink, comp.at_sink, rcv, load, true);
-  EXPECT_LT(best.t_out_50, nominal - 5 * ps);
-}
-
-TEST(SpeedupNoise, SpeedupBoundsWorstCaseFromBelow) {
-  CoupledNet net = example_coupled_net(1);
-  net.aggressors[0].output_rising = true;
-  SuperpositionEngine eng(net);
-  const double rth = eng.victim_model().model.rth;
-  const CompositeAlignment comp = align_aggressor_peaks(eng, rth);
-  const auto& vt = eng.victim_transition();
-  const GateParams& rcv = net.victim.receiver;
-  const double load = net.victim.receiver_load;
-  const AlignmentResult lo = exhaustive_speedup_alignment(
-      vt.at_sink, comp.at_sink, rcv, load, true);
-  const AlignmentResult hi = exhaustive_worst_alignment(
-      vt.at_sink, comp.at_sink, rcv, load, true);
-  EXPECT_LE(lo.t_out_50, hi.t_out_50);
 }
 
 }  // namespace

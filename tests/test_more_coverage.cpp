@@ -98,8 +98,8 @@ TEST(Descriptor, MultiInputMultiOutput) {
   ckt.add_capacitor(a, kGround, 10 * fF);
   ckt.add_capacitor(b, kGround, 20 * fF);
   MnaSystem mna(ckt);
-  DescriptorSystem sys{mna.G(), mna.C(), Matrix(mna.dim(), 2),
-                       Matrix(mna.dim(), 2)};
+  DescriptorSystem sys{mna.Gs().to_dense(), mna.Cs().to_dense(),
+                       Matrix(mna.dim(), 2), Matrix(mna.dim(), 2)};
   sys.B(mna.node_index(a), 0) = 1.0;
   sys.B(mna.node_index(b), 1) = 1.0;
   sys.L(mna.node_index(a), 0) = 1.0;
@@ -145,7 +145,7 @@ TEST(MnaCorner, VSourceBranchCurrentSigns) {
   const int v2 = ckt.add_vsource(b, kGround, Pwl::constant(1.0));
   ckt.add_resistor(a, b, 1 * kOhm);
   MnaSystem mna(ckt);
-  auto lu = LuFactor::make(mna.G());
+  auto lu = LuFactor::make(mna.Gs().to_dense());
   ASSERT_TRUE(lu.ok());
   const Vector x = lu->solve(mna.rhs(0.0));
   // 1 mA flows a -> b; source 1 supplies it (current out of + terminal,

@@ -23,8 +23,8 @@ DescriptorSystem rc_line_system(int segments, double r_total, double c_total,
   ckt.add_resistor(map[0], kGround, r_gnd);
   MnaSystem mna(ckt);
   DescriptorSystem sys;
-  sys.G = mna.G();
-  sys.C = mna.C();
+  sys.G = mna.Gs().to_dense();
+  sys.C = mna.Cs().to_dense();
   sys.B = Matrix(mna.dim(), 1);
   sys.B(mna.node_index(map[0]), 0) = 1.0;  // Unit current into the root.
   sys.L = Matrix(mna.dim(), 1);
@@ -133,7 +133,8 @@ TEST(Prima, DeflationStopsAtKrylovExhaustion) {
   ckt.add_capacitor(a, kGround, 10 * fF);
   ckt.add_capacitor(b, kGround, 10 * fF);
   MnaSystem mna(ckt);
-  DescriptorSystem sys{mna.G(), mna.C(), Matrix(2, 1), Matrix(2, 1)};
+  DescriptorSystem sys{mna.Gs().to_dense(), mna.Cs().to_dense(), Matrix(2, 1),
+                       Matrix(2, 1)};
   sys.B(0, 0) = 1.0;
   sys.L(1, 0) = 1.0;
   const ReducedModel rm = prima(sys, 10);

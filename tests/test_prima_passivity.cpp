@@ -29,8 +29,8 @@ DescriptorSystem random_rc_system(Rng& rng, int* states_out) {
                       rng.log_uniform(1 * fF, 20 * fF));
   }
   MnaSystem mna(ckt);
-  DescriptorSystem sys{mna.G(), mna.C(), Matrix(mna.dim(), 1),
-                       Matrix(mna.dim(), 1)};
+  DescriptorSystem sys{mna.Gs().to_dense(), mna.Cs().to_dense(),
+                       Matrix(mna.dim(), 1), Matrix(mna.dim(), 1)};
   sys.B(mna.node_index(map[0]), 0) = 1.0;
   sys.L(mna.node_index(map[static_cast<std::size_t>(line.sink)]), 0) = 1.0;
   if (states_out) *states_out = static_cast<int>(mna.dim());

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "rcnet/random_nets.hpp"
@@ -131,7 +132,10 @@ TEST(Spef, RejectsUnknownGateType) {
 TEST(Spef, FileRoundTrip) {
   const CoupledNet net = example_coupled_net(1);
   const std::string path = ::testing::TempDir() + "/dn_test.spef";
-  write_spef_file(path, net);
+  {
+    std::ofstream f(path);
+    write_spef(f, net);
+  }
   StatusOr<CoupledNet> back = try_read_spef_file(path);
   ASSERT_TRUE(back.ok()) << back.status().to_string();
   expect_nets_equal(net, *back);

@@ -12,17 +12,14 @@ namespace {
 TEST(Stats, MeanStddev) {
   const std::vector<double> v{2, 4, 4, 4, 5, 5, 7, 9};
   EXPECT_DOUBLE_EQ(mean(v), 5.0);
-  EXPECT_NEAR(stddev(v), std::sqrt(32.0 / 7.0), 1e-12);
 }
 
 TEST(Stats, MeanOfEmptyIsZero) {
   EXPECT_DOUBLE_EQ(mean(std::vector<double>{}), 0.0);
-  EXPECT_DOUBLE_EQ(stddev(std::vector<double>{1.0}), 0.0);
 }
 
 TEST(Stats, MinMaxMedian) {
   const std::vector<double> v{3, 1, 4, 1, 5};
-  EXPECT_DOUBLE_EQ(min_of(v), 1.0);
   EXPECT_DOUBLE_EQ(max_of(v), 5.0);
   EXPECT_DOUBLE_EQ(median(v), 3.0);
 }
