@@ -7,7 +7,8 @@
 # characterization cache and the worker pool), a fuzz smoke stage over
 # the SPEF parser, and a chaos stage that runs a batch under injected
 # faults at every site and demands degraded-not-crashed, job-count-
-# independent output (DESIGN.md §10), plus server and CLI smokes.
+# independent output (DESIGN.md §10), a fault-free jobs-1 vs jobs-4
+# determinism check, plus server and CLI smokes.
 #
 # Usage: scripts/check.sh [--no-asan] [--no-tsan] [--no-fuzz] [--no-chaos]
 #                         [--no-bench]
@@ -54,7 +55,8 @@ if [[ "$run_asan" == 1 ]]; then
   ./build-asan/tests/test_pwl
   ./build-asan/tests/test_numeric
   # The driver-model numerics: closed-form crossing solve, secant Ceff
-  # iteration, and the V1 sim shared across Rtr extractions.
+  # iteration, and the Rtr driver session (V1 checkpoints, V2 resumed
+  # from them and spliced onto V1's grid).
   ./build-asan/tests/test_thevenin
   ./build-asan/tests/test_ceff
   ./build-asan/tests/test_rtr
@@ -190,6 +192,21 @@ PY
   ./build-native/tests/test_matrix
   ./build-native/tests/test_arena
 fi
+
+echo "== determinism: fault-free random batch, --jobs 1 vs --jobs 4 =="
+# Per-net state (the Rtr driver session resumed from V1 checkpoints, the
+# characterization cache) must never leak across nets or depend on the
+# schedule: the JSON report is byte-identical at any job count.
+./build/tools/dnoise_cli --batch --random 40 --seed 3 --json --jobs 1 \
+  2>/dev/null > build/determinism_j1.json
+./build/tools/dnoise_cli --batch --random 40 --seed 3 --json --jobs 4 \
+  2>/dev/null > build/determinism_j4.json
+if ! cmp -s build/determinism_j1.json build/determinism_j4.json; then
+  echo "determinism: --batch --random 40 --seed 3 --json differs between" \
+       "--jobs 1 and --jobs 4" >&2
+  exit 1
+fi
+echo "determinism: 40-net report byte-identical at --jobs 1 and --jobs 4"
 
 echo "== server smoke: scripted NDJSON session against --serve =="
 # A pipelined session: load a design, analyze, apply an ECO, re-analyze

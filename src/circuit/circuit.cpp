@@ -62,11 +62,19 @@ void Circuit::set_vsource_waveform(int k, Pwl v) {
   vsources_[static_cast<std::size_t>(k)].v = std::move(v);
 }
 
-void Circuit::add_isource(NodeId into, NodeId from, Pwl i) {
+int Circuit::add_isource(NodeId into, NodeId from, Pwl i) {
   check_node(into);
   check_node(from);
   if (i.empty()) throw std::invalid_argument("Circuit: empty isource waveform");
   isources_.push_back({into, from, std::move(i)});
+  return static_cast<int>(isources_.size()) - 1;
+}
+
+void Circuit::set_isource_waveform(int k, Pwl i) {
+  if (k < 0 || static_cast<std::size_t>(k) >= isources_.size())
+    throw std::invalid_argument("Circuit: bad isource index");
+  if (i.empty()) throw std::invalid_argument("Circuit: empty isource waveform");
+  isources_[static_cast<std::size_t>(k)].i = std::move(i);
 }
 
 void Circuit::add_mosfet(NodeId d, NodeId g, NodeId s, const MosfetParams& params) {

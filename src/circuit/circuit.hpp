@@ -72,7 +72,12 @@ class Circuit {
   /// waveforms this way instead of rebuilding circuit + simulator per
   /// probe.
   void set_vsource_waveform(int k, Pwl v);
-  void add_isource(NodeId into, NodeId from, Pwl i);
+  /// Returns the source index (for set_isource_waveform).
+  int add_isource(NodeId into, NodeId from, Pwl i);
+  /// Replaces isource `k`'s waveform in place; the same contract as
+  /// set_vsource_waveform (the Rtr extraction re-drives one built driver
+  /// simulator through each injected noise current this way).
+  void set_isource_waveform(int k, Pwl i);
   void add_mosfet(NodeId d, NodeId g, NodeId s, const MosfetParams& params);
 
   const std::vector<Resistor>& resistors() const { return resistors_; }

@@ -162,7 +162,6 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
     a.engine.ceff.warm_start = warm;
     a.analysis.search.warm_start = warm;
     a.table_spec.search.warm_start = warm;
-    a.analysis.rtr.warm_start = warm;
     return Status::Ok();
   }
   return Status::InvalidArgument("config: unknown key \"" + key + "\"");

@@ -21,9 +21,12 @@
 // the caller passes the aggressor shifts in effect.
 #pragma once
 
+#include <optional>
 #include <vector>
 
+#include "circuit/circuit.hpp"
 #include "core/superposition.hpp"
+#include "sim/nonlinear_sim.hpp"
 
 namespace dn {
 
@@ -31,6 +34,14 @@ namespace dn {
 /// measures the small DIFFERENCE V2 - V1 of two nearly identical
 /// transitions, which only stays clean when both sims share one grid so
 /// their discretization error cancels.
+///
+/// V2 is simulated only over the window where the injected current
+/// matters (DESIGN.md §5): it resumes from V1's checkpointed state at the
+/// last grid sample where In is still exactly zero (V'n is exactly 0
+/// before that), and stops at the first grid sample after which the |In|
+/// charge still to come is at most rel_tol / 100 of the total (V2 := V1
+/// after it, and integral(In) is taken over the same span). The cut is
+/// derived from rel_tol, not a separate knob.
 struct RtrOptions {
   int max_iterations = 4;
   double rel_tol = 0.05;     // Convergence on |dRtr|/Rtr.
@@ -39,9 +50,6 @@ struct RtrOptions {
   /// Chord-Newton budget for the driver sims; 0 = classic full Newton
   /// (sim/transient.hpp).
   int stale_jacobian_iters = 16;
-  /// Warm-start V2 from V1's operating point (same driver, same input
-  /// level at t=0 — the DC solution is identical).
-  bool warm_start = true;
 };
 
 struct RtrResult {
@@ -51,16 +59,30 @@ struct RtrResult {
   bool converged = false;
   Pwl vn_linear;             // Step 1: noise at the victim root (with Rth).
   Pwl in_current;            // Step 2: injected noise current.
-  Pwl vn_nonlinear;          // Step 4: V'n = V2 - V1.
+  Pwl vn_nonlinear;          // Step 4: V'n = V2 - V1, on V1's grid.
 };
 
-/// The noiseless victim driver sim V1 of one engine: the waveform plus
-/// the DC state that seeds the first V2's warm start. V1 depends only on
-/// the driver, its input, Ceff and the time grid, so every extraction on
-/// the same engine (one per model/alignment pass) shares it.
+/// The victim driver simulation of one engine: the driver-into-Ceff
+/// circuit with a noise-current source at its output, built once; the
+/// noiseless run V1 on it (source at zero); and V1's full MNA state every
+/// kCheckpointStride samples, from which each V2 resumes with only the
+/// injected waveform swapped. V1 depends only on the driver, its input,
+/// Ceff and the time grid, so every extraction on the same engine (one
+/// per model/alignment pass) shares it. Not copyable: the simulator
+/// holds a reference to the circuit.
 struct NoiselessDriverSim {
-  Pwl v1;                // Empty until the first extraction fills it.
-  GateSimCache warm;     // DC state after V1 (empty when !warm_start).
+  static constexpr int kCheckpointStride = 32;
+
+  NoiselessDriverSim() = default;
+  NoiselessDriverSim(const NoiselessDriverSim&) = delete;
+  NoiselessDriverSim& operator=(const NoiselessDriverSim&) = delete;
+
+  Pwl v1;                                        // Empty until first use.
+  std::vector<std::vector<double>> checkpoints;  // V1 state, sample j*stride.
+  Circuit ckt;
+  NodeId out = kGround;
+  int noise_src = -1;                            // Injection isource index.
+  std::optional<NonlinearSim> sim;
 };
 
 /// Computes Rtr for the victim driver of `eng`'s net with the aggressor
@@ -70,6 +92,10 @@ struct NoiselessDriverSim {
 /// out of the injected noise (core/composite_pulse.hpp). `noiseless`,
 /// when non-null, is filled with V1 on first use and reused afterwards;
 /// the result is bit-identical either way.
+///
+/// Metrics: `rtr.driver_steps` counts the V1 and V2 grid steps actually
+/// simulated; `rtr.window_share` records, per V2, the share of the V2
+/// grid it simulated (0 when In is zero on the whole grid).
 RtrResult compute_rtr(const SuperpositionEngine& eng,
                       const std::vector<double>& shifts,
                       const RtrOptions& opts = {},

@@ -113,7 +113,7 @@ StatusOr<Pwl> try_simulate_gate(const GateParams& gate, const Pwl& vin,
   NonlinearSim sim(ckt);
   const Vector* hint =
       (warm && warm->dc.size() == sim.mna().dim()) ? &warm->dc : nullptr;
-  auto res = sim.try_run(spec, hint);
+  auto res = sim.try_run(spec, {.dc_hint = hint});
   if (!res.ok()) return res.status();
   if (warm) warm->dc = res->initial_state();
   return res->waveform(out);
@@ -145,7 +145,7 @@ StatusOr<Pwl> ReceiverProbeSession::try_run(const Pwl& vin,
   ckt_.set_vsource_waveform(in_src_, vin);
   const Vector* hint =
       (warm_start_ && dc_.size() == sim_->mna().dim()) ? &dc_ : nullptr;
-  auto res = sim_->try_run(spec, hint);
+  auto res = sim_->try_run(spec, {.dc_hint = hint});
   if (!res.ok()) return res.status();
   if (warm_start_) dc_ = res->initial_state();
   ++probes_;

@@ -55,17 +55,33 @@ struct NewtonOptions {
   SolverOptions solver{};     // Backend for the Newton linear solves.
 };
 
+/// Where a transient starts and which full states it hands back.
+struct RunControl {
+  /// Seeds the DC operating-point solve (warm start); validated by
+  /// Newton, never trusted blindly.
+  const Vector* dc_hint = nullptr;
+  /// Resume instead of solving DC: the run starts at spec.t_start from
+  /// this MNA state (node voltages + branch currents), typically a
+  /// checkpoint an earlier run of the same circuit recorded at that time.
+  /// A fixed-step resume from a recorded sample time accumulates the
+  /// same time grid as the recording run, bit for bit.
+  const Vector* start_state = nullptr;
+  /// > 0: keep the full MNA state of every checkpoint_every-th sample
+  /// (TransientResult::checkpoints), sample 0 included.
+  int checkpoint_every = 0;
+};
+
 class NonlinearSim {
  public:
   /// `ckt` must outlive the simulator.
   explicit NonlinearSim(const Circuit& ckt, NewtonOptions opts = {});
 
-  /// Trapezoidal transient from the DC operating point at t_start
-  /// (LTE-adaptive when spec.lte_tol > 0). `dc_hint` optionally seeds the
-  /// operating-point solve (warm start); it is validated by Newton, never
-  /// trusted blindly. kNumericError on Newton non-convergence.
+  /// Trapezoidal transient from the DC operating point at t_start, or
+  /// from `rc.start_state` (LTE-adaptive when spec.lte_tol > 0).
+  /// kNumericError on Newton non-convergence, kInvalidArgument on a start
+  /// state of the wrong size or with non-finite entries.
   StatusOr<TransientResult> try_run(const TransientSpec& spec,
-                                    const Vector* dc_hint = nullptr) const;
+                                    const RunControl& rc = {}) const;
 
   /// DC operating point at time t. With a usable `hint` the gmin-stepping
   /// ladder is skipped entirely when direct Newton from the hint converges.
@@ -91,7 +107,7 @@ class NonlinearSim {
   // Throwing internals wrapped by the StatusOr surface.
   Vector dc_solve(double t, const Vector* hint) const;
   TransientResult run_impl(const TransientSpec& spec,
-                           const Vector* dc_hint) const;
+                           const RunControl& rc) const;
 
   const Circuit& ckt_;
   MnaSystem mna_;

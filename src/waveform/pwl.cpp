@@ -271,6 +271,7 @@ double Pwl::width_at_fraction(double frac, double baseline) const {
 
 std::optional<double> Pwl::slew(double v_low, double v_high, double lo_frac,
                                 double hi_frac) const {
+  if (empty()) return std::nullopt;
   const double span = v_high - v_low;
   const double a = v_low + lo_frac * span;
   const double b = v_low + hi_frac * span;
@@ -286,10 +287,12 @@ double Pwl::integral() const {
 }
 
 double Pwl::min_value() const {
+  if (empty()) return 0.0;
   return *std::min_element(values_.begin(), values_.end());
 }
 
 double Pwl::max_value() const {
+  if (empty()) return 0.0;
   return *std::max_element(values_.begin(), values_.end());
 }
 

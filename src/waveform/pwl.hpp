@@ -92,13 +92,16 @@ class Pwl {
   /// the waveform never reaches that level.
   double width_at_fraction(double frac, double baseline = 0.0) const;
 
-  /// 10-90% transition time for a monotonic-ish edge between v_low/v_high.
+  /// 10-90% transition time for a monotonic-ish edge between v_low/v_high
+  /// (nullopt when the edge never crosses both levels, or is empty).
   std::optional<double> slew(double v_low, double v_high,
                              double lo_frac = 0.1, double hi_frac = 0.9) const;
 
   /// Integral over the full sampled range.
   double integral() const;
 
+  /// Extremes over the samples (0 for the empty waveform, which behaves
+  /// as the zero waveform throughout).
   double min_value() const;
   double max_value() const;
 

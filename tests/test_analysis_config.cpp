@@ -161,8 +161,7 @@ TEST(AnalysisConfig, FannedOutFieldsShareOneDefault) {
                       a.analysis.rtr.stale_jacobian_iters})
     EXPECT_EQ(n, a.engine.newton.stale_jacobian_iters);
   for (const bool warm : {a.analysis.search.warm_start,
-                          a.table_spec.search.warm_start,
-                          a.analysis.rtr.warm_start})
+                          a.table_spec.search.warm_start})
     EXPECT_EQ(warm, a.engine.ceff.warm_start);
 }
 

@@ -142,6 +142,12 @@ TEST(Pwl, EmptyBehaviour) {
   EXPECT_DOUBLE_EQ(e.at(1.0), 0.0);
   const Pwl r = Pwl::ramp(0.0, 1.0, 0.0, 1.0);
   EXPECT_DOUBLE_EQ((e + r).at(1.0), 1.0);
+  // The empty waveform is the zero waveform everywhere else too.
+  EXPECT_DOUBLE_EQ(e.min_value(), 0.0);
+  EXPECT_DOUBLE_EQ(e.max_value(), 0.0);
+  EXPECT_FALSE(e.slew(0.0, 1.0).has_value());
+  EXPECT_DOUBLE_EQ(e.integral(), 0.0);
+  EXPECT_DOUBLE_EQ(e.peak().value, 0.0);
 }
 
 // The fused/hinted fast paths feed the batched alignment search, whose

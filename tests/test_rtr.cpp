@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/composite_pulse.hpp"
+#include "devices/gate.hpp"
 #include "rcnet/random_nets.hpp"
 #include "util/units.hpp"
 
@@ -28,17 +29,21 @@ CoupledNet slow_victim_net() {
   return net;
 }
 
-/// Shifts that place the composite peak where the noiseless SINK waveform
-/// crosses `level` (rising victim).
-std::vector<double> shifts_for_level(const SuperpositionEngine& eng,
-                                     double level) {
-  const auto& vt = eng.victim_transition();
-  const auto t_tgt = vt.at_sink.crossing(level, true);
-  EXPECT_TRUE(t_tgt.has_value());
+/// Shifts that place the composite peak at time `t`.
+std::vector<double> shifts_for_time(const SuperpositionEngine& eng, double t) {
   auto comp = align_aggressor_peaks(eng, eng.victim_model().model.rth);
   std::vector<double> shifts = comp.shifts;
-  for (double& s : shifts) s += *t_tgt - comp.params.t_peak;
+  for (double& s : shifts) s += t - comp.params.t_peak;
   return shifts;
+}
+
+/// Shifts that place the composite peak where the noiseless SINK waveform
+/// crosses `level` in the victim's direction.
+std::vector<double> shifts_for_level(const SuperpositionEngine& eng,
+                                     double level, bool rising = true) {
+  const auto t_tgt = eng.victim_transition().at_sink.crossing(level, rising);
+  EXPECT_TRUE(t_tgt.has_value());
+  return shifts_for_time(eng, t_tgt.value_or(0.0));
 }
 
 TEST(Differentiate, RampSlope) {
@@ -121,7 +126,7 @@ TEST(Rtr, NoiselessSimReuseIsBitIdentical) {
   NoiselessDriverSim v1;
   compute_rtr(eng, shifts_for_level(eng, 0.3), {}, nullptr, &v1);
   ASSERT_FALSE(v1.v1.empty());
-  ASSERT_FALSE(v1.warm.dc.empty());
+  ASSERT_FALSE(v1.checkpoints.empty());
   const RtrResult reused = compute_rtr(eng, shifts, {}, nullptr, &v1);
 
   EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.rtr),
@@ -129,6 +134,103 @@ TEST(Rtr, NoiselessSimReuseIsBitIdentical) {
   EXPECT_EQ(reused.iterations, plain.iterations);
   EXPECT_EQ(reused.converged, plain.converged);
   EXPECT_TRUE(bits_equal(reused.vn_nonlinear, plain.vn_nonlinear));
+}
+
+// Windowed V2 (DESIGN.md §5): V2 resumes from V1's checkpoint at the
+// injection onset and stops once the injected charge is spent. The
+// reference below is the full-horizon extraction it replaces, rebuilt
+// here from two standalone gate sims: one area-matching pass for the
+// injected current `in`, with integral(In) over `q_span`.
+double full_horizon_rtr(const SuperpositionEngine& eng, const Pwl& in,
+                        const RtrOptions& opts, const Pwl& q_span) {
+  TransientSpec spec{0.0, eng.options().horizon, eng.options().dt};
+  spec.stale_jacobian_iters = opts.stale_jacobian_iters;
+  const GateParams& driver = eng.net().victim.driver;
+  const double cload = eng.victim_model().ceff;
+  const Pwl v1 =
+      try_simulate_gate(driver, eng.victim_input(), cload, spec).value();
+  const Pwl v2 =
+      try_simulate_gate(driver, eng.victim_input(), cload, spec, in).value();
+  return (v2 - v1).integral() / q_span.integral();
+}
+
+RtrOptions one_pass() {
+  RtrOptions opts;
+  opts.max_iterations = 1;  // out.rtr is then the first pass's area ratio.
+  return opts;
+}
+
+/// Index of the last knot of `in` before its first nonzero value.
+std::size_t last_zero_knot(const Pwl& in) {
+  std::size_t j = 0;
+  while (j < in.size() && in.values()[j] == 0.0) ++j;
+  EXPECT_GT(j, 0u);
+  return j - 1;
+}
+
+TEST(RtrWindow, NonlinearNoiseIsExactlyZeroOutsideTheWindow) {
+  const CoupledNet net = slow_victim_net();
+  SuperpositionEngine eng(net);
+  const RtrResult r = compute_rtr(eng, shifts_for_level(eng, 0.9));
+  const double t_onset = r.in_current.times()[last_zero_knot(r.in_current)];
+  ASSERT_GT(t_onset, 0.0);
+  const auto ts = r.vn_nonlinear.times();
+  const auto vs = r.vn_nonlinear.values();
+  std::size_t before = 0;
+  for (std::size_t k = 0; k < ts.size() && ts[k] <= t_onset; ++k, ++before)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(vs[k]), 0u) << "t=" << ts[k];
+  EXPECT_GT(before, 100u);
+  EXPECT_NE(vs[before], 0.0);  // The first sample after onset is V2's own.
+  // The pulse is spent well before the horizon: V2 := V1 at the end.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(vs.back()), 0u);
+}
+
+TEST(RtrWindow, MatchesFullHorizonReference) {
+  auto check = [](const CoupledNet& net, bool rising, int id) {
+    SuperpositionEngine eng(net);
+    const RtrOptions opts = one_pass();
+    const RtrResult r = compute_rtr(
+        eng, shifts_for_level(eng, 0.5 * eng.vdd(), rising), opts);
+    const double ref =
+        full_horizon_rtr(eng, r.in_current, opts, r.in_current);
+    EXPECT_NEAR(r.rtr / ref, 1.0, 1e-3) << "net " << id;
+  };
+  check(slow_victim_net(), true, -1);
+  Rng rng(11);
+  for (int i = 0; i < 5; ++i) {
+    const CoupledNet net = random_coupled_net(rng);
+    check(net, net.victim.output_rising, i);
+  }
+}
+
+TEST(RtrWindow, OnsetAtTimeZeroFallsBackToDcSolvedV2) {
+  // Composite peak 60 ps into the run: the injected current is already
+  // flowing at t = 0, so V2 needs its own operating point.
+  const CoupledNet net = slow_victim_net();
+  SuperpositionEngine eng(net);
+  const RtrOptions opts = one_pass();
+  const RtrResult r = compute_rtr(eng, shifts_for_time(eng, 60 * ps), opts);
+  ASSERT_NE(r.in_current.at(0.0), 0.0);
+  EXPECT_NE(r.vn_nonlinear.values().front(), 0.0);  // Not V1's DC state.
+  const double horizon = eng.options().horizon;
+  const double ref = full_horizon_rtr(eng, r.in_current, opts,
+                                      r.in_current.clipped(0.0, horizon));
+  EXPECT_NEAR(r.rtr / ref, 1.0, 1e-3);
+}
+
+TEST(RtrWindow, NoiseAboveTheCutAtTheHorizonRunsV2ToTheHorizon) {
+  const CoupledNet net = slow_victim_net();
+  SuperpositionEngine eng(net);
+  const double horizon = eng.options().horizon;
+  const RtrOptions opts = one_pass();
+  const RtrResult r =
+      compute_rtr(eng, shifts_for_time(eng, horizon - 100 * ps), opts);
+  ASSERT_GT(r.in_current.t_end(), horizon);
+  EXPECT_NE(r.vn_nonlinear.values().back(), 0.0);  // V2's own last sample.
+  // Both integrals stop at the horizon, where the sims stop.
+  const double ref = full_horizon_rtr(eng, r.in_current, opts,
+                                      r.in_current.clipped(0.0, horizon));
+  EXPECT_NEAR(r.rtr / ref, 1.0, 1e-3);
 }
 
 TEST(Rtr, NoCouplingMeansNoCorrection) {
