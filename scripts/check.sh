@@ -7,8 +7,9 @@
 # characterization cache and the worker pool), a fuzz smoke stage over
 # the SPEF parser, and a chaos stage that runs a batch under injected
 # faults at every site and demands degraded-not-crashed, job-count-
-# independent output (DESIGN.md §10), a fault-free jobs-1 vs jobs-4
-# determinism check, plus server and CLI smokes.
+# independent output (DESIGN.md §10), fault-free jobs-1 vs jobs-4
+# determinism checks (adaptive and fixed grid), plus server and CLI
+# smokes.
 #
 # Usage: scripts/check.sh [--no-asan] [--no-tsan] [--no-fuzz] [--no-chaos]
 #                         [--no-bench]
@@ -45,7 +46,7 @@ if [[ "$run_asan" == 1 ]]; then
   cmake --build build-asan -j "$jobs" \
     --target test_matrix test_sparse test_linear_sim test_nonlinear_sim \
              test_adaptive_sim test_pwl test_numeric test_thevenin test_ceff \
-             test_rtr test_fault_tolerance
+             test_rtr test_extensions test_fault_tolerance
   ./build-asan/tests/test_matrix
   ./build-asan/tests/test_sparse
   ./build-asan/tests/test_linear_sim
@@ -55,11 +56,12 @@ if [[ "$run_asan" == 1 ]]; then
   ./build-asan/tests/test_pwl
   ./build-asan/tests/test_numeric
   # The driver-model numerics: closed-form crossing solve, secant Ceff
-  # iteration, and the Rtr driver session (V1 checkpoints, V2 resumed
-  # from them and spliced onto V1's grid).
+  # iteration, and the paired driver sim behind both area-matching
+  # recipes (Rtr, and the quiet holding resistance of functional noise).
   ./build-asan/tests/test_thevenin
   ./build-asan/tests/test_ceff
   ./build-asan/tests/test_rtr
+  ./build-asan/tests/test_extensions
   # Deep retry ladders scale the backoff by 2^attempt; any UB there (an
   # int shift past its width) must fail the stage, not just print.
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
@@ -194,9 +196,10 @@ PY
 fi
 
 echo "== determinism: fault-free random batch, --jobs 1 vs --jobs 4 =="
-# Per-net state (the Rtr driver session resumed from V1 checkpoints, the
-# characterization cache) must never leak across nets or depend on the
-# schedule: the JSON report is byte-identical at any job count.
+# Per-net state (the paired Rtr driver sim, the receiver warm-start
+# chain, the characterization cache) must never leak across nets or
+# depend on the schedule: the JSON report is byte-identical at any job
+# count.
 ./build/tools/dnoise_cli --batch --random 40 --seed 3 --json --jobs 1 \
   2>/dev/null > build/determinism_j1.json
 ./build/tools/dnoise_cli --batch --random 40 --seed 3 --json --jobs 4 \
@@ -207,6 +210,19 @@ if ! cmp -s build/determinism_j1.json build/determinism_j4.json; then
   exit 1
 fi
 echo "determinism: 40-net report byte-identical at --jobs 1 and --jobs 4"
+# The same on the fixed grid: --lte-tol 0 puts every sim family, the Rtr
+# driver sims included, back on the fixed 1 ps grid (the path the
+# fixed-grid Rtr tests take).
+./build/tools/dnoise_cli --batch --random 10 --seed 3 --lte-tol 0 --json \
+  --jobs 1 2>/dev/null > build/determinism_fixed_j1.json
+./build/tools/dnoise_cli --batch --random 10 --seed 3 --lte-tol 0 --json \
+  --jobs 4 2>/dev/null > build/determinism_fixed_j4.json
+if ! cmp -s build/determinism_fixed_j1.json build/determinism_fixed_j4.json; then
+  echo "determinism: --batch --random 10 --seed 3 --lte-tol 0 --json differs" \
+       "between --jobs 1 and --jobs 4" >&2
+  exit 1
+fi
+echo "determinism: 10-net fixed-grid report byte-identical at --jobs 1 and --jobs 4"
 
 echo "== server smoke: scripted NDJSON session against --serve =="
 # A pipelined session: load a design, analyze, apply an ECO, re-analyze

@@ -127,9 +127,9 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
     Status s = set_num(v, "lte_tol", tol);
     if (!s.ok()) return s;
     // One LTE bound rules every adaptive sim: the superposition
-    // transients, the Ceff inner sims, the Thevenin-fit reference, and
-    // the alignment-search receiver probes. The Rtr extraction always
-    // runs on the fixed grid (RtrOptions). 0 = fixed dt grid everywhere.
+    // transients, the paired Rtr driver sims (both read the engine's
+    // bound), the Ceff inner sims, the Thevenin-fit reference, and the
+    // alignment-search receiver probes. 0 = fixed dt grid everywhere.
     a.engine.lte_tol = tol;
     a.engine.ceff.lte_tol = tol;
     a.engine.ceff.fit.lte_tol = tol;

@@ -7,6 +7,7 @@
 #include "util/deadline.hpp"
 #include "util/metrics.hpp"
 #include "util/numeric.hpp"
+#include "util/trace.hpp"
 
 namespace dn {
 
@@ -187,6 +188,7 @@ ReceiverEval evaluate_receiver(const GateParams& receiver, const Pwl& vin,
                                double cload, bool input_rising, double dt,
                                double lte_tol, GateSimCache* warm,
                                int stale_jacobian_iters) {
+  obs::TraceSpan span("receiver.eval", "analyze");
   receiver_evals_counter().add();
   const bool out_rising =
       gate_inverts(receiver.type) ? !input_rising : input_rising;

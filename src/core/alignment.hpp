@@ -108,7 +108,8 @@ struct AlignmentSearchOptions {
   int stale_jacobian_iters = 16;
   /// Warm-start each probe's receiver sim from the previous probe's
   /// operating point (the quiet input level — and hence the DC solution —
-  /// is the same at every alignment).
+  /// is the same at every alignment). Also chains the receiver
+  /// evaluations of one net on the Predicted path.
   bool warm_start = true;
   /// Search window for the pulse peak, centered on the noiseless 50%
   /// crossing at the sink: [t50 - span_before, t50 + span_after]. When

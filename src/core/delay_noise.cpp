@@ -19,10 +19,12 @@ const char* alignment_method_name(AlignmentMethod m) {
 
 namespace {
 
+/// `warm` chains the DC operating point between the net's receiver
+/// evaluations on the Predicted path (null: each solves its DC cold).
 AlignmentResult choose_alignment(const DelayNoiseOptions& opts,
                                  const Pwl& noiseless_sink, const Pwl& composite,
                                  const GateParams& receiver, double rcv_load,
-                                 bool rising) {
+                                 bool rising, GateSimCache* warm) {
   switch (opts.method) {
     case AlignmentMethod::Exhaustive:
       return exhaustive_worst_alignment(noiseless_sink, composite, receiver,
@@ -61,7 +63,7 @@ AlignmentResult choose_alignment(const DelayNoiseOptions& opts,
         const Pwl noisy = noiseless_sink.add_shifted(composite, r.shift);
         r.t_out_50 =
             evaluate_receiver(receiver, noisy, rcv_load, rising,
-                              opts.search.dt, opts.search.lte_tol, nullptr,
+                              opts.search.dt, opts.search.lte_tol, warm,
                               opts.search.stale_jacobian_iters)
                 .t_out_50;
         if (r.t_out_50 > best.t_out_50) best = r;
@@ -221,17 +223,20 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
   // `eff` carries the per-pass scan domain into the search options.
   DelayNoiseOptions eff = opts;
 
-  // Fix-point between the linear victim model and the alignment. Every
-  // pass's Rtr extraction shares one noiseless victim driver sim.
+  // One DC warm-start chain for every receiver evaluation of this net
+  // (the same receiver and load each time), when warm starts are on.
+  GateSimCache rcv_cache;
+  GateSimCache* const warm = opts.search.warm_start ? &rcv_cache : nullptr;
+
+  // Fix-point between the linear victim model and the alignment.
   const int iters = std::max(opts.model_alignment_iterations, 1);
-  NoiselessDriverSim v1;
   for (int pass = 0; pass < iters; ++pass) {
     out.composite = compose_pruned(eng, out.holding_r, prune_enabled,
                                    opts.search.domain, prune,
                                    &eff.search.domain);
     out.alignment = choose_alignment(eff, out.noiseless_sink,
                                      out.composite.at_sink, rcv, rcv_load,
-                                     rising);
+                                     rising, warm);
     if (!opts.use_transient_holding) break;
     std::vector<double> shifts = out.composite.shifts;
     for (double& s : shifts) s += out.alignment.shift;
@@ -239,8 +244,7 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
     RtrResult rtr;
     try {
       obs::TraceSpan span("rtr.solve", "analyze");
-      rtr = compute_rtr(eng, shifts, opts.rtr, mask_of(out.composite),
-                        &v1);
+      rtr = compute_rtr(eng, shifts, opts.rtr, mask_of(out.composite));
     } catch (const DeadlineError&) {
       throw;  // A cancelled run must not silently degrade.
     } catch (const std::exception& e) {
@@ -260,7 +264,7 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
                                        &eff.search.domain);
         out.alignment = choose_alignment(eff, out.noiseless_sink,
                                          out.composite.at_sink, rcv, rcv_load,
-                                         rising);
+                                         rising, warm);
       }
       break;
     }
@@ -277,7 +281,7 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
                                      &eff.search.domain);
       out.alignment = choose_alignment(eff, out.noiseless_sink,
                                        out.composite.at_sink, rcv, rcv_load,
-                                       rising);
+                                       rising, warm);
     }
   }
   out.aggressors_pruned_window = prune.by_window;
@@ -297,7 +301,7 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
   // Combined (receiver-output) delays.
   out.nominal_t50 =
       evaluate_receiver(rcv, out.noiseless_sink, rcv_load, rising,
-                        opts.search.dt, opts.search.lte_tol, nullptr,
+                        opts.search.dt, opts.search.lte_tol, warm,
                         opts.search.stale_jacobian_iters)
           .t_out_50;
   out.noisy_t50 = out.alignment.t_out_50;

@@ -21,27 +21,19 @@
 // the caller passes the aggressor shifts in effect.
 #pragma once
 
-#include <optional>
 #include <vector>
 
-#include "circuit/circuit.hpp"
 #include "core/superposition.hpp"
-#include "sim/nonlinear_sim.hpp"
 
 namespace dn {
 
-/// The driver sims always run on the fixed dt grid: the extraction
-/// measures the small DIFFERENCE V2 - V1 of two nearly identical
-/// transitions, which only stays clean when both sims share one grid so
-/// their discretization error cancels.
-///
-/// V2 is simulated only over the window where the injected current
-/// matters (DESIGN.md §5): it resumes from V1's checkpointed state at the
-/// last grid sample where In is still exactly zero (V'n is exactly 0
-/// before that), and stops at the first grid sample after which the |In|
-/// charge still to come is at most rel_tol / 100 of the total (V2 := V1
-/// after it, and integral(In) is taken over the same span). The cut is
-/// derived from rel_tol, not a separate knob.
+/// Both driver sims (V1 without, V2 with the injected current) run as
+/// one paired simulation: two copies of the victim driver on one input
+/// and supply, each into its own Ceff, the noise current on copy 2 only.
+/// Both copies step on one grid (LTE-adaptive at the engine's lte_tol;
+/// lte_tol 0 gives the fixed dt grid), so V'n = V2 - V1 carries no
+/// grid-mismatch error and is exactly 0 until the current turns on.
+/// Both integrals run over [0, horizon] (DESIGN.md §5).
 struct RtrOptions {
   int max_iterations = 4;
   double rel_tol = 0.05;     // Convergence on |dRtr|/Rtr.
@@ -59,48 +51,21 @@ struct RtrResult {
   bool converged = false;
   Pwl vn_linear;             // Step 1: noise at the victim root (with Rth).
   Pwl in_current;            // Step 2: injected noise current.
-  Pwl vn_nonlinear;          // Step 4: V'n = V2 - V1, on V1's grid.
-};
-
-/// The victim driver simulation of one engine: the driver-into-Ceff
-/// circuit with a noise-current source at its output, built once; the
-/// noiseless run V1 on it (source at zero); and V1's full MNA state every
-/// kCheckpointStride samples, from which each V2 resumes with only the
-/// injected waveform swapped. V1 depends only on the driver, its input,
-/// Ceff and the time grid, so every extraction on the same engine (one
-/// per model/alignment pass) shares it. Not copyable: the simulator
-/// holds a reference to the circuit.
-struct NoiselessDriverSim {
-  static constexpr int kCheckpointStride = 32;
-
-  NoiselessDriverSim() = default;
-  NoiselessDriverSim(const NoiselessDriverSim&) = delete;
-  NoiselessDriverSim& operator=(const NoiselessDriverSim&) = delete;
-
-  Pwl v1;                                        // Empty until first use.
-  std::vector<std::vector<double>> checkpoints;  // V1 state, sample j*stride.
-  Circuit ckt;
-  NodeId out = kGround;
-  int noise_src = -1;                            // Injection isource index.
-  std::optional<NonlinearSim> sim;
+  Pwl vn_nonlinear;          // Step 4: V'n = V2 - V1, on the paired grid.
 };
 
 /// Computes Rtr for the victim driver of `eng`'s net with the aggressor
 /// time shifts currently in effect (one shift per aggressor; the shift is
 /// applied to each aggressor's reference-position noise waveform).
 /// `active`, when non-null, masks window/correlation-pruned aggressors
-/// out of the injected noise (core/composite_pulse.hpp). `noiseless`,
-/// when non-null, is filled with V1 on first use and reused afterwards;
-/// the result is bit-identical either way.
+/// out of the injected noise (core/composite_pulse.hpp).
 ///
-/// Metrics: `rtr.driver_steps` counts the V1 and V2 grid steps actually
-/// simulated; `rtr.window_share` records, per V2, the share of the V2
-/// grid it simulated (0 when In is zero on the whole grid).
+/// Metrics: `rtr.driver_steps` counts the paired driver grid steps
+/// actually simulated.
 RtrResult compute_rtr(const SuperpositionEngine& eng,
                       const std::vector<double>& shifts,
                       const RtrOptions& opts = {},
-                      const std::vector<char>* active = nullptr,
-                      NoiselessDriverSim* noiseless = nullptr);
+                      const std::vector<char>* active = nullptr);
 
 /// Differentiates a waveform numerically on a uniform grid of step dt.
 Pwl differentiate(const Pwl& w, double dt);
@@ -108,7 +73,8 @@ Pwl differentiate(const Pwl& w, double dt);
 /// Holding resistance of a QUIET victim (functional-noise analysis): the
 /// driver sits at a rail, where its conductance is triode-strong — far
 /// stronger than the transition-aggregate Rth. Same area-matching recipe
-/// with a canonical triangular probe current of the given width.
+/// (and the same paired driver sim, on the fixed 1 ps grid) with a
+/// canonical triangular probe current of the given width.
 double quiet_holding_resistance(const GateParams& driver, bool output_high,
                                 double ceff, double probe_width = 150e-12,
                                 double probe_amp = 50e-6);

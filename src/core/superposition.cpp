@@ -4,6 +4,7 @@
 #include <string>
 
 #include "sim/linear_sim.hpp"
+#include "util/trace.hpp"
 
 namespace dn {
 
@@ -69,6 +70,7 @@ SuperpositionEngine::Waveforms SuperpositionEngine::run_aggressor(
     int k, double victim_holding_r) const {
   if (victim_holding_r <= 0)
     throw std::invalid_argument("aggressor_noise: holding R must be > 0");
+  obs::TraceSpan span("superposition.linear", "analyze");
 
   // Noise-domain circuit: all quiet levels are 0 and the switching
   // aggressor's source swings 0 -> +/-vdd through its Rth.
@@ -126,6 +128,7 @@ SuperpositionEngine::Waveforms SuperpositionEngine::run_aggressor(
 }
 
 SuperpositionEngine::Waveforms SuperpositionEngine::run_victim() const {
+  obs::TraceSpan span("superposition.linear", "analyze");
   Circuit ckt;
   const auto vmap = net_.victim.net.instantiate(ckt, "v");
   ckt.add_capacitor(vmap[static_cast<std::size_t>(net_.victim.net.sink)],

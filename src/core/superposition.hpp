@@ -31,7 +31,8 @@ struct SuperpositionOptions {
   double t_ref = 300e-12;   // Input-ramp start used for all reference sims [s].
   double horizon = 4e-9;    // Transient end time [s].
   /// LTE bound for adaptive stepping in the linear aggressor/victim sims
-  /// [V]; 0 forces the fixed `dt` grid (sim/transient.hpp).
+  /// and the paired Rtr driver sims (core/holding_resistance.hpp) [V];
+  /// 0 forces the fixed `dt` grid (sim/transient.hpp).
   double lte_tol = 5e-4;
   /// Max per-step growth of the adaptive step. These sims are LINEAR on
   /// the full (possibly multi-thousand-node) net, where each distinct

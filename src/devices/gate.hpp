@@ -58,11 +58,12 @@ void instantiate_gate(Circuit& ckt, const GateParams& gate, NodeId in,
 NodeId add_vdd(Circuit& ckt, double vdd);
 
 /// Warm-start cache for repeated canonical gate sims. The characterization
-/// loops (alignment scan, quiet holding probe, Ceff/Thevenin fit) simulate
-/// the SAME gate topology many times with perturbed waveforms; the DC
-/// operating point barely moves between runs, so seeding Newton with the
-/// previous solution skips the whole gmin-stepping ladder. The cache is
-/// keyed by nothing — the caller owns one per loop over a fixed topology.
+/// loops (alignment scan, a net's receiver evaluations, Ceff/Thevenin
+/// fit) simulate the SAME gate topology many times with perturbed
+/// waveforms; the DC operating point barely moves between runs, so
+/// seeding Newton with the previous solution skips the whole
+/// gmin-stepping ladder. The cache is keyed by nothing — the caller owns
+/// one per loop over a fixed topology.
 struct GateSimCache {
   std::vector<double> dc;  // Previous MNA state; empty = cold.
 };

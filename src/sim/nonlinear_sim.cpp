@@ -283,19 +283,15 @@ TransientResult NonlinearSim::run_impl(const TransientSpec& spec,
 
   stale_budget_ = spec.stale_jacobian_iters >= 0 ? spec.stale_jacobian_iters
                                                  : opts_.stale_jacobian_iters;
-  Vector x0 = rc.start_state ? *rc.start_state
-                             : dc_solve(spec.t_start, rc.dc_hint);
+  Vector x0 = dc_solve(spec.t_start, rc.dc_hint);
 
   TransientResult result(ckt_.num_nodes());
   if (!spec.adaptive())
     result.reserve(static_cast<std::size_t>(*spec.num_steps()) + 1);
-  const auto every =
-      static_cast<std::size_t>(std::max(rc.checkpoint_every, 0));
   auto record = [&](const Vector& x, double t) {
     const std::size_t k = result.add_sample(t);
     for (NodeId n = 1; n < ckt_.num_nodes(); ++n)
       result.v(n, k) = mna_.node_voltage(x, n);
-    if (every > 0 && k % every == 0) result.add_checkpoint(x);
   };
   record(x0, spec.t_start);
   result.set_initial_state(x0);
@@ -502,10 +498,6 @@ TransientResult NonlinearSim::run_impl(const TransientSpec& spec,
 StatusOr<TransientResult> NonlinearSim::try_run(const TransientSpec& spec,
                                                 const RunControl& rc) const {
   if (Status s = spec.validate(); !s.ok()) return s;
-  if (rc.start_state && (rc.start_state->size() != mna_.dim() ||
-                         !all_finite(*rc.start_state)))
-    return Status::InvalidArgument(
-        "NonlinearSim: start state must be a finite MNA state vector");
   try {
     return run_impl(spec, rc);
   } catch (const ConvergenceError& e) {

@@ -55,20 +55,11 @@ struct NewtonOptions {
   SolverOptions solver{};     // Backend for the Newton linear solves.
 };
 
-/// Where a transient starts and which full states it hands back.
+/// How a transient starts.
 struct RunControl {
   /// Seeds the DC operating-point solve (warm start); validated by
   /// Newton, never trusted blindly.
   const Vector* dc_hint = nullptr;
-  /// Resume instead of solving DC: the run starts at spec.t_start from
-  /// this MNA state (node voltages + branch currents), typically a
-  /// checkpoint an earlier run of the same circuit recorded at that time.
-  /// A fixed-step resume from a recorded sample time accumulates the
-  /// same time grid as the recording run, bit for bit.
-  const Vector* start_state = nullptr;
-  /// > 0: keep the full MNA state of every checkpoint_every-th sample
-  /// (TransientResult::checkpoints), sample 0 included.
-  int checkpoint_every = 0;
 };
 
 class NonlinearSim {
@@ -76,10 +67,9 @@ class NonlinearSim {
   /// `ckt` must outlive the simulator.
   explicit NonlinearSim(const Circuit& ckt, NewtonOptions opts = {});
 
-  /// Trapezoidal transient from the DC operating point at t_start, or
-  /// from `rc.start_state` (LTE-adaptive when spec.lte_tol > 0).
-  /// kNumericError on Newton non-convergence, kInvalidArgument on a start
-  /// state of the wrong size or with non-finite entries.
+  /// Trapezoidal transient from the DC operating point at t_start
+  /// (LTE-adaptive when spec.lte_tol > 0). kNumericError on Newton
+  /// non-convergence, kInvalidArgument on a bad spec.
   StatusOr<TransientResult> try_run(const TransientSpec& spec,
                                     const RunControl& rc = {}) const;
 

@@ -93,21 +93,10 @@ class TransientResult {
     initial_state_ = std::move(x);
   }
 
-  /// Full MNA states a checkpointed run kept (NonlinearSim RunControl::
-  /// checkpoint_every = s): checkpoints()[j] is the state at sample j * s,
-  /// so checkpoints()[0] is the state the run started from.
-  const std::vector<std::vector<double>>& checkpoints() const {
-    return checkpoints_;
-  }
-  void add_checkpoint(std::vector<double> x) {
-    checkpoints_.push_back(std::move(x));
-  }
-
  private:
   std::vector<double> time_;
   std::vector<std::vector<double>> v_;  // [node][sample]; node 0 = ground.
   std::vector<double> initial_state_;
-  std::vector<std::vector<double>> checkpoints_;
 };
 
 /// Step-size controller shared by LinearSim and NonlinearSim.

@@ -7,6 +7,7 @@
 
 #include "core/baselines.hpp"
 #include "rcnet/random_nets.hpp"
+#include "util/metrics.hpp"
 #include "util/units.hpp"
 
 namespace dn {
@@ -74,6 +75,36 @@ TEST_F(DelayNoiseFixture, PredictedMethodTracksExhaustive) {
   const DelayNoiseResult r_ex = analyze_delay_noise(eng_, ex);
   EXPECT_LE(r_pred.delay_noise(), r_ex.delay_noise() + 2 * ps);
   EXPECT_GT(r_pred.delay_noise(), 0.7 * r_ex.delay_noise());
+}
+
+TEST_F(DelayNoiseFixture, WarmStartChainsThePredictedReceiverEvals) {
+  // The Predicted path evaluates the receiver 7 times per net: 2
+  // candidates in each of the 3 alignment choices, plus the nominal
+  // delay. With warm starts on, each one after the first seeds its DC
+  // point from the previous one; with them off, none does.
+  AlignmentTableSpec spec;
+  spec.search.coarse_points = 9;
+  spec.search.fine_points = 5;
+  spec.search.dt = 2 * ps;
+  const AlignmentTable tbl =
+      AlignmentTable::characterize(net_.victim.receiver, true, spec);
+  DelayNoiseOptions opts;
+  opts.method = AlignmentMethod::Predicted;
+  opts.table = &tbl;
+
+  obs::set_metrics_enabled(true);
+  const obs::Counter& hits = obs::metrics().counter("sim.warm_start.hits");
+  auto hits_during = [&](bool warm) {
+    opts.search.warm_start = warm;
+    const std::uint64_t before = hits.value();
+    analyze_delay_noise(eng_, opts);
+    return hits.value() - before;
+  };
+  const std::uint64_t on = hits_during(true);
+  const std::uint64_t off = hits_during(false);
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(on, 6u);
+  EXPECT_EQ(off, 0u);
 }
 
 TEST_F(DelayNoiseFixture, NoisySinkIsSuperposition) {

@@ -128,45 +128,6 @@ TEST(NonlinearSim, NoiseCurrentInjectionOnHeldInverter) {
   EXPECT_NEAR(pk.t, 500 * ps, 60 * ps);
 }
 
-TEST(NonlinearSim, ResumeFromCheckpointReproducesTheRun) {
-  // A run resumed from a checkpoint recorded at sample k continues the
-  // recording run's time grid bit for bit, and its node voltages within
-  // the Newton tolerance (the resumed run refactors where the recording
-  // run still chorded on a stale Jacobian).
-  InverterFixture f(Pwl::ramp(200 * ps, 150 * ps, 0.0, kVdd), 30 * fF);
-  NonlinearSim sim(f.ckt);
-  const TransientSpec spec{0.0, 1.5 * ns, 1 * ps};
-  const auto full = sim.try_run(spec, {.checkpoint_every = 32}).value();
-  ASSERT_EQ(full.num_points(), 1501u);
-  ASSERT_EQ(full.checkpoints().size(), 1501u / 32 + 1);
-  EXPECT_EQ(full.checkpoints().front(), full.initial_state());
-
-  // Checkpoint 7 (sample 224) sits inside the output transition.
-  const std::size_t k = 7 * 32;
-  const auto resumed =
-      sim.try_run({full.time()[k], spec.t_stop, spec.dt},
-                  {.start_state = &full.checkpoints()[7]})
-          .value();
-  ASSERT_EQ(resumed.num_points(), full.num_points() - k);
-  const double v_tol = NewtonOptions{}.v_tol;
-  for (std::size_t i = 0; i < resumed.num_points(); ++i) {
-    ASSERT_EQ(resumed.time()[i], full.time()[k + i]) << "sample " << i;
-    EXPECT_NEAR(resumed.v(f.out, i), full.v(f.out, k + i), v_tol)
-        << "sample " << i;
-  }
-  EXPECT_EQ(resumed.v(f.out, 0), full.v(f.out, k));  // No DC re-solve.
-}
-
-TEST(NonlinearSim, MalformedStartStateIsInvalidArgument) {
-  InverterFixture f(Pwl::constant(0.0), 10 * fF);
-  NonlinearSim sim(f.ckt);
-  const Vector short_state(1, 0.0);
-  const auto res =
-      sim.try_run({0.0, 1 * ns, 1 * ps}, {.start_state = &short_state});
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(NonlinearSim, BadSpecIsInvalidArgument) {
   // An absurd spec (dt = 0) must come back as a Status, not loop forever,
   // return junk, or throw through the public API.

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/composite_pulse.hpp"
@@ -104,46 +106,15 @@ TEST(Rtr, ConvergesWithinBudget) {
   EXPECT_TRUE(r.converged);
 }
 
-bool bits_equal(const Pwl& a, const Pwl& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (std::bit_cast<std::uint64_t>(a.times()[i]) !=
-            std::bit_cast<std::uint64_t>(b.times()[i]) ||
-        std::bit_cast<std::uint64_t>(a.values()[i]) !=
-            std::bit_cast<std::uint64_t>(b.values()[i]))
-      return false;
-  return true;
-}
-
-TEST(Rtr, NoiselessSimReuseIsBitIdentical) {
-  // V1 filled by an extraction at another alignment, then reused: the
-  // result matches an extraction that simulates its own V1.
-  const CoupledNet net = slow_victim_net();
-  SuperpositionEngine eng(net);
-  const std::vector<double> shifts = shifts_for_level(eng, 0.9);
-  const RtrResult plain = compute_rtr(eng, shifts);
-
-  NoiselessDriverSim v1;
-  compute_rtr(eng, shifts_for_level(eng, 0.3), {}, nullptr, &v1);
-  ASSERT_FALSE(v1.v1.empty());
-  ASSERT_FALSE(v1.checkpoints.empty());
-  const RtrResult reused = compute_rtr(eng, shifts, {}, nullptr, &v1);
-
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(reused.rtr),
-            std::bit_cast<std::uint64_t>(plain.rtr));
-  EXPECT_EQ(reused.iterations, plain.iterations);
-  EXPECT_EQ(reused.converged, plain.converged);
-  EXPECT_TRUE(bits_equal(reused.vn_nonlinear, plain.vn_nonlinear));
-}
-
-// Windowed V2 (DESIGN.md §5): V2 resumes from V1's checkpoint at the
-// injection onset and stops once the injected charge is spent. The
-// reference below is the full-horizon extraction it replaces, rebuilt
-// here from two standalone gate sims: one area-matching pass for the
-// injected current `in`, with integral(In) over `q_span`.
-double full_horizon_rtr(const SuperpositionEngine& eng, const Pwl& in,
-                        const RtrOptions& opts, const Pwl& q_span) {
-  TransientSpec spec{0.0, eng.options().horizon, eng.options().dt};
+// Paired driver sim (DESIGN.md §5): V1 and V2 are two copies of the
+// victim driver in one transient, so both step on one grid. The reference
+// below is the extraction rebuilt from two standalone fixed-grid gate
+// sims: one area-matching pass for the injected current `in`, both
+// integrals over [0, horizon].
+double two_gate_sim_rtr(const SuperpositionEngine& eng, const Pwl& in,
+                        const RtrOptions& opts) {
+  const double horizon = eng.options().horizon;
+  TransientSpec spec{0.0, horizon, eng.options().dt};
   spec.stale_jacobian_iters = opts.stale_jacobian_iters;
   const GateParams& driver = eng.net().victim.driver;
   const double cload = eng.victim_model().ceff;
@@ -151,13 +122,19 @@ double full_horizon_rtr(const SuperpositionEngine& eng, const Pwl& in,
       try_simulate_gate(driver, eng.victim_input(), cload, spec).value();
   const Pwl v2 =
       try_simulate_gate(driver, eng.victim_input(), cload, spec, in).value();
-  return (v2 - v1).integral() / q_span.integral();
+  return (v2 - v1).integral() / in.clipped(0.0, horizon).integral();
 }
 
 RtrOptions one_pass() {
   RtrOptions opts;
   opts.max_iterations = 1;  // out.rtr is then the first pass's area ratio.
   return opts;
+}
+
+SuperpositionOptions fixed_grid() {
+  SuperpositionOptions so;
+  so.lte_tol = 0.0;  // Every engine sim, the Rtr driver sims included.
+  return so;
 }
 
 /// Index of the last knot of `in` before its first nonzero value.
@@ -168,7 +145,75 @@ std::size_t last_zero_knot(const Pwl& in) {
   return j - 1;
 }
 
-TEST(RtrWindow, NonlinearNoiseIsExactlyZeroOutsideTheWindow) {
+/// Where a paired-sim case puts the composite peak.
+enum class Peak { kHalfSwing, kNearTimeZero, kPastHorizon };
+
+struct PairedCase {
+  std::string name;
+  CoupledNet net;
+  Peak peak = Peak::kHalfSwing;
+};
+
+/// slow_victim_net and five seeded random nets with the peak at the
+/// victim's 50% crossing.
+std::vector<PairedCase> half_swing_cases() {
+  std::vector<PairedCase> cases;
+  cases.push_back({"slow victim", slow_victim_net(), Peak::kHalfSwing});
+  Rng rng(11);
+  for (int i = 0; i < 5; ++i)
+    cases.push_back({"random net " + std::to_string(i), random_coupled_net(rng),
+                     Peak::kHalfSwing});
+  return cases;
+}
+
+PairedCase onset_at_time_zero() {
+  return {"onset at t = 0", slow_victim_net(), Peak::kNearTimeZero};
+}
+
+PairedCase past_the_horizon() {
+  return {"past the horizon", slow_victim_net(), Peak::kPastHorizon};
+}
+
+/// The half-swing cases plus noise already flowing at t = 0 and noise
+/// still flowing at the horizon.
+std::vector<PairedCase> paired_cases() {
+  std::vector<PairedCase> cases = half_swing_cases();
+  cases.push_back(onset_at_time_zero());
+  cases.push_back(past_the_horizon());
+  return cases;
+}
+
+std::vector<double> shifts_for(const SuperpositionEngine& eng, Peak peak) {
+  switch (peak) {
+    case Peak::kHalfSwing:
+      return shifts_for_level(eng, 0.5 * eng.vdd(),
+                              eng.net().victim.output_rising);
+    case Peak::kNearTimeZero:
+      return shifts_for_time(eng, 60 * ps);
+    case Peak::kPastHorizon:
+      return shifts_for_time(eng, eng.options().horizon - 100 * ps);
+  }
+  return {};
+}
+
+/// One-pass Rtr of `c` with engine lte_tol 0, checked against the
+/// two-gate-sim reference.
+RtrResult expect_fixed_grid_matches_reference(const PairedCase& c) {
+  SCOPED_TRACE(c.name);
+  const RtrOptions opts = one_pass();
+  SuperpositionEngine eng(c.net, fixed_grid());
+  const double horizon = eng.options().horizon;
+  const RtrResult r = compute_rtr(eng, shifts_for(eng, c.peak), opts);
+  // lte_tol 0: the paired sim runs on the fixed dt grid.
+  EXPECT_EQ(r.vn_nonlinear.size(),
+            static_cast<std::size_t>(std::lround(horizon / eng.options().dt)) +
+                1);
+  EXPECT_NEAR(r.rtr / two_gate_sim_rtr(eng, r.in_current, opts), 1.0, 1e-3);
+  return r;
+}
+
+TEST(RtrPaired, NonlinearNoiseIsExactlyZeroBeforeOnset) {
+  // Until In turns on, the two driver copies follow identical arithmetic.
   const CoupledNet net = slow_victim_net();
   SuperpositionEngine eng(net);
   const RtrResult r = compute_rtr(eng, shifts_for_level(eng, 0.9));
@@ -179,58 +224,49 @@ TEST(RtrWindow, NonlinearNoiseIsExactlyZeroOutsideTheWindow) {
   std::size_t before = 0;
   for (std::size_t k = 0; k < ts.size() && ts[k] <= t_onset; ++k, ++before)
     EXPECT_EQ(std::bit_cast<std::uint64_t>(vs[k]), 0u) << "t=" << ts[k];
-  EXPECT_GT(before, 100u);
-  EXPECT_NE(vs[before], 0.0);  // The first sample after onset is V2's own.
-  // The pulse is spent well before the horizon: V2 := V1 at the end.
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(vs.back()), 0u);
+  EXPECT_GT(before, 10u);
+  ASSERT_LT(before, vs.size());
+  EXPECT_NE(vs[before], 0.0);  // The first sample after onset.
 }
 
+// The RtrWindow tests hold the paired sim on the fixed grid to the
+// full-horizon two-gate-sim reference, one test per peak placement.
 TEST(RtrWindow, MatchesFullHorizonReference) {
-  auto check = [](const CoupledNet& net, bool rising, int id) {
-    SuperpositionEngine eng(net);
-    const RtrOptions opts = one_pass();
-    const RtrResult r = compute_rtr(
-        eng, shifts_for_level(eng, 0.5 * eng.vdd(), rising), opts);
-    const double ref =
-        full_horizon_rtr(eng, r.in_current, opts, r.in_current);
-    EXPECT_NEAR(r.rtr / ref, 1.0, 1e-3) << "net " << id;
-  };
-  check(slow_victim_net(), true, -1);
-  Rng rng(11);
-  for (int i = 0; i < 5; ++i) {
-    const CoupledNet net = random_coupled_net(rng);
-    check(net, net.victim.output_rising, i);
-  }
+  for (const PairedCase& c : half_swing_cases())
+    expect_fixed_grid_matches_reference(c);
 }
 
 TEST(RtrWindow, OnsetAtTimeZeroFallsBackToDcSolvedV2) {
   // Composite peak 60 ps into the run: the injected current is already
-  // flowing at t = 0, so V2 needs its own operating point.
-  const CoupledNet net = slow_victim_net();
-  SuperpositionEngine eng(net);
-  const RtrOptions opts = one_pass();
-  const RtrResult r = compute_rtr(eng, shifts_for_time(eng, 60 * ps), opts);
+  // flowing at t = 0, so the DC solve gives copy 2 its own operating point.
+  const RtrResult r = expect_fixed_grid_matches_reference(onset_at_time_zero());
   ASSERT_NE(r.in_current.at(0.0), 0.0);
   EXPECT_NE(r.vn_nonlinear.values().front(), 0.0);  // Not V1's DC state.
-  const double horizon = eng.options().horizon;
-  const double ref = full_horizon_rtr(eng, r.in_current, opts,
-                                      r.in_current.clipped(0.0, horizon));
-  EXPECT_NEAR(r.rtr / ref, 1.0, 1e-3);
 }
 
 TEST(RtrWindow, NoiseAboveTheCutAtTheHorizonRunsV2ToTheHorizon) {
-  const CoupledNet net = slow_victim_net();
-  SuperpositionEngine eng(net);
-  const double horizon = eng.options().horizon;
-  const RtrOptions opts = one_pass();
-  const RtrResult r =
-      compute_rtr(eng, shifts_for_time(eng, horizon - 100 * ps), opts);
-  ASSERT_GT(r.in_current.t_end(), horizon);
+  // Both integrals stop at the horizon, where the paired sim stops.
+  const RtrResult r = expect_fixed_grid_matches_reference(past_the_horizon());
+  ASSERT_GT(r.in_current.t_end(), SuperpositionOptions{}.horizon);
   EXPECT_NE(r.vn_nonlinear.values().back(), 0.0);  // V2's own last sample.
-  // Both integrals stop at the horizon, where the sims stop.
-  const double ref = full_horizon_rtr(eng, r.in_current, opts,
-                                      r.in_current.clipped(0.0, horizon));
-  EXPECT_NEAR(r.rtr / ref, 1.0, 1e-3);
+}
+
+TEST(RtrPaired, AdaptiveMatchesFixedGrid) {
+  // Same shifts on both engines; the adaptive run (default lte_tol, for
+  // the linear noise sims and the driver sims alike) stays an order
+  // inside the tolerance the fix-point iteration accepts.
+  const RtrOptions opts = one_pass();
+  for (const PairedCase& c : paired_cases()) {
+    SCOPED_TRACE(c.name);
+    SuperpositionEngine fixed(c.net, fixed_grid());
+    SuperpositionEngine adaptive(c.net);
+    ASSERT_GT(adaptive.options().lte_tol, 0.0);
+    const std::vector<double> shifts = shifts_for(fixed, c.peak);
+    const RtrResult r0 = compute_rtr(fixed, shifts, opts);
+    const RtrResult r = compute_rtr(adaptive, shifts, opts);
+    EXPECT_NEAR(r.rtr / r0.rtr, 1.0, opts.rel_tol / 10);
+    EXPECT_LT(r.vn_nonlinear.size(), r0.vn_nonlinear.size());
+  }
 }
 
 TEST(Rtr, NoCouplingMeansNoCorrection) {
