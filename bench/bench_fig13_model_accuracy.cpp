@@ -98,10 +98,8 @@ int main(int argc, char** argv) {
       // Traditional flow: identical alignment, Thevenin holding.
       const Pwl comp_rth = eng.composite_noise_at_sink(shifts, r_rtr.rth);
       const Pwl noisy_rth = r_rtr.noiseless_sink + comp_rth;
-      const double t_thev =
-          evaluate_receiver(net.victim.receiver, noisy_rth,
-                            net.victim.receiver_load, rising)
-              .t_out_50;
+      const double t_thev = receiver_t50(net.victim.receiver, noisy_rth,
+                                         net.victim.receiver_load, rising);
       const double thev_extra = t_thev - r_rtr.nominal_t50;
 
       // Golden: full nonlinear circuit at the same aggressor alignment.

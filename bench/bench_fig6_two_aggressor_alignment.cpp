@@ -98,11 +98,9 @@ int main(int argc, char** argv) {
   // delay, across receiver-load corners.
   const auto& vt = eng.victim_transition();
   const double nominal_small =
-      evaluate_receiver(net.victim.receiver, vt.at_sink, small_load, true)
-          .t_out_50;
+      receiver_t50(net.victim.receiver, vt.at_sink, small_load, true);
   const double nominal_large =
-      evaluate_receiver(net.victim.receiver, vt.at_sink, large_load, true)
-          .t_out_50;
+      receiver_t50(net.victim.receiver, vt.at_sink, large_load, true);
   const double extra_small = best_small - nominal_small;
   const double extra_large = best_large - nominal_large;
   const double pen_small_pct =

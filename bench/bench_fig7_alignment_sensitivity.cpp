@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
         const Pwl noisy =
             ramp + shift_pulse_peak_to(pulse_a, t50 + da, nullptr);
         const double d =
-            evaluate_receiver(rcv_a, noisy, loads[li], true).t_out_50 - t50;
+            receiver_t50(rcv_a, noisy, loads[li], true) - t50;
         row.push_back(d / ps);
         dmin[li] = std::min(dmin[li], d);
         dmax[li] = std::max(dmax[li], d);
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     std::vector<double> sens_pct(loads.size());
     for (std::size_t li = 0; li < loads.size(); ++li) {
       const double nominal =
-          evaluate_receiver(rcv_a, ramp, loads[li], true).t_out_50 - t50;
+          receiver_t50(rcv_a, ramp, loads[li], true) - t50;
       // This load's own worst alignment (within the same sweep window).
       AlignmentSearchOptions so = sopt;
       const AlignmentResult worst = exhaustive_worst_alignment(
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
         const Pwl noisy = ramp + shift_pulse_peak_to(
                                      pulse_a, worst.t_peak + da, nullptr);
         const double extra =
-            (evaluate_receiver(rcv_a, noisy, loads[li], true).t_out_50 - t50) -
+            (receiver_t50(rcv_a, noisy, loads[li], true) - t50) -
             nominal;
         lost = std::max(lost, extra_worst - extra);
       }

@@ -87,9 +87,7 @@ int main(int argc, char** argv) {
       for (const Pwl* p : {&pw100, &pw300, &ph02, &ph05}) {
         const Pwl noisy = ramp + shift_pulse_peak_to(*p, *t_at, nullptr);
         row.push_back(
-            (evaluate_receiver(receiver(), noisy, 2 * fF, true).t_out_50 -
-             t50) /
-            ps);
+            (receiver_t50(receiver(), noisy, 2 * fF, true) - t50) / ps);
       }
       tbl.add_row_values(row);
     }

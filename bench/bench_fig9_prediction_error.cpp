@@ -29,9 +29,9 @@ GateParams receiver() {
 /// Extra delay (vs the noiseless case) for a pulse peak placed at t_peak.
 double extra_delay_at(const GateParams& rcv, const Pwl& ramp, const Pwl& pulse,
                       double load, double t_peak) {
-  const double nominal = evaluate_receiver(rcv, ramp, load, true).t_out_50;
+  const double nominal = receiver_t50(rcv, ramp, load, true);
   const Pwl noisy = ramp + shift_pulse_peak_to(pulse, t_peak, nullptr);
-  return evaluate_receiver(rcv, noisy, load, true).t_out_50 - nominal;
+  return receiver_t50(rcv, noisy, load, true) - nominal;
 }
 
 }  // namespace
@@ -71,8 +71,7 @@ int main(int argc, char** argv) {
         wopt.window_max = 2 * ns + slew;
         const AlignmentResult ex =
             exhaustive_worst_alignment(ramp, pulse, rcv, load, true, wopt);
-        const double nominal =
-            evaluate_receiver(rcv, ramp, load, true).t_out_50;
+        const double nominal = receiver_t50(rcv, ramp, load, true);
         const double d_ex = ex.t_out_50 - nominal;
         const double t_pred = tbl.predict_peak_time(ramp, measure_pulse(pulse));
         const double d_pred = extra_delay_at(rcv, ramp, pulse, load, t_pred);
@@ -95,8 +94,7 @@ int main(int argc, char** argv) {
     const std::vector<double> widths{60 * ps, 140 * ps, 280 * ps, 450 * ps};
     const std::vector<double> heights{0.12, 0.22, 0.33, 0.43};  // Of Vdd.
     const Pwl ramp = Pwl::ramp(2 * ns, 200 * ps, 0.0, kVdd);
-    const double nominal =
-        evaluate_receiver(rcv, ramp, spec.min_load, true).t_out_50;
+    const double nominal = receiver_t50(rcv, ramp, spec.min_load, true);
     Table t({"width_ps\\height_frac", "0.12", "0.22", "0.33", "0.43"});
     for (double w : widths) {
       std::vector<std::string> row{Table::fmt(w / ps)};

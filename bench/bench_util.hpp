@@ -46,6 +46,14 @@ inline bool check(const char* what, bool ok) {
   return ok;
 }
 
+/// Receiver-output 50% crossing of `vin` through a freshly built receiver
+/// sim into `load` (fixed 1 ps grid, full Newton).
+inline double receiver_t50(const GateParams& rcv, const Pwl& vin, double load,
+                           bool input_rising) {
+  GateSim sim(rcv, load);
+  return evaluate_receiver(sim, vin, input_rising).t_out_50;
+}
+
 /// Renders a BENCH_*.json artifact into memory and publishes it via the
 /// atomic tmp+fsync+rename helper: a reader polling the path (or a crash
 /// mid-write) never observes a truncated JSON. `render` receives the

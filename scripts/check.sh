@@ -46,7 +46,8 @@ if [[ "$run_asan" == 1 ]]; then
   cmake --build build-asan -j "$jobs" \
     --target test_matrix test_sparse test_linear_sim test_nonlinear_sim \
              test_adaptive_sim test_pwl test_numeric test_thevenin test_ceff \
-             test_rtr test_extensions test_fault_tolerance
+             test_rtr test_extensions test_gate test_alignment \
+             test_delay_noise test_fault_tolerance
   ./build-asan/tests/test_matrix
   ./build-asan/tests/test_sparse
   ./build-asan/tests/test_linear_sim
@@ -62,6 +63,11 @@ if [[ "$run_asan" == 1 ]]; then
   ./build-asan/tests/test_ceff
   ./build-asan/tests/test_rtr
   ./build-asan/tests/test_extensions
+  # GateSim owns the circuit its re-driven simulator references; these
+  # cover every kind of it and the receiver evaluations built on it.
+  ./build-asan/tests/test_gate
+  ./build-asan/tests/test_alignment
+  ./build-asan/tests/test_delay_noise
   # Deep retry ladders scale the backoff by 2^attempt; any UB there (an
   # int shift past its width) must fail the stage, not just print.
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \

@@ -21,7 +21,7 @@ CeffResult compute_ceff(const GateParams& driver, const Pwl& vin,
 
   // Every fit iteration re-simulates the same gate (only cload moves);
   // warm-start each reference sim from the previous operating point.
-  GateSimCache warm;
+  Vector warm;
   TheveninFitOptions fit_opts = opts.fit;
   if (opts.warm_start && !fit_opts.warm) fit_opts.warm = &warm;
 

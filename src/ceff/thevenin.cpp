@@ -94,7 +94,8 @@ TheveninFit fit_thevenin(const GateParams& gate, const Pwl& vin, double cload,
   TransientSpec spec = default_gate_spec(vin, opts.tail, opts.dt);
   spec.lte_tol = opts.lte_tol;
   spec.stale_jacobian_iters = opts.stale_jacobian_iters;
-  auto ref = try_simulate_gate(gate, vin, cload, spec, std::nullopt, opts.warm);
+  GateSim sim(gate, cload);
+  auto ref = sim.try_run(vin, spec, opts.warm);
   if (!ref.ok()) raise(ref.status());
   out.reference = std::move(ref).value();
 

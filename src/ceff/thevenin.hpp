@@ -44,10 +44,11 @@ struct TheveninFitOptions {
   /// Chord-Newton budget for the reference sim; 0 = classic full Newton
   /// (sim/transient.hpp).
   int stale_jacobian_iters = 16;
-  /// Optional warm-start cache for the reference sim (non-owning). The
-  /// Ceff loop refits the same gate repeatedly with a slightly different
-  /// cload; the DC operating point is identical every time.
-  GateSimCache* warm = nullptr;
+  /// Optional DC warm-start chain for the reference sim (non-owning; see
+  /// GateSim). The Ceff loop refits the same gate repeatedly with a
+  /// slightly different cload; the DC operating point is identical every
+  /// time.
+  Vector* warm = nullptr;
 };
 
 struct TheveninFit {

@@ -4,12 +4,7 @@
 
 namespace dn {
 
-Circuit::Circuit() { id_to_name_.push_back("0"); }
-
-NodeId Circuit::add_node() {
-  id_to_name_.push_back("n" + std::to_string(next_node_));
-  return next_node_++;
-}
+NodeId Circuit::add_node() { return next_node_++; }
 
 NodeId Circuit::node(const std::string& name) {
   if (name == "0" || name == "gnd" || name == "GND") return kGround;
@@ -17,14 +12,7 @@ NodeId Circuit::node(const std::string& name) {
   if (it != names_.end()) return it->second;
   const NodeId id = next_node_++;
   names_.emplace(name, id);
-  id_to_name_.push_back(name);
   return id;
-}
-
-std::string Circuit::node_name(NodeId n) const {
-  if (n >= 0 && static_cast<std::size_t>(n) < id_to_name_.size())
-    return id_to_name_[static_cast<std::size_t>(n)];
-  return "n" + std::to_string(n);
 }
 
 void Circuit::check_node(NodeId n) const {
@@ -82,14 +70,6 @@ void Circuit::add_mosfet(NodeId d, NodeId g, NodeId s, const MosfetParams& param
   check_node(g);
   check_node(s);
   mosfets_.push_back({d, g, s, params});
-}
-
-double Circuit::total_cap_at(NodeId n) const {
-  check_node(n);
-  double acc = 0.0;
-  for (const auto& c : capacitors_)
-    if (c.a == n || c.b == n) acc += c.c;
-  return acc;
 }
 
 }  // namespace dn

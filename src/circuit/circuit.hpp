@@ -48,16 +48,11 @@ struct MosfetInst {
 
 class Circuit {
  public:
-  Circuit();
-
   /// Creates a fresh anonymous node.
   NodeId add_node();
 
   /// Gets or creates a named node ("0", "gnd", "GND" alias ground).
   NodeId node(const std::string& name);
-
-  /// Name of a node if it was created via node(); otherwise "n<id>".
-  std::string node_name(NodeId n) const;
 
   int num_nodes() const { return next_node_; }  // Including ground.
 
@@ -88,15 +83,10 @@ class Circuit {
 
   bool is_linear() const { return mosfets_.empty(); }
 
-  /// Total capacitance attached to `n` (grounded + coupling), a convenient
-  /// upper bound used to seed C-effective iterations.
-  double total_cap_at(NodeId n) const;
-
  private:
   void check_node(NodeId n) const;
   int next_node_ = 1;  // 0 is ground.
   std::unordered_map<std::string, NodeId> names_;
-  std::vector<std::string> id_to_name_;
   std::vector<Resistor> resistors_;
   std::vector<Capacitor> capacitors_;
   std::vector<VSource> vsources_;

@@ -14,17 +14,6 @@
 
 namespace dn {
 
-const char* analysis_outcome_name(AnalysisOutcome o) {
-  switch (o) {
-    case AnalysisOutcome::kOk: return "ok";
-    case AnalysisOutcome::kDegraded: return "degraded";
-    case AnalysisOutcome::kFailed: return "failed";
-    case AnalysisOutcome::kScreened: return "screened";
-    case AnalysisOutcome::kDeferred: return "deferred";
-  }
-  return "?";
-}
-
 void finalize_batch_result(BatchResult& out, int top_k, bool ladder_enabled) {
   // Worst-K by combined delay noise, ties broken by index so the ranking
   // is stable across thread counts. Pruned/deferred nets never rank.

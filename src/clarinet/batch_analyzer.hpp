@@ -70,8 +70,6 @@ enum class AnalysisOutcome {
   kDeferred,  // Survived a capped ladder (max_tier < 2); not analyzed.
 };
 
-const char* analysis_outcome_name(AnalysisOutcome o);
-
 /// Outcome for one net of the batch (slot `index` of the input vector).
 struct BatchNetResult {
   std::size_t index = 0;

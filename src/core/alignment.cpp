@@ -123,31 +123,28 @@ std::vector<double> ScanDomain::sample(double lo, double hi, int n) const {
   return out;
 }
 
-namespace {
-
-/// Receiver transient horizon: input end plus a settling tail sized to
-/// the load (heuristic, generous). Shared by the per-call and batched
-/// probe paths so both simulate the identical spec.
-TransientSpec receiver_spec(const GateParams& receiver, const Pwl& vin,
-                            double cload, double dt, double lte_tol,
-                            int stale_jacobian_iters) {
-  const double tail = 2e-9 + 200.0 * receiver.vdd * cload;
+ReceiverEval evaluate_receiver(GateSim& receiver, const Pwl& vin,
+                               bool input_rising, double dt, double lte_tol,
+                               Vector* warm, int stale_jacobian_iters) {
+  static obs::Counter& c_evals =
+      obs::metrics().counter("alignment.receiver_evals");
+  obs::TraceSpan span("receiver.eval", "analyze");
+  c_evals.add();
+  const GateParams& gate = receiver.gate();
+  // Horizon: input end plus a settling tail sized to the load (heuristic,
+  // generous).
+  const double tail = 2e-9 + 200.0 * gate.vdd * receiver.cload();
   TransientSpec spec{0.0, vin.t_end() + tail, dt};
   spec.lte_tol = lte_tol;
   spec.stale_jacobian_iters = stale_jacobian_iters;
-  return spec;
-}
+  auto out = receiver.try_run(vin, spec, warm);
+  if (!out.ok()) raise(out.status());
 
-/// Post-processes a simulated receiver output into a ReceiverEval:
-/// final 50% crossing plus residual reverse-excursion noise. Shared by
-/// evaluate_receiver and the batched probe session, so both measure the
-/// identical waveform identically.
-ReceiverEval measure_receiver_output(Pwl output, bool out_rising,
-                                     double vdd) {
   ReceiverEval ev;
-  ev.output = std::move(output);
-  const double mid = 0.5 * vdd;
-  const auto t50 = ev.output.last_crossing(mid, out_rising);
+  ev.output = std::move(out).value();
+  const bool out_rising =
+      gate_inverts(gate.type) ? !input_rising : input_rising;
+  const auto t50 = ev.output.last_crossing(0.5 * gate.vdd, out_rising);
   if (!t50)
     throw std::runtime_error(
         "evaluate_receiver: output never completed its transition");
@@ -175,31 +172,6 @@ ReceiverEval measure_receiver_output(Pwl output, bool out_rising,
   return ev;
 }
 
-/// "How many nonlinear sims did the search spend" — every candidate
-/// alignment costs exactly one receiver evaluation.
-obs::Counter& receiver_evals_counter() {
-  static obs::Counter& c = obs::metrics().counter("alignment.receiver_evals");
-  return c;
-}
-
-}  // namespace
-
-ReceiverEval evaluate_receiver(const GateParams& receiver, const Pwl& vin,
-                               double cload, bool input_rising, double dt,
-                               double lte_tol, GateSimCache* warm,
-                               int stale_jacobian_iters) {
-  obs::TraceSpan span("receiver.eval", "analyze");
-  receiver_evals_counter().add();
-  const bool out_rising =
-      gate_inverts(receiver.type) ? !input_rising : input_rising;
-  const TransientSpec spec =
-      receiver_spec(receiver, vin, cload, dt, lte_tol, stale_jacobian_iters);
-  auto out = try_simulate_gate(receiver, vin, cload, spec, std::nullopt, warm);
-  if (!out.ok()) raise(out.status());
-  return measure_receiver_output(std::move(out).value(), out_rising,
-                                 receiver.vdd);
-}
-
 Pwl shift_pulse_peak_to(const Pwl& composite, double t_target,
                         double* shift_out) {
   const PulseParams p = measure_pulse(composite);
@@ -207,23 +179,6 @@ Pwl shift_pulse_peak_to(const Pwl& composite, double t_target,
   if (shift_out) *shift_out = shift;
   return composite.shifted(shift);
 }
-
-namespace {
-
-/// Receiver-output crossing for the pulse peak placed at `t_peak`.
-double delay_for_peak_at(const Pwl& noiseless_sink, const Pwl& composite,
-                         const GateParams& receiver, double rcv_load,
-                         bool victim_rising, double t_peak, double dt,
-                         double lte_tol = 0.0, GateSimCache* warm = nullptr,
-                         int stale_jacobian_iters = -1) {
-  const PulseParams p = measure_pulse(composite);
-  const Pwl noisy = noiseless_sink.add_shifted(composite, t_peak - p.t_peak);
-  return evaluate_receiver(receiver, noisy, rcv_load, victim_rising, dt,
-                           lte_tol, warm, stale_jacobian_iters)
-      .t_out_50;
-}
-
-}  // namespace
 
 AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
                                            const Pwl& composite,
@@ -255,38 +210,16 @@ AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
     if (hi <= lo) hi = lo + 1e-15;
   }
 
-  // Batched probing: every probe in this search simulates the same
-  // receiver topology into the same load — only the input waveform
-  // differs — so one built circuit/simulator serves the whole search
-  // (bit-identical to per-probe construction; see ReceiverProbeSession).
-  // The session also subsumes the one-GateSimCache-per-search warm-start
-  // discipline the per-probe path used.
+  // Batched probing: every probe of the search re-drives one receiver
+  // GateSim with one warm-start chain; only the input waveform differs.
   static obs::Counter& c_batched =
       obs::metrics().counter("alignment.batched_probes");
   static obs::Counter& c_batches =
       obs::metrics().counter("alignment.probe_batches");
-  ReceiverProbeSession session(receiver, rcv_load, opts.warm_start);
+  GateSim sim(receiver, rcv_load);
+  Vector chain;
+  Vector* const warm = opts.warm_start ? &chain : nullptr;
   c_batches.add();
-  const bool out_rising =
-      gate_inverts(receiver.type) ? !victim_rising : victim_rising;
-  auto eval = [&](double t_peak) {
-    receiver_evals_counter().add();
-    c_batched.add();
-    // Peak placement reuses the pulse measured once above — the per-probe
-    // path re-measured the (invariant) composite every call — and the
-    // fused add_shifted skips the intermediate shifted copy; both are
-    // bit-identical replacements (pinned by PwlTest.AddShiftedBitIdentical).
-    const double shift = t_peak - pulse.t_peak;
-    const Pwl noisy = noiseless_sink.add_shifted(composite, shift);
-    const TransientSpec spec =
-        receiver_spec(receiver, noisy, rcv_load, opts.dt, opts.lte_tol,
-                      opts.stale_jacobian_iters);
-    auto out = session.try_run(noisy, spec);
-    if (!out.ok()) raise(out.status());
-    return measure_receiver_output(std::move(out).value(), out_rising,
-                                   receiver.vdd)
-        .t_out_50;
-  };
 
   // Coarse sweep over the FEASIBLE part of the span only: the pruned
   // domain (per-aggressor switching windows, correlation constraints)
@@ -304,34 +237,35 @@ AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
   }
   if (coarse.size() < static_cast<std::size_t>(n_coarse))
     c_domain_pruned.add(static_cast<std::uint64_t>(n_coarse) - coarse.size());
-  double best_t = coarse.front();
-  double best_d = -1e300;
-  for (double t : coarse) {
-    deadline_checkpoint("alignment search");
-    const double d = eval(t);
-    if (d > best_d) {
-      best_d = d;
-      best_t = t;
-    }
-  }
-  // Fine sweep around the best coarse point (+- one coarse step),
-  // respecting the window and the feasible domain.
+  // Coarse pass, then a fine pass around the best coarse point (+- one
+  // coarse step), respecting the window and the feasible domain.
   const double step =
       coarse.size() > 1 ? coarse[1] - coarse[0] : (hi - lo) / n_coarse;
-  double flo = best_t - step, fhi = best_t + step;
-  if (opts.has_window()) {
-    flo = std::max(flo, opts.window_min);
-    fhi = std::min(fhi, opts.window_max);
-    if (!(fhi > flo)) fhi = flo + 1e-15;
-  }
-  std::vector<double> fine =
-      opts.domain.sample(flo, fhi, std::max(opts.fine_points, 5));
-  for (double t : fine) {
-    deadline_checkpoint("alignment search");
-    const double d = eval(t);
-    if (d > best_d) {
-      best_d = d;
-      best_t = t;
+  double best_t = coarse.front();
+  double best_d = -1e300;
+  std::vector<double> probes = std::move(coarse);
+  for (const bool fine : {false, true}) {
+    if (fine) {
+      double flo = best_t - step, fhi = best_t + step;
+      if (opts.has_window()) {
+        flo = std::max(flo, opts.window_min);
+        fhi = std::min(fhi, opts.window_max);
+        if (!(fhi > flo)) fhi = flo + 1e-15;
+      }
+      probes = opts.domain.sample(flo, fhi, std::max(opts.fine_points, 5));
+    }
+    for (const double t : probes) {
+      deadline_checkpoint("alignment search");
+      c_batched.add();
+      const Pwl noisy = noiseless_sink.add_shifted(composite, t - pulse.t_peak);
+      const double d =
+          evaluate_receiver(sim, noisy, victim_rising, opts.dt, opts.lte_tol,
+                            warm, opts.stale_jacobian_iters)
+              .t_out_50;
+      if (d > best_d) {
+        best_d = d;
+        best_t = t;
+      }
     }
   }
 
@@ -346,7 +280,6 @@ AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
 AlignmentResult receiver_input_peak_alignment(
     const Pwl& noiseless_sink, const Pwl& composite, const GateParams& receiver,
     double rcv_load, bool victim_rising, const AlignmentSearchOptions& opts) {
-  const double dt = opts.dt;
   const PulseParams pulse = measure_pulse(composite);
   const double vdd = receiver.vdd;
   const double vn = std::abs(pulse.height);
@@ -373,10 +306,12 @@ AlignmentResult receiver_input_peak_alignment(
   out.t_peak = t_peak;
   out.shift = t_peak - pulse.t_peak;
   out.align_voltage = noiseless_sink.at(t_peak);
-  out.t_out_50 = delay_for_peak_at(noiseless_sink, composite, receiver,
-                                   rcv_load, victim_rising, t_peak, dt,
-                                   opts.lte_tol, nullptr,
-                                   opts.stale_jacobian_iters);
+  GateSim sim(receiver, rcv_load);
+  out.t_out_50 =
+      evaluate_receiver(sim, noiseless_sink.add_shifted(composite, out.shift),
+                        victim_rising, opts.dt, opts.lte_tol, nullptr,
+                        opts.stale_jacobian_iters)
+          .t_out_50;
   return out;
 }
 

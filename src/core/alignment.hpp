@@ -59,6 +59,8 @@ class ScanDomain {
   /// [lo, hi] is feasible.
   std::vector<double> sample(double lo, double hi, int n) const;
 
+  bool operator==(const ScanDomain&) const = default;
+
  private:
   // Unconstrained is represented lazily: the first mutation materializes
   // the full line as one huge interval so exclude() stays closed-form.
@@ -69,24 +71,27 @@ class ScanDomain {
 };
 
 /// Receiver evaluation of a (possibly noisy) input waveform: one nonlinear
-/// simulation of the receiver gate into `cload`.
+/// simulation of the receiver gate into its load.
 struct ReceiverEval {
   double t_out_50 = 0.0;   // Final 50%-Vdd crossing time at the output [s].
   double out_noise_peak = 0.0;  // Residual noise peak at the output [V].
   Pwl output;
 };
 
+/// The only receiver-sim path of the flow: `receiver` is the receiver
+/// gate into its load (a kSingle GateSim), re-driven with `vin`.
 /// `input_rising` is the direction of the victim transition at the
 /// receiver input; the output crossing is measured in the corresponding
 /// output direction (inverted for inverting receivers). Throws if the
 /// output never completes its transition. `lte_tol` > 0 enables adaptive
-/// stepping in the receiver sim (dt stays the accuracy floor); `warm`
-/// carries the operating point across the repeated probes of an
-/// alignment search.
-ReceiverEval evaluate_receiver(const GateParams& receiver, const Pwl& vin,
-                               double cload, bool input_rising,
-                               double dt = 1e-12, double lte_tol = 0.0,
-                               GateSimCache* warm = nullptr,
+/// stepping in the receiver sim (dt stays the accuracy floor); `warm` is
+/// the DC warm-start chain across repeated evaluations (GateSim).
+///
+/// Metrics: `alignment.receiver_evals` counts every call, inside a
+/// `receiver.eval` trace span.
+ReceiverEval evaluate_receiver(GateSim& receiver, const Pwl& vin,
+                               bool input_rising, double dt = 1e-12,
+                               double lte_tol = 0.0, Vector* warm = nullptr,
                                int stale_jacobian_iters = -1);
 
 /// Result of choosing a composite-pulse alignment.
@@ -131,6 +136,8 @@ struct AlignmentSearchOptions {
   /// only feasible points; an unconstrained domain reproduces the
   /// unpruned scan bit-for-bit.
   ScanDomain domain{};
+
+  bool operator==(const AlignmentSearchOptions&) const = default;
 };
 
 /// Exhaustive worst-case alignment against the RECEIVER OUTPUT delay (the

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "util/deadline.hpp"
+#include "util/metrics.hpp"
 #include "util/numeric.hpp"
 #include "util/thread_pool.hpp"
 
@@ -106,8 +107,8 @@ double AlignmentTable::predict_peak_time(const Pwl& noiseless_sink,
   // was characterized over.
   const double w =
       std::clamp(pulse.width, spec_.width_min, spec_.width_max);
-  const double h = std::clamp(std::abs(pulse.height),
-                              spec_.height_min_frac * receiver_.vdd,
+  const double h_raw = std::abs(pulse.height);
+  const double h = std::clamp(h_raw, spec_.height_min_frac * receiver_.vdd,
                               spec_.height_max_frac * receiver_.vdd);
   const double tw = (w - spec_.width_min) / (spec_.width_max - spec_.width_min);
   const double th =
@@ -143,9 +144,11 @@ double AlignmentTable::predict_peak_time(const Pwl& noiseless_sink,
   const auto slew10_90 = noiseless_sink.slew(
       std::min(noiseless_sink.values().front(), noiseless_sink.values().back()),
       std::max(noiseless_sink.values().front(), noiseless_sink.values().back()));
-  const double slew =
-      std::clamp(slew10_90 ? *slew10_90 / 0.8 : spec_.slew_min, spec_.slew_min,
-                 spec_.slew_max);
+  const double slew_raw = slew10_90 ? *slew10_90 / 0.8 : spec_.slew_min;
+  const double slew = std::clamp(slew_raw, spec_.slew_min, spec_.slew_max);
+  static obs::Counter& c_clamped =
+      obs::metrics().counter("alignment.table_clamped");
+  if (w != pulse.width || h != h_raw || slew != slew_raw) c_clamped.add();
   const double ts =
       (slew - spec_.slew_min) / (spec_.slew_max - spec_.slew_min);
   return t_corner[0] * (1 - ts) + t_corner[1] * ts;

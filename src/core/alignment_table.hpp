@@ -39,6 +39,8 @@ struct AlignmentTableSpec {
   double height_max_frac = 0.45;
   double min_load = 2e-15;     // Characterization (minimum) receiver load [F].
   AlignmentSearchOptions search{};
+
+  bool operator==(const AlignmentTableSpec&) const = default;
 };
 
 class AlignmentTable {
@@ -65,7 +67,9 @@ class AlignmentTable {
 
   /// Predicted worst-case pulse-peak time for the actual victim transition
   /// `noiseless_sink` (victim slew measured internally) and the measured
-  /// composite pulse parameters.
+  /// composite pulse parameters. Slew, width and height are clamped to the
+  /// characterized ranges; `alignment.table_clamped` counts the calls that
+  /// clamped any of them.
   double predict_peak_time(const Pwl& noiseless_sink,
                            const PulseParams& pulse) const;
 

@@ -19,19 +19,21 @@ const char* alignment_method_name(AlignmentMethod m) {
 
 namespace {
 
-/// `warm` chains the DC operating point between the net's receiver
-/// evaluations on the Predicted path (null: each solves its DC cold).
+/// `rcv` is the net's receiver into its load; `warm` chains the DC
+/// operating point between its evaluations on the Predicted path (null:
+/// each solves its DC cold). The exhaustive and [5] methods build their
+/// own receiver sims.
 AlignmentResult choose_alignment(const DelayNoiseOptions& opts,
                                  const Pwl& noiseless_sink, const Pwl& composite,
-                                 const GateParams& receiver, double rcv_load,
-                                 bool rising, GateSimCache* warm) {
+                                 GateSim& rcv, bool rising, Vector* warm) {
   switch (opts.method) {
     case AlignmentMethod::Exhaustive:
-      return exhaustive_worst_alignment(noiseless_sink, composite, receiver,
-                                        rcv_load, rising, opts.search);
+      return exhaustive_worst_alignment(noiseless_sink, composite, rcv.gate(),
+                                        rcv.cload(), rising, opts.search);
     case AlignmentMethod::ReceiverInputPeak:
-      return receiver_input_peak_alignment(noiseless_sink, composite, receiver,
-                                           rcv_load, rising, opts.search);
+      return receiver_input_peak_alignment(noiseless_sink, composite,
+                                           rcv.gate(), rcv.cload(), rising,
+                                           opts.search);
     case AlignmentMethod::Predicted: {
       if (!opts.table)
         throw std::invalid_argument(
@@ -43,7 +45,7 @@ AlignmentResult choose_alignment(const DelayNoiseOptions& opts,
       // late that a loaded receiver filters the noise entirely (the
       // Figure 3 failure mode); mid-transition is always a safe fallback,
       // and evaluating it costs one extra receiver simulation.
-      double t_mid = noiseless_sink.crossing(0.5 * receiver.vdd, rising)
+      double t_mid = noiseless_sink.crossing(0.5 * rcv.gate().vdd, rising)
                          .value_or(t_pred);
       if (opts.search.has_window()) {
         t_pred = std::clamp(t_pred, opts.search.window_min,
@@ -62,12 +64,15 @@ AlignmentResult choose_alignment(const DelayNoiseOptions& opts,
         r.align_voltage = noiseless_sink.at(t_peak);
         const Pwl noisy = noiseless_sink.add_shifted(composite, r.shift);
         r.t_out_50 =
-            evaluate_receiver(receiver, noisy, rcv_load, rising,
-                              opts.search.dt, opts.search.lte_tol, warm,
+            evaluate_receiver(rcv, noisy, rising, opts.search.dt,
+                              opts.search.lte_tol, warm,
                               opts.search.stale_jacobian_iters)
                 .t_out_50;
         if (r.t_out_50 > best.t_out_50) best = r;
       }
+      static obs::Counter& c_guard_won =
+          obs::metrics().counter("alignment.guard_won");
+      if (best.t_peak == t_mid && t_mid != t_pred) c_guard_won.add();
       return best;
     }
   }
@@ -207,8 +212,6 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
   const auto& vt = eng.victim_transition();
   out.noiseless_sink = vt.at_sink;
   const bool rising = net.victim.output_rising;
-  const GateParams& rcv = net.victim.receiver;
-  const double rcv_load = net.victim.receiver_load;
   const double vdd = eng.vdd();
 
   // Pre-search pruning (DESIGN.md §13): exclusion pairs are resolved once
@@ -223,10 +226,11 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
   // `eff` carries the per-pass scan domain into the search options.
   DelayNoiseOptions eff = opts;
 
-  // One DC warm-start chain for every receiver evaluation of this net
-  // (the same receiver and load each time), when warm starts are on.
-  GateSimCache rcv_cache;
-  GateSimCache* const warm = opts.search.warm_start ? &rcv_cache : nullptr;
+  // The net's receiver into its load, with one DC warm-start chain for the
+  // Predicted candidates and the nominal evaluation when warm starts are on.
+  GateSim rcv(net.victim.receiver, net.victim.receiver_load);
+  Vector rcv_chain;
+  Vector* const warm = opts.search.warm_start ? &rcv_chain : nullptr;
 
   // Fix-point between the linear victim model and the alignment.
   const int iters = std::max(opts.model_alignment_iterations, 1);
@@ -235,8 +239,8 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
                                    opts.search.domain, prune,
                                    &eff.search.domain);
     out.alignment = choose_alignment(eff, out.noiseless_sink,
-                                     out.composite.at_sink, rcv, rcv_load,
-                                     rising, warm);
+                                     out.composite.at_sink, rcv, rising,
+                                     warm);
     if (!opts.use_transient_holding) break;
     std::vector<double> shifts = out.composite.shifts;
     for (double& s : shifts) s += out.alignment.shift;
@@ -263,8 +267,8 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
                                        opts.search.domain, prune,
                                        &eff.search.domain);
         out.alignment = choose_alignment(eff, out.noiseless_sink,
-                                         out.composite.at_sink, rcv, rcv_load,
-                                         rising, warm);
+                                         out.composite.at_sink, rcv, rising,
+                                         warm);
       }
       break;
     }
@@ -280,8 +284,8 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
                                      opts.search.domain, prune,
                                      &eff.search.domain);
       out.alignment = choose_alignment(eff, out.noiseless_sink,
-                                       out.composite.at_sink, rcv, rcv_load,
-                                       rising, warm);
+                                       out.composite.at_sink, rcv, rising,
+                                       warm);
     }
   }
   out.aggressors_pruned_window = prune.by_window;
@@ -300,8 +304,8 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
 
   // Combined (receiver-output) delays.
   out.nominal_t50 =
-      evaluate_receiver(rcv, out.noiseless_sink, rcv_load, rising,
-                        opts.search.dt, opts.search.lte_tol, warm,
+      evaluate_receiver(rcv, out.noiseless_sink, rising, opts.search.dt,
+                        opts.search.lte_tol, warm,
                         opts.search.stale_jacobian_iters)
           .t_out_50;
   out.noisy_t50 = out.alignment.t_out_50;

@@ -37,9 +37,10 @@ FunctionalNoiseResult analyze_functional_noise(
   const double quiet_level = quiet_high ? vdd : 0.0;
   const double horizon = eng.options().horizon;
   const Pwl vin = Pwl::constant(quiet_level, 0.0, horizon) + comp.at_sink;
-  const Pwl vout = simulate_gate(net.victim.receiver, vin,
-                                 net.victim.receiver_load,
-                                 {0.0, horizon, eng.options().dt});
+  GateSim rcv(net.victim.receiver, net.victim.receiver_load);
+  auto run = rcv.try_run(vin, {0.0, horizon, eng.options().dt});
+  if (!run.ok()) raise(run.status());
+  const Pwl vout = std::move(run).value();
   out.receiver_output = vout;
   const double out_quiet = vout.values().front();
   out.output_peak = std::max(std::abs(vout.max_value() - out_quiet),

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
-#include "circuit/circuit.hpp"
 #include "devices/gate.hpp"
-#include "sim/nonlinear_sim.hpp"
 #include "util/metrics.hpp"
 #include "waveform/pulse.hpp"
 
@@ -29,55 +26,6 @@ Pwl differentiate(const Pwl& w, double dt) {
   return Pwl(std::move(ts), std::move(dv));
 }
 
-namespace {
-
-/// The paired driver sim behind both area-matching recipes (paper
-/// Figure 4): two copies of `driver` share the input source and vdd, each
-/// drives its own `cload`, and the noise-current source sits on copy 2
-/// only. One transient steps both copies on one grid, so V'n = V2 - V1
-/// carries no grid-mismatch error, and until the current turns on the
-/// copies follow identical arithmetic and V'n is exactly 0. The circuit
-/// and simulator are built once; each run swaps only the injected
-/// waveform. Not copyable: the simulator holds a reference to the circuit.
-class PairedDriverSim {
- public:
-  PairedDriverSim(const GateParams& driver, const Pwl& vin, double cload) {
-    const NodeId vdd = add_vdd(ckt_, driver.vdd);
-    const NodeId in = ckt_.node("in");
-    ckt_.add_vsource(in, kGround, vin);
-    out1_ = ckt_.node("out1");
-    instantiate_gate(ckt_, driver, in, out1_, vdd);
-    if (cload > 0) ckt_.add_capacitor(out1_, kGround, cload);
-    out2_ = ckt_.node("out2");
-    instantiate_gate(ckt_, driver, in, out2_, vdd);
-    if (cload > 0) ckt_.add_capacitor(out2_, kGround, cload);
-    noise_src_ = ckt_.add_isource(out2_, kGround, Pwl::constant(0.0));
-    sim_.emplace(ckt_);
-  }
-  PairedDriverSim(const PairedDriverSim&) = delete;
-  PairedDriverSim& operator=(const PairedDriverSim&) = delete;
-
-  /// V'n = V2 - V1 with `in` injected into copy 2, on the run's grid.
-  Pwl noise_response(const Pwl& in, const TransientSpec& spec) {
-    ckt_.set_isource_waveform(noise_src_, in);
-    auto run = sim_->try_run(spec);
-    if (!run.ok()) raise(run.status());
-    std::vector<double> dv(run->num_points());
-    for (std::size_t k = 0; k < dv.size(); ++k)
-      dv[k] = run->v(out2_, k) - run->v(out1_, k);
-    return Pwl(run->time(), std::move(dv));
-  }
-
- private:
-  Circuit ckt_;
-  NodeId out1_ = kGround;
-  NodeId out2_ = kGround;
-  int noise_src_ = -1;
-  std::optional<NonlinearSim> sim_;
-};
-
-}  // namespace
-
 RtrResult compute_rtr(const SuperpositionEngine& eng,
                       const std::vector<double>& shifts,
                       const RtrOptions& opts,
@@ -93,7 +41,8 @@ RtrResult compute_rtr(const SuperpositionEngine& eng,
   TransientSpec spec{0.0, horizon, dt};
   spec.lte_tol = eng.options().lte_tol;
   spec.stale_jacobian_iters = opts.stale_jacobian_iters;
-  PairedDriverSim pair(eng.net().victim.driver, eng.victim_input(), cload);
+  const Pwl vin = eng.victim_input();
+  GateSim pair(eng.net().victim.driver, cload, GateSim::Kind::kPaired);
 
   double holding = out.rth;
   for (int it = 1; it <= opts.max_iterations; ++it) {
@@ -111,7 +60,9 @@ RtrResult compute_rtr(const SuperpositionEngine& eng,
 
     // Steps 3-4: the nonlinear driver without and with the noise current,
     // as one paired sim over [0, horizon].
-    Pwl vpn = pair.noise_response(in_cur, spec);
+    auto run = pair.try_run(vin, spec, nullptr, &in_cur);
+    if (!run.ok()) raise(run.status());
+    Pwl vpn = std::move(run).value();
     c_steps.add(vpn.size() - 1);
 
     // Step 5: area matching, both integrals over the simulated span.
@@ -159,8 +110,10 @@ double quiet_holding_resistance(const GateParams& driver, bool output_high,
   const Pwl probe = triangle_pulse(amp, probe_width, t_peak);
   // Difference measurement on the fixed grid.
   const TransientSpec spec{0.0, horizon, 1e-12};
-  PairedDriverSim pair(driver, vin, ceff);
-  const Pwl vn = pair.noise_response(probe, spec);
+  GateSim pair(driver, ceff, GateSim::Kind::kPaired);
+  auto run = pair.try_run(vin, spec, nullptr, &probe);
+  if (!run.ok()) raise(run.status());
+  const Pwl vn = std::move(run).value();
   const double q = probe.integral();
   const double a = vn.integral();
   const double r = (std::abs(q) < 1e-24) ? 0.0 : a / q;

@@ -28,8 +28,8 @@
 namespace dn {
 
 /// Both driver sims (V1 without, V2 with the injected current) run as
-/// one paired simulation: two copies of the victim driver on one input
-/// and supply, each into its own Ceff, the noise current on copy 2 only.
+/// one paired GateSim: two copies of the victim driver on one input and
+/// supply, each into its own Ceff, the noise current on copy 2 only.
 /// Both copies step on one grid (LTE-adaptive at the engine's lte_tol;
 /// lte_tol 0 gives the fixed dt grid), so V'n = V2 - V1 carries no
 /// grid-mismatch error and is exactly 0 until the current turns on.

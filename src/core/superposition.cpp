@@ -66,23 +66,27 @@ Pwl SuperpositionEngine::aggressor_input(int k) const {
                            opts_.t_ref);
 }
 
-SuperpositionEngine::Waveforms SuperpositionEngine::run_aggressor(
-    int k, double victim_holding_r) const {
-  if (victim_holding_r <= 0)
-    throw std::invalid_argument("aggressor_noise: holding R must be > 0");
+SuperpositionEngine::Waveforms SuperpositionEngine::run_linear(
+    int switching, double victim_holding_r) const {
   obs::TraceSpan span("superposition.linear", "analyze");
-
-  // Noise-domain circuit: all quiet levels are 0 and the switching
-  // aggressor's source swings 0 -> +/-vdd through its Rth.
+  // The switching driver is its Thevenin source behind its Rth; every held
+  // driver is a resistance to ground. A held driver is more than a
+  // resistance, though: its drain junctions and gate-drain overlap still
+  // load the net. The full nonlinear circuit has these automatically; the
+  // linear model must add them explicitly or it systematically
+  // underestimates how slowly noise decays on small nets.
   Circuit ckt;
   const auto vmap = net_.victim.net.instantiate(ckt, "v");
-  ckt.add_resistor(vmap[0], kGround, victim_holding_r);
-  // A held driver is more than a resistance: its drain junctions and
-  // gate-drain overlap still load the net. The full nonlinear circuit has
-  // these automatically; the linear model must add them explicitly or it
-  // systematically underestimates how slowly noise decays on small nets.
-  ckt.add_capacitor(vmap[0], kGround,
-                    net_.victim.driver.output_parasitic_cap());
+  if (switching < 0) {
+    const TheveninModel& m = victim_model_.model;
+    const NodeId src = ckt.node("vic_src");
+    ckt.add_vsource(src, kGround, m.source(opts_.horizon));
+    ckt.add_resistor(src, vmap[0], m.rth);
+  } else {
+    ckt.add_resistor(vmap[0], kGround, victim_holding_r);
+    ckt.add_capacitor(vmap[0], kGround,
+                      net_.victim.driver.output_parasitic_cap());
+  }
   ckt.add_capacitor(vmap[static_cast<std::size_t>(net_.victim.net.sink)],
                     kGround, net_.victim.receiver.input_cap());
 
@@ -93,61 +97,20 @@ SuperpositionEngine::Waveforms SuperpositionEngine::run_aggressor(
     if (agg.sink_load > 0)
       ckt.add_capacitor(amap[static_cast<std::size_t>(agg.net.sink)], kGround,
                         agg.sink_load);
-    if (static_cast<int>(j) != k)
-      ckt.add_capacitor(amap[0], kGround,
-                        agg.driver.output_parasitic_cap());
-    if (static_cast<int>(j) == k) {
-      const TheveninModel& m = aggressor_models_[j].model;
-      TheveninModel noise_src = m;  // Same timing/rth, deviation levels.
+    const TheveninModel& m = aggressor_models_[j].model;
+    if (static_cast<int>(j) == switching) {
+      // Noise domain: all quiet levels are 0 and the switching aggressor's
+      // source swings 0 -> +/-vdd (same timing and rth).
+      TheveninModel noise_src = m;
       noise_src.v_from = 0.0;
-      noise_src.v_to = net_.aggressors[j].output_rising
-                           ? net_.aggressors[j].driver.vdd
-                           : -net_.aggressors[j].driver.vdd;
+      noise_src.v_to = agg.output_rising ? agg.driver.vdd : -agg.driver.vdd;
       const NodeId src = ckt.node("agg_src");
       ckt.add_vsource(src, kGround, noise_src.source(opts_.horizon));
       ckt.add_resistor(src, amap[0], m.rth);
     } else {
-      ckt.add_resistor(amap[0], kGround, aggressor_models_[j].model.rth);
+      ckt.add_capacitor(amap[0], kGround, agg.driver.output_parasitic_cap());
+      ckt.add_resistor(amap[0], kGround, m.rth);
     }
-    amaps.push_back(amap);
-  }
-  for (const auto& cc : net_.couplings) {
-    const auto& amap = amaps[static_cast<std::size_t>(cc.aggressor)];
-    ckt.add_capacitor(amap[static_cast<std::size_t>(cc.aggressor_node)],
-                      vmap[static_cast<std::size_t>(cc.victim_node)], cc.c);
-  }
-
-  LinearSim sim(ckt, opts_.solver);
-  const auto res = sim.try_run(transient_spec());
-  if (!res.ok()) raise(res.status());
-  Waveforms w;
-  w.at_root = res->waveform(vmap[0]);
-  w.at_sink =
-      res->waveform(vmap[static_cast<std::size_t>(net_.victim.net.sink)]);
-  return w;
-}
-
-SuperpositionEngine::Waveforms SuperpositionEngine::run_victim() const {
-  obs::TraceSpan span("superposition.linear", "analyze");
-  Circuit ckt;
-  const auto vmap = net_.victim.net.instantiate(ckt, "v");
-  ckt.add_capacitor(vmap[static_cast<std::size_t>(net_.victim.net.sink)],
-                    kGround, net_.victim.receiver.input_cap());
-  const TheveninModel& m = victim_model_.model;
-  const NodeId src = ckt.node("vic_src");
-  ckt.add_vsource(src, kGround, m.source(opts_.horizon));
-  ckt.add_resistor(src, vmap[0], m.rth);
-
-  std::vector<std::vector<NodeId>> amaps;
-  for (std::size_t j = 0; j < net_.aggressors.size(); ++j) {
-    const auto& agg = net_.aggressors[j];
-    const auto amap = agg.net.instantiate(ckt, "a" + std::to_string(j) + "_");
-    if (agg.sink_load > 0)
-      ckt.add_capacitor(amap[static_cast<std::size_t>(agg.net.sink)], kGround,
-                        agg.sink_load);
-    ckt.add_resistor(amap[0], kGround, aggressor_models_[j].model.rth);
-    // Held-driver parasitics (see run_aggressor).
-    ckt.add_capacitor(amap[0], kGround, agg.driver.output_parasitic_cap());
     amaps.push_back(amap);
   }
   for (const auto& cc : net_.couplings) {
@@ -170,39 +133,37 @@ const SuperpositionEngine::Waveforms& SuperpositionEngine::aggressor_noise(
     int k, double victim_holding_r) const {
   if (k < 0 || static_cast<std::size_t>(k) >= net_.aggressors.size())
     throw std::out_of_range("aggressor_noise: bad aggressor index");
+  if (victim_holding_r <= 0)
+    throw std::invalid_argument("aggressor_noise: holding R must be > 0");
   const auto key = std::make_pair(k, victim_holding_r);
   const auto it = noise_cache_.find(key);
   if (it != noise_cache_.end()) return it->second;
-  return noise_cache_.emplace(key, run_aggressor(k, victim_holding_r))
+  return noise_cache_.emplace(key, run_linear(k, victim_holding_r))
       .first->second;
 }
 
 const SuperpositionEngine::Waveforms& SuperpositionEngine::victim_transition()
     const {
-  if (!victim_cache_) victim_cache_ = run_victim();
+  if (!victim_cache_) victim_cache_ = run_linear(-1, 0.0);
   return *victim_cache_;
 }
 
 Pwl SuperpositionEngine::composite_noise_at_sink(
     const std::vector<double>& shifts, double victim_holding_r,
     const std::vector<char>* active) const {
-  if (shifts.size() != net_.aggressors.size())
-    throw std::invalid_argument("composite_noise: wrong shift count");
-  if (active && active->size() != shifts.size())
-    throw std::invalid_argument("composite_noise: wrong mask size");
-  Pwl sum;
-  for (std::size_t k = 0; k < shifts.size(); ++k) {
-    if (active && !(*active)[k]) continue;
-    sum = sum.add_shifted(
-        aggressor_noise(static_cast<int>(k), victim_holding_r).at_sink,
-        shifts[k]);
-  }
-  return sum;
+  return composite_noise(shifts, victim_holding_r, active, &Waveforms::at_sink);
 }
 
 Pwl SuperpositionEngine::composite_noise_at_root(
     const std::vector<double>& shifts, double victim_holding_r,
     const std::vector<char>* active) const {
+  return composite_noise(shifts, victim_holding_r, active, &Waveforms::at_root);
+}
+
+Pwl SuperpositionEngine::composite_noise(const std::vector<double>& shifts,
+                                         double victim_holding_r,
+                                         const std::vector<char>* active,
+                                         Pwl Waveforms::*where) const {
   if (shifts.size() != net_.aggressors.size())
     throw std::invalid_argument("composite_noise: wrong shift count");
   if (active && active->size() != shifts.size())
@@ -211,7 +172,7 @@ Pwl SuperpositionEngine::composite_noise_at_root(
   for (std::size_t k = 0; k < shifts.size(); ++k) {
     if (active && !(*active)[k]) continue;
     sum = sum.add_shifted(
-        aggressor_noise(static_cast<int>(k), victim_holding_r).at_root,
+        aggressor_noise(static_cast<int>(k), victim_holding_r).*where,
         shifts[k]);
   }
   return sum;

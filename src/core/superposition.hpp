@@ -106,8 +106,13 @@ class SuperpositionEngine {
   }
 
  private:
-  Waveforms run_aggressor(int k, double victim_holding_r) const;
-  Waveforms run_victim() const;
+  /// The linear coupled-net sim with driver `switching` switching (-1 =
+  /// the victim, Figure 1(c); k = aggressor k with the victim held by
+  /// `victim_holding_r`, Figure 1(b)) and every other driver held.
+  Waveforms run_linear(int switching, double victim_holding_r) const;
+  Pwl composite_noise(const std::vector<double>& shifts,
+                      double victim_holding_r, const std::vector<char>* active,
+                      Pwl Waveforms::*where) const;
 
   CoupledNet net_;
   SuperpositionOptions opts_;

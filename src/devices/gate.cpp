@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/nonlinear_sim.hpp"
-
 namespace dn {
 
 bool gate_inverts(GateType t) { return t != GateType::Buffer; }
@@ -98,64 +96,40 @@ NodeId add_vdd(Circuit& ckt, double vdd) {
   return n;
 }
 
-StatusOr<Pwl> try_simulate_gate(const GateParams& gate, const Pwl& vin,
-                                double cload, const TransientSpec& spec,
-                                const std::optional<Pwl>& inject,
-                                GateSimCache* warm) {
-  Circuit ckt;
-  const NodeId vdd = add_vdd(ckt, gate.vdd);
-  const NodeId in = ckt.node("in");
-  const NodeId out = ckt.node("out");
-  ckt.add_vsource(in, kGround, vin);
-  instantiate_gate(ckt, gate, in, out, vdd);
-  if (cload > 0) ckt.add_capacitor(out, kGround, cload);
-  if (inject) ckt.add_isource(out, kGround, *inject);
-  NonlinearSim sim(ckt);
-  const Vector* hint =
-      (warm && warm->dc.size() == sim.mna().dim()) ? &warm->dc : nullptr;
-  auto res = sim.try_run(spec, {.dc_hint = hint});
-  if (!res.ok()) return res.status();
-  if (warm) warm->dc = res->initial_state();
-  return res->waveform(out);
-}
-
-Pwl simulate_gate(const GateParams& gate, const Pwl& vin, double cload,
-                  const TransientSpec& spec, const std::optional<Pwl>& inject) {
-  auto res = try_simulate_gate(gate, vin, cload, spec, inject);
-  if (!res.ok()) raise(res.status());
-  return std::move(res).value();
-}
-
-ReceiverProbeSession::ReceiverProbeSession(const GateParams& gate,
-                                           double cload, bool warm_start)
-    : warm_start_(warm_start) {
-  // Element order matches try_simulate_gate exactly, so the assembled MNA
-  // system (and therefore every simulated byte) is identical.
+GateSim::GateSim(const GateParams& gate, double cload, Kind kind)
+    : gate_(gate), cload_(cload) {
   const NodeId vdd = add_vdd(ckt_, gate.vdd);
   const NodeId in = ckt_.node("in");
-  out_ = ckt_.node("out");
   in_src_ = ckt_.add_vsource(in, kGround, Pwl::constant(0.0));
-  instantiate_gate(ckt_, gate, in, out_, vdd);
-  if (cload > 0) ckt_.add_capacitor(out_, kGround, cload);
+  const int copies = kind == Kind::kPaired ? 2 : 1;
+  for (int c = 0; c < copies; ++c) {
+    out_.push_back(ckt_.add_node());
+    instantiate_gate(ckt_, gate, in, out_.back(), vdd);
+    if (cload > 0) ckt_.add_capacitor(out_.back(), kGround, cload);
+  }
+  if (kind != Kind::kSingle)
+    inject_src_ = ckt_.add_isource(out_.back(), kGround, Pwl::constant(0.0));
   sim_.emplace(ckt_);
 }
 
-StatusOr<Pwl> ReceiverProbeSession::try_run(const Pwl& vin,
-                                            const TransientSpec& spec) {
+StatusOr<Pwl> GateSim::try_run(const Pwl& vin, const TransientSpec& spec,
+                               Vector* warm, const Pwl* inject) {
+  if ((inject != nullptr) != (inject_src_ >= 0))
+    throw std::invalid_argument(
+        "GateSim: an injected current is required exactly when the sim "
+        "was built with an injection source");
   ckt_.set_vsource_waveform(in_src_, vin);
+  if (inject) ckt_.set_isource_waveform(inject_src_, *inject);
   const Vector* hint =
-      (warm_start_ && dc_.size() == sim_->mna().dim()) ? &dc_ : nullptr;
-  auto res = sim_->try_run(spec, {.dc_hint = hint});
-  if (!res.ok()) return res.status();
-  if (warm_start_) dc_ = res->initial_state();
-  ++probes_;
-  return res->waveform(out_);
-}
-
-double gate_initial_output(const GateParams& gate, double vin_initial) {
-  const bool in_high = vin_initial > 0.5 * gate.vdd;
-  const bool out_high = gate_inverts(gate.type) ? !in_high : in_high;
-  return out_high ? gate.vdd : 0.0;
+      (warm && warm->size() == sim_->mna().dim()) ? warm : nullptr;
+  auto run = sim_->try_run(spec, {.dc_hint = hint});
+  if (!run.ok()) return run.status();
+  if (warm) *warm = run->initial_state();
+  if (out_.size() == 1) return run->waveform(out_[0]);
+  std::vector<double> dv(run->num_points());
+  for (std::size_t k = 0; k < dv.size(); ++k)
+    dv[k] = run->v(out_[1], k) - run->v(out_[0], k);
+  return Pwl(run->time(), std::move(dv));
 }
 
 }  // namespace dn

@@ -1,13 +1,13 @@
 // CMOS gate primitives built from MOSFETs.
 //
 // Drivers and receivers in the delay-noise flow are instances of these
-// gates. A Gate is a pure description (type + sizing + process); helpers
-// instantiate its transistors into a Circuit, or run the small canonical
-// single-gate simulations the characterization steps need (gate into a
-// lumped load, with or without an injected noise current — paper Figure 4).
+// gates. A Gate is a pure description (type + sizing + process);
+// instantiate_gate adds its transistors to a Circuit, and GateSim runs the
+// small canonical simulation every characterization step needs (gate into
+// a lumped load, with or without an injected noise current — paper
+// Figure 4).
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,82 +57,63 @@ void instantiate_gate(Circuit& ckt, const GateParams& gate, NodeId in,
 /// Creates a "vdd" node with an ideal supply source and returns it.
 NodeId add_vdd(Circuit& ckt, double vdd);
 
-/// Warm-start cache for repeated canonical gate sims. The characterization
-/// loops (alignment scan, a net's receiver evaluations, Ceff/Thevenin
-/// fit) simulate the SAME gate topology many times with perturbed
-/// waveforms; the DC operating point barely moves between runs, so
-/// seeding Newton with the previous solution skips the whole
-/// gmin-stepping ladder. The cache is keyed by nothing — the caller owns
-/// one per loop over a fixed topology.
-struct GateSimCache {
-  std::vector<double> dc;  // Previous MNA state; empty = cold.
-};
-
-/// Simulates the gate driving a lumped capacitor `cload` with input `vin`.
-/// If `inject` is provided, that current is additionally pushed into the
-/// output node (paper Figure 4(b)). Returns the output waveform.
-/// kNumericError on Newton non-convergence; `warm` (optional) carries the
-/// operating point between repeated sims of the same gate/load.
-StatusOr<Pwl> try_simulate_gate(const GateParams& gate, const Pwl& vin,
-                                double cload, const TransientSpec& spec,
-                                const std::optional<Pwl>& inject = std::nullopt,
-                                GateSimCache* warm = nullptr);
-
-/// Throwing convenience wrapper around try_simulate_gate (raises the
-/// mapped typed exception on failure). Prefer try_simulate_gate in flow
-/// code; this remains for contexts that already run under a catch.
-Pwl simulate_gate(const GateParams& gate, const Pwl& vin, double cload,
-                  const TransientSpec& spec,
-                  const std::optional<Pwl>& inject = std::nullopt);
-
-/// Initial output level (t -> -inf) for a given initial input level.
-double gate_initial_output(const GateParams& gate, double vin_initial);
-
-/// Batched canonical receiver simulations for alignment probing.
+/// The canonical gate simulation of the flow (paper Figure 4): the gate
+/// driving its own lumped `cload` from an ideal input source. The Thevenin
+/// fit reference, the receiver evaluations and the Rtr driver sims all run
+/// on it.
 ///
-/// An alignment search runs dozens of receiver sims that differ ONLY in
-/// the input waveform: same gate, same load, same circuit topology, same
-/// MNA matrices. try_simulate_gate rebuilds circuit + MnaSystem +
-/// NonlinearSim (Jacobian pattern, device batch, solver symbolic
-/// analysis) from scratch for every probe; a session builds them once and
-/// re-drives the built simulator through each probe waveform via
-/// Circuit::set_vsource_waveform.
+/// The circuit and simulator are built once; each run re-drives the
+/// sources through Circuit::set_vsource_waveform/set_isource_waveform. The
+/// MNA matrices never depend on source waveforms, the Newton factor state
+/// resets per run, and the reused solver's numeric refactor performs
+/// arithmetic identical to a fresh factorization (see
+/// SolverOptions::small_max_dim notes), so every run returns exactly the
+/// bytes a freshly built GateSim would (pinned by GateSim.* and
+/// AlignmentBatched.*).
 ///
-/// Bit-identity contract (pinned by AlignmentBatched tests): each run()
-/// returns exactly the bytes the equivalent try_simulate_gate call chain
-/// would — the MNA matrices never depend on source waveforms, the Newton
-/// factor state is reset per run, and the reused solver's numeric
-/// refactor performs arithmetic identical to a fresh factorization (see
-/// SolverOptions::small_max_dim notes). Warm-start chaining matches a
-/// GateSimCache threaded through sequential try_simulate_gate calls in
-/// the same probe order.
+/// Warm starts: `warm` is a caller-owned DC state. It seeds the run's DC
+/// solve when its size fits this circuit, and a successful run overwrites
+/// it with its operating point. The caller owns one chain per loop over
+/// the same gate; the DC point does not depend on the load (capacitors are
+/// open at DC), so a chain may also span GateSims that differ only in
+/// `cload`.
 ///
-/// Not thread-safe: one session per search loop, like GateSimCache.
-class ReceiverProbeSession {
+/// Not copyable or movable (the simulator holds a reference to the
+/// circuit) and not thread-safe.
+class GateSim {
  public:
-  /// Builds the receiver-into-lumped-load circuit once. `warm_start`
-  /// chains each probe's DC operating point into the next probe's Newton
-  /// seed (the GateSimCache discipline).
-  ReceiverProbeSession(const GateParams& gate, double cload, bool warm_start);
+  enum class Kind {
+    kSingle,    // The gate into `cload`.
+    kInjected,  // Plus a current source into the output (Figure 4(b)).
+    /// Two copies of the gate on one input and vdd, each into its own
+    /// `cload`, the current source on copy 2 only: V1 and V2 of the Rtr
+    /// extraction step on one grid, so V2 - V1 carries no grid-mismatch
+    /// error and is exactly 0 until the current turns on.
+    kPaired,
+  };
 
-  ReceiverProbeSession(const ReceiverProbeSession&) = delete;
-  ReceiverProbeSession& operator=(const ReceiverProbeSession&) = delete;
+  GateSim(const GateParams& gate, double cload, Kind kind = Kind::kSingle);
+  GateSim(const GateSim&) = delete;
+  GateSim& operator=(const GateSim&) = delete;
 
-  /// One probe: simulates the session gate with input `vin` under `spec`.
-  /// Returns the output waveform, exactly as try_simulate_gate would.
-  StatusOr<Pwl> try_run(const Pwl& vin, const TransientSpec& spec);
+  /// One transient with input `vin` and, for kInjected/kPaired (required
+  /// there, rejected otherwise), the injected current `inject`. Returns
+  /// the output waveform; for kPaired, V2 - V1 on the shared grid.
+  /// kNumericError on Newton non-convergence.
+  StatusOr<Pwl> try_run(const Pwl& vin, const TransientSpec& spec,
+                        Vector* warm = nullptr, const Pwl* inject = nullptr);
 
-  /// Probes served so far by this session's shared construction.
-  std::uint64_t probes() const { return probes_; }
+  const GateParams& gate() const { return gate_; }
+  double cload() const { return cload_; }
 
  private:
-  Circuit ckt_;          // Never resized/moved: sim_ holds a reference.
-  NodeId out_ = kGround;
+  GateParams gate_;
+  double cload_ = 0.0;
+  Circuit ckt_;
   int in_src_ = -1;
-  bool warm_start_ = false;
+  int inject_src_ = -1;       // -1: no injection source.
+  std::vector<NodeId> out_;   // One output per copy.
   std::optional<NonlinearSim> sim_;
-  Vector dc_;            // Warm-start chain; empty = cold.
-  std::uint64_t probes_ = 0;
 };
 
 }  // namespace dn

@@ -97,10 +97,6 @@ struct CoupledNet {
 
   /// Total coupling capacitance attached to the victim.
   double total_coupling_cap() const;
-
-  /// Grounded-equivalent load of the victim net as seen by its driver:
-  /// tree caps + coupling caps (grounded) + receiver input pin cap.
-  double victim_total_load() const;
 };
 
 // ---------------------------------------------------------------------------

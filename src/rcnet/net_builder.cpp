@@ -92,11 +92,6 @@ double CoupledNet::total_coupling_cap() const {
   return acc;
 }
 
-double CoupledNet::victim_total_load() const {
-  return victim.net.total_cap() + total_coupling_cap() +
-         victim.receiver.input_cap();
-}
-
 RcTree make_line(int segments, double r_total, double c_total) {
   if (segments < 1) throw std::invalid_argument("make_line: segments < 1");
   RcTree t;

@@ -3,7 +3,6 @@
 // The characterization cache uses it to validate persisted payloads.
 #pragma once
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -22,10 +21,6 @@ class HashStream {
     return *this;
   }
   HashStream& u64(std::uint64_t v) { return bytes(&v, sizeof v); }
-  HashStream& i32(int v) { return u64(static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(v))); }
-  HashStream& f64(double v) { return u64(std::bit_cast<std::uint64_t>(v)); }
-  HashStream& boolean(bool v) { return u64(v ? 1 : 0); }
   HashStream& str(std::string_view s) {
     u64(s.size());
     return bytes(s.data(), s.size());

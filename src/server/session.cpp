@@ -651,6 +651,11 @@ Status Session::verb_config(const json::Value& req, json::Object& result) {
     const std::string before = analysis_fingerprint(cfg_);
     Status s = cfg_.apply(*set);
     if (!s.ok()) return s;
+    // Search keys also steer the alignment-table characterization: tables
+    // built under the old spec must not serve the new config.
+    if (cfg_.batch.analyzer.table_spec != cache_->spec())
+      cache_ = std::make_shared<CharacterizationCache>(
+          cfg_.batch.analyzer.table_spec);
     // Scheduling keys (jobs, retries, top_k...) don't change results;
     // analysis keys do — and stale slots must not masquerade as current.
     if (analysis_fingerprint(cfg_) != before) mark_all_dirty();

@@ -45,16 +45,6 @@ std::size_t TransientResult::add_sample(double t) {
   return time_.size() - 1;
 }
 
-Pwl TransientResult::waveform_on_grid(NodeId n, double dt) const {
-  // A 0- or 1-sample result has no span to grid (resampling a zero-width
-  // range would build a non-increasing time axis): hand back the raw
-  // samples, matching the dt <= 0 "no grid requested" escape.
-  if (time_.size() < 2 || !(dt > 0)) return waveform(n);
-  const double t0 = time_.front(), t1 = time_.back();
-  const int steps = std::max(1, static_cast<int>((t1 - t0) / dt + 0.5));
-  return waveform(n).resampled(t0, t1, steps + 1);
-}
-
 std::vector<double> source_breakpoints(const Circuit& ckt, double t0,
                                        double t1) {
   // A corner only needs step clamping when it is a real KINK — a slope

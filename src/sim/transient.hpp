@@ -81,10 +81,6 @@ class TransientResult {
     return Pwl(time_, v_[static_cast<std::size_t>(n)]);
   }
 
-  /// Resampling helper for consumers that want the legacy uniform grid:
-  /// the node waveform linearly interpolated onto steps of `dt`.
-  Pwl waveform_on_grid(NodeId n, double dt) const;
-
   /// The converged operating point the run started from (MNA state vector,
   /// node voltages + branch currents) — the warm-start seed for the next
   /// sim of the same circuit topology.

@@ -30,12 +30,6 @@ void set_current_deadline(const Deadline* d) noexcept {
 
 }  // namespace detail
 
-const Deadline& current_deadline() noexcept {
-  static const Deadline kUnlimited;
-  const Deadline* d = detail::current_deadline_ptr();
-  return d ? *d : kUnlimited;
-}
-
 Deadline Deadline::after(double seconds) {
   // The cast below overflows the clock's int64 count for huge |seconds|:
   // past half its range (~146 years for ns ticks) a deadline saturates to

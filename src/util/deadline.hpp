@@ -74,9 +74,6 @@ const Deadline* current_deadline_ptr() noexcept;
 void set_current_deadline(const Deadline* d) noexcept;
 }  // namespace detail
 
-/// The deadline installed on this thread (unlimited when none).
-const Deadline& current_deadline() noexcept;
-
 /// Throws DeadlineError(`where`) when the ambient deadline has expired.
 /// Cost without any installed deadline: one relaxed atomic load.
 inline void deadline_checkpoint(const char* where) {

@@ -64,14 +64,6 @@ double Pwl::at_hint(double t, std::size_t& cursor) const {
   return lerp(times_[i - 1], values_[i - 1], times_[i], values_[i], t);
 }
 
-double Pwl::slope_at(double t) const {
-  if (times_.size() < 2) return 0.0;
-  if (t <= times_.front() || t >= times_.back()) return 0.0;
-  const auto it = std::upper_bound(times_.begin(), times_.end(), t);
-  const std::size_t i = static_cast<std::size_t>(it - times_.begin());
-  return (values_[i] - values_[i - 1]) / (times_[i] - times_[i - 1]);
-}
-
 namespace {
 
 /// Pwl::at() over raw (times, values) arrays for a non-decreasing sequence
@@ -167,12 +159,6 @@ Pwl Pwl::scaled(double s) const {
 Pwl Pwl::shifted(double dt) const {
   Pwl out = *this;
   for (double& t : out.times_) t += dt;
-  return out;
-}
-
-Pwl Pwl::plus_constant(double dv) const {
-  Pwl out = *this;
-  for (double& v : out.values_) v += dv;
   return out;
 }
 

@@ -44,10 +44,6 @@ class Pwl {
   /// validated and re-seeded on miss); results are bit-identical to at().
   double at_hint(double t, std::size_t& cursor) const;
 
-  /// Time derivative at t via the segment slope (0 outside the range and
-  /// at exact breakpoints the left segment wins).
-  double slope_at(double t) const;
-
   // -- Algebra (result sampled on the merged time grid) --------------------
   // +, - and add_shifted are one linear merge pass over both time axes;
   // each output value is bit-identical to at(t) of each operand combined
@@ -62,7 +58,6 @@ class Pwl {
   Pwl operator-(const Pwl& rhs) const;
   Pwl scaled(double s) const;
   Pwl shifted(double dt) const;           // Time shift (t -> t + dt).
-  Pwl plus_constant(double dv) const;
 
   /// Resamples onto a uniform grid of n points spanning [t0, t1].
   Pwl resampled(double t0, double t1, int n) const;

@@ -80,9 +80,8 @@ Fig13Population run_fig13_population(int n_nets, std::uint64_t seed) {
     const std::vector<double> shifts = absolute_shifts(r);
     const Pwl noisy_rth =
         r.noiseless_sink + eng.composite_noise_at_sink(shifts, r.rth);
-    const double t_thev = evaluate_receiver(net.victim.receiver, noisy_rth,
-                                            net.victim.receiver_load, rising)
-                              .t_out_50;
+    GateSim rcv(net.victim.receiver, net.victim.receiver_load);
+    const double t_thev = evaluate_receiver(rcv, noisy_rth, rising).t_out_50;
 
     const GoldenResult g = golden_nonlinear(net, shifts, sup);
     if (g.delay_noise() < 8 * ps) continue;  // % error meaningless near 0.

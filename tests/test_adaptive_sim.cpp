@@ -193,21 +193,21 @@ TEST(AdaptiveSim, WarmStartIsDeterministicAndAccurate) {
   TransientSpec spec{0.0, 2 * ns, 1 * ps};
   spec.lte_tol = 5e-4;
 
-  auto run_pair = [&](GateSimCache* warm) {
+  auto run_pair = [&](Vector* warm) {
     // Two sims of the same gate at different loads — the Ceff-iteration
     // shape. The second run reuses the first run's operating point.
     std::vector<Pwl> out;
-    out.push_back(
-        try_simulate_gate(g, vin, 20 * fF, spec, std::nullopt, warm).value());
-    out.push_back(
-        try_simulate_gate(g, vin, 60 * fF, spec, std::nullopt, warm).value());
+    for (const double cload : {20 * fF, 60 * fF}) {
+      GateSim sim(g, cload);
+      out.push_back(sim.try_run(vin, spec, warm).value());
+    }
     return out;
   };
-  GateSimCache cache_a, cache_b;
-  const auto a = run_pair(&cache_a);
-  const auto b = run_pair(&cache_b);
+  Vector chain_a, chain_b;
+  const auto a = run_pair(&chain_a);
+  const auto b = run_pair(&chain_b);
   const auto cold = run_pair(nullptr);
-  ASSERT_FALSE(cache_a.dc.empty());  // The cache was actually populated.
+  ASSERT_FALSE(chain_a.empty());  // The chain was actually populated.
   for (int i : {0, 1}) {
     const auto k = static_cast<std::size_t>(i);
     // Same cache history => byte-identical waveforms (determinism).
@@ -220,88 +220,6 @@ TEST(AdaptiveSim, WarmStartIsDeterministicAndAccurate) {
     for (double t = 0; t <= 2 * ns; t += 20 * ps)
       EXPECT_NEAR(a[k].at(t), cold[k].at(t), 1e-6) << "i=" << i << " t=" << t;
   }
-}
-
-TEST(AdaptiveSim, ResamplingHelperRestoresUniformGrid) {
-  NodeId sink = kGround;
-  const Circuit c = rc_ladder(&sink);
-  LinearSim sim(c);
-  TransientSpec spec{0.0, 2 * ns, 1 * ps};
-  spec.lte_tol = 2e-4;
-  const auto res = sim.try_run(spec).value();
-  const Pwl uniform = res.waveform_on_grid(sink, 1 * ps);
-  ASSERT_EQ(uniform.times().size(), 2001u);
-  const Pwl raw = res.waveform(sink);
-  for (double t = 0; t <= 2 * ns; t += 100 * ps)
-    EXPECT_NEAR(uniform.at(t), raw.at(t), 1e-9);
-}
-
-// waveform_on_grid edge cases: degenerate results and grids that do not
-// line up with the sampled points must resolve without throwing.
-
-TEST(TransientResultGrid, EmptyResultYieldsEmptyWaveform) {
-  const TransientResult res(2);
-  const Pwl w = res.waveform_on_grid(1, 1 * ps);
-  EXPECT_TRUE(w.times().empty());
-  EXPECT_DOUBLE_EQ(w.at(0.0), 0.0);  // Empty Pwl evaluates to 0 everywhere.
-}
-
-TEST(TransientResultGrid, SingleSampleReturnsThatSample) {
-  TransientResult res(2);
-  const std::size_t k = res.add_sample(3 * ps);
-  res.v(1, k) = 0.75;
-  // No span to grid: the raw single-point waveform comes back instead of
-  // a degenerate (zero-width) resample.
-  const Pwl w = res.waveform_on_grid(1, 1 * ps);
-  ASSERT_EQ(w.times().size(), 1u);
-  EXPECT_DOUBLE_EQ(w.times()[0], 3 * ps);
-  EXPECT_DOUBLE_EQ(w.at(3 * ps), 0.75);
-  EXPECT_DOUBLE_EQ(w.at(100 * ps), 0.75);  // Held beyond the sample.
-}
-
-TEST(TransientResultGrid, GridStepPastLastSampleClampsToSpan) {
-  TransientResult res(2);
-  res.v(1, res.add_sample(0.0)) = 0.0;
-  res.v(1, res.add_sample(1 * ns)) = 1.0;
-  // dt far larger than the sampled span: the grid degenerates to the two
-  // endpoints rather than stepping past the last sample.
-  const Pwl w = res.waveform_on_grid(1, 3 * ns);
-  ASSERT_EQ(w.times().size(), 2u);
-  EXPECT_DOUBLE_EQ(w.times().front(), 0.0);
-  EXPECT_DOUBLE_EQ(w.times().back(), 1 * ns);
-  EXPECT_DOUBLE_EQ(w.at(1 * ns), 1.0);
-}
-
-TEST(TransientResultGrid, NonPositiveDtReturnsRawSamples) {
-  TransientResult res(2);
-  res.v(1, res.add_sample(0.0)) = 0.25;
-  res.v(1, res.add_sample(0.7 * ns)) = 0.5;
-  const Pwl w = res.waveform_on_grid(1, 0.0);
-  ASSERT_EQ(w.times().size(), 2u);
-  EXPECT_DOUBLE_EQ(w.times()[1], 0.7 * ns);
-  EXPECT_DOUBLE_EQ(w.at(0.7 * ns), 0.5);
-}
-
-TEST(TransientResultGrid, BreakpointsOffGridInterpolate) {
-  // Samples at irregular (adaptive-style) times; a uniform grid that
-  // never lands on them must read linearly interpolated values.
-  TransientResult res(2);
-  res.v(1, res.add_sample(0.0)) = 0.0;
-  res.v(1, res.add_sample(0.3 * ns)) = 3.0;
-  res.v(1, res.add_sample(1.0 * ns)) = 3.0;
-  res.v(1, res.add_sample(2.0 * ns)) = 1.0;
-  const Pwl w = res.waveform_on_grid(1, 0.25 * ns);
-  ASSERT_EQ(w.times().size(), 9u);  // 2 ns span / 0.25 ns + endpoint.
-  // t = 0.25 ns falls inside the rising 0..0.3 ns segment.
-  EXPECT_NEAR(w.at(0.25 * ns), 3.0 * 0.25 / 0.3, 1e-12);
-  // t = 1.25 ns falls inside the falling 1..2 ns segment.
-  EXPECT_NEAR(w.at(1.25 * ns), 3.0 - 2.0 * 0.25, 1e-12);
-  // The off-grid kink at 0.3 ns is smoothed by resampling: the gridded
-  // value there comes from the chord of the surrounding grid points.
-  const double v_kink = w.at(0.3 * ns);
-  const double lo = w.at(0.25 * ns), hi = w.at(0.5 * ns);
-  EXPECT_GE(v_kink, std::min(lo, hi) - 1e-12);
-  EXPECT_LE(v_kink, std::max(lo, hi) + 1e-12);
 }
 
 }  // namespace

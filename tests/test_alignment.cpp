@@ -31,9 +31,16 @@ Pwl canonical_rise(double slew = 200 * ps) {
   return Pwl::ramp(2 * ns, slew, 0.0, kVdd);
 }
 
+/// One rising-input evaluation on a freshly built receiver sim.
+ReceiverEval evaluate_once(const GateParams& rcv, const Pwl& vin,
+                           double cload) {
+  GateSim sim(rcv, cload);
+  return evaluate_receiver(sim, vin, true);
+}
+
 TEST(EvaluateReceiver, CleanRampDelay) {
   const Pwl vin = canonical_rise();
-  const ReceiverEval ev = evaluate_receiver(receiver_x2(), vin, 10 * fF, true);
+  const ReceiverEval ev = evaluate_once(receiver_x2(), vin, 10 * fF);
   // Inverting receiver: output falls after the input passes threshold.
   const double t_in_50 = *vin.crossing(kVdd / 2, true);
   EXPECT_GT(ev.t_out_50, t_in_50);
@@ -43,13 +50,11 @@ TEST(EvaluateReceiver, CleanRampDelay) {
 
 TEST(EvaluateReceiver, NoisePulseDelaysTheOutput) {
   const Pwl vin = canonical_rise();
-  const double clean =
-      evaluate_receiver(receiver_x2(), vin, 10 * fF, true).t_out_50;
+  const double clean = evaluate_once(receiver_x2(), vin, 10 * fF).t_out_50;
   // Opposing pulse right at the 50% crossing.
   const double t50 = *vin.crossing(kVdd / 2, true);
   const Pwl noisy = vin + triangle_pulse(-0.5, 150 * ps, t50 + 50 * ps);
-  const double dirty =
-      evaluate_receiver(receiver_x2(), noisy, 10 * fF, true).t_out_50;
+  const double dirty = evaluate_once(receiver_x2(), noisy, 10 * fF).t_out_50;
   EXPECT_GT(dirty, clean + 20 * ps);
 }
 
@@ -57,9 +62,8 @@ TEST(EvaluateReceiver, LargeLoadFiltersNoiseAtOutput) {
   const Pwl vin = canonical_rise(100 * ps);
   const double t50 = *vin.crossing(kVdd / 2, true);
   const Pwl noisy = vin + triangle_pulse(-0.4, 60 * ps, t50 + 300 * ps);
-  const ReceiverEval small = evaluate_receiver(receiver_x2(), noisy, 3 * fF, true);
-  const ReceiverEval large =
-      evaluate_receiver(receiver_x2(), noisy, 150 * fF, true);
+  const ReceiverEval small = evaluate_once(receiver_x2(), noisy, 3 * fF);
+  const ReceiverEval large = evaluate_once(receiver_x2(), noisy, 150 * fF);
   // The late pulse re-disturbs a small-load output far more than a
   // heavily loaded one (the receiver acts as a low-pass filter).
   EXPECT_GT(small.out_noise_peak, large.out_noise_peak);
@@ -86,7 +90,7 @@ TEST(ExhaustiveAlignment, BeatsEverySampledAlternative) {
   for (double dt_peak = -400 * ps; dt_peak <= 400 * ps; dt_peak += 100 * ps) {
     const double t = *ramp.crossing(kVdd / 2, true) + dt_peak;
     const Pwl noisy = ramp + shift_pulse_peak_to(pulse, t, nullptr);
-    const double d = evaluate_receiver(rcv, noisy, 5 * fF, true).t_out_50;
+    const double d = evaluate_once(rcv, noisy, 5 * fF).t_out_50;
     EXPECT_GE(best.t_out_50 + 2 * ps, d) << "dt=" << dt_peak;
   }
 }
@@ -188,11 +192,11 @@ TEST(ScanDomain, MultiIntervalSampleIsStrictlyIncreasing) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched alignment probing (devices/gate.hpp ReceiverProbeSession): all
-// probes of a search share one circuit + factorization. The whole point
-// is that reuse changes NOTHING numerically — chained probes must be
-// bitwise equal to a fresh session per probe (EXPECT_EQ on double is the
-// deliberate exact comparison; golden batch reports depend on it).
+// Batched alignment probing: all probes of a search re-drive one receiver
+// GateSim (devices/gate.hpp). The whole point is that reuse changes
+// NOTHING numerically — re-driven probes must be bitwise equal to a fresh
+// GateSim per probe (EXPECT_EQ on double is the deliberate exact
+// comparison; golden batch reports depend on it).
 
 TEST(AlignmentBatched, SessionReuseBitIdenticalToFreshSession) {
   const GateParams rcv = receiver_x2();
@@ -201,29 +205,26 @@ TEST(AlignmentBatched, SessionReuseBitIdenticalToFreshSession) {
   TransientSpec spec{0.0, 4 * ns, 1 * ps};
   spec.lte_tol = 5e-4;
 
-  ReceiverProbeSession chained(rcv, 5 * fF, /*warm_start=*/false);
-  int n_probes = 0;
+  GateSim reused(rcv, 5 * fF);
   for (double dt_peak : {-150 * ps, -50 * ps, 0.0, 50 * ps, 150 * ps}) {
     const Pwl vin =
         ramp + shift_pulse_peak_to(
                    pulse, *ramp.crossing(kVdd / 2, true) + dt_peak, nullptr);
-    const Pwl a = chained.try_run(vin, spec).value();
-    ReceiverProbeSession fresh(rcv, 5 * fF, /*warm_start=*/false);
+    const Pwl a = reused.try_run(vin, spec).value();
+    GateSim fresh(rcv, 5 * fF);
     const Pwl b = fresh.try_run(vin, spec).value();
     ASSERT_EQ(a.times().size(), b.times().size()) << "dt=" << dt_peak;
     for (std::size_t i = 0; i < a.times().size(); ++i) {
       ASSERT_EQ(a.times()[i], b.times()[i]) << "dt=" << dt_peak << " i=" << i;
       ASSERT_EQ(a.values()[i], b.values()[i]) << "dt=" << dt_peak << " i=" << i;
     }
-    ++n_probes;
   }
-  EXPECT_EQ(chained.probes(), static_cast<std::uint64_t>(n_probes));
 }
 
 TEST(AlignmentBatched, SearchMatchesPerProbeEvaluateReceiver) {
   // The batched search must land on the same numbers as independently
-  // re-evaluating its winning alignment through the classic single-shot
-  // evaluate_receiver path (cold start on both sides).
+  // re-evaluating its winning alignment on a fresh receiver GateSim (cold
+  // start on both sides).
   const Pwl ramp = canonical_rise();
   const Pwl pulse = triangle_pulse(-0.45, 150 * ps, 2 * ns);
   const GateParams rcv = receiver_x2();
@@ -234,9 +235,10 @@ TEST(AlignmentBatched, SearchMatchesPerProbeEvaluateReceiver) {
   const AlignmentResult best =
       exhaustive_worst_alignment(ramp, pulse, rcv, 5 * fF, true, opts);
   const Pwl noisy = ramp + shift_pulse_peak_to(pulse, best.t_peak, nullptr);
+  GateSim fresh(rcv, 5 * fF);
   const ReceiverEval ev =
-      evaluate_receiver(rcv, noisy, 5 * fF, true, opts.dt, opts.lte_tol,
-                        nullptr, opts.stale_jacobian_iters);
+      evaluate_receiver(fresh, noisy, true, opts.dt, opts.lte_tol, nullptr,
+                        opts.stale_jacobian_iters);
   EXPECT_EQ(ev.t_out_50, best.t_out_50);
 }
 

@@ -79,9 +79,9 @@ TEST(AlignmentTable, PredictionMatchesExhaustiveOnCanonicalConditions) {
     // Compare the resulting DELAYS (the paper's error metric), not the raw
     // times: flat plateaus make time comparisons meaningless.
     const Pwl noisy_pred = ramp + shift_pulse_peak_to(pulse, t_pred, nullptr);
+    GateSim sim(rcv, spec.min_load);
     const double d_pred =
-        evaluate_receiver(rcv, noisy_pred, spec.min_load, true, spec.search.dt)
-            .t_out_50;
+        evaluate_receiver(sim, noisy_pred, true, spec.search.dt).t_out_50;
     const double t_in50 = *ramp.crossing(kVdd / 2, true);
     const double extra_ex = ex.t_out_50 - t_in50;
     const double extra_pred = d_pred - t_in50;

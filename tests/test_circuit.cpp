@@ -19,8 +19,6 @@ TEST(Circuit, NodeNamingAndAliases) {
   const NodeId a = c.node("a");
   EXPECT_EQ(c.node("a"), a);
   EXPECT_NE(c.node("b"), a);
-  EXPECT_EQ(c.node_name(a), "a");
-  EXPECT_EQ(c.node_name(kGround), "0");
 }
 
 TEST(Circuit, AnonymousNodesAreFresh) {
@@ -39,17 +37,6 @@ TEST(Circuit, ElementValidation) {
   EXPECT_THROW(c.add_capacitor(a, a, 1 * fF), std::invalid_argument);
   EXPECT_THROW(c.add_capacitor(a, kGround, -1 * fF), std::invalid_argument);
   EXPECT_THROW(c.add_vsource(a, kGround, Pwl{}), std::invalid_argument);
-}
-
-TEST(Circuit, TotalCapAtNode) {
-  Circuit c;
-  const NodeId a = c.node("a");
-  const NodeId b = c.node("b");
-  c.add_capacitor(a, kGround, 10 * fF);
-  c.add_capacitor(a, b, 5 * fF);
-  c.add_capacitor(b, kGround, 7 * fF);
-  EXPECT_NEAR(c.total_cap_at(a), 15 * fF, 1e-20);
-  EXPECT_NEAR(c.total_cap_at(b), 12 * fF, 1e-20);
 }
 
 TEST(Mna, VoltageDividerDc) {

@@ -125,8 +125,8 @@ TEST(EvaluateReceiverCorner, NonSwitchingInputThrows) {
   GateParams rcv;
   // Input never crosses threshold: the output never transitions.
   const Pwl vin = Pwl::constant(0.2, 0.0, 1 * ns);
-  EXPECT_THROW(evaluate_receiver(rcv, vin, 10 * fF, true),
-               std::runtime_error);
+  GateSim sim(rcv, 10 * fF);
+  EXPECT_THROW(evaluate_receiver(sim, vin, true), std::runtime_error);
 }
 
 TEST(PwlCorner, ClipValidation) {

@@ -36,13 +36,6 @@ TEST(Pwl, InvariantViolationsThrow) {
   EXPECT_THROW(Pwl::ramp(0, -1 * ns, 0, 1), std::invalid_argument);
 }
 
-TEST(Pwl, SlopeInsideSegments) {
-  const Pwl r = Pwl::ramp(0.0, 1.0, 0.0, 2.0);
-  EXPECT_DOUBLE_EQ(r.slope_at(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(r.slope_at(-1.0), 0.0);
-  EXPECT_DOUBLE_EQ(r.slope_at(2.0), 0.0);
-}
-
 TEST(Pwl, AdditionOnMergedGrid) {
   const Pwl a = Pwl::ramp(0.0, 1.0, 0.0, 1.0);
   const Pwl b = Pwl::ramp(0.5, 1.0, 0.0, 1.0);
@@ -63,7 +56,6 @@ TEST(Pwl, ScaleShiftPlusConstant) {
   const Pwl a = Pwl::ramp(0.0, 1.0, 0.0, 1.0);
   EXPECT_DOUBLE_EQ(a.scaled(2.0).at(1.0), 2.0);
   EXPECT_DOUBLE_EQ(a.shifted(1.0).at(1.5), 0.5);
-  EXPECT_DOUBLE_EQ(a.plus_constant(1.0).at(0.0), 1.0);
 }
 
 TEST(Pwl, CrossingRisingAndFalling) {

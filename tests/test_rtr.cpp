@@ -108,9 +108,9 @@ TEST(Rtr, ConvergesWithinBudget) {
 
 // Paired driver sim (DESIGN.md §5): V1 and V2 are two copies of the
 // victim driver in one transient, so both step on one grid. The reference
-// below is the extraction rebuilt from two standalone fixed-grid gate
-// sims: one area-matching pass for the injected current `in`, both
-// integrals over [0, horizon].
+// below is the extraction rebuilt from two standalone fixed-grid
+// single-copy GateSims, V2 with the injection source: one area-matching
+// pass for the injected current `in`, both integrals over [0, horizon].
 double two_gate_sim_rtr(const SuperpositionEngine& eng, const Pwl& in,
                         const RtrOptions& opts) {
   const double horizon = eng.options().horizon;
@@ -118,10 +118,11 @@ double two_gate_sim_rtr(const SuperpositionEngine& eng, const Pwl& in,
   spec.stale_jacobian_iters = opts.stale_jacobian_iters;
   const GateParams& driver = eng.net().victim.driver;
   const double cload = eng.victim_model().ceff;
-  const Pwl v1 =
-      try_simulate_gate(driver, eng.victim_input(), cload, spec).value();
+  GateSim plain(driver, cload);
+  GateSim injected(driver, cload, GateSim::Kind::kInjected);
+  const Pwl v1 = plain.try_run(eng.victim_input(), spec).value();
   const Pwl v2 =
-      try_simulate_gate(driver, eng.victim_input(), cload, spec, in).value();
+      injected.try_run(eng.victim_input(), spec, nullptr, &in).value();
   return (v2 - v1).integral() / in.clipped(0.0, horizon).integral();
 }
 

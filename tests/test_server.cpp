@@ -247,6 +247,26 @@ TEST(ServerSession, TransientEngineConfigChangeReanalyzesEveryVictim) {
   EXPECT_EQ(report_bytes(incr), report_bytes(cold));
 }
 
+TEST(ServerSession, ConfigChangeRecharacterizesAlignmentTables) {
+  // lte_tol also steers the alignment-table searches, so a session changed
+  // by `config` must drop the tables built under the old search settings
+  // and serve what a session constructed with the new config serves.
+  const std::string set = "{\"lte_tol\":0.05}";
+  Session changed;
+  ASSERT_TRUE(ok(req(changed, "{\"verb\":\"config\",\"set\":" + set + "}")));
+  ASSERT_TRUE(ok(req(changed, load_line(7, 3, 2))));
+  const json::Value served = req(changed, "{\"verb\":\"analyze\"}");
+  ASSERT_TRUE(ok(served));
+
+  AnalysisConfig cfg;
+  ASSERT_TRUE(cfg.apply(json::parse(set).value()).ok());
+  Session booted(cfg);
+  ASSERT_TRUE(ok(req(booted, load_line(7, 3, 2))));
+  const json::Value cold = req(booted, "{\"verb\":\"analyze\"}");
+  ASSERT_TRUE(ok(cold));
+  EXPECT_EQ(report_bytes(served), report_bytes(cold));
+}
+
 TEST(ServerSession, EveryNonSchedulingConfigKeyDirtiesAllVictims) {
   // The fingerprint is the whole config minus the scheduling keys, so
   // each engine knob must dirty every victim (checked via `stats`, with
