@@ -196,9 +196,9 @@ PY
   # the small-dense bit-identity contract must hold WITHIN any one build,
   # so the BackendEquivalence suite runs again under host-tuned codegen.
   cmake -B build-native -S . -DDN_NATIVE=ON -DDN_WERROR=ON >/dev/null
-  cmake --build build-native -j "$jobs" --target test_matrix test_arena
+  cmake --build build-native -j "$jobs" --target test_matrix test_adaptive_sim
   ./build-native/tests/test_matrix
-  ./build-native/tests/test_arena
+  ./build-native/tests/test_adaptive_sim
 fi
 
 echo "== determinism: fault-free random batch, --jobs 1 vs --jobs 4 =="

@@ -119,16 +119,7 @@ std::size_t CharacterizationCache::tables_cached() const {
 namespace {
 
 constexpr const char* kCacheMagic = "dnoise-char-cache";
-constexpr int kCacheVersion = 1;
-
-bool spec_matches(const AlignmentTableSpec& a, const AlignmentTableSpec& b) {
-  // Only the fields the table record persists; search options are not
-  // part of the on-disk identity.
-  return a.slew_min == b.slew_min && a.slew_max == b.slew_max &&
-         a.width_min == b.width_min && a.width_max == b.width_max &&
-         a.height_min_frac == b.height_min_frac &&
-         a.height_max_frac == b.height_max_frac && a.min_load == b.min_load;
-}
+constexpr int kCacheVersion = 2;
 
 std::uint64_t payload_hash(const std::string& payload) {
   HashStream h;
@@ -208,7 +199,7 @@ StatusOr<std::size_t> CharacterizationCache::load(std::istream& is) {
       return Status::InvalidArgument(std::string("characterization cache: ") +
                                      e.what());
     }
-    if (!spec_matches(loaded->spec(), spec_))
+    if (loaded->spec() != spec_)
       return Status::FailedPrecondition(
           "characterization cache: table spec differs from this cache's "
           "spec");

@@ -184,12 +184,20 @@ namespace dn {
 
 void AlignmentTable::save(std::ostream& os) const {
   os.precision(17);
-  os << "dnoise-alignment-table 1\n";
+  os << "dnoise-alignment-table 2\n";
   save_gate(os, receiver_);
   os << (victim_rising_ ? 1 : 0) << '\n';
   os << spec_.slew_min << ' ' << spec_.slew_max << ' ' << spec_.width_min
      << ' ' << spec_.width_max << ' ' << spec_.height_min_frac << ' '
      << spec_.height_max_frac << ' ' << spec_.min_load << '\n';
+  // The scalar search options: a table characterized under another grid
+  // or sim accuracy is a different table. The scan domain is not
+  // persisted, so a table loads with an unconstrained one.
+  const AlignmentSearchOptions& q = spec_.search;
+  os << q.coarse_points << ' ' << q.fine_points << ' ' << q.dt << ' '
+     << q.lte_tol << ' ' << q.stale_jacobian_iters << ' '
+     << (q.warm_start ? 1 : 0) << ' ' << q.span_before << ' ' << q.span_after
+     << ' ' << q.window_min << ' ' << q.window_max << '\n';
   for (int si = 0; si < 2; ++si)
     for (int wi = 0; wi < 2; ++wi)
       for (int hi = 0; hi < 2; ++hi) os << va_[si][wi][hi] << ' ';
@@ -200,7 +208,7 @@ AlignmentTable AlignmentTable::load(std::istream& is) {
   std::string magic;
   int version = 0;
   is >> magic >> version;
-  if (magic != "dnoise-alignment-table" || version != 1)
+  if (magic != "dnoise-alignment-table" || version != 2)
     throw std::runtime_error("AlignmentTable: unrecognized table file");
   AlignmentTable tbl;
   tbl.receiver_ = load_gate(is);
@@ -210,6 +218,12 @@ AlignmentTable AlignmentTable::load(std::istream& is) {
   is >> tbl.spec_.slew_min >> tbl.spec_.slew_max >> tbl.spec_.width_min >>
       tbl.spec_.width_max >> tbl.spec_.height_min_frac >>
       tbl.spec_.height_max_frac >> tbl.spec_.min_load;
+  AlignmentSearchOptions& q = tbl.spec_.search;
+  int warm_start = 0;
+  is >> q.coarse_points >> q.fine_points >> q.dt >> q.lte_tol >>
+      q.stale_jacobian_iters >> warm_start >> q.span_before >> q.span_after >>
+      q.window_min >> q.window_max;
+  q.warm_start = warm_start != 0;
   for (int si = 0; si < 2; ++si)
     for (int wi = 0; wi < 2; ++wi)
       for (int hi = 0; hi < 2; ++hi) is >> tbl.va_[si][wi][hi];

@@ -67,7 +67,7 @@ NodeId add_vdd(Circuit& ckt, double vdd);
 /// MNA matrices never depend on source waveforms, the Newton factor state
 /// resets per run, and the reused solver's numeric refactor performs
 /// arithmetic identical to a fresh factorization (see
-/// SolverOptions::small_max_dim notes), so every run returns exactly the
+/// SolverOptions notes), so every run returns exactly the
 /// bytes a freshly built GateSim would (pinned by GateSim.* and
 /// AlignmentBatched.*).
 ///

@@ -1,10 +1,12 @@
 // Dense linear algebra for MNA systems.
 //
-// Nets in this library are a few dozen to a few hundred nodes; dense
-// storage with partial-pivot LU is simpler and plenty fast, especially
-// since fixed-timestep transient analysis factors the system matrix once
-// and then only back-substitutes (see sim/linear_sim.*). PRIMA (mor/)
-// reduces anything genuinely large before simulation.
+// Gate and characterization circuits are a few to a few dozen unknowns,
+// and dense storage with partial-pivot LU is simpler and faster there.
+// SystemSolver (matrix/solver.hpp) picks this backend for small or dense
+// systems and SparseLu for large sparse MNA systems; the flow simulates
+// unreduced nets, which can run to thousands of nodes. A transient
+// factors once per step size, not once per run: LinearSim caches one
+// factor per dt rung it visits and back-substitutes every step on it.
 #pragma once
 
 #include <cstddef>

@@ -29,6 +29,10 @@ struct SolverMetrics {
       obs::metrics().histogram("solver.sparse.fill_ratio");
 };
 
+// kAuto backend selection (SolverOptions::backend).
+constexpr std::size_t kDenseMaxDim = 96;
+constexpr double kDensityThreshold = 0.25;
+
 SolverMetrics& sm() {
   static SolverMetrics m;
   return m;
@@ -70,11 +74,10 @@ StatusOr<SystemSolver> SystemSolver::make(const SparseMatrix& a,
   if (a.rows() != a.cols())
     return Status::InvalidArgument("SystemSolver: matrix not square");
   SystemSolver s;
-  s.opts_ = opts;
+  s.allow_dense_fallback_ = opts.allow_dense_fallback;
   s.backend_ = opts.backend;
   if (s.backend_ == SolverBackend::kAuto)
-    s.backend_ = (a.rows() < opts.dense_max_dim ||
-                  a.density() > opts.density_threshold)
+    s.backend_ = (a.rows() < kDenseMaxDim || a.density() > kDensityThreshold)
                      ? SolverBackend::kDense
                      : SolverBackend::kSparse;
 
@@ -85,7 +88,7 @@ StatusOr<SystemSolver> SystemSolver::make(const SparseMatrix& a,
         fault::should_fail(fault::Site::kFactor)
             ? StatusOr<SparseLu>(
                   Status::Internal("injected fault: sparse factor"))
-            : SparseLu::make(a, opts.sparse);
+            : SparseLu::make(a);
     if (f.ok()) {
       if (obs::metrics_enabled()) {
         sm().nnz.record(static_cast<double>(a.nnz()));
@@ -105,8 +108,7 @@ StatusOr<SystemSolver> SystemSolver::make(const SparseMatrix& a,
   // Small-system fast path: the unrolled stack kernels do the same
   // arithmetic as LuFactor with none of the heap/loop overhead. The CSR
   // input densifies straight into the kernel's block — no scratch Matrix.
-  if (a.rows() > 0 && a.rows() <= opts.small_max_dim &&
-      a.rows() <= kSmallLuMaxDim) {
+  if (a.rows() > 0 && a.rows() <= kSmallLuMaxDim) {
     sm().small_picked.add();
     SmallLu lu;
     Status st = lu.factorize(a);
@@ -148,14 +150,14 @@ Status SystemSolver::refactor(const SparseMatrix& a) {
     // The replayed pivot sequence went bad for the new values: re-pivot
     // from scratch (KLU-style fallback) before giving up.
     sm().refactor_fallbacks.add();
-    auto f = SparseLu::make(a, opts_.sparse);
+    auto f = SparseLu::make(a);
     if (f.ok()) {
       *sparse_ = std::move(*f);
       return Status::Ok();
     }
     s = f.status();
   }
-  if (!opts_.allow_dense_fallback) return s;
+  if (!allow_dense_fallback_) return s;
   // Degradation ladder: even re-pivoting failed -> densify and carry on
   // with the dense backend for the remaining refactors.
   degrade::record(DegradeKind::kSparseToDense,

@@ -31,25 +31,20 @@ const char* solver_backend_name(SolverBackend b);
 StatusOr<SolverBackend> parse_solver_backend(const std::string& name);
 
 struct SolverOptions {
+  /// kAuto stays dense below dimension 96 (dense LU's constant factors
+  /// beat the sparse ordering + DFS overhead on small MNA systems) and
+  /// above density nnz/(n*n) = 0.25 (fill-in would make the sparse factors
+  /// about as dense as the dense ones anyway). Dense systems of dimension
+  /// <= kSmallLuMaxDim run on the stack-allocated unrolled kernels of
+  /// matrix/small_dense.hpp, bit-identical to the generic dense LU
+  /// (pinned by the BackendEquivalence tests).
   SolverBackend backend = SolverBackend::kAuto;
-  /// kAuto stays dense below this dimension: dense LU's constant factors
-  /// beat the sparse ordering + DFS overhead on small MNA systems.
-  std::size_t dense_max_dim = 96;
-  /// Systems at or below this dimension (and <= kSmallLuMaxDim) use the
-  /// stack-allocated unrolled kernels of matrix/small_dense.hpp instead of
-  /// the heap-backed generic dense LU. Bit-identical results either way
-  /// (pinned by the BackendEquivalence tests); 0 disables the fast path.
-  std::size_t small_max_dim = kSmallLuMaxDim;
-  /// kAuto stays dense above this nnz/(n*n): fill-in would make the
-  /// sparse factors about as dense as the dense ones anyway.
-  double density_threshold = 0.25;
   /// Degradation-ladder rung (DESIGN.md §10): when a sparse
   /// factorization or refactorization fails outright (pivot breakdown
   /// even after re-pivoting), densify and retry on the dense backend
   /// instead of failing the solve. Each fallback is recorded via
   /// dn::degrade. Off turns sparse failure back into a hard error.
   bool allow_dense_fallback = true;
-  SparseLuOptions sparse{};
 };
 
 /// A factored linear system behind the backend chosen from SolverOptions.
@@ -92,7 +87,7 @@ class SystemSolver {
   SystemSolver() = default;
 
   SolverBackend backend_ = SolverBackend::kDense;
-  SolverOptions opts_{};
+  bool allow_dense_fallback_ = true;
   std::optional<SmallLu> small_;  // Dense sub-backend for dims <= 16.
   std::optional<LuFactor> dense_;
   std::optional<SparseLu> sparse_;

@@ -203,6 +203,9 @@ std::vector<std::int32_t> min_degree_order(const SparseMatrix& a) {
 
 namespace {
 
+// Threshold preference for the structural diagonal pivot (SparseLu).
+constexpr double kPivotTol = 1e-3;
+
 /// min_degree_order memoized on the sparsity pattern. The ordering is a
 /// pure function of the pattern, costs O(n^2), and the analysis flow
 /// factors the same few patterns dozens of times per net (victim and
@@ -241,10 +244,8 @@ std::vector<std::int32_t> min_degree_order_cached(const SparseMatrix& a) {
 // SparseLu.
 // ---------------------------------------------------------------------------
 
-StatusOr<SparseLu> SparseLu::make(const SparseMatrix& a,
-                                  const SparseLuOptions& opts) {
+StatusOr<SparseLu> SparseLu::make(const SparseMatrix& a) {
   SparseLu f;
-  f.opts_ = opts;
   Status s = f.factor_fresh(a);
   if (!s.ok()) return s;
   return f;
@@ -341,7 +342,7 @@ Status SparseLu::factor_fresh(const SparseMatrix& a) {
     }
 
     // Pivot: largest unpivotal magnitude; prefer the structural diagonal
-    // when it is within pivot_tol of the max (keeps the ordering's fill).
+    // when it is within kPivotTol of the max (keeps the ordering's fill).
     double amax = 0.0;
     std::int32_t ipiv = -1;
     for (const std::int32_t j : topo) {
@@ -355,7 +356,7 @@ Status SparseLu::factor_fresh(const SparseMatrix& a) {
     if (!(amax > 0.0) || !std::isfinite(amax))
       return Status::Internal("SparseLu: singular matrix (column " +
                               std::to_string(col) + ")");
-    if (pinv_[col] < 0 && std::abs(x[col]) >= opts_.pivot_tol * amax) ipiv = col;
+    if (pinv_[col] < 0 && std::abs(x[col]) >= kPivotTol * amax) ipiv = col;
     const double pivot = x[ipiv];
     min_pivot_ = std::min(min_pivot_, std::abs(pivot));
     pinv_[ipiv] = km;

@@ -89,24 +89,19 @@ class SparseMatrix {
   std::vector<double> val_;
 };
 
-struct SparseLuOptions {
-  /// Threshold preference for the structural diagonal: the diagonal entry
-  /// is picked as pivot when |a_diag| >= pivot_tol * |a_max| in its column,
-  /// which preserves the fill-reducing ordering; otherwise the largest
-  /// off-diagonal wins (numerical safety for e.g. vsource branch rows).
-  double pivot_tol = 1e-3;
-};
-
 /// Sparse LU: P A Q = L U with a fill-reducing column preorder Q computed
 /// by minimum degree on the pattern of A + A^T and row order P chosen by
 /// threshold partial pivoting during the first (symbolic+numeric)
-/// factorization. refactor() reuses Q, P, and the factor patterns.
+/// factorization: the structural diagonal is the pivot when
+/// |a_diag| >= 1e-3 * |a_max| in its column, which preserves the
+/// fill-reducing ordering; otherwise the largest off-diagonal wins
+/// (numerical safety for e.g. vsource branch rows). refactor() reuses Q,
+/// P, and the factor patterns.
 class SparseLu {
  public:
   /// Factors `a` (symbolic + numeric). Non-square shapes come back as
   /// kInvalidArgument, numerical singularity as kInternal.
-  static StatusOr<SparseLu> make(const SparseMatrix& a,
-                                 const SparseLuOptions& opts = {});
+  static StatusOr<SparseLu> make(const SparseMatrix& a);
 
   /// Numeric-only refactorization: `a` must have the same pattern as the
   /// originally factored matrix (same shape and nnz; the stored symbolic
@@ -136,7 +131,6 @@ class SparseLu {
 
   std::size_t n_ = 0;
   std::size_t a_nnz_ = 0;
-  SparseLuOptions opts_;
   std::vector<std::int32_t> q_;     // Column order: position k factors column q_[k].
   std::vector<std::int32_t> pinv_;  // Original row -> pivot position.
   // Factors in CSC with row indices in PIVOT coordinates. L has an implicit

@@ -17,7 +17,10 @@
 //     forces a fresh restamp+refactor (SparseLu::refactor replays numerics
 //     only). Fallback ladder: stale factor -> fresh factor -> halve the
 //     step (adaptive) -> kNumericError.
-//   - LTE-adaptive stepping via StepController when spec.lte_tol > 0.
+//     One iteration routine serves the DC and the transient solves; each
+//     supplies only its residual/Jacobian assembly.
+//   - Stepping (fixed or LTE-adaptive) is sim/transient.hpp's
+//     march_transient; this class supplies the per-step Newton solve.
 //
 // The public surface is StatusOr-only: try_run/try_dc_solve never throw —
 // Newton non-convergence is kNumericError, a cancelled deadline
@@ -26,6 +29,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -34,7 +38,6 @@
 #include "circuit/mna.hpp"
 #include "matrix/solver.hpp"
 #include "sim/transient.hpp"
-#include "util/arena.hpp"
 #include "util/status.hpp"
 
 namespace dn {
@@ -67,6 +70,10 @@ class NonlinearSim {
   /// `ckt` must outlive the simulator.
   explicit NonlinearSim(const Circuit& ckt, NewtonOptions opts = {});
 
+  // The device-sweep spans point into this object's own scratch.
+  NonlinearSim(const NonlinearSim&) = delete;
+  NonlinearSim& operator=(const NonlinearSim&) = delete;
+
   /// Trapezoidal transient from the DC operating point at t_start
   /// (LTE-adaptive when spec.lte_tol > 0). kNumericError on Newton
   /// non-convergence, kInvalidArgument on a bad spec.
@@ -86,9 +93,20 @@ class NonlinearSim {
   /// One batched device sweep feeds both.
   void stamp_devices(const Vector& x, Vector* inl, double jac_scale) const;
 
-  /// Solves G x + i_nl(x) = b with an extra `g_extra` to ground on every
-  /// node row. Returns true on convergence; x is input guess and output.
-  bool newton_dc(Vector& x, const Vector& b, double g_extra) const;
+  /// Newton iteration counts (all, fresh factor, stale factor), flushed
+  /// to the sim.* metrics once per solve sequence.
+  struct NewtonTally {
+    std::uint64_t iters = 0, fresh = 0, stale = 0;
+  };
+
+  /// The one modified-Newton iteration (DC and transient). Each iteration
+  /// calls `assemble(x, fresh)`, which writes the residual F(x) into f_
+  /// and, when `fresh`, the Jacobian values into jac_; a fresh Jacobian is
+  /// then factored, a stale one reused. Returns true once the clamped
+  /// node-voltage update drops below v_tol; x is the guess on entry and
+  /// the iterate on exit.
+  template <class Assemble>
+  bool newton(Vector& x, Assemble&& assemble, NewtonTally& tally) const;
 
   /// Factors jac_ through the backend; after the first call only the
   /// numeric phase reruns (the pattern never changes).
@@ -114,9 +132,9 @@ class NonlinearSim {
   // per-iteration gather/scatter scratch).
   MosfetBatch batch_;
   std::vector<std::ptrdiff_t> dev_d_, dev_g_, dev_s_;  // Node var or -1.
-  // Device-sweep SoA scratch, carved from one arena block in the
-  // constructor: six arrays, one allocation, contiguous in memory.
-  mutable Arena arena_;
+  // Device-sweep SoA scratch: six arrays carved from one allocation,
+  // contiguous in memory.
+  mutable std::vector<double> sweep_;
   mutable std::span<double> bvd_, bvg_, bvs_, bid_, bgm_, bgds_;
   mutable std::optional<SystemSolver> solver_;
   mutable Vector base_vals_, f_, f0_, dx_, cx0_, cx1_;

@@ -1,7 +1,14 @@
 #include "sim/transient.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <string>
+
+#include "util/deadline.hpp"
+#include "util/metrics.hpp"
+#include "util/numeric.hpp"
 
 namespace dn {
 
@@ -45,6 +52,53 @@ std::size_t TransientResult::add_sample(double t) {
   return time_.size() - 1;
 }
 
+namespace {
+
+/// Step-size controller of march_transient (policy in transient.hpp).
+class StepController {
+ public:
+  StepController(const TransientSpec& spec, const Circuit& ckt);
+
+  /// Step size for the step starting at t0 (> 0; respects t_stop,
+  /// breakpoints and the current rung).
+  double step_size(double t0) const;
+
+  bool done(double t0) const;
+
+  /// True when the step [t0, t0+h] must be redone with a smaller step.
+  /// Updates the working dt either way. `est` is the LTE estimate; a
+  /// negative value means no predictor history (always accepted).
+  bool lte_reject(double h, double est);
+
+  /// A solve failed at step size h: halve (below the reference floor if
+  /// needed — convergence rescue only). False when no further shrink is
+  /// possible and the failure is final.
+  bool newton_backoff(double h);
+
+  /// Call after accepting a step that landed on a source breakpoint (or
+  /// crossed one): the source derivative is discontinuous there, so the
+  /// predictor history must be dropped.
+  bool crossed_breakpoint(double t0, double t1);
+
+  bool adaptive() const { return adaptive_; }
+
+ private:
+  double quantize(double dt) const;  // Snap down to a dt_ref * 2^k rung.
+
+  bool adaptive_ = false;
+  double t_stop_ = 0.0;
+  double dt_ref_ = 0.0;   // Reference step = accuracy floor.
+  double dt_min_ = 0.0;   // Newton-rescue floor (dt_ref / 16).
+  double dt_max_ = 0.0;
+  double dt_ = 0.0;       // Current working step.
+  double growth_ = 2.0;
+  double lte_tol_ = 0.0;
+  std::vector<double> breakpoints_;  // Sorted, within (t_start, t_stop).
+  mutable std::size_t bp_cursor_ = 0;
+};
+
+/// Sorted, deduplicated union of every V/I source Pwl kink time strictly
+/// inside (t0, t1).
 std::vector<double> source_breakpoints(const Circuit& ckt, double t0,
                                        double t1) {
   // A corner only needs step clamping when it is a real KINK — a slope
@@ -185,6 +239,130 @@ bool StepController::crossed_breakpoint(double t0, double t1) {
   // whole post-kink edge. Restart from the reference floor and regrow.
   dt_ = dt_ref_;
   return true;
+}
+
+}  // namespace
+
+TransientResult march_transient(const TransientSpec& spec, const Circuit& ckt,
+                                const MnaSystem& mna, Vector x0,
+                                const char* sim, const StepSolve& solve) {
+  static obs::Counter& c_accepted =
+      obs::metrics().counter("sim.lte.steps_accepted");
+  static obs::Counter& c_rejected =
+      obs::metrics().counter("sim.lte.steps_rejected");
+  static obs::Histogram& h_dt =
+      obs::metrics().histogram("sim.lte.dt_accepted_s");
+  const std::string where = std::string(sim) + "::run";
+
+  TransientResult result(ckt.num_nodes());
+  if (!spec.adaptive())
+    result.reserve(static_cast<std::size_t>(*spec.num_steps()) + 1);
+  auto record = [&](const Vector& x, double t) {
+    const std::size_t k = result.add_sample(t);
+    for (NodeId n = 1; n < ckt.num_nodes(); ++n)
+      result.v(n, k) = mna.node_voltage(x, n);
+  };
+  record(x0, spec.t_start);
+  result.set_initial_state(x0);
+
+  StepController ctl(spec, ckt);
+  Vector b0, b1, x1;
+  mna.rhs_into(spec.t_start, b0);
+  // Per-run counter accumulation: the sharded atomics are cheap but not
+  // free at several counter ops per step; one flush at run end keeps the
+  // inner loop free of shared-cache-line traffic.
+  std::uint64_t n_steps = 0, n_rej = 0;
+  struct DtBin {
+    double h = 0.0;
+    std::uint64_t n = 0;
+  };
+  std::array<DtBin, 24> dt_bins{};
+  std::size_t n_dt_bins = 0;
+  auto record_dt = [&](double h) {
+    for (std::size_t i = 0; i < n_dt_bins; ++i)
+      if (dt_bins[i].h == h) {
+        ++dt_bins[i].n;
+        return;
+      }
+    if (n_dt_bins < dt_bins.size()) {
+      dt_bins[n_dt_bins++] = {h, 1};
+      return;
+    }
+    h_dt.record(h);  // Bin overflow: record directly.
+  };
+
+  // Predictor history (previous accepted point) for the LTE estimate and
+  // the solve's initial guess. Invalidated across source-waveform corners,
+  // where the derivative is discontinuous.
+  Vector x_prev;
+  double h_prev = 0.0;
+  bool have_prev = false;
+
+  const std::size_t nv = mna.num_node_vars();
+  double t0 = spec.t_start;
+  std::uint64_t attempts = 0;
+  while (!ctl.done(t0)) {
+    // Deadline polling hoisted to every 64th attempt: with a deadline
+    // installed each checkpoint is a clock read, which at sub-µs steps
+    // was measurable. 64 steps of slack keeps cancellation latency well
+    // under a millisecond.
+    if ((attempts & 63) == 0) deadline_checkpoint(where.c_str());
+    if (++attempts > 25'000'000)
+      throw NumericError(std::string(sim) + ": adaptive step limit exceeded");
+    const double h = ctl.step_size(t0);
+    double t1 = t0 + h;
+    if (t1 > spec.t_stop) t1 = spec.t_stop;
+    mna.rhs_into(t1, b1);
+
+    const bool history = have_prev && h_prev > 0.0;
+    const double r = history ? h / h_prev : 0.0;
+    if (!solve({h, t1, x0, b0, b1, history ? &x_prev : nullptr, r}, x1)) {
+      // The solve already tried a fresh factor; the next rung of the
+      // fallback ladder is a smaller step, then failure.
+      if (ctl.newton_backoff(h)) {
+        have_prev = false;
+        continue;
+      }
+      throw ConvergenceError(std::string(sim) + ": Newton diverged at t = " +
+                             std::to_string(t1));
+    }
+    if (!all_finite(x1))
+      throw NumericError(std::string(sim) + ": non-finite solution at t = " +
+                         std::to_string(t1));
+
+    double est = -1.0;
+    if (ctl.adaptive() && history) {
+      double dev = 0.0;
+      for (std::size_t i = 0; i < nv; ++i) {
+        const double pred = x0[i] + r * (x0[i] - x_prev[i]);
+        dev = std::max(dev, std::abs(x1[i] - pred));
+      }
+      est = dev * (h / (h + h_prev));
+    }
+    if (ctl.lte_reject(h, est)) {
+      ++n_rej;
+      continue;  // Discard x1; the controller shrank the working step.
+    }
+
+    ++n_steps;
+    record_dt(h);
+    const bool kink = ctl.crossed_breakpoint(t0, t1);
+    // Rotate the state buffers instead of reallocating: x_prev takes the
+    // old x0, x0 takes the accepted x1, and x1 inherits a dead buffer the
+    // next solve overwrites.
+    std::swap(x_prev, x0);
+    h_prev = h;
+    have_prev = !kink;
+    std::swap(x0, x1);
+    std::swap(b0, b1);
+    t0 = t1;
+    record(x0, t0);
+  }
+  c_accepted.add(n_steps);
+  if (n_rej) c_rejected.add(n_rej);
+  for (std::size_t i = 0; i < n_dt_bins; ++i)
+    h_dt.record_n(dt_bins[i].h, dt_bins[i].n);
+  return result;
 }
 
 }  // namespace dn

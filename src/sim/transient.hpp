@@ -1,6 +1,6 @@
-// Shared transient-analysis types: the step specification (fixed or
-// LTE-adaptive), the sampled result container, and the step-size
-// controller both simulators share.
+// Shared transient analysis: the step specification (fixed or
+// LTE-adaptive), the sampled result container, and the one stepping loop
+// both simulators run with their own per-step solve plugged in.
 //
 // The spec is validated through Status (never throws): the simulators'
 // try_run() entry points surface a bad time range as kInvalidArgument
@@ -11,9 +11,11 @@
 // grow in power-of-two rungs above it on smooth intervals.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "circuit/mna.hpp"
 #include "util/status.hpp"
 #include "waveform/pwl.hpp"
 
@@ -95,68 +97,50 @@ class TransientResult {
   std::vector<double> initial_state_;
 };
 
-/// Step-size controller shared by LinearSim and NonlinearSim.
-///
-/// Policy (DESIGN.md §12):
-///   - Fixed mode (lte_tol == 0): steps march the uniform spec grid.
-///   - Adaptive: the working dt moves on power-of-two rungs of the
-///     reference step (dt_ref * 2^k, k >= 0), so the trapezoidal system
-///     matrix refactors only on rung changes, not every step.
-///   - Source breakpoints (Pwl corner times of every V/I source) clamp
-///     steps: a step never crosses the next breakpoint unless doing so
-///     would shrink it below dt_ref — i.e. resolution is never worse than
-///     the fixed-step reference, even through densely-sampled noise
-///     waveforms driving a receiver input.
-///   - LTE estimate: predictor-corrector distance against linear
-///     extrapolation of the two previous accepted points, damped by
-///     h/(h + h_prev). Reject and shrink when above lte_tol (unless
-///     already at the reference floor), grow when comfortably below.
-class StepController {
- public:
-  StepController(const TransientSpec& spec, const Circuit& ckt);
-
-  /// Step size for the step starting at t0 (> 0; respects t_stop,
-  /// breakpoints and the current rung).
-  double step_size(double t0) const;
-
-  bool done(double t0) const;
-
-  /// True when the step [t0, t0+h] must be redone with a smaller step.
-  /// Updates the working dt either way. `est` is the sim's LTE estimate;
-  /// pass a negative value when no predictor history exists (always
-  /// accepted).
-  bool lte_reject(double h, double est);
-
-  /// Newton failed at step size h: halve (below the reference floor if
-  /// needed — convergence rescue only). False when no further shrink is
-  /// possible and the failure is final.
-  bool newton_backoff(double h);
-
-  /// Call after accepting a step that landed on a source breakpoint (or
-  /// crossed one): the source derivative is discontinuous there, so the
-  /// caller must drop its predictor history.
-  bool crossed_breakpoint(double t0, double t1);
-
-  bool adaptive() const { return adaptive_; }
-
- private:
-  double quantize(double dt) const;  // Snap down to a dt_ref * 2^k rung.
-
-  bool adaptive_ = false;
-  double t_stop_ = 0.0;
-  double dt_ref_ = 0.0;   // Reference step = accuracy floor.
-  double dt_min_ = 0.0;   // Newton-rescue floor (dt_ref / 16).
-  double dt_max_ = 0.0;
-  double dt_ = 0.0;       // Current working step.
-  double growth_ = 2.0;
-  double lte_tol_ = 0.0;
-  std::vector<double> breakpoints_;  // Sorted, within (t_start, t_stop).
-  mutable std::size_t bp_cursor_ = 0;
+/// One step attempt, as march_transient hands it to a simulator's solve.
+struct TransientStep {
+  double h;          // Step size.
+  double t1;         // End of the step: t0 + h, clamped to t_stop.
+  const Vector& x0;  // Accepted MNA state at t0.
+  const Vector& b0;  // MNA right-hand side at t0 ...
+  const Vector& b1;  // ... and at t1.
+  /// Accepted state one step (h_prev) before x0, or null when the
+  /// predictor has no history: the first step, after a source kink, after
+  /// a Newton back-off. `r` = h / h_prev when set.
+  const Vector* x_prev;
+  double r;
 };
 
-/// Sorted, deduplicated union of every V/I source Pwl corner time strictly
-/// inside (t0, t1).
-std::vector<double> source_breakpoints(const Circuit& ckt, double t0,
-                                       double t1);
+/// A simulator's per-step solve: writes the trapezoidal solution at t1
+/// into x1. False means the step did not converge (Newton); the loop then
+/// halves the step, or fails once it cannot shrink further.
+using StepSolve = std::function<bool(const TransientStep&, Vector& x1)>;
+
+/// The stepping loop both simulators run (DESIGN.md §12): marches `mna`
+/// from the operating point x0 at spec.t_start to spec.t_stop, one
+/// `solve` per attempt, and records every accepted point.
+///
+/// Step policy (fixed grid when spec.lte_tol == 0):
+///   - Adaptive steps sit on power-of-two rungs of the reference step
+///     (dt * 2^k, k >= 0), so a simulator refactors its step matrix only
+///     on rung changes, not every step.
+///   - Source breakpoints (the kinks of every V/I source Pwl) clamp steps:
+///     a step never crosses the next one unless honoring it would shrink
+///     the step below the reference grid, and the step after a kink
+///     restarts at the reference step.
+///   - LTE estimate: corrector vs linear extrapolation of the two previous
+///     accepted points, damped by h/(h + h_prev). Reject and shrink when
+///     above lte_tol (unless already at the reference floor), grow when
+///     comfortably below.
+///
+/// `sim` names the simulator in deadline and error messages. Throws
+/// DeadlineError on an expired ambient deadline (polled every 64th
+/// attempt), ConvergenceError when a failed step cannot shrink further,
+/// NumericError on a non-finite state or a runaway attempt count. Flushes
+/// the `sim.lte.*` metrics of a completed run; the accepted-step count is
+/// result.num_points() - 1.
+TransientResult march_transient(const TransientSpec& spec, const Circuit& ckt,
+                                const MnaSystem& mna, Vector x0,
+                                const char* sim, const StepSolve& solve);
 
 }  // namespace dn

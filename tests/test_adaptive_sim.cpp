@@ -10,6 +10,7 @@
 #include "devices/mosfet.hpp"
 #include "sim/linear_sim.hpp"
 #include "sim/nonlinear_sim.hpp"
+#include "util/deadline.hpp"
 #include "util/units.hpp"
 #include "waveform/pulse.hpp"
 
@@ -51,6 +52,45 @@ Circuit inverter_chain(NodeId* out_sink) {
   }
   *out_sink = prev;
   return c;
+}
+
+// Both simulators poll the ambient deadline in the shared stepping loop
+// (NonlinearSim also in its DC Newton): under an expired scope every run
+// stops with kDeadlineExceeded naming the simulator, and a live scope
+// leaves the result untouched.
+template <class Sim>
+void expect_deadline_stops(const Sim& sim, const char* name, NodeId sink) {
+  TransientSpec fixed{0.0, 2 * ns, 0.5 * ps};
+  TransientSpec adaptive = fixed;
+  adaptive.lte_tol = 2e-4;
+  for (const TransientSpec& spec : {fixed, adaptive}) {
+    const TransientResult free_run = sim.try_run(spec).value();
+    {
+      ScopedDeadline live(Deadline::after(60.0));
+      const TransientResult r = sim.try_run(spec).value();
+      ASSERT_EQ(r.time(), free_run.time());
+      for (std::size_t k = 0; k < r.num_points(); ++k)
+        EXPECT_EQ(r.v(sink, k), free_run.v(sink, k));
+    }
+    ScopedDeadline dead(Deadline::after(-1.0));
+    const auto r = sim.try_run(spec);
+    ASSERT_FALSE(r.ok()) << "lte_tol=" << spec.lte_tol;
+    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_NE(r.status().message().find(name), std::string::npos)
+        << r.status().message();
+  }
+}
+
+TEST(SimDeadline, LinearSimStopsUnderExpiredScope) {
+  NodeId sink = kGround;
+  const Circuit c = rc_ladder(&sink);
+  expect_deadline_stops(LinearSim(c), "LinearSim::run", sink);
+}
+
+TEST(SimDeadline, NonlinearSimStopsUnderExpiredScope) {
+  NodeId sink = kGround;
+  const Circuit c = inverter_chain(&sink);
+  expect_deadline_stops(NonlinearSim(c), "NonlinearSim::", sink);
 }
 
 TEST(AdaptiveSim, LinearMatchesFixedGridWithinTolerance) {

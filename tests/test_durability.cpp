@@ -713,5 +713,32 @@ TEST(CharacterizationCachePersistence, SpecSkewIsFailedPrecondition) {
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(CharacterizationCachePersistence, SearchOptionSkewIsFailedPrecondition) {
+  // Same corners, another receiver-sim accuracy: a table characterized at
+  // lte_tol 0.05 must not satisfy a cache searching at the default
+  // lte_tol, while a cache of the saving spec still installs it.
+  AlignmentTableSpec coarse = fast_config().table_spec;
+  coarse.search.lte_tol = 0.05;
+  CharacterizationCache cache{coarse};
+  GateParams rcv;
+  rcv.size = 2.0;
+  ASSERT_TRUE(cache.try_table_for(rcv, true).ok());
+  std::ostringstream saved;
+  ASSERT_TRUE(cache.save(saved).ok());
+
+  CharacterizationCache default_search{fast_config().table_spec};
+  std::istringstream skewed(saved.str());
+  const StatusOr<std::size_t> r = default_search.load(skewed);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+
+  CharacterizationCache same{coarse};
+  std::istringstream round_trip(saved.str());
+  const StatusOr<std::size_t> installed = same.load(round_trip);
+  ASSERT_TRUE(installed.ok());
+  EXPECT_EQ(*installed, 1u);
+  EXPECT_EQ(same.tables_cached(), 1u);
+}
+
 }  // namespace
 }  // namespace dn

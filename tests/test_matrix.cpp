@@ -280,11 +280,9 @@ TEST(BackendEquivalence, SystemSolverSelectsSmallKernelAndMatchesGeneric) {
   EXPECT_EQ(obs::metrics().counter("solver.backend.small_dense").value(),
             before + 1);
 
-  SolverOptions generic_opts;
-  generic_opts.small_max_dim = 0;  // Force the heap-backed dense LU.
-  auto s_generic = SystemSolver::make(sp, generic_opts);
+  // The heap-backed generic dense LU on the same matrix.
+  auto s_generic = LuFactor::make(a);
   ASSERT_TRUE(s_generic.ok());
-  EXPECT_FALSE(s_generic->uses_small_kernel());
 
   const Vector x_small = s_small->solve(b);
   const Vector x_generic = s_generic->solve(b);

@@ -37,6 +37,7 @@ TEST(AlignmentTablePersistence, RoundTripIsExact) {
                          tbl.alignment_voltage(si, wi, hi));
   EXPECT_EQ(back.victim_rising(), tbl.victim_rising());
   EXPECT_DOUBLE_EQ(back.spec().slew_min, tbl.spec().slew_min);
+  EXPECT_TRUE(back.spec() == tbl.spec());  // Search options included.
   EXPECT_DOUBLE_EQ(back.receiver().size, 2.0);
 
   // Predictions from the loaded table are identical.
@@ -52,7 +53,7 @@ TEST(AlignmentTablePersistence, RoundTripIsExact) {
 TEST(AlignmentTablePersistence, RejectsGarbage) {
   std::stringstream bad("not-a-table 7\n");
   EXPECT_THROW(AlignmentTable::load(bad), std::runtime_error);
-  std::stringstream truncated("dnoise-alignment-table 1\n0 1 1.8");
+  std::stringstream truncated("dnoise-alignment-table 2\n0 1 1.8");
   EXPECT_THROW(AlignmentTable::load(truncated), std::runtime_error);
 }
 
