@@ -100,7 +100,7 @@ FactorSolveTiming time_backend(const SparseMatrix& a, const Vector& b,
 
 AnalyzerConfig e2e_config(SolverBackend backend) {
   // The coarse-but-representative search grid also used by the analyzer
-  // tests; backend forced for both the superposition sims and the
+  // tests; the backend rules both the superposition sims and the
   // C-effective iteration.
   AnalyzerConfig c;
   c.table_spec.search.coarse_points = 17;
@@ -110,7 +110,6 @@ AnalyzerConfig e2e_config(SolverBackend backend) {
   c.analysis.search.fine_points = 9;
   c.analysis.search.dt = 2 * ps;
   c.engine.solver.backend = backend;
-  c.engine.ceff.solver.backend = backend;
   return c;
 }
 

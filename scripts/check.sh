@@ -8,8 +8,8 @@
 # the SPEF parser, and a chaos stage that runs a batch under injected
 # faults at every site and demands degraded-not-crashed, job-count-
 # independent output (DESIGN.md §10), fault-free jobs-1 vs jobs-4
-# determinism checks (adaptive and fixed grid), plus server and CLI
-# smokes.
+# determinism checks (adaptive, fixed grid and exhaustive search), plus
+# server and CLI smokes.
 #
 # Usage: scripts/check.sh [--no-asan] [--no-tsan] [--no-fuzz] [--no-chaos]
 #                         [--no-bench]
@@ -229,6 +229,19 @@ if ! cmp -s build/determinism_fixed_j1.json build/determinism_fixed_j4.json; the
   exit 1
 fi
 echo "determinism: 10-net fixed-grid report byte-identical at --jobs 1 and --jobs 4"
+# The same on the exhaustive alignment path: each search chains its own
+# receiver warm start across its probes, which no schedule may perturb.
+./build/tools/dnoise_cli --batch --random 10 --seed 3 --exhaustive --json \
+  --jobs 1 2>/dev/null > build/determinism_exhaustive_j1.json
+./build/tools/dnoise_cli --batch --random 10 --seed 3 --exhaustive --json \
+  --jobs 4 2>/dev/null > build/determinism_exhaustive_j4.json
+if ! cmp -s build/determinism_exhaustive_j1.json \
+     build/determinism_exhaustive_j4.json; then
+  echo "determinism: --batch --random 10 --seed 3 --exhaustive --json" \
+       "differs between --jobs 1 and --jobs 4" >&2
+  exit 1
+fi
+echo "determinism: 10-net exhaustive report byte-identical at --jobs 1 and --jobs 4"
 
 echo "== server smoke: scripted NDJSON session against --serve =="
 # A pipelined session: load a design, analyze, apply an ECO, re-analyze

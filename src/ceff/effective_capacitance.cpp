@@ -8,6 +8,16 @@
 #include "util/metrics.hpp"
 
 namespace dn {
+namespace {
+
+constexpr double kRelTol = 1e-3;    // Convergence on |dCeff|/Ceff.
+/// New-value blend factor (1 = undamped) of the first step and of the
+/// fallback when a secant step is non-finite or leaves (1e-18, Ctotal].
+constexpr double kDamping = 0.7;
+constexpr double kSimDt = 1e-12;    // Reference step of the inner linear sims.
+constexpr double kSimTail = 3e-9;   // Linear-sim horizon past the input end.
+
+}  // namespace
 
 CeffResult compute_ceff(const GateParams& driver, const Pwl& vin,
                         const LoadBuilder& build_load, double c_total,
@@ -19,28 +29,22 @@ CeffResult compute_ceff(const GateParams& driver, const Pwl& vin,
   double ceff = c_total;
   double prev_ceff = 0.0, prev_h = 0.0;  // Previous iterate, for the secant.
 
-  // Every fit iteration re-simulates the same gate (only cload moves);
-  // warm-start each reference sim from the previous operating point.
-  Vector warm;
-  TheveninFitOptions fit_opts = opts.fit;
-  if (opts.warm_start && !fit_opts.warm) fit_opts.warm = &warm;
-
   for (int it = 1; it <= opts.max_iterations; ++it) {
     out.iterations = it;
-    const TheveninFit fit = fit_thevenin(driver, vin, ceff, fit_opts);
+    const TheveninFit fit = fit_thevenin(driver, vin, ceff, opts.fit);
     const TheveninModel& m = fit.model;
 
     // Linear simulation: Thevenin driver into the real load.
     Circuit ckt;
     const NodeId port = build_load(ckt);
     const NodeId src = ckt.node("thv_src");
-    const double t_stop = vin.t_end() + opts.sim_tail;
+    const double t_stop = vin.t_end() + kSimTail;
     ckt.add_vsource(src, kGround, m.source(t_stop));
     ckt.add_resistor(src, port, m.rth);
 
     LinearSim sim(ckt, opts.solver);
-    TransientSpec spec{0.0, t_stop, opts.sim_dt};
-    spec.lte_tol = opts.lte_tol;
+    TransientSpec spec{0.0, t_stop, kSimDt};
+    spec.lte_tol = opts.fit.lte_tol;
     const auto res = sim.try_run(spec);
     if (!res.ok()) raise(res.status());
     const Pwl v_port = res->waveform(port);
@@ -66,14 +70,14 @@ CeffResult compute_ceff(const GateParams& driver, const Pwl& vin,
     out.ceff = ceff;
     out.model = fit.model;
     const double h = ceff_new - ceff;  // Fix-point residual h(C) = g(C) - C.
-    if (std::abs(h) / std::max(ceff, 1e-18) < opts.rel_tol) {
+    if (std::abs(h) / std::max(ceff, 1e-18) < kRelTol) {
       out.converged = true;
       break;
     }
 
     // Secant step on h after the first iteration; the damped step seeds
     // it and catches a secant that is non-finite or leaves (1e-18, c_total].
-    double next = (1.0 - opts.damping) * ceff + opts.damping * ceff_new;
+    double next = (1.0 - kDamping) * ceff + kDamping * ceff_new;
     if (it > 1) {
       const double secant = ceff - h * (ceff - prev_ceff) / (h - prev_h);
       if (std::isfinite(secant) && secant > 1e-18 && secant <= c_total)

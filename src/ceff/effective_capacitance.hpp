@@ -24,19 +24,9 @@ namespace dn {
 
 struct CeffOptions {
   int max_iterations = 15;
-  double rel_tol = 1e-3;       // Convergence on |dCeff|/Ceff.
-  /// New-value blend factor (1 = undamped) of the first step and of the
-  /// fallback when a secant step is non-finite or leaves (1e-18, Ctotal].
-  double damping = 0.7;
+  /// Its `lte_tol` also bounds the inner linear sims; its `warm` chain,
+  /// when set, carries the DC point from each fit to the next.
   TheveninFitOptions fit{};
-  double sim_dt = 1e-12;       // Reference step of the inner linear sims.
-  double sim_tail = 3e-9;      // Linear-sim horizon past the input end.
-  /// LTE bound for adaptive stepping in the inner linear sims [V];
-  /// 0 = fixed sim_dt grid.
-  double lte_tol = 5e-4;
-  /// Warm-start the repeated Thevenin-fit reference sims from the
-  /// previous iteration's operating point.
-  bool warm_start = true;
   SolverOptions solver{};      // Backend for the inner linear sims.
 };
 

@@ -22,6 +22,11 @@ Pwl TheveninModel::source(double t_end) const {
 
 namespace {
 
+constexpr double kDt = 1e-12;        // Reference sim step (reference floor).
+constexpr double kTail = 3e-9;       // Sim horizon past the input ramp end.
+constexpr double kTimeTol = 1e-15;   // Crossing-time residual tolerance [s].
+constexpr int kMaxIterations = 60;   // Damped-Newton steps per seed.
+
 /// Normalized response at the end of the ramp, w(tr): the level the
 /// exponential settling tail starts from.
 double ramp_end_w(double tr, double tau) {
@@ -78,10 +83,6 @@ std::optional<double> TheveninModel::response_crossing(double frac,
   return t0 + u;
 }
 
-TransientSpec default_gate_spec(const Pwl& vin, double tail, double dt) {
-  return TransientSpec{0.0, vin.t_end() + tail, dt};
-}
-
 TheveninFit fit_thevenin(const GateParams& gate, const Pwl& vin, double cload,
                          const TheveninFitOptions& opts) {
   if (cload <= 0.0)
@@ -91,7 +92,7 @@ TheveninFit fit_thevenin(const GateParams& gate, const Pwl& vin, double cload,
     throw std::runtime_error("fit_thevenin: input does not switch");
 
   TheveninFit out;
-  TransientSpec spec = default_gate_spec(vin, opts.tail, opts.dt);
+  TransientSpec spec{0.0, vin.t_end() + kTail, kDt};
   spec.lte_tol = opts.lte_tol;
   spec.stale_jacobian_iters = opts.stale_jacobian_iters;
   GateSim sim(gate, cload);
@@ -154,9 +155,9 @@ TheveninFit fit_thevenin(const GateParams& gate, const Pwl& vin, double cload,
   if (!residuals(model_of(theta), r))
     return std::numeric_limits<double>::infinity();
 
-  for (int it = 0; it < opts.max_iterations; ++it) {
+  for (int it = 0; it < kMaxIterations; ++it) {
     const double err = std::max({std::abs(r[0]), std::abs(r[1]), std::abs(r[2])});
-    if (err < opts.time_tol) break;
+    if (err < kTimeTol) break;
 
     // Finite-difference Jacobian.
     double jac[3][3];
@@ -236,7 +237,7 @@ TheveninFit fit_thevenin(const GateParams& gate, const Pwl& vin, double cload,
       best_err = err;
       std::copy(theta, theta + 3, best_theta);
     }
-    if (best_err < opts.time_tol) break;
+    if (best_err < kTimeTol) break;
   }
   if (!std::isfinite(best_err))
     throw std::runtime_error("fit_thevenin: no seed produced a valid model");

@@ -35,11 +35,8 @@ struct TheveninModel {
 };
 
 struct TheveninFitOptions {
-  double dt = 1e-12;        // Nonlinear reference sim step (reference floor).
-  double tail = 3e-9;       // Sim horizon past the end of the input ramp.
-  double time_tol = 1e-15;  // Residual tolerance on crossing times [s].
-  int max_iterations = 60;
-  /// LTE bound for the adaptive nonlinear reference sim [V]; 0 = fixed dt.
+  /// LTE bound for the adaptive nonlinear reference sim [V]; 0 = the fixed
+  /// 1 ps grid.
   double lte_tol = 5e-4;
   /// Chord-Newton budget for the reference sim; 0 = classic full Newton
   /// (sim/transient.hpp).
@@ -62,9 +59,5 @@ struct TheveninFit {
 /// The reference is one nonlinear simulation of the gate.
 TheveninFit fit_thevenin(const GateParams& gate, const Pwl& vin, double cload,
                          const TheveninFitOptions& opts = {});
-
-/// Default transient window for single-gate characterization sims.
-TransientSpec default_gate_spec(const Pwl& vin, double tail = 3e-9,
-                                double dt = 1e-12);
 
 }  // namespace dn

@@ -80,7 +80,9 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
   if (key == "exhaustive") {
     bool exhaustive = false;
     Status s = set_bool(v, "exhaustive", exhaustive);
-    if (s.ok()) a.use_prediction_tables = !exhaustive;
+    if (s.ok())
+      a.analysis.method =
+          exhaustive ? AlignmentMethod::Exhaustive : AlignmentMethod::Predicted;
     return s;
   }
   if (key == "thevenin") {
@@ -94,11 +96,10 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
     if (!name.ok()) return name.status();
     StatusOr<SolverBackend> backend = parse_solver_backend(*name);
     if (!backend.ok()) return backend.status();
-    // One backend rules every linear-system sim: the superposition
-    // transients (and the nonlinear reference, which inherits it) and the
-    // Ceff inner sims.
+    // One backend rules every linear-system sim: the engine runs its
+    // superposition transients, its Ceff inner sims and the nonlinear
+    // reference on it.
     a.engine.solver.backend = *backend;
-    a.engine.ceff.solver.backend = *backend;
     return Status::Ok();
   }
   if (key == "dt_ps") {
@@ -126,13 +127,11 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
     double tol = 0;
     Status s = set_num(v, "lte_tol", tol);
     if (!s.ok()) return s;
-    // One LTE bound rules every adaptive sim: the superposition
-    // transients, the paired Rtr driver sims (both read the engine's
-    // bound), the Ceff inner sims, the Thevenin-fit reference, and the
-    // alignment-search receiver probes. 0 = fixed dt grid everywhere.
+    // One LTE bound rules every adaptive sim: the engine's (superposition
+    // transients, paired Rtr driver sims, Ceff inner sims, Thevenin-fit
+    // reference) and the alignment-search receiver probes. 0 = fixed grid
+    // everywhere.
     a.engine.lte_tol = tol;
-    a.engine.ceff.lte_tol = tol;
-    a.engine.ceff.fit.lte_tol = tol;
     a.analysis.search.lte_tol = tol;
     a.table_spec.search.lte_tol = tol;
     return Status::Ok();
@@ -143,23 +142,21 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
   if (key == "max_dt_growth")
     return set_num(v, "max_dt_growth", a.engine.max_dt_growth);
   if (key == "stale_jacobian_iters") {
-    // Every nonlinear sim family: the engine's Newton options and the
-    // fit/search/Rtr spec budgets.
+    // Every nonlinear sim family: the engine's Newton options (which its
+    // fit, Rtr and golden sims read) and the search budgets.
     int n = 0;
     Status s = set_int(v, "stale_jacobian_iters", n);
     if (!s.ok()) return s;
     a.engine.newton.stale_jacobian_iters = n;
-    a.engine.ceff.fit.stale_jacobian_iters = n;
     a.analysis.search.stale_jacobian_iters = n;
     a.table_spec.search.stale_jacobian_iters = n;
-    a.analysis.rtr.stale_jacobian_iters = n;
     return Status::Ok();
   }
   if (key == "warm_start") {
     bool warm = true;
     Status s = set_bool(v, "warm_start", warm);
     if (!s.ok()) return s;
-    a.engine.ceff.warm_start = warm;
+    a.engine.warm_start = warm;
     a.analysis.search.warm_start = warm;
     a.table_spec.search.warm_start = warm;
     return Status::Ok();
@@ -184,6 +181,11 @@ Status AnalysisConfig::validate() const {
     return range_error("fidelity_margin", "must be >= 1 (conservatism)");
   if (b.ladder.max_tier < 0 || b.ladder.max_tier > 2)
     return range_error("fidelity_max_tier", "must be in [0, 2]");
+  // No key expresses another method, so it would not survive a dump.
+  if (a.analysis.method != AlignmentMethod::Predicted &&
+      a.analysis.method != AlignmentMethod::Exhaustive)
+    return range_error("exhaustive",
+                       "can only select the Predicted or Exhaustive method");
   if (!(a.engine.dt > 0)) return range_error("dt_ps", "must be > 0");
   if (!(a.engine.horizon > a.engine.dt))
     return range_error("horizon_ns", "must exceed the time step dt_ps");
@@ -254,7 +256,7 @@ json::Value AnalysisConfig::to_json() const {
   o["max_retries"] = b.max_retries;
   o["retry_backoff_ms"] = b.retry_backoff_ms;
   o["deadline_ms"] = b.deadline_ms;
-  o["exhaustive"] = !a.use_prediction_tables;
+  o["exhaustive"] = a.analysis.method == AlignmentMethod::Exhaustive;
   o["thevenin"] = !a.analysis.use_transient_holding;
   o["solver"] = solver_backend_name(a.engine.solver.backend);
   o["dt_ps"] = a.engine.dt / ps;
@@ -266,7 +268,7 @@ json::Value AnalysisConfig::to_json() const {
   o["lte_tol"] = a.engine.lte_tol;
   o["max_dt_growth"] = a.engine.max_dt_growth;
   o["stale_jacobian_iters"] = a.engine.newton.stale_jacobian_iters;
-  o["warm_start"] = a.engine.ceff.warm_start;
+  o["warm_start"] = a.engine.warm_start;
   return json::Value(std::move(o));
 }
 

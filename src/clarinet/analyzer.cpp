@@ -47,8 +47,7 @@ StatusOr<DelayNoiseResult> NoiseAnalyzer::try_analyze(
     // The ladder policy gates each rung wherever it lives.
     eng_opts.solver.allow_dense_fallback = opts.degrade.sparse_to_dense;
     SuperpositionEngine eng(net, eng_opts);
-    if (config_.use_prediction_tables) {
-      opts.method = AlignmentMethod::Predicted;
+    if (opts.method == AlignmentMethod::Predicted) {
       auto table = cache_->try_table_for(net.victim.receiver,
                                          net.victim.output_rising);
       if (table.ok()) {
@@ -62,14 +61,10 @@ StatusOr<DelayNoiseResult> NoiseAnalyzer::try_analyze(
                             table.status().message() +
                             "); using receiver-input-peak alignment");
         opts.method = AlignmentMethod::ReceiverInputPeak;
-        opts.table = nullptr;
       } else {
         c_failed.add();
         return table.status();
       }
-    } else {
-      opts.method = AlignmentMethod::Exhaustive;
-      opts.table = nullptr;
     }
     DelayNoiseResult r = analyze_delay_noise(eng, opts);
     r.degradations = dedup_degradations(degrade_log.take());

@@ -27,9 +27,10 @@ namespace dn {
 
 struct AnalyzerConfig {
   SuperpositionOptions engine{};
-  DelayNoiseOptions analysis{};       // analysis.table is managed internally.
+  /// analysis.table is managed internally: fetched from the cache for
+  /// the Predicted method only.
+  DelayNoiseOptions analysis{.method = AlignmentMethod::Predicted};
   AlignmentTableSpec table_spec{};
-  bool use_prediction_tables = true;  // false: exhaustive alignment search.
 };
 
 class NoiseAnalyzer {

@@ -119,7 +119,7 @@ std::size_t CharacterizationCache::tables_cached() const {
 namespace {
 
 constexpr const char* kCacheMagic = "dnoise-char-cache";
-constexpr int kCacheVersion = 2;
+constexpr int kCacheVersion = 3;
 
 std::uint64_t payload_hash(const std::string& payload) {
   HashStream h;

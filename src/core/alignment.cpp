@@ -196,10 +196,8 @@ AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
       victim_rising ? noiseless_sink.max_value() : noiseless_sink.min_value());
   const double slew = slew10_90 ? *slew10_90 / 0.8 : 200e-12;
 
-  double before = opts.span_before, after = opts.span_after;
-  if (before <= 0) before = slew + pulse.width + 100e-12;
-  if (after <= 0) after = slew + pulse.width + 100e-12;
-  double lo = *t50 - before, hi = *t50 + after;
+  const double span = slew + pulse.width + 100e-12;
+  double lo = *t50 - span, hi = *t50 + span;
   if (opts.has_window()) {
     lo = std::max(lo, opts.window_min);
     hi = std::min(hi, opts.window_max);

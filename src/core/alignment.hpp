@@ -116,11 +116,6 @@ struct AlignmentSearchOptions {
   /// is the same at every alignment). Also chains the receiver
   /// evaluations of one net on the Predicted path.
   bool warm_start = true;
-  /// Search window for the pulse peak, centered on the noiseless 50%
-  /// crossing at the sink: [t50 - span_before, t50 + span_after]. When
-  /// zero, spans are auto-derived from the victim slew and pulse width.
-  double span_before = 0.0;
-  double span_after = 0.0;
   /// Timing-window constraint on the pulse peak time (absolute). During
   /// the window/noise fix-point iteration of [8][9], the aggressors may
   /// only switch within their arrival windows; this clamps every
@@ -143,6 +138,8 @@ struct AlignmentSearchOptions {
 /// Exhaustive worst-case alignment against the RECEIVER OUTPUT delay (the
 /// paper's objective): sweeps the composite-pulse position, evaluating the
 /// nonlinear receiver each time, and refines around the worst coarse point.
+/// The sweep spans slew + pulse width + 100 ps on either side of the
+/// noiseless 50% crossing at the sink, intersected with the window.
 AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
                                            const Pwl& composite,
                                            const GateParams& receiver,

@@ -184,7 +184,7 @@ namespace dn {
 
 void AlignmentTable::save(std::ostream& os) const {
   os.precision(17);
-  os << "dnoise-alignment-table 2\n";
+  os << "dnoise-alignment-table 3\n";
   save_gate(os, receiver_);
   os << (victim_rising_ ? 1 : 0) << '\n';
   os << spec_.slew_min << ' ' << spec_.slew_max << ' ' << spec_.width_min
@@ -196,8 +196,8 @@ void AlignmentTable::save(std::ostream& os) const {
   const AlignmentSearchOptions& q = spec_.search;
   os << q.coarse_points << ' ' << q.fine_points << ' ' << q.dt << ' '
      << q.lte_tol << ' ' << q.stale_jacobian_iters << ' '
-     << (q.warm_start ? 1 : 0) << ' ' << q.span_before << ' ' << q.span_after
-     << ' ' << q.window_min << ' ' << q.window_max << '\n';
+     << (q.warm_start ? 1 : 0) << ' ' << q.window_min << ' ' << q.window_max
+     << '\n';
   for (int si = 0; si < 2; ++si)
     for (int wi = 0; wi < 2; ++wi)
       for (int hi = 0; hi < 2; ++hi) os << va_[si][wi][hi] << ' ';
@@ -208,7 +208,7 @@ AlignmentTable AlignmentTable::load(std::istream& is) {
   std::string magic;
   int version = 0;
   is >> magic >> version;
-  if (magic != "dnoise-alignment-table" || version != 2)
+  if (magic != "dnoise-alignment-table" || version != 3)
     throw std::runtime_error("AlignmentTable: unrecognized table file");
   AlignmentTable tbl;
   tbl.receiver_ = load_gate(is);
@@ -221,8 +221,7 @@ AlignmentTable AlignmentTable::load(std::istream& is) {
   AlignmentSearchOptions& q = tbl.spec_.search;
   int warm_start = 0;
   is >> q.coarse_points >> q.fine_points >> q.dt >> q.lte_tol >>
-      q.stale_jacobian_iters >> warm_start >> q.span_before >> q.span_after >>
-      q.window_min >> q.window_max;
+      q.stale_jacobian_iters >> warm_start >> q.window_min >> q.window_max;
   q.warm_start = warm_start != 0;
   for (int si = 0; si < 2; ++si)
     for (int wi = 0; wi < 2; ++wi)

@@ -40,7 +40,7 @@ RtrResult compute_rtr(const SuperpositionEngine& eng,
   const double cload = vm.ceff;
   TransientSpec spec{0.0, horizon, dt};
   spec.lte_tol = eng.options().lte_tol;
-  spec.stale_jacobian_iters = opts.stale_jacobian_iters;
+  spec.stale_jacobian_iters = eng.options().newton.stale_jacobian_iters;
   const Pwl vin = eng.victim_input();
   GateSim pair(eng.net().victim.driver, cload, GateSim::Kind::kPaired);
 
@@ -75,7 +75,7 @@ RtrResult compute_rtr(const SuperpositionEngine& eng,
       rtr = a_vn / q_in;
     }
     if (!(rtr > 0.0) || !std::isfinite(rtr)) rtr = out.rth;
-    rtr = std::clamp(rtr, opts.r_min, opts.r_max);
+    rtr = std::clamp(rtr, kRtrMin, kRtrMax);
 
     if (it == 1) {
       out.vn_linear = vn;
@@ -85,7 +85,7 @@ RtrResult compute_rtr(const SuperpositionEngine& eng,
 
     const double delta = std::abs(rtr - holding) / std::max(holding, 1e-9);
     out.rtr = rtr;
-    if (it > 1 && delta < opts.rel_tol) {
+    if (it > 1 && delta < kRtrRelTol) {
       out.converged = true;
       break;
     }

@@ -33,16 +33,16 @@ namespace dn {
 /// Both copies step on one grid (LTE-adaptive at the engine's lte_tol;
 /// lte_tol 0 gives the fixed dt grid), so V'n = V2 - V1 carries no
 /// grid-mismatch error and is exactly 0 until the current turns on.
-/// Both integrals run over [0, horizon] (DESIGN.md §5).
+/// Both integrals run over [0, horizon] (DESIGN.md §5). The sims take the
+/// engine's dt, horizon, lte_tol and newton.stale_jacobian_iters.
 struct RtrOptions {
   int max_iterations = 4;
-  double rel_tol = 0.05;     // Convergence on |dRtr|/Rtr.
-  double r_min = 1.0;        // Clamp range for pathological nets [Ohm].
-  double r_max = 1e7;
-  /// Chord-Newton budget for the driver sims; 0 = classic full Newton
-  /// (sim/transient.hpp).
-  int stale_jacobian_iters = 16;
 };
+
+inline constexpr double kRtrRelTol = 0.05;  // Convergence on |dRtr|/Rtr.
+/// Clamp range of Rtr for pathological nets [Ohm].
+inline constexpr double kRtrMin = 1.0;
+inline constexpr double kRtrMax = 1e7;
 
 struct RtrResult {
   double rtr = 0.0;          // Transient holding resistance [Ohm].

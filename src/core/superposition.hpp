@@ -30,9 +30,9 @@ struct SuperpositionOptions {
   double dt = 1e-12;        // Reference simulation step [s].
   double t_ref = 300e-12;   // Input-ramp start used for all reference sims [s].
   double horizon = 4e-9;    // Transient end time [s].
-  /// LTE bound for adaptive stepping in the linear aggressor/victim sims
-  /// and the paired Rtr driver sims (core/holding_resistance.hpp) [V];
-  /// 0 forces the fixed `dt` grid (sim/transient.hpp).
+  /// LTE bound for adaptive stepping in every engine sim: linear
+  /// aggressor/victim, paired Rtr driver, Ceff inner and Thevenin fit [V];
+  /// 0 forces the fixed grid (sim/transient.hpp).
   double lte_tol = 5e-4;
   /// Max per-step growth of the adaptive step. These sims are LINEAR on
   /// the full (possibly multi-thousand-node) net, where each distinct
@@ -41,12 +41,13 @@ struct SuperpositionOptions {
   /// aggressive to skip intermediate rungs, unlike the nonlinear gate
   /// sims where a reject burns a full Newton solve sequence.
   double max_dt_growth = 32.0;
-  CeffOptions ceff{};
-  SolverOptions solver{};   // Backend for the aggressor/victim sims.
+  SolverOptions solver{};   // Backend for the engine's linear sims.
   /// Newton controls for the nonlinear verification sims run in this
   /// engine's time frame (golden_nonlinear); the solver backend is
-  /// overridden by `solver` so one --solver flag rules every sim.
+  /// overridden by `solver` so one --solver flag rules every sim. Its
+  /// `stale_jacobian_iters` also budgets the fit and Rtr driver sims.
   NewtonOptions newton{};
+  bool warm_start = true;   // Chain each driver's Ceff-loop fits' DC points.
   /// Nothing in src/ reads this; perfbench/ still sets it (see ROADMAP).
   bool mor_fallback = true;
 };

@@ -40,7 +40,7 @@ TEST(AnalysisConfig, EveryKeyRoundTripsThroughJson) {
   EXPECT_EQ(cfg.batch.jobs, 3);
   EXPECT_EQ(cfg.batch.top_k, 7);
   EXPECT_EQ(cfg.batch.max_retries, 2);
-  EXPECT_FALSE(cfg.batch.analyzer.use_prediction_tables);  // exhaustive
+  EXPECT_EQ(cfg.batch.analyzer.analysis.method, AlignmentMethod::Exhaustive);
   EXPECT_FALSE(
       cfg.batch.analyzer.analysis.use_transient_holding);  // thevenin
   EXPECT_EQ(cfg.batch.analyzer.engine.solver.backend, SolverBackend::kSparse);
@@ -146,23 +146,47 @@ TEST(AnalysisConfig, JobsCapIsInclusive) {
   EXPECT_EQ(cfg.batch.jobs, 1024);
 }
 
-// A key that fans out to several sim families only round-trips when
-// those fields start out equal: to_json reads one of them back.
+// A key that fans out to several homes (the engine, the per-net search
+// and the table search) only round-trips when those fields start out
+// equal: to_json reads the engine's back.
 TEST(AnalysisConfig, FannedOutFieldsShareOneDefault) {
   const AnalyzerConfig a = AnalysisConfig().batch.analyzer;
-  EXPECT_EQ(a.engine.ceff.solver.backend, a.engine.solver.backend);
-  for (const double tol : {a.engine.ceff.lte_tol, a.engine.ceff.fit.lte_tol,
-                           a.analysis.search.lte_tol,
-                           a.table_spec.search.lte_tol})
+  for (const double tol :
+       {a.analysis.search.lte_tol, a.table_spec.search.lte_tol})
     EXPECT_EQ(tol, a.engine.lte_tol);
-  for (const int n : {a.engine.ceff.fit.stale_jacobian_iters,
-                      a.analysis.search.stale_jacobian_iters,
-                      a.table_spec.search.stale_jacobian_iters,
-                      a.analysis.rtr.stale_jacobian_iters})
+  for (const int n : {a.analysis.search.stale_jacobian_iters,
+                      a.table_spec.search.stale_jacobian_iters})
     EXPECT_EQ(n, a.engine.newton.stale_jacobian_iters);
-  for (const bool warm : {a.analysis.search.warm_start,
-                          a.table_spec.search.warm_start})
-    EXPECT_EQ(warm, a.engine.ceff.warm_start);
+  for (const bool warm :
+       {a.analysis.search.warm_start, a.table_spec.search.warm_start})
+    EXPECT_EQ(warm, a.engine.warm_start);
+}
+
+// `exhaustive` is the only key for the alignment method, so a config
+// holding the method of [5] would come back from its dump as Predicted:
+// validate() rejects it, and so does every apply() that would keep it.
+TEST(AnalysisConfig, ValidateRejectsAMethodNoKeyExpresses) {
+  AnalysisConfig cfg;
+  EXPECT_EQ(cfg.batch.analyzer.analysis.method, AlignmentMethod::Predicted);
+  cfg.batch.analyzer.analysis.method = AlignmentMethod::ReceiverInputPeak;
+  const Status s = cfg.validate();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("exhaustive"), std::string::npos)
+      << s.message();
+  EXPECT_EQ(cfg.apply(*json::parse("{\"jobs\":2}")).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(cfg.batch.jobs, AnalysisConfig().batch.jobs);
+  // The key itself selects one of the two expressible methods.
+  for (const bool exhaustive : {true, false}) {
+    AnalysisConfig keyed = cfg;
+    json::Object o;
+    o["exhaustive"] = exhaustive;
+    ASSERT_TRUE(keyed.apply(json::Value(std::move(o))).ok());
+    EXPECT_EQ(keyed.batch.analyzer.analysis.method,
+              exhaustive ? AlignmentMethod::Exhaustive
+                         : AlignmentMethod::Predicted);
+    EXPECT_TRUE(keyed.validate().ok());
+  }
 }
 
 /// A value for every key, each different from its default and each

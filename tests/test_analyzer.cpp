@@ -56,7 +56,7 @@ TEST(NoiseAnalyzer, ExhaustiveModeDominatesPrediction) {
   AnalyzerConfig pred_cfg = fast_config();
   NoiseAnalyzer pred(pred_cfg);
   AnalyzerConfig ex_cfg = fast_config();
-  ex_cfg.use_prediction_tables = false;
+  ex_cfg.analysis.method = AlignmentMethod::Exhaustive;
   NoiseAnalyzer ex(ex_cfg);
   const CoupledNet net = example_coupled_net(1);
   const double d_pred = pred.try_analyze(net).value().delay_noise();
@@ -65,6 +65,29 @@ TEST(NoiseAnalyzer, ExhaustiveModeDominatesPrediction) {
   // discretization; the prediction must not beat it by more than that.
   EXPECT_LE(d_pred, d_ex + 5 * ps);
   EXPECT_GT(d_pred, 0.6 * d_ex);
+}
+
+// A bare AnalyzerConfig runs whichever method it holds, the same as the
+// engine-level flow; only the Predicted method fetches (and so
+// characterizes) an alignment table.
+TEST(NoiseAnalyzer, HonorsEveryAlignmentMethod) {
+  const CoupledNet net = example_coupled_net(1);
+  for (const AlignmentMethod m :
+       {AlignmentMethod::Predicted, AlignmentMethod::Exhaustive,
+        AlignmentMethod::ReceiverInputPeak}) {
+    SCOPED_TRACE(alignment_method_name(m));
+    AnalyzerConfig cfg = fast_config();
+    cfg.analysis.method = m;
+    const NoiseAnalyzer an(cfg);
+    const StatusOr<DelayNoiseResult> r = an.try_analyze(net);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_TRUE(r->degradations.empty());
+    EXPECT_EQ(an.tables_cached(), m == AlignmentMethod::Predicted ? 1u : 0u);
+    if (m == AlignmentMethod::Predicted) continue;
+    const SuperpositionEngine eng(net, cfg.engine);
+    const DelayNoiseResult direct = analyze_delay_noise(eng, cfg.analysis);
+    EXPECT_EQ(an.report(net, *r).to_json(), an.report(net, direct).to_json());
+  }
 }
 
 TEST(NoiseAnalyzer, ReportMentionsKeyQuantities) {

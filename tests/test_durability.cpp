@@ -691,6 +691,25 @@ TEST(CharacterizationCachePersistence, VersionSkewIsRejected) {
             StatusCode::kInvalidArgument);
 }
 
+// Version-2 files carried the search spans in every table record; the
+// spans are derived now, so such a file is refused as a whole.
+TEST(CharacterizationCachePersistence, Version2IsUnsupported) {
+  CharacterizationCache cache{fast_config().table_spec};
+  GateParams rcv;
+  ASSERT_TRUE(cache.try_table_for(rcv, true).ok());
+  std::ostringstream saved;
+  ASSERT_TRUE(cache.save(saved).ok());
+  ASSERT_EQ(saved.str().rfind("dnoise-char-cache 3 ", 0), 0u);
+  CharacterizationCache fresh{fast_config().table_spec};
+  std::istringstream v2(with_version(saved.str(), "2"));
+  const StatusOr<std::size_t> r = fresh.load(v2);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("unsupported version 2"),
+            std::string::npos)
+      << r.status().message();
+  EXPECT_EQ(fresh.tables_cached(), 0u);
+}
+
 TEST(CharacterizationCachePersistence, SpecSkewIsFailedPrecondition) {
   // Characterize one table under spec A, then load the file into a cache
   // built with spec B: the embedded spec mismatch must reject the table

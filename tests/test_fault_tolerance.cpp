@@ -22,6 +22,7 @@
 #include "util/deadline.hpp"
 #include "util/degradation.hpp"
 #include "util/fault_injection.hpp"
+#include "util/metrics.hpp"
 #include "util/units.hpp"
 
 namespace dn {
@@ -328,7 +329,6 @@ TEST(FaultSites, EverySiteYieldsDegradedOrFailedNeverCrash) {
     ScopedFaults faults(c.spec, 9);
     BatchOptions opts = chaos_options(2);
     opts.analyzer.engine.solver.backend = c.backend;
-    opts.analyzer.engine.ceff.solver.backend = c.backend;
     BatchAnalyzer engine(opts);
     const BatchResult result = engine.analyze(nets);
     ASSERT_EQ(result.nets.size(), nets.size()) << c.spec;
@@ -384,7 +384,6 @@ TEST(FaultSites, CacheFaultWithPolicyOffFailsInsteadOfDegrading) {
 TEST(FaultSites, FactorFaultFallsBackToDenseAndMatchesCleanResults) {
   BatchOptions opts = chaos_options(2);
   opts.analyzer.engine.solver.backend = SolverBackend::kSparse;
-  opts.analyzer.engine.ceff.solver.backend = SolverBackend::kSparse;
   const auto nets = random_population(4, 29);
 
   BatchResult clean = BatchAnalyzer(opts).analyze(nets);
@@ -406,6 +405,30 @@ TEST(FaultSites, FactorFaultFallsBackToDenseAndMatchesCleanResults) {
     EXPECT_NEAR(chaotic.nets[i].result.delay_noise(),
                 clean.nets[i].result.delay_noise(),
                 1e-4 * ps + 1e-5 * std::abs(clean.nets[i].result.delay_noise()));
+  }
+}
+
+// With the sparse-to-dense rung switched off, no sim of the net takes
+// it: the Ceff inner sims run on the engine's solver options, so a
+// factor failure there fails the net instead of falling back.
+TEST(FaultSites, FactorFaultWithPolicyOffNeverFallsBackToDense) {
+  BatchOptions opts = chaos_options(1);
+  opts.analyzer.engine.solver.backend = SolverBackend::kSparse;
+  opts.analyzer.analysis.degrade.sparse_to_dense = false;
+  const auto nets = random_population(2, 29);
+  obs::Counter& fallbacks = obs::metrics().counter("degrade.sparse_to_dense");
+  fallbacks.reset();
+  obs::set_metrics_enabled(true);
+  const BatchResult result = [&] {
+    ScopedFaults faults("factor:1", 17);
+    return BatchAnalyzer(opts).analyze(nets);
+  }();
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(fallbacks.value(), 0u);
+  ASSERT_EQ(result.nets.size(), nets.size());
+  for (const auto& nr : result.nets) {
+    EXPECT_EQ(nr.outcome, AnalysisOutcome::kFailed);
+    EXPECT_TRUE(nr.result.degradations.empty());
   }
 }
 

@@ -103,9 +103,7 @@ TEST_P(FlowProperty, BackendEquivalence) {
   auto run = [&](SolverBackend backend) {
     AnalyzerConfig cfg;
     cfg.analysis = fast_exhaustive();
-    cfg.use_prediction_tables = false;
     cfg.engine.solver.backend = backend;
-    cfg.engine.ceff.solver.backend = backend;
     NoiseAnalyzer an(cfg);
     StatusOr<DelayNoiseResult> r = an.try_analyze(net);
     EXPECT_TRUE(r.ok()) << r.status().to_string();

@@ -28,6 +28,7 @@ TEST(AlignmentTablePersistence, RoundTripIsExact) {
       AlignmentTable::characterize(rcv, true, fast_spec());
   std::stringstream ss;
   tbl.save(ss);
+  EXPECT_EQ(ss.str().rfind("dnoise-alignment-table 3\n", 0), 0u);
   const AlignmentTable back = AlignmentTable::load(ss);
 
   for (int si = 0; si < 2; ++si)
@@ -53,8 +54,24 @@ TEST(AlignmentTablePersistence, RoundTripIsExact) {
 TEST(AlignmentTablePersistence, RejectsGarbage) {
   std::stringstream bad("not-a-table 7\n");
   EXPECT_THROW(AlignmentTable::load(bad), std::runtime_error);
-  std::stringstream truncated("dnoise-alignment-table 2\n0 1 1.8");
+  std::stringstream truncated("dnoise-alignment-table 3\n0 1 1.8");
   EXPECT_THROW(AlignmentTable::load(truncated), std::runtime_error);
+}
+
+// Version 2 persisted the search spans, which are derived now: a
+// version-2 record is refused whole, never read with shifted fields.
+TEST(AlignmentTablePersistence, RejectsVersion2) {
+  GateParams rcv;
+  const AlignmentTable tbl =
+      AlignmentTable::characterize(rcv, true, fast_spec());
+  std::stringstream ss;
+  tbl.save(ss);
+  std::string text = ss.str();
+  const std::string v3 = "dnoise-alignment-table 3";
+  ASSERT_EQ(text.rfind(v3, 0), 0u);
+  text.replace(0, v3.size(), "dnoise-alignment-table 2");
+  std::stringstream v2(text);
+  EXPECT_THROW(AlignmentTable::load(v2), std::runtime_error);
 }
 
 TEST(TheveninTablePersistence, RoundTripIsExact) {

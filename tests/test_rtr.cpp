@@ -99,8 +99,8 @@ TEST(Rtr, ConvergesWithinBudget) {
   RtrOptions opts;
   const RtrResult r = compute_rtr(eng, shifts_for_level(eng, 0.9), opts);
   EXPECT_LE(r.iterations, opts.max_iterations);
-  EXPECT_GE(r.rtr, opts.r_min);
-  EXPECT_LE(r.rtr, opts.r_max);
+  EXPECT_GE(r.rtr, kRtrMin);
+  EXPECT_LE(r.rtr, kRtrMax);
   // The paper reports one or two iterations in practice.
   EXPECT_LE(r.iterations, 3);
   EXPECT_TRUE(r.converged);
@@ -111,11 +111,10 @@ TEST(Rtr, ConvergesWithinBudget) {
 // below is the extraction rebuilt from two standalone fixed-grid
 // single-copy GateSims, V2 with the injection source: one area-matching
 // pass for the injected current `in`, both integrals over [0, horizon].
-double two_gate_sim_rtr(const SuperpositionEngine& eng, const Pwl& in,
-                        const RtrOptions& opts) {
+double two_gate_sim_rtr(const SuperpositionEngine& eng, const Pwl& in) {
   const double horizon = eng.options().horizon;
   TransientSpec spec{0.0, horizon, eng.options().dt};
-  spec.stale_jacobian_iters = opts.stale_jacobian_iters;
+  spec.stale_jacobian_iters = eng.options().newton.stale_jacobian_iters;
   const GateParams& driver = eng.net().victim.driver;
   const double cload = eng.victim_model().ceff;
   GateSim plain(driver, cload);
@@ -209,7 +208,7 @@ RtrResult expect_fixed_grid_matches_reference(const PairedCase& c) {
   EXPECT_EQ(r.vn_nonlinear.size(),
             static_cast<std::size_t>(std::lround(horizon / eng.options().dt)) +
                 1);
-  EXPECT_NEAR(r.rtr / two_gate_sim_rtr(eng, r.in_current, opts), 1.0, 1e-3);
+  EXPECT_NEAR(r.rtr / two_gate_sim_rtr(eng, r.in_current), 1.0, 1e-3);
   return r;
 }
 
@@ -265,7 +264,7 @@ TEST(RtrPaired, AdaptiveMatchesFixedGrid) {
     const std::vector<double> shifts = shifts_for(fixed, c.peak);
     const RtrResult r0 = compute_rtr(fixed, shifts, opts);
     const RtrResult r = compute_rtr(adaptive, shifts, opts);
-    EXPECT_NEAR(r.rtr / r0.rtr, 1.0, opts.rel_tol / 10);
+    EXPECT_NEAR(r.rtr / r0.rtr, 1.0, kRtrRelTol / 10);
     EXPECT_LT(r.vn_nonlinear.size(), r0.vn_nonlinear.size());
   }
 }
