@@ -1,6 +1,6 @@
 // Library preparation: pre-characterize every cell the way the paper's
-// tool does before analysis — Thevenin (t0, tr, Rth) tables over an
-// (input slew x effective load) grid, plus the 8-point worst-case
+// tool does before analysis — Thevenin tables (reference 10/50/90%
+// crossing times) over an (input slew x effective load) grid, plus the 8-point worst-case
 // alignment tables per receiver type — and print the results.
 //
 // Usage: library_characterization
@@ -24,18 +24,22 @@ int main() {
   const std::vector<double> slews{80 * ps, 200 * ps, 400 * ps};
   const std::vector<double> loads{10 * fF, 40 * fF, 120 * fF};
 
-  // Thevenin tables for the inverter drive strengths, rising output.
-  std::printf("Thevenin Rth [Ohm] over (input slew x load), rising output:\n");
+  // Thevenin tables for the inverter drive strengths, rising output: the
+  // stored input-to-50% delays, and the model a lookup fits at 40 fF.
+  std::printf("Thevenin tables over (input slew x load), rising output:\n");
   for (const char* cell : {"INVX1", "INVX2", "INVX4", "INVX8"}) {
     const TheveninTable tbl =
         TheveninTable::characterize(lib.cell(cell), true, slews, loads);
-    Table t({"cell", "slew_ps", "R@10fF", "R@40fF", "R@120fF", "tr@40fF_ps"});
-    for (std::size_t si = 0; si < slews.size(); ++si)
+    Table t({"cell", "slew_ps", "t50@10fF_ps", "t50@40fF_ps", "t50@120fF_ps",
+             "Rth@40fF", "tr@40fF_ps"});
+    for (std::size_t si = 0; si < slews.size(); ++si) {
+      const TheveninModel m = tbl.lookup(slews[si], loads[1], 0.0);
       t.add_row({cell, Table::fmt(slews[si] / ps),
-                 Table::fmt(tbl.at(si, 0).rth, 4),
-                 Table::fmt(tbl.at(si, 1).rth, 4),
-                 Table::fmt(tbl.at(si, 2).rth, 4),
-                 Table::fmt(tbl.at(si, 1).tr / ps, 4)});
+                 Table::fmt(tbl.at(si, 0).t50 / ps, 4),
+                 Table::fmt(tbl.at(si, 1).t50 / ps, 4),
+                 Table::fmt(tbl.at(si, 2).t50 / ps, 4),
+                 Table::fmt(m.rth, 4), Table::fmt(m.tr / ps, 4)});
+    }
     t.print(std::cout);
     std::printf("\n");
   }

@@ -3,8 +3,9 @@
 # ASan+UBSan pass over the solver/simulator core (the sparse LU and the
 # Newton restamp path are pointer-heavy index juggling — exactly what the
 # address sanitizer is for), a ThreadSanitizer pass over the batch
-# engine (the one component with real cross-thread sharing: the
-# characterization cache and the worker pool), a fuzz smoke stage over
+# engine (the components with real cross-thread sharing: the
+# characterization cache, the driver-table store and the worker pool),
+# a fuzz smoke stage over
 # the SPEF parser, and a chaos stage that runs a batch under injected
 # faults at every site and demands degraded-not-crashed, job-count-
 # independent output (DESIGN.md §10), fault-free jobs-1 vs jobs-4
@@ -47,7 +48,8 @@ if [[ "$run_asan" == 1 ]]; then
     --target test_matrix test_sparse test_linear_sim test_nonlinear_sim \
              test_adaptive_sim test_pwl test_numeric test_thevenin test_ceff \
              test_rtr test_extensions test_gate test_alignment \
-             test_delay_noise test_fault_tolerance
+             test_delay_noise test_fault_tolerance test_estimators \
+             test_persistence_slack
   ./build-asan/tests/test_matrix
   ./build-asan/tests/test_sparse
   ./build-asan/tests/test_linear_sim
@@ -61,6 +63,10 @@ if [[ "$run_asan" == 1 ]]; then
   # recipes (Rtr, and the quiet holding resistance of functional noise).
   ./build-asan/tests/test_thevenin
   ./build-asan/tests/test_ceff
+  # The driver tables: interpolation-weight indexing, the store's fills,
+  # and load() of hand-edited and corrupt table files.
+  ./build-asan/tests/test_estimators
+  ./build-asan/tests/test_persistence_slack
   ./build-asan/tests/test_rtr
   ./build-asan/tests/test_extensions
   # GateSim owns the circuit its re-driven simulator references; these
@@ -78,7 +84,11 @@ if [[ "$run_tsan" == 1 ]]; then
   echo "== ThreadSanitizer: batch engine =="
   cmake -B build-tsan -S . -DDN_SANITIZE=thread -DDN_WERROR=ON >/dev/null
   cmake --build build-tsan -j "$jobs" \
-    --target test_batch_analyzer test_metrics test_fault_tolerance test_server
+    --target test_batch_analyzer test_metrics test_fault_tolerance test_server \
+             test_estimators
+  # The process-wide driver-table store: eight threads on shared and
+  # distinct keys.
+  ./build-tsan/tests/test_estimators --gtest_filter='TheveninTableStore.*'
   ./build-tsan/tests/test_batch_analyzer
   ./build-tsan/tests/test_metrics
   ./build-tsan/tests/test_fault_tolerance

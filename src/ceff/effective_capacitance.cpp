@@ -6,6 +6,7 @@
 
 #include "sim/linear_sim.hpp"
 #include "util/metrics.hpp"
+#include "util/trace.hpp"
 
 namespace dn {
 namespace {
@@ -19,11 +20,15 @@ constexpr double kSimTail = 3e-9;   // Linear-sim horizon past the input end.
 
 }  // namespace
 
-CeffResult compute_ceff(const GateParams& driver, const Pwl& vin,
+CeffResult compute_ceff(const GateParams& driver, double input_slew,
+                        bool output_rising, double t_input_start,
                         const LoadBuilder& build_load, double c_total,
                         const CeffOptions& opts) {
+  obs::TraceSpan span("ceff.driver", "analyze");
   if (c_total <= 0.0)
     throw std::invalid_argument("compute_ceff: c_total must be > 0");
+  const TheveninTable& table =
+      driver_tables().table_for(driver, output_rising, opts.fit);
 
   CeffResult out;
   double ceff = c_total;
@@ -31,14 +36,13 @@ CeffResult compute_ceff(const GateParams& driver, const Pwl& vin,
 
   for (int it = 1; it <= opts.max_iterations; ++it) {
     out.iterations = it;
-    const TheveninFit fit = fit_thevenin(driver, vin, ceff, opts.fit);
-    const TheveninModel& m = fit.model;
+    const TheveninModel m = table.lookup(input_slew, ceff, t_input_start);
 
     // Linear simulation: Thevenin driver into the real load.
     Circuit ckt;
     const NodeId port = build_load(ckt);
     const NodeId src = ckt.node("thv_src");
-    const double t_stop = vin.t_end() + kSimTail;
+    const double t_stop = t_input_start + input_slew + kSimTail;
     ckt.add_vsource(src, kGround, m.source(t_stop));
     ckt.add_resistor(src, port, m.rth);
 
@@ -66,9 +70,9 @@ CeffResult compute_ceff(const GateParams& driver, const Pwl& vin,
     double ceff_new = std::abs(q) / half_swing;
     ceff_new = std::clamp(ceff_new, 1e-18, c_total);
 
-    // Report the load the model was fit at, converged or not.
+    // Report the load the model was looked up at, converged or not.
     out.ceff = ceff;
-    out.model = fit.model;
+    out.model = m;
     const double h = ceff_new - ceff;  // Fix-point residual h(C) = g(C) - C.
     if (std::abs(h) / std::max(ceff, 1e-18) < kRelTol) {
       out.converged = true;
@@ -96,7 +100,8 @@ CeffResult compute_ceff(const GateParams& driver, const Pwl& vin,
 }
 
 CeffResult compute_ceff_for_net(
-    const GateParams& driver, const Pwl& vin, const RcTree& net,
+    const GateParams& driver, double input_slew, bool output_rising,
+    double t_input_start, const RcTree& net,
     const std::vector<std::pair<int, double>>& extra_node_caps,
     double sink_pin_cap, const CeffOptions& opts) {
   double c_total = net.total_cap() + sink_pin_cap;
@@ -112,7 +117,8 @@ CeffResult compute_ceff_for_net(
                         sink_pin_cap);
     return map[0];
   };
-  return compute_ceff(driver, vin, builder, c_total, opts);
+  return compute_ceff(driver, input_slew, output_rising, t_input_start,
+                      builder, c_total, opts);
 }
 
 }  // namespace dn

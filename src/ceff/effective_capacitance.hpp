@@ -2,10 +2,11 @@
 //
 // A resistively-shielded RC load draws less charge than its total
 // capacitance suggests; the driver therefore behaves as if loaded by a
-// smaller "effective" capacitance. The classic fix-point: characterize the
-// Thevenin model at Ceff, simulate it into the *real* RC load, match the
-// charge delivered up to the driver-output 50% crossing against an ideal
-// capacitor charged to half swing, update Ceff, repeat. The first update
+// smaller "effective" capacitance. The classic fix-point: look up the
+// Thevenin model at Ceff in the driver cell's table (ceff/thevenin_table.*,
+// characterized once per process), simulate it into the *real* RC load,
+// match the charge delivered up to the driver-output 50% crossing against
+// an ideal capacitor charged to half swing, update Ceff, repeat. The first update
 // is damped; later ones are secant steps on the fix-point residual
 // g(C) - C, with the damped step as the fallback. The paper uses
 // these iterations to pick the single effective load for both the Thevenin
@@ -16,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "ceff/thevenin.hpp"
+#include "ceff/thevenin_table.hpp"
 #include "matrix/solver.hpp"
 #include "rcnet/net.hpp"
 
@@ -24,15 +25,15 @@ namespace dn {
 
 struct CeffOptions {
   int max_iterations = 15;
-  /// Its `lte_tol` also bounds the inner linear sims; its `warm` chain,
-  /// when set, carries the DC point from each fit to the next.
+  /// Picks the driver table (its reference sims' options are part of the
+  /// store key); its `lte_tol` also bounds the inner linear sims.
   TheveninFitOptions fit{};
   SolverOptions solver{};      // Backend for the inner linear sims.
 };
 
 struct CeffResult {
-  double ceff = 0.0;       // Last load fit, converged or not.
-  TheveninModel model;     // Thevenin fit at exactly `ceff`.
+  double ceff = 0.0;       // Last load looked up, converged or not.
+  TheveninModel model;     // Table model at exactly `ceff`.
   int iterations = 0;
   bool converged = false;
 };
@@ -41,15 +42,20 @@ struct CeffResult {
 /// driver attaches to.
 using LoadBuilder = std::function<NodeId(Circuit&)>;
 
-/// General form: `c_total` seeds the iteration (the lumped total load).
-CeffResult compute_ceff(const GateParams& driver, const Pwl& vin,
+/// General form: `driver` switches its output in direction `output_rising`
+/// from a full-swing input ramp of `input_slew` starting at
+/// `t_input_start` (driver_input_ramp); `c_total` seeds the iteration (the
+/// lumped total load). Models come from driver_tables().
+CeffResult compute_ceff(const GateParams& driver, double input_slew,
+                        bool output_rising, double t_input_start,
                         const LoadBuilder& build_load, double c_total,
                         const CeffOptions& opts = {});
 
 /// Net form: load = `net` + grounded extra caps at local nodes (e.g.
 /// coupling caps treated as grounded) + receiver pin cap at the sink.
 CeffResult compute_ceff_for_net(
-    const GateParams& driver, const Pwl& vin, const RcTree& net,
+    const GateParams& driver, double input_slew, bool output_rising,
+    double t_input_start, const RcTree& net,
     const std::vector<std::pair<int, double>>& extra_node_caps,
     double sink_pin_cap, const CeffOptions& opts = {});
 

@@ -83,47 +83,48 @@ std::optional<double> TheveninModel::response_crossing(double frac,
   return t0 + u;
 }
 
-TheveninFit fit_thevenin(const GateParams& gate, const Pwl& vin, double cload,
-                         const TheveninFitOptions& opts) {
-  if (cload <= 0.0)
-    throw std::invalid_argument("fit_thevenin: cload must be > 0");
-
-  if (std::abs(vin.max_value() - vin.min_value()) < 0.5 * gate.vdd)
+Pwl simulate_reference(GateSim& sim, const Pwl& vin,
+                       const TheveninFitOptions& opts) {
+  const double vdd = sim.gate().vdd;
+  if (std::abs(vin.max_value() - vin.min_value()) < 0.5 * vdd)
     throw std::runtime_error("fit_thevenin: input does not switch");
 
-  TheveninFit out;
   TransientSpec spec{0.0, vin.t_end() + kTail, kDt};
   spec.lte_tol = opts.lte_tol;
   spec.stale_jacobian_iters = opts.stale_jacobian_iters;
-  GateSim sim(gate, cload);
-  auto ref = sim.try_run(vin, spec, opts.warm);
+  auto ref = sim.try_run(vin, spec);
   if (!ref.ok()) raise(ref.status());
-  out.reference = std::move(ref).value();
-
-  const double v_start = out.reference.values().front();
-  const double v_end = out.reference.values().back();
-  if (std::abs(v_end - v_start) < 0.5 * gate.vdd)
+  const double v_start = ref->values().front();
+  const double v_end = ref->values().back();
+  if (std::abs(v_end - v_start) < 0.5 * vdd)
     throw std::runtime_error("fit_thevenin: reference output did not switch");
-  const bool rising = v_end > v_start;
+  return std::move(ref).value();
+}
 
-  // Reference crossing times at the 10/50/90 normalized levels.
-  auto ref_crossing = [&](double frac) {
+Crossings reference_crossings(const Pwl& out) {
+  const double v_start = out.values().front();
+  const double v_end = out.values().back();
+  const bool rising = v_end > v_start;
+  auto crossing = [&](double frac) {
     const double level = v_start + frac * (v_end - v_start);
-    const auto t = out.reference.crossing(level, rising);
+    const auto t = out.crossing(level, rising);
     if (!t) throw std::runtime_error("fit_thevenin: missing reference crossing");
     return *t;
   };
-  const double t10 = ref_crossing(0.1);
-  const double t50 = ref_crossing(0.5);
-  const double t90 = ref_crossing(0.9);
+  return {crossing(0.1), crossing(0.5), crossing(0.9)};
+}
+
+TheveninModel fit_crossings(const Crossings& c, bool rising, double vdd,
+                            double cload, double* worst_residual) {
+  const double t10 = c.t10, t50 = c.t50, t90 = c.t90;
 
   // Parameters theta = (t0, log tr, log rth); residuals are the three
   // crossing-time errors. Damped Newton with finite-difference Jacobian,
   // multi-started over several Rth seeds (the landscape has shallow
   // valleys for slow inputs into light loads).
   TheveninModel m;
-  m.v_from = rising ? 0.0 : gate.vdd;
-  m.v_to = rising ? gate.vdd : 0.0;
+  m.v_from = rising ? 0.0 : vdd;
+  m.v_to = rising ? vdd : 0.0;
   m.t0 = t10 - 0.15 * (t90 - t10);
   m.tr = (t90 - t10) / 0.8;
   m.rth = std::max(0.25 * m.tr / cload, 1.0);
@@ -241,9 +242,21 @@ TheveninFit fit_thevenin(const GateParams& gate, const Pwl& vin, double cload,
   }
   if (!std::isfinite(best_err))
     throw std::runtime_error("fit_thevenin: no seed produced a valid model");
+  if (worst_residual) *worst_residual = best_err;
+  return model_of(best_theta);
+}
 
-  out.model = model_of(best_theta);
-  out.worst_residual = best_err;
+TheveninFit fit_thevenin(const GateParams& gate, const Pwl& vin, double cload,
+                         const TheveninFitOptions& opts) {
+  if (cload <= 0.0)
+    throw std::invalid_argument("fit_thevenin: cload must be > 0");
+  TheveninFit out;
+  GateSim sim(gate, cload);
+  out.reference = simulate_reference(sim, vin, opts);
+  const bool rising =
+      out.reference.values().back() > out.reference.values().front();
+  out.model = fit_crossings(reference_crossings(out.reference), rising,
+                            gate.vdd, cload, &out.worst_residual);
   out.converged = out.worst_residual < 1e-12;  // Within one sim step.
   return out;
 }

@@ -41,11 +41,13 @@ struct TheveninFitOptions {
   /// Chord-Newton budget for the reference sim; 0 = classic full Newton
   /// (sim/transient.hpp).
   int stale_jacobian_iters = 16;
-  /// Optional DC warm-start chain for the reference sim (non-owning; see
-  /// GateSim). The Ceff loop refits the same gate repeatedly with a
-  /// slightly different cload; the DC operating point is identical every
-  /// time.
-  Vector* warm = nullptr;
+};
+
+/// Output crossing times at 10/50/90% of a transition's swing [s].
+struct Crossings {
+  double t10 = 0.0, t50 = 0.0, t90 = 0.0;
+
+  Crossings shifted(double dt) const { return {t10 + dt, t50 + dt, t90 + dt}; }
 };
 
 struct TheveninFit {
@@ -55,8 +57,25 @@ struct TheveninFit {
   bool converged = false;
 };
 
-/// Fits (t0, tr, rth) for `gate` driven by `vin` into lumped `cload`.
-/// The reference is one nonlinear simulation of the gate.
+/// The nonlinear reference of a fit: one run of `sim` (the driver into its
+/// lumped load) with input `vin`. Returns the output waveform; throws when
+/// the input or the output does not switch.
+Pwl simulate_reference(GateSim& sim, const Pwl& vin,
+                       const TheveninFitOptions& opts = {});
+
+/// Crossing times of a switching waveform at 10/50/90% of the way from its
+/// first value to its last.
+Crossings reference_crossings(const Pwl& out);
+
+/// The 3-crossing fit: the model switching 0 -> vdd (`rising`) or
+/// vdd -> 0 whose analytic response into `cload` crosses 10/50/90% at `c`.
+/// Multi-start damped Newton on (t0, log tr, log rth); `worst_residual`,
+/// when non-null, receives the max |crossing-time error| [s].
+TheveninModel fit_crossings(const Crossings& c, bool rising, double vdd,
+                            double cload, double* worst_residual = nullptr);
+
+/// Fits (t0, tr, rth) for `gate` driven by `vin` into lumped `cload`:
+/// simulate_reference, then fit_crossings on its crossings.
 TheveninFit fit_thevenin(const GateParams& gate, const Pwl& vin, double cload,
                          const TheveninFitOptions& opts = {});
 

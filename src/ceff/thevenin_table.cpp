@@ -1,132 +1,300 @@
 #include "ceff/thevenin_table.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "rcnet/net.hpp"
-#include "util/numeric.hpp"
+#include "util/deadline.hpp"
+#include "util/fault_injection.hpp"
+#include "util/trace.hpp"
 
 namespace dn {
+
+namespace {
+
+constexpr double kSlewMin = 10e-12;   // Default slew axis [s].
+constexpr double kSlewMax = 1.6e-9;
+constexpr double kLoadMin = 0.5e-15;  // Default load axis [F].
+constexpr double kLoadMax = 700e-15;
+constexpr double kAxisStep = 1.7;     // Ratio of neighboring axis points.
+constexpr double kInputStart = 100e-12;  // Characterization input anchor.
+constexpr int kFormatVersion = 2;        // 2: reference crossing times.
+
+std::vector<double> geometric_axis(double lo, double hi) {
+  std::vector<double> axis;
+  for (double x = lo; x <= hi; x *= kAxisStep) axis.push_back(x);
+  return axis;
+}
+
+/// Why `axis` cannot index a table, or nullptr when it can.
+const char* axis_error(const std::vector<double>& axis) {
+  if (axis.empty()) return "empty";
+  for (std::size_t i = 0; i < axis.size(); ++i) {
+    if (!std::isfinite(axis[i]) || !(axis[i] > 0.0))
+      return "not finite and > 0";
+    if (i > 0 && !(axis[i] > axis[i - 1])) return "not strictly increasing";
+  }
+  return nullptr;
+}
+
+/// Interpolation weights of q on `axis`: up to four (index, weight) pairs
+/// summing to 1. Inside the axis, the quadratics through the three points
+/// either side of q's segment, blended linearly across the segment: the
+/// result is continuous, exact at grid points and exact for quadratics,
+/// and needs no extra grid points. Off the axis q clamps to the nearest
+/// end, or with `extrapolate` runs linearly along the end segment.
+struct AxisWeights {
+  std::array<std::size_t, 4> idx{};
+  std::array<double, 4> w{};
+  int n = 0;
+  bool off = false;
+
+  void add(std::size_t i, double wi) {
+    idx[n] = i;
+    w[n++] = wi;
+  }
+  /// Quadratic through axis[a], axis[a + 1], axis[a + 2], scaled by s.
+  void add_quadratic(const std::vector<double>& axis, std::size_t a, double q,
+                     double s) {
+    for (std::size_t i = a; i < a + 3; ++i) {
+      double wi = s;
+      for (std::size_t j = a; j < a + 3; ++j)
+        if (j != i) wi *= (q - axis[j]) / (axis[i] - axis[j]);
+      add(i, wi);
+    }
+  }
+};
+
+AxisWeights axis_weights(const std::vector<double>& axis, double q,
+                         bool extrapolate) {
+  AxisWeights aw;
+  const std::size_t n = axis.size();
+  aw.off = q < axis.front() || q > axis.back();
+  if (n == 1) {
+    aw.add(0, 1.0);
+    return aw;
+  }
+  if (!extrapolate) q = std::clamp(q, axis.front(), axis.back());
+  const auto hi = static_cast<std::size_t>(
+      std::upper_bound(axis.begin(), axis.end(), q) - axis.begin());
+  const std::size_t lo = std::clamp<std::size_t>(hi, 1, n - 1) - 1;
+  const double frac = (q - axis[lo]) / (axis[lo + 1] - axis[lo]);
+  const bool left = lo >= 1, right = lo + 2 < n;
+  if ((aw.off && extrapolate) || (!left && !right)) {
+    aw.add(lo, 1.0 - frac);
+    aw.add(lo + 1, frac);
+  } else if (left && right) {
+    AxisWeights l, r;
+    l.add_quadratic(axis, lo - 1, q, 1.0 - frac);
+    r.add_quadratic(axis, lo, q, frac);
+    // Merge the shared points lo and lo + 1 into four weights.
+    aw.add(lo - 1, l.w[0]);
+    aw.add(lo, l.w[1] + r.w[0]);
+    aw.add(lo + 1, l.w[2] + r.w[1]);
+    aw.add(lo + 2, r.w[2]);
+  } else {
+    aw.add_quadratic(axis, left ? lo - 1 : lo, q, 1.0);
+  }
+  return aw;
+}
+
+}  // namespace
+
+const std::vector<double>& TheveninTable::default_slews() {
+  static const std::vector<double> axis = geometric_axis(kSlewMin, kSlewMax);
+  return axis;
+}
+
+const std::vector<double>& TheveninTable::default_loads() {
+  static const std::vector<double> axis = geometric_axis(kLoadMin, kLoadMax);
+  return axis;
+}
 
 TheveninTable TheveninTable::characterize(const GateParams& gate,
                                           bool output_rising,
                                           std::vector<double> slews,
                                           std::vector<double> cloads,
                                           const TheveninFitOptions& fit) {
-  if (slews.empty() || cloads.empty())
-    throw std::invalid_argument("TheveninTable: empty axes");
-  for (std::size_t i = 1; i < slews.size(); ++i)
-    if (!(slews[i] > slews[i - 1]))
-      throw std::invalid_argument("TheveninTable: slews not increasing");
-  for (std::size_t i = 1; i < cloads.size(); ++i)
-    if (!(cloads[i] > cloads[i - 1]))
-      throw std::invalid_argument("TheveninTable: cloads not increasing");
+  if (const char* e = axis_error(slews))
+    throw std::invalid_argument(std::string("TheveninTable: slews ") + e);
+  if (const char* e = axis_error(cloads))
+    throw std::invalid_argument(std::string("TheveninTable: cloads ") + e);
 
   TheveninTable tbl;
   tbl.rising_ = output_rising;
+  tbl.vdd_ = gate.vdd;
   tbl.slews_ = std::move(slews);
   tbl.cloads_ = std::move(cloads);
-  tbl.grid_.reserve(tbl.slews_.size() * tbl.cloads_.size());
-
-  const double t_start = 100e-12;  // Characterization input anchor.
-  for (const double slew : tbl.slews_) {
-    const Pwl vin = driver_input_ramp(gate, slew, output_rising, t_start);
-    for (const double cload : tbl.cloads_) {
-      TheveninModel m = fit_thevenin(gate, vin, cload, fit).model;
-      m.t0 -= t_start;  // Store input-relative timing.
-      tbl.grid_.push_back(m);
+  const std::size_t nc = tbl.cloads_.size();
+  tbl.grid_.resize(tbl.slews_.size() * nc);
+  // One GateSim per load, re-driven per slew (bytes of a fresh sim).
+  for (std::size_t ci = 0; ci < nc; ++ci) {
+    GateSim sim(gate, tbl.cloads_[ci]);
+    for (std::size_t si = 0; si < tbl.slews_.size(); ++si) {
+      const Pwl vin =
+          driver_input_ramp(gate, tbl.slews_[si], output_rising, kInputStart);
+      // Stored input-relative.
+      tbl.grid_[si * nc + ci] =
+          reference_crossings(simulate_reference(sim, vin, fit))
+              .shifted(-kInputStart);
     }
   }
   return tbl;
 }
 
-const TheveninModel& TheveninTable::at(std::size_t si, std::size_t ci) const {
+const Crossings& TheveninTable::at(std::size_t si, std::size_t ci) const {
   if (si >= slews_.size() || ci >= cloads_.size())
     throw std::out_of_range("TheveninTable::at");
   return grid_[si * cloads_.size() + ci];
 }
 
+Crossings TheveninTable::crossings(double input_slew, double cload,
+                                   bool* off_grid) const {
+  const AxisWeights s = axis_weights(slews_, input_slew, false);
+  const AxisWeights c = axis_weights(cloads_, cload, true);
+  Crossings out;
+  for (int i = 0; i < s.n; ++i)
+    for (int j = 0; j < c.n; ++j) {
+      const Crossings& g = at(s.idx[i], c.idx[j]);
+      const double w = s.w[i] * c.w[j];
+      out.t10 += w * g.t10;
+      out.t50 += w * g.t50;
+      out.t90 += w * g.t90;
+    }
+  if (off_grid) *off_grid = s.off || c.off;
+  return out;
+}
+
 TheveninModel TheveninTable::lookup(double input_slew, double cload,
                                     double t_input_start) const {
-  auto bracket = [](const std::vector<double>& axis, double q, std::size_t* lo,
-                    double* frac) {
-    if (axis.size() == 1 || q <= axis.front()) {
-      *lo = 0;
-      *frac = 0.0;
-      return;
-    }
-    if (q >= axis.back()) {
-      *lo = axis.size() - 2;
-      *frac = 1.0;
-      return;
-    }
-    std::size_t i = 1;
-    while (axis[i] < q) ++i;
-    *lo = i - 1;
-    *frac = (q - axis[i - 1]) / (axis[i] - axis[i - 1]);
-  };
-
-  std::size_t si = 0, ci = 0;
-  double fs = 0.0, fc = 0.0;
-  bracket(slews_, input_slew, &si, &fs);
-  bracket(cloads_, cload, &ci, &fc);
-  const std::size_t si1 = std::min(si + 1, slews_.size() - 1);
-  const std::size_t ci1 = std::min(ci + 1, cloads_.size() - 1);
-
-  auto blend = [&](auto proj) {
-    const double v00 = proj(at(si, ci));
-    const double v01 = proj(at(si, ci1));
-    const double v10 = proj(at(si1, ci));
-    const double v11 = proj(at(si1, ci1));
-    const double v0 = v00 * (1 - fc) + v01 * fc;
-    const double v1 = v10 * (1 - fc) + v11 * fc;
-    return v0 * (1 - fs) + v1 * fs;
-  };
-
-  TheveninModel m = at(si, ci);
-  m.t0 = blend([](const TheveninModel& x) { return x.t0; }) + t_input_start;
-  m.tr = blend([](const TheveninModel& x) { return x.tr; });
-  m.rth = blend([](const TheveninModel& x) { return x.rth; });
+  static obs::Counter& c_lookups = obs::metrics().counter("ceff.table_lookups");
+  static obs::Counter& c_clamped = obs::metrics().counter("ceff.table_clamped");
+  bool off_grid = false;
+  const Crossings c = crossings(input_slew, cload, &off_grid);
+  c_lookups.add();
+  if (off_grid) c_clamped.add();
+  // Fit the input-relative crossings, then move the model with the input:
+  // the model depends on (slew, load) only.
+  TheveninModel m = fit_crossings(c, rising_, vdd_, cload);
+  m.t0 += t_input_start;
   return m;
 }
 
 void TheveninTable::save(std::ostream& os) const {
   os.precision(17);
-  os << "dnoise-thevenin-table 1\n";
-  os << (rising_ ? 1 : 0) << '\n';
+  os << "dnoise-thevenin-table " << kFormatVersion << '\n';
+  os << (rising_ ? 1 : 0) << ' ' << vdd_ << '\n';
   os << slews_.size() << ' ' << cloads_.size() << '\n';
   for (double s : slews_) os << s << ' ';
   os << '\n';
   for (double c : cloads_) os << c << ' ';
   os << '\n';
-  for (const auto& m : grid_)
-    os << m.t0 << ' ' << m.tr << ' ' << m.rth << ' ' << m.v_from << ' '
-       << m.v_to << '\n';
+  for (const Crossings& c : grid_)
+    os << c.t10 << ' ' << c.t50 << ' ' << c.t90 << '\n';
 }
 
 TheveninTable TheveninTable::load(std::istream& is) {
   std::string magic;
   int version = 0;
   is >> magic >> version;
-  if (magic != "dnoise-thevenin-table" || version != 1)
+  if (!is || magic != "dnoise-thevenin-table")
     throw std::runtime_error("TheveninTable: unrecognized table file");
+  if (version != kFormatVersion)
+    throw std::runtime_error("TheveninTable: unsupported format version " +
+                             std::to_string(version));
   TheveninTable tbl;
   int rising = 0;
   std::size_t ns = 0, nc = 0;
-  is >> rising >> ns >> nc;
-  if (!is || ns == 0 || nc == 0 || ns > 10000 || nc > 10000)
+  is >> rising >> tbl.vdd_ >> ns >> nc;
+  if (!is || !std::isfinite(tbl.vdd_) || !(tbl.vdd_ > 0.0) || ns == 0 ||
+      nc == 0 || ns > 10000 || nc > 10000)
     throw std::runtime_error("TheveninTable: corrupt header");
   tbl.rising_ = rising != 0;
   tbl.slews_.resize(ns);
   tbl.cloads_.resize(nc);
   for (auto& s : tbl.slews_) is >> s;
   for (auto& c : tbl.cloads_) is >> c;
-  tbl.grid_.resize(ns * nc);
-  for (auto& m : tbl.grid_)
-    is >> m.t0 >> m.tr >> m.rth >> m.v_from >> m.v_to;
   if (!is) throw std::runtime_error("TheveninTable: corrupt table file");
+  if (const char* e = axis_error(tbl.slews_))
+    throw std::runtime_error(std::string("TheveninTable: slews ") + e);
+  if (const char* e = axis_error(tbl.cloads_))
+    throw std::runtime_error(std::string("TheveninTable: cloads ") + e);
+  tbl.grid_.resize(ns * nc);
+  for (Crossings& c : tbl.grid_) {
+    is >> c.t10 >> c.t50 >> c.t90;
+    if (!is || !std::isfinite(c.t10) || !std::isfinite(c.t50) ||
+        !std::isfinite(c.t90))
+      throw std::runtime_error("TheveninTable: corrupt table entry");
+  }
   return tbl;
+}
+
+TheveninTableStore::Key TheveninTableStore::key_of(
+    const GateParams& g, bool output_rising, const TheveninFitOptions& fit) {
+  // A field added to either struct must join the key.
+  static_assert(sizeof(MosfetParams) == 8 * sizeof(double));
+  static_assert(sizeof(GateParams) ==
+                5 * sizeof(double) + 2 * sizeof(MosfetParams));
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  Key k{};
+  std::size_t i = 0;
+  k[i++] = static_cast<std::uint64_t>(g.type);
+  for (const double x : {g.size, g.vdd, g.wn_unit, g.wp_unit}) k[i++] = bits(x);
+  for (const MosfetParams* p : {&g.nmos_proto, &g.pmos_proto}) {
+    k[i++] = static_cast<std::uint64_t>(p->type);
+    for (const double x :
+         {p->w, p->l, p->vt, p->kp, p->lambda, p->cg_per_m, p->cj_per_m})
+      k[i++] = bits(x);
+  }
+  k[i++] = output_rising ? 1 : 0;
+  k[i++] = bits(fit.lte_tol);
+  k[i++] = static_cast<std::uint64_t>(fit.stale_jacobian_iters);
+  return k;
+}
+
+const TheveninTable& TheveninTableStore::table_for(
+    const GateParams& gate, bool output_rising, const TheveninFitOptions& fit) {
+  const Key key = key_of(gate, output_rising, fit);
+  Entry* entry = nullptr;
+  {
+    std::shared_lock<std::shared_mutex> lk(mu_);
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) entry = it->second.get();
+  }
+  if (!entry) {
+    std::unique_lock<std::shared_mutex> lk(mu_);
+    entry = entries_.try_emplace(key, std::make_unique<Entry>())
+                .first->second.get();
+  }
+  if (const TheveninTable* t = entry->ready.load(std::memory_order_acquire))
+    return *t;
+  std::lock_guard<std::mutex> fill_lock(entry->fill_mu);
+  if (const TheveninTable* t = entry->ready.load(std::memory_order_acquire))
+    return *t;  // Another thread filled it while this one waited.
+  static obs::Counter& c_tables = obs::metrics().counter("thevenin.tables");
+  static obs::Histogram& h_seconds =
+      obs::metrics().histogram("stage.thevenin.seconds");
+  obs::StageScope stage("thevenin.characterize", "characterize", h_seconds);
+  fault::ScopedSuspend no_faults;
+  ScopedDeadline no_deadline{Deadline{}};
+  entry->table = std::make_unique<const TheveninTable>(
+      TheveninTable::characterize(gate, output_rising,
+                                  TheveninTable::default_slews(),
+                                  TheveninTable::default_loads(), fit));
+  entry->ready.store(entry->table.get(), std::memory_order_release);
+  c_tables.add();
+  return *entry->table;
+}
+
+TheveninTableStore& driver_tables() {
+  static TheveninTableStore* store = new TheveninTableStore;
+  return *store;
 }
 
 }  // namespace dn

@@ -128,8 +128,8 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
     Status s = set_num(v, "lte_tol", tol);
     if (!s.ok()) return s;
     // One LTE bound rules every adaptive sim: the engine's (superposition
-    // transients, paired Rtr driver sims, Ceff inner sims, Thevenin-fit
-    // reference) and the alignment-search receiver probes. 0 = fixed grid
+    // transients, paired Rtr driver sims, Ceff inner sims, driver-table
+    // reference sims) and the alignment-search receiver probes. 0 = fixed grid
     // everywhere.
     a.engine.lte_tol = tol;
     a.analysis.search.lte_tol = tol;
@@ -137,13 +137,13 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
     return Status::Ok();
   }
   // Only the superposition engine's linear sims take a growth knob; the
-  // Ceff and Thevenin-fit sims keep the TransientSpec default (DESIGN.md
+  // Ceff and driver-table sims keep the TransientSpec default (DESIGN.md
   // §12).
   if (key == "max_dt_growth")
     return set_num(v, "max_dt_growth", a.engine.max_dt_growth);
   if (key == "stale_jacobian_iters") {
     // Every nonlinear sim family: the engine's Newton options (which its
-    // fit, Rtr and golden sims read) and the search budgets.
+    // driver-table, Rtr and golden sims read) and the search budgets.
     int n = 0;
     Status s = set_int(v, "stale_jacobian_iters", n);
     if (!s.ok()) return s;
@@ -156,7 +156,6 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
     bool warm = true;
     Status s = set_bool(v, "warm_start", warm);
     if (!s.ok()) return s;
-    a.engine.warm_start = warm;
     a.analysis.search.warm_start = warm;
     a.table_spec.search.warm_start = warm;
     return Status::Ok();
@@ -268,7 +267,7 @@ json::Value AnalysisConfig::to_json() const {
   o["lte_tol"] = a.engine.lte_tol;
   o["max_dt_growth"] = a.engine.max_dt_growth;
   o["stale_jacobian_iters"] = a.engine.newton.stale_jacobian_iters;
-  o["warm_start"] = a.engine.warm_start;
+  o["warm_start"] = a.analysis.search.warm_start;
   return json::Value(std::move(o));
 }
 

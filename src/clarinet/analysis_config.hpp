@@ -12,10 +12,11 @@
 // Contract:
 //   - apply() merges keys into the current config; unknown keys and
 //     out-of-range values are kInvalidArgument and leave *this intact.
-//   - Each key writes one value into one home per layer: only lte_tol,
-//     stale_jacobian_iters and warm_start fan out (engine, per-net
-//     search, table search), and those homes share one default, so
-//     apply() is a plain field map: key order never matters.
+//   - Each key writes one value into one home per layer: only lte_tol
+//     and stale_jacobian_iters fan out (engine, per-net search, table
+//     search) and warm_start (per-net search, table search), and those
+//     homes share one default, so apply() is a plain field map: key
+//     order never matters.
 //   - to_json() emits EVERY key in a fixed order, so
 //     from_json(cfg.to_json()) round-trips and two configs are equal iff
 //     their JSON renderings are byte-identical. validate() rejects what

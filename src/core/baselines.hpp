@@ -27,8 +27,8 @@ struct GoldenResult {
 
 /// Runs the two full nonlinear simulations (quiet / switching aggressors).
 /// `shifts[k]` displaces aggressor k's input ramp from the reference
-/// position used by SuperpositionEngine::aggressor_input(k); `opts` fixes
-/// the shared time frame (t_ref, horizon, dt).
+/// position, a ramp starting at opts.t_ref; `opts` fixes the shared time
+/// frame (t_ref, horizon, dt).
 GoldenResult golden_nonlinear(const CoupledNet& net,
                               const std::vector<double>& shifts,
                               const SuperpositionOptions& opts = {});

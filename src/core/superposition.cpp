@@ -33,28 +33,25 @@ SuperpositionEngine::SuperpositionEngine(const CoupledNet& net,
     : net_(net), opts_(opts) {
   net_.validate();
 
-  // Every driver's Ceff + Thevenin characterization runs on the engine's
-  // solver, LTE bound and chord-Newton budget. Each driver chains its own
-  // DC warm start across its Ceff loop's fits (only cload moves).
+  // Every driver's Ceff iteration runs its linear sims on the engine's
+  // solver and LTE bound, and reads the driver tables characterized at
+  // the engine's LTE bound and chord-Newton budget.
   CeffOptions ceff;
   ceff.solver = opts_.solver;
   ceff.fit.lte_tol = opts_.lte_tol;
   ceff.fit.stale_jacobian_iters = opts_.newton.stale_jacobian_iters;
-  Vector warm;
-  if (opts_.warm_start) ceff.fit.warm = &warm;
 
   // Victim driver: Ceff + Thevenin with coupling caps grounded.
   victim_model_ = compute_ceff_for_net(
-      net_.victim.driver, victim_input(), net_.victim.net,
-      grounded_couplings_for_victim(net_), net_.victim.receiver.input_cap(),
-      ceff);
+      net_.victim.driver, net_.victim.input_slew, net_.victim.output_rising,
+      opts_.t_ref, net_.victim.net, grounded_couplings_for_victim(net_),
+      net_.victim.receiver.input_cap(), ceff);
 
   aggressor_models_.reserve(net_.aggressors.size());
   for (std::size_t k = 0; k < net_.aggressors.size(); ++k) {
     const auto& agg = net_.aggressors[k];
-    warm.clear();
     aggressor_models_.push_back(compute_ceff_for_net(
-        agg.driver, aggressor_input(static_cast<int>(k)), agg.net,
+        agg.driver, agg.input_slew, agg.output_rising, opts_.t_ref, agg.net,
         grounded_couplings_for_aggressor(net_, static_cast<int>(k)),
         agg.sink_load, ceff));
   }
@@ -69,12 +66,6 @@ const CeffResult& SuperpositionEngine::aggressor_model(int k) const {
 Pwl SuperpositionEngine::victim_input() const {
   return driver_input_ramp(net_.victim.driver, net_.victim.input_slew,
                            net_.victim.output_rising, opts_.t_ref);
-}
-
-Pwl SuperpositionEngine::aggressor_input(int k) const {
-  const auto& agg = net_.aggressors.at(static_cast<std::size_t>(k));
-  return driver_input_ramp(agg.driver, agg.input_slew, agg.output_rising,
-                           opts_.t_ref);
 }
 
 SuperpositionEngine::Waveforms SuperpositionEngine::run_linear(

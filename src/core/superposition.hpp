@@ -1,6 +1,7 @@
 // Linear superposition engine over a coupled net (paper Figure 1).
 //
-// Characterizes every driver (C-effective + Thevenin), then provides the
+// Characterizes every driver (C-effective iteration over Thevenin models
+// looked up in the process-wide driver tables), then provides the
 // two building-block simulations of the flow:
 //   - aggressor_noise(k, holding_r): aggressor k's Thevenin source switches
 //     while the victim driver is grounded through `holding_r` (Rth in the
@@ -31,8 +32,9 @@ struct SuperpositionOptions {
   double t_ref = 300e-12;   // Input-ramp start used for all reference sims [s].
   double horizon = 4e-9;    // Transient end time [s].
   /// LTE bound for adaptive stepping in every engine sim: linear
-  /// aggressor/victim, paired Rtr driver, Ceff inner and Thevenin fit [V];
-  /// 0 forces the fixed grid (sim/transient.hpp).
+  /// aggressor/victim, paired Rtr driver, Ceff inner and the driver
+  /// tables' reference sims [V]; 0 forces the fixed grid
+  /// (sim/transient.hpp).
   double lte_tol = 5e-4;
   /// Max per-step growth of the adaptive step. These sims are LINEAR on
   /// the full (possibly multi-thousand-node) net, where each distinct
@@ -45,9 +47,9 @@ struct SuperpositionOptions {
   /// Newton controls for the nonlinear verification sims run in this
   /// engine's time frame (golden_nonlinear); the solver backend is
   /// overridden by `solver` so one --solver flag rules every sim. Its
-  /// `stale_jacobian_iters` also budgets the fit and Rtr driver sims.
+  /// `stale_jacobian_iters` also budgets the driver-table and Rtr driver
+  /// sims.
   NewtonOptions newton{};
-  bool warm_start = true;   // Chain each driver's Ceff-loop fits' DC points.
   /// Nothing in src/ reads this; perfbench/ still sets it (see ROADMAP).
   bool mor_fallback = true;
 };
@@ -93,8 +95,6 @@ class SuperpositionEngine {
 
   /// The victim driver input ramp used by the reference simulations.
   Pwl victim_input() const;
-  /// Aggressor k's input ramp at the reference position.
-  Pwl aggressor_input(int k) const;
 
   /// The transient spec all engine sims share: [0, horizon] at reference
   /// step dt, LTE-adaptive per opts.lte_tol.

@@ -66,6 +66,7 @@ void clear();
 
 namespace detail {
 inline std::atomic<bool> g_enabled{false};
+inline thread_local int t_suspended = 0;  // Open ScopedSuspend scopes.
 bool decide(Site s, std::uint64_t key) noexcept;
 std::uint64_t next_probe_key(Site s) noexcept;
 }  // namespace detail
@@ -77,7 +78,7 @@ inline bool enabled() noexcept {
 
 /// Probe with an explicit deterministic key (cache keys, net×attempt).
 inline bool should_fail(Site s, std::uint64_t key) noexcept {
-  if (!enabled()) return false;
+  if (!enabled() || detail::t_suspended > 0) return false;
   return detail::decide(s, key);
 }
 
@@ -87,7 +88,7 @@ inline bool should_fail(Site s, std::uint64_t key) noexcept {
 /// thread. Outside any scope the context id is 0 (deterministic for
 /// single-threaded tools).
 inline bool should_fail(Site s) noexcept {
-  if (!enabled()) return false;
+  if (!enabled() || detail::t_suspended > 0) return false;
   return detail::decide(s, detail::next_probe_key(s));
 }
 
@@ -111,6 +112,18 @@ class ScopedContext {
  private:
   std::uint64_t prev_context_;
   std::array<std::uint64_t, kNumSites> prev_counters_;
+};
+
+/// Suspends every probe on this thread for the scope: probes neither fire
+/// nor advance the ambient scope's probe counters. For fills of shared
+/// state that must not depend on the injection (driver tables).
+class ScopedSuspend {
+ public:
+  ScopedSuspend() noexcept { ++detail::t_suspended; }
+  ~ScopedSuspend() { --detail::t_suspended; }
+
+  ScopedSuspend(const ScopedSuspend&) = delete;
+  ScopedSuspend& operator=(const ScopedSuspend&) = delete;
 };
 
 /// SplitMix64 — the hash behind the decisions, exposed for callers that

@@ -16,6 +16,8 @@
 //   reduce.mor.prima          one PRIMA reduction
 //   screen.screen.net         one moment-level screening estimate
 //   characterize.cache.table  one 8-point alignment-table characterization
+//   characterize.thevenin.characterize  one driver-table fill
+//   analyze.ceff.driver       one driver's C-effective iteration
 //   analyze.net.analyze       one full per-net delay-noise analysis
 //   batch.batch.run           one BatchAnalyzer::analyze call
 //   batch.batch.net           one net inside a batch (args: net name)

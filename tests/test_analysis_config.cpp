@@ -148,7 +148,8 @@ TEST(AnalysisConfig, JobsCapIsInclusive) {
 
 // A key that fans out to several homes (the engine, the per-net search
 // and the table search) only round-trips when those fields start out
-// equal: to_json reads the engine's back.
+// equal: to_json reads the engine's back (the per-net search's for
+// warm_start, which the engine no longer has).
 TEST(AnalysisConfig, FannedOutFieldsShareOneDefault) {
   const AnalyzerConfig a = AnalysisConfig().batch.analyzer;
   for (const double tol :
@@ -157,9 +158,7 @@ TEST(AnalysisConfig, FannedOutFieldsShareOneDefault) {
   for (const int n : {a.analysis.search.stale_jacobian_iters,
                       a.table_spec.search.stale_jacobian_iters})
     EXPECT_EQ(n, a.engine.newton.stale_jacobian_iters);
-  for (const bool warm :
-       {a.analysis.search.warm_start, a.table_spec.search.warm_start})
-    EXPECT_EQ(warm, a.engine.warm_start);
+  EXPECT_EQ(a.table_spec.search.warm_start, a.analysis.search.warm_start);
 }
 
 // `exhaustive` is the only key for the alignment method, so a config

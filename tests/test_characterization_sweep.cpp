@@ -29,9 +29,9 @@ TEST_P(DriverSweep, CharacterizesCleanly) {
   GateParams g;
   g.type = type;
   g.size = size;
-  const Pwl vin = driver_input_ramp(g, 150 * ps, rising, 100 * ps);
   const RcTree net = make_line(6, 900.0, 60 * fF);
-  const CeffResult r = compute_ceff_for_net(g, vin, net, {}, 4 * fF);
+  const CeffResult r =
+      compute_ceff_for_net(g, 150 * ps, rising, 100 * ps, net, {}, 4 * fF);
   EXPECT_TRUE(r.converged) << gate_type_name(type);
   EXPECT_GT(r.ceff, 10 * fF);
   EXPECT_LT(r.ceff, 70 * fF);

@@ -1,11 +1,20 @@
 // Tests for the estimator / table additions: Elmore moments (validated
 // against the transient simulator), the bus topology builder,
-// and the pre-characterized Thevenin table.
+// and the pre-characterized Thevenin tables and their process-wide store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <sstream>
+#include <string>
+#include <thread>
+
 #include "ceff/thevenin_table.hpp"
+#include "devices/gate_library.hpp"
 #include "rcnet/elmore.hpp"
 #include "sim/linear_sim.hpp"
+#include "util/metrics.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace dn {
@@ -88,27 +97,34 @@ TEST(TheveninTable, GridPointsMatchDirectFit) {
   const std::vector<double> loads{20 * fF, 80 * fF};
   const TheveninTable tbl =
       TheveninTable::characterize(g, true, slews, loads);
-  // Lookup exactly at a grid point reproduces the stored fit.
+  // Lookup exactly at a grid point reproduces the direct fit.
   const TheveninModel m = tbl.lookup(100 * ps, 20 * fF, 100 * ps);
   const Pwl vin = driver_input_ramp(g, 100 * ps, true, 100 * ps);
   const TheveninModel direct = fit_thevenin(g, vin, 20 * fF).model;
   EXPECT_NEAR(m.rth, direct.rth, 1e-6 * direct.rth);
   EXPECT_NEAR(m.tr, direct.tr, 1e-6 * direct.tr);
   EXPECT_NEAR(m.t0, direct.t0, 1e-15);
+  EXPECT_TRUE(m.rising());
 }
 
 TEST(TheveninTable, InterpolationIsBetweenCorners) {
   GateParams g;
   const TheveninTable tbl = TheveninTable::characterize(
       g, false, {100 * ps, 300 * ps}, {20 * fF, 80 * fF});
-  const double r00 = tbl.at(0, 0).rth;
-  const double r11 = tbl.at(1, 1).rth;
-  const TheveninModel mid = tbl.lookup(200 * ps, 50 * fF, 0.0);
-  EXPECT_GE(mid.rth, std::min(std::min(r00, r11),
-                              std::min(tbl.at(0, 1).rth, tbl.at(1, 0).rth)));
-  EXPECT_LE(mid.rth, std::max(std::max(r00, r11),
-                              std::max(tbl.at(0, 1).rth, tbl.at(1, 0).rth)));
-  EXPECT_FALSE(mid.rising());
+  bool off_grid = true;
+  const Crossings mid = tbl.crossings(200 * ps, 50 * fF, &off_grid);
+  EXPECT_FALSE(off_grid);
+  for (double Crossings::*t : {&Crossings::t10, &Crossings::t50,
+                               &Crossings::t90}) {
+    const double c[4] = {tbl.at(0, 0).*t, tbl.at(0, 1).*t, tbl.at(1, 0).*t,
+                         tbl.at(1, 1).*t};
+    EXPECT_GE(mid.*t, *std::min_element(c, c + 4));
+    EXPECT_LE(mid.*t, *std::max_element(c, c + 4));
+  }
+  // Crossings grow with load and slew, so the middle is strictly inside.
+  EXPECT_LT(tbl.at(0, 0).t50, mid.t50);
+  EXPECT_LT(mid.t50, tbl.at(1, 1).t50);
+  EXPECT_FALSE(tbl.lookup(200 * ps, 50 * fF, 0.0).rising());
 }
 
 TEST(TheveninTable, QueriesClampToGrid) {
@@ -116,10 +132,27 @@ TEST(TheveninTable, QueriesClampToGrid) {
   const TheveninTable tbl =
       TheveninTable::characterize(g, true, {100 * ps, 300 * ps},
                                   {20 * fF, 80 * fF});
-  const TheveninModel lo = tbl.lookup(1 * ps, 1 * fF, 0.0);
-  EXPECT_NEAR(lo.rth, tbl.at(0, 0).rth, 1e-9);
-  const TheveninModel hi = tbl.lookup(1 * ns, 1 * pF, 0.0);
-  EXPECT_NEAR(hi.rth, tbl.at(1, 1).rth, 1e-9);
+  // Slews off the axis clamp to its ends.
+  bool off_grid = false;
+  EXPECT_EQ(tbl.crossings(1 * ps, 20 * fF, &off_grid).t50, tbl.at(0, 0).t50);
+  EXPECT_TRUE(off_grid);
+  EXPECT_EQ(tbl.crossings(1 * ns, 80 * fF).t50, tbl.at(1, 1).t50);
+  // Loads past the axis extrapolate linearly from the end segment.
+  const double slope = (tbl.at(0, 1).t50 - tbl.at(0, 0).t50) / (60 * fF);
+  const Crossings far = tbl.crossings(100 * ps, 140 * fF, &off_grid);
+  EXPECT_TRUE(off_grid);
+  EXPECT_NEAR(far.t50, tbl.at(0, 1).t50 + 60 * fF * slope, 1e-18);
+  // Both count as clamped lookups.
+  obs::set_metrics_enabled(true);
+  const obs::Counter& lookups = obs::metrics().counter("ceff.table_lookups");
+  const obs::Counter& clamped = obs::metrics().counter("ceff.table_clamped");
+  const std::uint64_t n0 = lookups.value(), c0 = clamped.value();
+  (void)tbl.lookup(50 * ps, 40 * fF, 0.0);
+  (void)tbl.lookup(200 * ps, 140 * fF, 0.0);
+  (void)tbl.lookup(200 * ps, 40 * fF, 0.0);
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(lookups.value() - n0, 3u);
+  EXPECT_EQ(clamped.value() - c0, 2u);
 }
 
 TEST(TheveninTable, LookupReanchorsTiming) {
@@ -127,9 +160,11 @@ TEST(TheveninTable, LookupReanchorsTiming) {
   const TheveninTable tbl =
       TheveninTable::characterize(g, true, {100 * ps, 300 * ps},
                                   {20 * fF, 80 * fF});
+  // The model moves with the input and is otherwise unchanged.
   const TheveninModel a = tbl.lookup(100 * ps, 20 * fF, 0.0);
   const TheveninModel b = tbl.lookup(100 * ps, 20 * fF, 1 * ns);
   EXPECT_NEAR(b.t0 - a.t0, 1 * ns, 1e-15);
+  EXPECT_NEAR(b.rth, a.rth, 1e-6 * a.rth);
 }
 
 TEST(TheveninTable, BadAxesThrow) {
@@ -139,6 +174,172 @@ TEST(TheveninTable, BadAxesThrow) {
   EXPECT_THROW(
       TheveninTable::characterize(g, true, {2e-10, 1e-10}, {20 * fF}),
       std::invalid_argument);
+  EXPECT_THROW(TheveninTable::characterize(g, true, {1e-10}, {0.0, 20 * fF}),
+               std::invalid_argument);
+  EXPECT_THROW(TheveninTable::characterize(g, true, {1e-10, HUGE_VAL},
+                                           {20 * fF}),
+               std::invalid_argument);
+}
+
+// Inside the grid each axis interpolates over up to four points, so a
+// table whose crossings are quadratic in slew and load reproduces them
+// between grid points, on unevenly spaced axes.
+TEST(TheveninTable, InterpolationIsExactForQuadratics) {
+  const std::vector<double> slews{10 * ps, 30 * ps, 70 * ps, 150 * ps,
+                                  400 * ps};
+  const std::vector<double> loads{1 * fF, 5 * fF, 20 * fF, 60 * fF};
+  auto t50 = [](double s, double c) {
+    return 20 * ps + 0.3 * s + 0.4 * s * s / ns + 2e3 * c +
+           3e18 * c * c + 1e13 * s * c;
+  };
+  std::ostringstream os;
+  os.precision(17);
+  os << "dnoise-thevenin-table 2\n1 1.8\n"
+     << slews.size() << ' ' << loads.size() << '\n';
+  for (double s : slews) os << s << ' ';
+  os << '\n';
+  for (double c : loads) os << c << ' ';
+  os << '\n';
+  for (double s : slews)
+    for (double c : loads)
+      os << 0.5 * t50(s, c) << ' ' << t50(s, c) << ' ' << 2 * t50(s, c)
+         << '\n';
+  std::istringstream is(os.str());
+  const TheveninTable tbl = TheveninTable::load(is);
+  for (const double s : {12 * ps, 45 * ps, 100 * ps, 222 * ps, 399 * ps})
+    for (const double c : {1.5 * fF, 9 * fF, 33 * fF, 59 * fF}) {
+      bool off_grid = true;
+      const Crossings x = tbl.crossings(s, c, &off_grid);
+      EXPECT_FALSE(off_grid);
+      EXPECT_NEAR(x.t50, t50(s, c), 1e-6 * t50(s, c)) << s << ' ' << c;
+      EXPECT_NEAR(x.t90, 2 * t50(s, c), 2e-6 * t50(s, c));
+    }
+  // Grid points come back exactly.
+  EXPECT_EQ(tbl.crossings(70 * ps, 20 * fF).t50, tbl.at(2, 2).t50);
+}
+
+// The store's default axes against a direct fit at the exact load, over
+// the slews and loads the flow sees, drawn uniformly like the random
+// nets' input slews: crossing times are smooth in slew and load, so the
+// interpolated t50 stays within a fraction of a picosecond.
+TEST(TheveninTable, LookupTracksDirectFitAcrossSizes) {
+  Rng rng(11);
+  for (const double size : {1.0, 2.0, 4.0, 8.0}) {
+    for (const bool rising : {true, false}) {
+      GateParams g;
+      g.size = size;
+      const TheveninTable& tbl = driver_tables().table_for(g, rising, {});
+      double sum = 0.0, worst = 0.0;
+      const int points = 50;
+      for (int i = 0; i < points; ++i) {
+        const double slew = rng.uniform(40 * ps, 400 * ps);
+        const double cload = rng.uniform(10 * fF, 400 * fF);
+        const double t_start = 300 * ps;
+        const TheveninModel looked = tbl.lookup(slew, cload, t_start);
+        const Pwl vin = driver_input_ramp(g, slew, rising, t_start);
+        const TheveninModel direct = fit_thevenin(g, vin, cload).model;
+        const double err = std::abs(*looked.response_crossing(0.5, cload) -
+                                    *direct.response_crossing(0.5, cload));
+        sum += err;
+        worst = std::max(worst, err);
+      }
+      const std::string where = "X" + std::to_string(static_cast<int>(size)) +
+                                (rising ? " rising" : " falling");
+      EXPECT_LE(sum / points, 0.5 * ps) << where;
+      EXPECT_LE(worst, 4 * ps) << where;
+    }
+  }
+}
+
+TEST(TheveninTable, EveryStandardCellFillsBothDirections) {
+  const GateLibrary lib = GateLibrary::standard();
+  TheveninTableStore store;
+  obs::set_metrics_enabled(true);
+  const obs::Counter& fills = obs::metrics().counter("thevenin.tables");
+  const std::uint64_t fills0 = fills.value();
+  for (const std::string& name : lib.names())
+    for (const bool rising : {true, false}) {
+      const TheveninTable& tbl =
+          store.table_for(lib.cell(name), rising, {});
+      EXPECT_EQ(tbl.output_rising(), rising) << name;
+      EXPECT_EQ(tbl.slews().size() * tbl.cloads().size(), 140u) << name;
+      EXPECT_TRUE(tbl.lookup(150 * ps, 60 * fF, 0.0).rth > 0.0) << name;
+    }
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(fills.value() - fills0, 2 * lib.size());
+}
+
+// A driver sized off the library (an ECO resize, a SPEF *DRIVER size)
+// costs one fill of its own, reused after that, and its model sits
+// between its neighbors' in strength.
+TEST(TheveninTable, OffLibrarySizeFillsOnceAndOrdersByStrength) {
+  TheveninTableStore store;
+  obs::set_metrics_enabled(true);
+  const obs::Counter& fills = obs::metrics().counter("thevenin.tables");
+  const std::uint64_t fills0 = fills.value();
+  auto t50_of = [&](double size) {
+    GateParams g;
+    g.size = size;
+    const TheveninModel m =
+        store.table_for(g, false, {}).lookup(120 * ps, 80 * fF, 0.0);
+    return *m.response_crossing(0.5, 80 * fF);
+  };
+  const double t2 = t50_of(2.0), t33 = t50_of(3.3), t4 = t50_of(4.0);
+  EXPECT_EQ(fills.value() - fills0, 3u);
+  EXPECT_EQ(t50_of(3.3), t33);
+  EXPECT_EQ(fills.value() - fills0, 3u);
+  obs::set_metrics_enabled(false);
+  EXPECT_LT(t4, t33);
+  EXPECT_LT(t33, t2);
+}
+
+std::string table_text(const TheveninTable& tbl) {
+  std::ostringstream os;
+  tbl.save(os);
+  return os.str();
+}
+
+// Eight threads request one shared key and one key of their own: every
+// key fills once, every thread sees the same table, and each table holds
+// the bits a fresh store fills.
+TEST(TheveninTableStore, ConcurrentRequestsFillEachKeyOnce) {
+  constexpr int kThreads = 8;
+  auto key_gate = [](int t) {
+    GateParams g;
+    g.size = t < 0 ? 2.0 : 1.0 + 0.5 * t;
+    return g;
+  };
+  TheveninTableStore store;
+  obs::set_metrics_enabled(true);
+  const obs::Counter& fills = obs::metrics().counter("thevenin.tables");
+  const std::uint64_t fills0 = fills.value();
+  std::vector<const TheveninTable*> shared(kThreads), own(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      const GateParams mine = key_gate(t);
+      if (t % 2) own[t] = &store.table_for(mine, t % 4 == 1, {});
+      shared[t] = &store.table_for(key_gate(-1), true, {});
+      if (t % 2 == 0) own[t] = &store.table_for(mine, t % 4 == 0, {});
+    });
+  for (auto& th : threads) th.join();
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(fills.value() - fills0, kThreads + 1u);
+  TheveninTableStore fresh;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(shared[t], shared[0]);
+    EXPECT_EQ(own[t], &store.table_for(key_gate(t), own[t]->output_rising(),
+                                       {}));
+    EXPECT_EQ(table_text(*own[t]),
+              table_text(fresh.table_for(key_gate(t),
+                                         own[t]->output_rising(), {})));
+  }
+  EXPECT_EQ(table_text(*shared[0]),
+            table_text(fresh.table_for(key_gate(-1), true, {})));
+  // The fit options are part of the key.
+  TheveninFitOptions fixed;
+  fixed.stale_jacobian_iters = 0;
+  EXPECT_NE(&store.table_for(key_gate(-1), true, fixed), shared[0]);
 }
 
 }  // namespace

@@ -11,11 +11,13 @@
 //      fixed fault seed at jobs=1 and jobs=8.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "ceff/thevenin_table.hpp"
 #include "clarinet/batch_analyzer.hpp"
 #include "rcnet/random_nets.hpp"
 #include "rcnet/spef.hpp"
@@ -209,6 +211,23 @@ TEST(FaultInjection, ScopedContextMakesAmbientProbesReproducible) {
   // Same context id -> the Nth probe decides identically; that is what
   // detaches chaos runs from thread scheduling.
   EXPECT_EQ(a, b);
+  // Probes under ScopedSuspend (a shared driver-table fill) never fire and
+  // do not advance the scope's counters, so whether this thread filled a
+  // table leaves its later decisions unchanged.
+  std::vector<bool> c;
+  {
+    fault::ScopedContext ctx(1234);
+    for (int i = 0; i < 64; ++i) {
+      {
+        fault::ScopedSuspend suspended;
+        EXPECT_FALSE(fault::should_fail(fault::Site::kFactor));
+        EXPECT_FALSE(fault::should_fail(fault::Site::kFactor, i));
+      }
+      c.push_back(fault::should_fail(fault::Site::kFactor));
+    }
+  }
+  EXPECT_EQ(a, c);
+  EXPECT_NE(std::count(a.begin(), a.end(), true), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -430,6 +449,65 @@ TEST(FaultSites, FactorFaultWithPolicyOffNeverFallsBackToDense) {
     EXPECT_EQ(nr.outcome, AnalysisOutcome::kFailed);
     EXPECT_TRUE(nr.result.degradations.empty());
   }
+}
+
+std::string table_text(const TheveninTable& tbl) {
+  std::ostringstream os;
+  tbl.save(os);
+  return os.str();
+}
+
+// The driver-table store outlives every analyzer, fault configuration,
+// deadline and solver setting, so a stored table must be the clean fill
+// whatever the filling thread was running under.
+TEST(FaultSites, DriverTableFillsIgnoreFaultsDeadlineAndSolver) {
+  GateParams g;
+  g.size = 3.0;
+  TheveninTableStore clean;
+  const std::string want = table_text(clean.table_for(g, true, {}));
+  {
+    ScopedFaults faults("all:1", 5);
+    TheveninTableStore store;
+    EXPECT_EQ(table_text(store.table_for(g, true, {})), want);
+  }
+  {
+    ScopedDeadline expired(Deadline::after(-1.0));
+    TheveninTableStore store;
+    EXPECT_EQ(table_text(store.table_for(g, true, {})), want);
+  }
+  // An engine on the forced sparse backend, its dense fallback off, fills
+  // the process-wide store with the clean bits too.
+  Rng rng(3);
+  CoupledNet net = random_coupled_net(rng);
+  net.victim.driver.size = 3.3;  // A key no other test fills.
+  SuperpositionOptions opts;
+  opts.solver.backend = SolverBackend::kSparse;
+  opts.solver.allow_dense_fallback = false;
+  const SuperpositionEngine eng(net, opts);
+  TheveninFitOptions fit;
+  fit.lte_tol = opts.lte_tol;
+  fit.stale_jacobian_iters = opts.newton.stale_jacobian_iters;
+  EXPECT_EQ(table_text(driver_tables().table_for(
+                net.victim.driver, net.victim.output_rising, fit)),
+            table_text(clean.table_for(net.victim.driver,
+                                       net.victim.output_rising, fit)));
+}
+
+TEST(FaultSites, FailedDriverTableFillInstallsNothingAndRetries) {
+  GateParams dead;
+  dead.vdd = 0.3;  // Below both thresholds: the output never switches.
+  TheveninTableStore store;
+  obs::set_metrics_enabled(true);
+  const obs::Counter& steps = obs::metrics().counter("sim.nonlinear.steps");
+  const obs::Counter& fills = obs::metrics().counter("thevenin.tables");
+  const std::uint64_t fills0 = fills.value();
+  EXPECT_ANY_THROW(store.table_for(dead, true, {}));
+  EXPECT_EQ(fills.value(), fills0);
+  const std::uint64_t after_first = steps.value();
+  EXPECT_ANY_THROW(store.table_for(dead, true, {}));
+  EXPECT_GT(steps.value(), after_first);  // The retry simulated again.
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(fills.value(), fills0);
 }
 
 TEST(FaultSites, TransientTaskFaultsRetryAndRecover) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "ceff/thevenin_table.hpp"
 #include "core/alignment_table.hpp"
@@ -84,23 +86,59 @@ TEST(TheveninTablePersistence, RoundTripIsExact) {
   ASSERT_EQ(back.slews().size(), 2u);
   ASSERT_EQ(back.cloads().size(), 2u);
   EXPECT_FALSE(back.output_rising());
+  EXPECT_EQ(back.vdd(), tbl.vdd());
   for (std::size_t si = 0; si < 2; ++si)
     for (std::size_t ci = 0; ci < 2; ++ci) {
-      EXPECT_DOUBLE_EQ(back.at(si, ci).rth, tbl.at(si, ci).rth);
-      EXPECT_DOUBLE_EQ(back.at(si, ci).tr, tbl.at(si, ci).tr);
-      EXPECT_DOUBLE_EQ(back.at(si, ci).t0, tbl.at(si, ci).t0);
+      EXPECT_EQ(back.at(si, ci).t10, tbl.at(si, ci).t10);
+      EXPECT_EQ(back.at(si, ci).t50, tbl.at(si, ci).t50);
+      EXPECT_EQ(back.at(si, ci).t90, tbl.at(si, ci).t90);
     }
   const TheveninModel a = tbl.lookup(180 * ps, 50 * fF, 1 * ns);
   const TheveninModel b = back.lookup(180 * ps, 50 * fF, 1 * ns);
-  EXPECT_DOUBLE_EQ(a.rth, b.rth);
-  EXPECT_DOUBLE_EQ(a.t0, b.t0);
+  EXPECT_EQ(a.rth, b.rth);
+  EXPECT_EQ(a.t0, b.t0);
 }
 
 TEST(TheveninTablePersistence, RejectsGarbage) {
   std::stringstream bad("dnoise-thevenin-table 99\n");
   EXPECT_THROW(TheveninTable::load(bad), std::runtime_error);
-  std::stringstream huge("dnoise-thevenin-table 1\n1\n99999999 2\n");
+  std::stringstream huge("dnoise-thevenin-table 2\n1 1.8\n99999999 2\n");
   EXPECT_THROW(TheveninTable::load(huge), std::runtime_error);
+
+  GateParams g;
+  const TheveninTable tbl = TheveninTable::characterize(
+      g, true, {100 * ps, 300 * ps}, {20 * fF, 80 * fF});
+  std::stringstream ss;
+  tbl.save(ss);
+  const std::string text = ss.str();
+  auto rejects = [](const std::string& edited) {
+    std::stringstream is(edited);
+    EXPECT_THROW(TheveninTable::load(is), std::runtime_error) << edited;
+  };
+  // Version 1 stored fitted (t0, tr, Rth): unsupported, never misread.
+  const std::string v2 = "dnoise-thevenin-table 2";
+  ASSERT_EQ(text.rfind(v2, 0), 0u);
+  rejects("dnoise-thevenin-table 1" + text.substr(v2.size()));
+  // An unsorted axis, as characterize() rejects it.
+  std::istringstream lines(text);
+  std::vector<std::string> line;
+  for (std::string l; std::getline(lines, l);) line.push_back(l);
+  ASSERT_EQ(line.size(), 9u);  // Magic, direction+vdd, sizes, 2 axes, 4.
+  auto with_line = [&](std::size_t i, const std::string& l) {
+    std::string out;
+    for (std::size_t k = 0; k < line.size(); ++k)
+      out += (k == i ? l : line[k]) + "\n";
+    return out;
+  };
+  rejects(with_line(3, "3e-10 1e-10"));
+  rejects(with_line(4, "2e-14 2e-14"));
+  rejects(with_line(4, "-2e-14 8e-14"));
+  // A non-finite entry.
+  rejects(with_line(6, "nan 1e-10 2e-10"));
+  rejects(with_line(7, "1e-11 inf 2e-10"));
+  // The untouched text still loads.
+  std::stringstream ok(with_line(0, line[0]));
+  EXPECT_NO_THROW(TheveninTable::load(ok));
 }
 
 TEST(Slack, ReportsWorstEndpoint) {
