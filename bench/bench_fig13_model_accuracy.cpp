@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
       DelayNoiseOptions opts;
       opts.method = AlignmentMethod::Predicted;
       opts.table = tables.table_for(net.victim.receiver, rising);
-      opts.search.window_min = *t_center - 60 * ps;
-      opts.search.window_max = *t_center + 60 * ps;
+      opts.search.domain =
+          ScanDomain::interval(*t_center - 60 * ps, *t_center + 60 * ps);
 
       // Proposed flow (transient holding resistance).
       const DelayNoiseResult r_rtr = analyze_delay_noise(eng, opts);

@@ -36,8 +36,8 @@ double worst_alignment_voltage(const Pwl& ramp, const Pwl& pulse) {
   sopt.fine_points = 33;
   // Keep the peak on the transition (same convention as the table
   // characterization; see core/alignment_table.cpp).
-  sopt.window_min = ramp.t_begin() - 1.5 * measure_pulse(pulse).width;
-  sopt.window_max = ramp.t_end();
+  sopt.domain = ScanDomain::interval(
+      ramp.t_begin() - 1.5 * measure_pulse(pulse).width, ramp.t_end());
   return exhaustive_worst_alignment(ramp, pulse, receiver(), 2 * fF, true, sopt)
       .align_voltage;
 }

@@ -67,8 +67,8 @@ int main(int argc, char** argv) {
         // Same on-transition window convention as the characterization:
         // past the settled rail the disturbance is functional noise.
         AlignmentSearchOptions wopt = sopt;
-        wopt.window_min = 2 * ns - 1.5 * 150 * ps;
-        wopt.window_max = 2 * ns + slew;
+        wopt.domain = ScanDomain::interval(2 * ns - 1.5 * 150 * ps,
+                                           2 * ns + slew);
         const AlignmentResult ex =
             exhaustive_worst_alignment(ramp, pulse, rcv, load, true, wopt);
         const double nominal = receiver_t50(rcv, ramp, load, true);
@@ -101,8 +101,9 @@ int main(int argc, char** argv) {
       for (double h : heights) {
         const Pwl pulse = triangle_pulse(-h * kVdd, w, 2 * ns);
         AlignmentSearchOptions wopt = sopt;
-        wopt.window_min = 2 * ns - 1.5 * w;
-        wopt.window_max = 2 * ns + 200 * ps;  // Ramp end (slew = 200 ps).
+        // The window ends at the ramp end (slew = 200 ps).
+        wopt.domain =
+            ScanDomain::interval(2 * ns - 1.5 * w, 2 * ns + 200 * ps);
         const AlignmentResult ex = exhaustive_worst_alignment(
             ramp, pulse, rcv, spec.min_load, true, wopt);
         const double d_ex = ex.t_out_50 - nominal;

@@ -49,7 +49,7 @@ if [[ "$run_asan" == 1 ]]; then
              test_adaptive_sim test_pwl test_numeric test_thevenin test_ceff \
              test_rtr test_extensions test_gate test_alignment \
              test_delay_noise test_fault_tolerance test_estimators \
-             test_persistence_slack
+             test_persistence
   ./build-asan/tests/test_matrix
   ./build-asan/tests/test_sparse
   ./build-asan/tests/test_linear_sim
@@ -66,7 +66,7 @@ if [[ "$run_asan" == 1 ]]; then
   # The driver tables: interpolation-weight indexing, the store's fills,
   # and load() of hand-edited and corrupt table files.
   ./build-asan/tests/test_estimators
-  ./build-asan/tests/test_persistence_slack
+  ./build-asan/tests/test_persistence
   ./build-asan/tests/test_rtr
   ./build-asan/tests/test_extensions
   # GateSim owns the circuit its re-driven simulator references; these
@@ -316,5 +316,17 @@ cli_reject --prereduce --batch --random 2 --prereduce
 cli_reject --jobs --batch --random 2 --jobs four
 ./build/tools/dnoise_cli --batch --random 2 --seed 1 --jobs 1 >/dev/null 2>&1
 echo "CLI smoke: unknown flag and malformed number rejected, valid run ok"
+
+# A weak victim driver (INV 0.1) cannot switch its driver table's heaviest
+# loads within the first reference-sim tail; the deck must still analyze.
+sed 's/^\*DRIVER INV 4 50 RISE$/*DRIVER INV 0.1 50 RISE/' \
+  tests/corpus/spef/minimal.spef > build/weak_driver.spef
+grep -q '^\*DRIVER INV 0.1 50 RISE$' build/weak_driver.spef
+if ! ./build/tools/dnoise_cli build/weak_driver.spef >/dev/null 2>build/cli_smoke.err; then
+  echo "CLI smoke: the INV 0.1 victim-driver deck failed" >&2
+  cat build/cli_smoke.err >&2
+  exit 1
+fi
+echo "CLI smoke: INV 0.1 victim-driver deck analyzed"
 
 echo "== all checks passed =="

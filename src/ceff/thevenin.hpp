@@ -58,8 +58,10 @@ struct TheveninFit {
 };
 
 /// The nonlinear reference of a fit: one run of `sim` (the driver into its
-/// lumped load) with input `vin`. Returns the output waveform; throws when
-/// the input or the output does not switch.
+/// lumped load) with input `vin`, 3 ns past the input's end. An output
+/// that has not switched by then is rerun with the tail doubled, up to
+/// 48 ns. Returns the output waveform; throws when the input or the output
+/// does not switch.
 Pwl simulate_reference(GateSim& sim, const Pwl& vin,
                        const TheveninFitOptions& opts = {});
 

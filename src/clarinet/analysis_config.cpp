@@ -71,8 +71,6 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
     return set_num(v, "fidelity_margin", b.ladder.tier1_margin);
   if (key == "fidelity_max_tier")
     return set_int(v, "fidelity_max_tier", b.ladder.max_tier);
-  if (key == "window_pruning")
-    return set_bool(v, "window_pruning", a.analysis.window_pruning);
   if (key == "max_retries") return set_int(v, "max_retries", b.max_retries);
   if (key == "retry_backoff_ms")
     return set_num(v, "retry_backoff_ms", b.retry_backoff_ms);
@@ -251,7 +249,6 @@ json::Value AnalysisConfig::to_json() const {
   o["fidelity_threshold_ps"] = b.ladder.dn_threshold / ps;
   o["fidelity_margin"] = b.ladder.tier1_margin;
   o["fidelity_max_tier"] = b.ladder.max_tier;
-  o["window_pruning"] = a.analysis.window_pruning;
   o["max_retries"] = b.max_retries;
   o["retry_backoff_ms"] = b.retry_backoff_ms;
   o["deadline_ms"] = b.deadline_ms;

@@ -197,16 +197,7 @@ AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
   const double slew = slew10_90 ? *slew10_90 / 0.8 : 200e-12;
 
   const double span = slew + pulse.width + 100e-12;
-  double lo = *t50 - span, hi = *t50 + span;
-  if (opts.has_window()) {
-    lo = std::max(lo, opts.window_min);
-    hi = std::min(hi, opts.window_max);
-    if (!(hi > lo)) {
-      lo = opts.window_min;
-      hi = opts.window_max;
-    }
-    if (hi <= lo) hi = lo + 1e-15;
-  }
+  const double lo = *t50 - span, hi = *t50 + span;
 
   // Batched probing: every probe of the search re-drives one receiver
   // GateSim with one warm-start chain; only the input waveform differs.
@@ -229,29 +220,23 @@ AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
   std::vector<double> coarse = opts.domain.sample(lo, hi, n_coarse);
   if (coarse.empty()) {
     // Nothing of the span is feasible: evaluate the single nearest
-    // feasible point (or the span edge when the domain is empty) so the
-    // caller still gets a well-defined — conservative — alignment.
+    // feasible point (the 50% crossing itself when the domain is empty)
+    // so the caller still gets a well-defined — conservative — alignment.
     coarse.assign(1, opts.domain.clamp(*t50));
   }
   if (coarse.size() < static_cast<std::size_t>(n_coarse))
     c_domain_pruned.add(static_cast<std::uint64_t>(n_coarse) - coarse.size());
   // Coarse pass, then a fine pass around the best coarse point (+- one
-  // coarse step), respecting the window and the feasible domain.
+  // coarse step), respecting the feasible domain.
   const double step =
       coarse.size() > 1 ? coarse[1] - coarse[0] : (hi - lo) / n_coarse;
   double best_t = coarse.front();
   double best_d = -1e300;
   std::vector<double> probes = std::move(coarse);
   for (const bool fine : {false, true}) {
-    if (fine) {
-      double flo = best_t - step, fhi = best_t + step;
-      if (opts.has_window()) {
-        flo = std::max(flo, opts.window_min);
-        fhi = std::min(fhi, opts.window_max);
-        if (!(fhi > flo)) fhi = flo + 1e-15;
-      }
-      probes = opts.domain.sample(flo, fhi, std::max(opts.fine_points, 5));
-    }
+    if (fine)
+      probes = opts.domain.sample(best_t - step, best_t + step,
+                                  std::max(opts.fine_points, 5));
     for (const double t : probes) {
       deadline_checkpoint("alignment search");
       c_batched.add();
@@ -295,10 +280,7 @@ AlignmentResult receiver_input_peak_alignment(
     throw std::runtime_error(
         "receiver_input_peak_alignment: level never crossed");
 
-  double t_peak = *t_level;
-  if (opts.has_window())
-    t_peak = std::clamp(t_peak, opts.window_min, opts.window_max);
-  t_peak = opts.domain.clamp(t_peak);
+  const double t_peak = opts.domain.clamp(*t_level);
 
   AlignmentResult out;
   out.t_peak = t_peak;

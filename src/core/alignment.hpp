@@ -116,20 +116,13 @@ struct AlignmentSearchOptions {
   /// is the same at every alignment). Also chains the receiver
   /// evaluations of one net on the Predicted path.
   bool warm_start = true;
-  /// Timing-window constraint on the pulse peak time (absolute). During
-  /// the window/noise fix-point iteration of [8][9], the aggressors may
-  /// only switch within their arrival windows; this clamps every
-  /// alignment method to [window_min, window_max]. Unconstrained when
-  /// window_min > window_max (the default).
-  double window_min = 1.0;
-  double window_max = 0.0;
-  bool has_window() const { return window_max >= window_min; }
-  /// Fine-grained feasibility of the pulse peak time, intersected with
-  /// the scalar window above: the per-aggressor switching windows and
-  /// pairwise logic-correlation constraints of the fidelity ladder land
-  /// here as a union of feasible intervals. Every search method samples
-  /// only feasible points; an unconstrained domain reproduces the
-  /// unpruned scan bit-for-bit.
+  /// Feasibility of the pulse peak time (absolute): the one home of every
+  /// timing-window constraint. A caller's window is
+  /// ScanDomain::interval(lo, hi); the per-aggressor switching windows and
+  /// pairwise logic-correlation constraints of the flow are intersected
+  /// into it as a union of feasible intervals. Every search method
+  /// samples or clamps to feasible points only; an unconstrained domain
+  /// reproduces the unpruned scan bit-for-bit.
   ScanDomain domain{};
 
   bool operator==(const AlignmentSearchOptions&) const = default;
@@ -139,7 +132,9 @@ struct AlignmentSearchOptions {
 /// paper's objective): sweeps the composite-pulse position, evaluating the
 /// nonlinear receiver each time, and refines around the worst coarse point.
 /// The sweep spans slew + pulse width + 100 ps on either side of the
-/// noiseless 50% crossing at the sink, intersected with the window.
+/// noiseless 50% crossing at the sink, sampled over its feasible part
+/// (`opts.domain`). When none of the span is feasible, the search probes
+/// the domain point nearest that crossing and its neighbourhood.
 AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
                                            const Pwl& composite,
                                            const GateParams& receiver,

@@ -54,13 +54,13 @@ AlignmentTable AlignmentTable::characterize(const GateParams& receiver,
     // Additionally cap at the [5] level Vdd/2 +- Vn: beyond it the dip
     // cannot reach the receiver threshold, so the "worst delay" there
     // is a re-trigger artifact, not delay noise.
-    AlignmentSearchOptions search = spec.search;
-    search.window_min = t_start - 1.5 * widths[wi];
-    search.window_max = t_start + slews[si];
+    double t_last = t_start + slews[si];
     const double va_cap =
         victim_rising ? 0.5 * vdd + heights[hi] : 0.5 * vdd - heights[hi];
     if (const auto t_cap = ramp.crossing(va_cap, victim_rising))
-      search.window_max = std::min(search.window_max, *t_cap);
+      t_last = std::min(t_last, *t_cap);
+    AlignmentSearchOptions search = spec.search;
+    search.domain = ScanDomain::interval(t_start - 1.5 * widths[wi], t_last);
     const AlignmentResult worst = exhaustive_worst_alignment(
         ramp, pulse, receiver, spec.min_load, victim_rising, search);
     return worst.align_voltage;
@@ -184,7 +184,7 @@ namespace dn {
 
 void AlignmentTable::save(std::ostream& os) const {
   os.precision(17);
-  os << "dnoise-alignment-table 3\n";
+  os << "dnoise-alignment-table 4\n";
   save_gate(os, receiver_);
   os << (victim_rising_ ? 1 : 0) << '\n';
   os << spec_.slew_min << ' ' << spec_.slew_max << ' ' << spec_.width_min
@@ -196,8 +196,7 @@ void AlignmentTable::save(std::ostream& os) const {
   const AlignmentSearchOptions& q = spec_.search;
   os << q.coarse_points << ' ' << q.fine_points << ' ' << q.dt << ' '
      << q.lte_tol << ' ' << q.stale_jacobian_iters << ' '
-     << (q.warm_start ? 1 : 0) << ' ' << q.window_min << ' ' << q.window_max
-     << '\n';
+     << (q.warm_start ? 1 : 0) << '\n';
   for (int si = 0; si < 2; ++si)
     for (int wi = 0; wi < 2; ++wi)
       for (int hi = 0; hi < 2; ++hi) os << va_[si][wi][hi] << ' ';
@@ -208,7 +207,7 @@ AlignmentTable AlignmentTable::load(std::istream& is) {
   std::string magic;
   int version = 0;
   is >> magic >> version;
-  if (magic != "dnoise-alignment-table" || version != 3)
+  if (magic != "dnoise-alignment-table" || version != 4)
     throw std::runtime_error("AlignmentTable: unrecognized table file");
   AlignmentTable tbl;
   tbl.receiver_ = load_gate(is);
@@ -221,7 +220,7 @@ AlignmentTable AlignmentTable::load(std::istream& is) {
   AlignmentSearchOptions& q = tbl.spec_.search;
   int warm_start = 0;
   is >> q.coarse_points >> q.fine_points >> q.dt >> q.lte_tol >>
-      q.stale_jacobian_iters >> warm_start >> q.window_min >> q.window_max;
+      q.stale_jacobian_iters >> warm_start;
   q.warm_start = warm_start != 0;
   for (int si = 0; si < 2; ++si)
     for (int wi = 0; wi < 2; ++wi)

@@ -39,22 +39,16 @@ AlignmentResult choose_alignment(const DelayNoiseOptions& opts,
         throw std::invalid_argument(
             "analyze_delay_noise: Predicted method needs an AlignmentTable");
       const PulseParams p = measure_pulse(composite);
-      double t_pred = opts.table->predict_peak_time(noiseless_sink, p);
+      const double t_table = opts.table->predict_peak_time(noiseless_sink, p);
       // Guard candidate: the 50% crossing. For pulses near the functional-
       // noise boundary, the min-load table can predict an alignment so
       // late that a loaded receiver filters the noise entirely (the
       // Figure 3 failure mode); mid-transition is always a safe fallback,
       // and evaluating it costs one extra receiver simulation.
-      double t_mid = noiseless_sink.crossing(0.5 * rcv.gate().vdd, rising)
-                         .value_or(t_pred);
-      if (opts.search.has_window()) {
-        t_pred = std::clamp(t_pred, opts.search.window_min,
-                            opts.search.window_max);
-        t_mid = std::clamp(t_mid, opts.search.window_min,
-                           opts.search.window_max);
-      }
-      t_pred = opts.search.domain.clamp(t_pred);
-      t_mid = opts.search.domain.clamp(t_mid);
+      const double t_pred = opts.search.domain.clamp(t_table);
+      const double t_mid = opts.search.domain.clamp(
+          noiseless_sink.crossing(0.5 * rcv.gate().vdd, rising)
+              .value_or(t_table));
       AlignmentResult best;
       best.t_out_50 = -1e300;
       for (const double t_peak : {t_pred, t_mid}) {
@@ -94,13 +88,6 @@ std::vector<double> coupled_caps(const CoupledNet& net) {
   for (const auto& cc : net.couplings)
     ccap[static_cast<std::size_t>(cc.aggressor)] += cc.c;
   return ccap;
-}
-
-bool has_prunable_constraints(const CoupledNet& net) {
-  if (!net.exclusions.empty()) return true;
-  for (const auto& a : net.aggressors)
-    if (a.has_window()) return true;
-  return false;
 }
 
 /// Resolves pairwise logic-correlation constraints: of each mutually
@@ -171,13 +158,11 @@ ScanDomain window_domain(const CoupledNet& net, double t_ref,
 /// drop changes the composite (and possibly its anchor), so the mapping
 /// is re-derived until the active set is stable — at most n rounds.
 CompositeAlignment compose_pruned(const SuperpositionEngine& eng,
-                                  double holding_r, bool enabled,
-                                  const ScanDomain& seed, PruneInfo& prune,
-                                  ScanDomain* domain) {
+                                  double holding_r, const ScanDomain& seed,
+                                  PruneInfo& prune, ScanDomain* domain) {
   CompositeAlignment comp = align_aggressor_peaks(
       eng, holding_r, prune.active.empty() ? nullptr : &prune.active);
   *domain = seed;
-  if (!enabled) return comp;
   const CoupledNet& net = eng.net();
   for (std::size_t round = 0; round <= net.aggressors.size(); ++round) {
     int dropped = 0;
@@ -217,12 +202,9 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
   // Pre-search pruning (DESIGN.md §13): exclusion pairs are resolved once
   // up front; window feasibility is re-derived against each pass's
   // composite (the peak-aligned shifts move with the holding resistance).
-  // Nets carrying neither windows nor exclusions skip all of this and
+  // Nets carrying neither windows nor exclusions prune nothing and
   // reproduce the classic flow bit-for-bit.
-  const bool prune_enabled =
-      opts.window_pruning && has_prunable_constraints(net);
-  PruneInfo prune;
-  if (prune_enabled) prune = resolve_exclusions(net);
+  PruneInfo prune = resolve_exclusions(net);
   // `eff` carries the per-pass scan domain into the search options.
   DelayNoiseOptions eff = opts;
 
@@ -235,9 +217,8 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
   // Fix-point between the linear victim model and the alignment.
   const int iters = std::max(opts.model_alignment_iterations, 1);
   for (int pass = 0; pass < iters; ++pass) {
-    out.composite = compose_pruned(eng, out.holding_r, prune_enabled,
-                                   opts.search.domain, prune,
-                                   &eff.search.domain);
+    out.composite = compose_pruned(eng, out.holding_r, opts.search.domain,
+                                   prune, &eff.search.domain);
     out.alignment = choose_alignment(eff, out.noiseless_sink,
                                      out.composite.at_sink, rcv, rising,
                                      warm);
@@ -263,9 +244,8 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
       if (pass > 0) {
         // Earlier passes moved the composite/alignment off the Rth
         // operating point; recompute them at the fallback resistance.
-        out.composite = compose_pruned(eng, out.holding_r, prune_enabled,
-                                       opts.search.domain, prune,
-                                       &eff.search.domain);
+        out.composite = compose_pruned(eng, out.holding_r, opts.search.domain,
+                                       prune, &eff.search.domain);
         out.alignment = choose_alignment(eff, out.noiseless_sink,
                                          out.composite.at_sink, rcv, rising,
                                          warm);
@@ -280,9 +260,8 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
       // Final pass keeps the composite/alignment consistent with the last
       // holding resistance actually simulated.
       out.holding_r = rtr.rtr;
-      out.composite = compose_pruned(eng, out.holding_r, prune_enabled,
-                                     opts.search.domain, prune,
-                                     &eff.search.domain);
+      out.composite = compose_pruned(eng, out.holding_r, opts.search.domain,
+                                     prune, &eff.search.domain);
       out.alignment = choose_alignment(eff, out.noiseless_sink,
                                        out.composite.at_sink, rcv, rising,
                                        warm);

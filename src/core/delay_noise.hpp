@@ -34,15 +34,12 @@ struct DelayNoiseOptions {
   AlignmentMethod method = AlignmentMethod::Exhaustive;
   const AlignmentTable* table = nullptr;  // Required for Predicted.
   int model_alignment_iterations = 2;     // Outer fix-point passes.
+  /// Search grid, sim accuracy and the caller's scan domain. Before the
+  /// search runs, the analysis intersects the net's own constraints into
+  /// that domain (DESIGN.md §13): per-aggressor switching windows
+  /// (AggressorDesc::window_early/late) and pairwise exclusions
+  /// (CoupledNet::exclusions). A no-op on nets carrying neither.
   AlignmentSearchOptions search{};
-  /// Window/correlation pruning of the aggressor set and the alignment
-  /// scan domain (DESIGN.md §13): per-aggressor switching windows
-  /// (AggressorDesc::window_early/late) and pairwise exclusion
-  /// constraints (CoupledNet::exclusions) are mapped onto the composite-
-  /// peak feasibility domain BEFORE the search runs. A no-op on nets
-  /// carrying neither windows nor exclusions, so enabling it does not
-  /// perturb classic results.
-  bool window_pruning = true;
   /// Which degradation-ladder rungs (DESIGN.md §10) this analysis may
   /// take. Recorded steps surface in DelayNoiseResult::degradations.
   DegradePolicy degrade{};
@@ -66,7 +63,7 @@ struct DelayNoiseResult {
   /// Aggressors removed from the composite by the pre-search pruning:
   /// window-infeasible (cannot co-switch with the stronger aggressors
   /// kept) and exclusion-dominated (logic correlation). Zero on nets
-  /// without windows/exclusions or with pruning disabled.
+  /// without windows/exclusions.
   int aggressors_pruned_window = 0;
   int aggressors_pruned_exclusion = 0;
 

@@ -21,7 +21,6 @@
 //   analyze.net.analyze       one full per-net delay-noise analysis
 //   batch.batch.run           one BatchAnalyzer::analyze call
 //   batch.batch.net           one net inside a batch (args: net name)
-//   sta.sta.pass              one window/noise fixed-point pass
 #pragma once
 
 #include <atomic>

@@ -73,8 +73,8 @@ Fig13Population run_fig13_population(int n_nets, std::uint64_t seed) {
     DelayNoiseOptions opts;
     opts.method = AlignmentMethod::Predicted;
     opts.table = tables.table_for(net.victim.receiver, rising);
-    opts.search.window_min = *t_center - 60 * ps;
-    opts.search.window_max = *t_center + 60 * ps;
+    opts.search.domain =
+        ScanDomain::interval(*t_center - 60 * ps, *t_center + 60 * ps);
 
     const DelayNoiseResult r = analyze_delay_noise(eng, opts);
     const std::vector<double> shifts = absolute_shifts(r);

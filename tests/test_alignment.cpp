@@ -111,12 +111,12 @@ TEST(ExhaustiveAlignment, RespectsTimingWindow) {
   const Pwl pulse = triangle_pulse(-0.4, 120 * ps, 2 * ns);
   AlignmentSearchOptions opts;
   const double t50 = *ramp.crossing(kVdd / 2, true);
-  opts.window_min = t50 - 300 * ps;
-  opts.window_max = t50 - 150 * ps;  // Forced early.
+  opts.domain = ScanDomain::interval(t50 - 300 * ps,
+                                     t50 - 150 * ps);  // Forced early.
   const AlignmentResult r = exhaustive_worst_alignment(
       ramp, pulse, receiver_x2(), 5 * fF, true, opts);
-  EXPECT_GE(r.t_peak, opts.window_min - 1 * ps);
-  EXPECT_LE(r.t_peak, opts.window_max + 1 * ps);
+  EXPECT_GE(r.t_peak, opts.domain.lo() - 1 * ps);
+  EXPECT_LE(r.t_peak, opts.domain.hi() + 1 * ps);
 }
 
 TEST(ReceiverInputAlignment, PeaksAtVddHalfPlusVn) {

@@ -121,15 +121,17 @@ TEST(AnalysisConfig, NonFiniteNumbersAreRejected) {
 
 // The single-threshold screen is gone (the fidelity ladder is the only
 // triage path), so are the per-family override keys (each knob is one
-// key writing one value), and so is the pre-reduction switch (PRIMA is
-// the one reducer). Their keys are unknown keys now, so a config dump
-// written before the removal fails cleanly on recovery instead of
-// half-applying.
+// key writing one value), so is the pre-reduction switch (PRIMA is the
+// one reducer), and so is the window-pruning switch (pruning always runs
+// and is a no-op on nets without windows or exclusions). Their keys are
+// unknown keys now, so a config dump written before the removal fails
+// cleanly on recovery instead of half-applying.
 TEST(AnalysisConfig, RemovedScreenKeysAreUnknownKeys) {
   for (const char* text :
        {"{\"screen_below_ps\":5}", "{\"screen_vn_below_v\":0.1}",
         "{\"ceff_max_dt_growth\":2}", "{\"rtr_max_dt_growth\":2}",
-        "{\"search_stale_jacobian_iters\":2}", "{\"prereduce\":true}"}) {
+        "{\"search_stale_jacobian_iters\":2}", "{\"prereduce\":true}",
+        "{\"window_pruning\":false}"}) {
     AnalysisConfig cfg;
     ASSERT_TRUE(cfg.apply(*json::parse("{\"jobs\":5}")).ok());
     const std::string before = cfg.to_json_text();
@@ -194,7 +196,7 @@ json::Object every_key_non_default() {
   return json::parse(R"({
     "jobs": 3, "top_k": 7, "fidelity_ladder": true,
     "fidelity_threshold_ps": 7, "fidelity_margin": 2.5,
-    "fidelity_max_tier": 1, "window_pruning": false, "max_retries": 2,
+    "fidelity_max_tier": 1, "max_retries": 2,
     "retry_backoff_ms": 1.5, "deadline_ms": 60000, "exhaustive": true,
     "thevenin": true, "solver": "sparse", "dt_ps": 2,
     "horizon_ns": 5, "model_alignment_iterations": 3,
@@ -217,7 +219,7 @@ std::string report_bytes(const AnalysisConfig& cfg) {
 TEST(AnalysisConfig, NonDefaultTableCoversEveryKey) {
   const json::Object table = every_key_non_default();
   const json::Value defaults = AnalysisConfig().to_json();
-  EXPECT_EQ(defaults.as_object().size(), 23u);
+  EXPECT_EQ(defaults.as_object().size(), 22u);
   EXPECT_EQ(table.size(), defaults.as_object().size());
   for (const auto& [key, v] : defaults.as_object()) {
     const json::Value* set = table.find(key);

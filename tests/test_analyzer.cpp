@@ -103,6 +103,21 @@ TEST(NoiseAnalyzer, ReportMentionsKeyQuantities) {
   EXPECT_NE(text.find("INVX1"), std::string::npos);
 }
 
+// A weak victim driver cannot switch the driver table's heaviest loads
+// within the reference sims' first 3 ns tail; the table fill lengthens
+// the tail instead of failing every net that driver drives.
+TEST(NoiseAnalyzer, WeakVictimDriversAnalyze) {
+  NoiseAnalyzer analyzer(fast_config());
+  for (const double size : {0.1, 0.2}) {
+    CoupledNet net = example_coupled_net(1);
+    net.victim.driver.size = size;
+    const StatusOr<DelayNoiseResult> r = analyzer.try_analyze(net);
+    ASSERT_TRUE(r.ok()) << size << ": " << r.status().to_string();
+    EXPECT_GT(r->delay_noise(), 10 * ps) << size;
+    EXPECT_LT(r->delay_noise(), 2 * ns) << size;
+  }
+}
+
 TEST(NoiseAnalyzer, WorksAcrossRandomPopulation) {
   NoiseAnalyzer analyzer(fast_config());
   Rng rng(31415);

@@ -8,7 +8,6 @@
 #include "ceff/effective_capacitance.hpp"
 #include "clarinet/analyzer.hpp"
 #include "core/alignment_table.hpp"
-#include "sta/noise_iteration.hpp"
 #include "rcnet/random_nets.hpp"
 #include "util/units.hpp"
 
@@ -100,22 +99,6 @@ TEST(Determinism, SameSeedSameResultBitwise) {
   EXPECT_EQ(std::get<1>(a), std::get<1>(b));
   EXPECT_EQ(std::get<2>(a), std::get<2>(b));
   EXPECT_EQ(std::get<3>(a), std::get<3>(b));
-}
-
-TEST(NoiseIterationGuards, DuplicateVictimRejected) {
-  TimingGraph g;
-  const int a = g.add_primary_input("a", 0.0, 10 * ps);
-  const int v = g.add_net("v");
-  const int x = g.add_net("x");
-  g.add_gate(v, {a}, 50 * ps);
-  g.add_gate(x, {a}, 40 * ps);
-  NetCouplingSite s1, s2;
-  s1.victim_net = v;
-  s1.aggressor_net = x;
-  s1.model = example_coupled_net(1);
-  s2 = s1;  // Same victim again.
-  EXPECT_THROW(iterate_windows_with_noise(g, {s1, s2}, {}),
-               std::invalid_argument);
 }
 
 }  // namespace

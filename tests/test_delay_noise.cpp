@@ -145,10 +145,9 @@ TEST_F(DelayNoiseFixture, WindowConstraintForcesEarlyAlignment) {
   DelayNoiseOptions boxed = free;
   const auto t20 = r_free.noiseless_sink.crossing(0.2 * 1.8, true);
   ASSERT_TRUE(t20.has_value());
-  boxed.search.window_min = *t20 - 400 * ps;
-  boxed.search.window_max = *t20;
+  boxed.search.domain = ScanDomain::interval(*t20 - 400 * ps, *t20);
   const DelayNoiseResult r_boxed = analyze_delay_noise(eng_, boxed);
-  EXPECT_LE(r_boxed.alignment.t_peak, boxed.search.window_max + 1 * ps);
+  EXPECT_LE(r_boxed.alignment.t_peak, *t20 + 1 * ps);
   // Constrained alignment cannot beat the unconstrained worst case.
   EXPECT_LE(r_boxed.delay_noise(), r_free.delay_noise() + 2 * ps);
 }

@@ -255,20 +255,35 @@ TEST(WindowPruning, ExclusionKeepsStrongerAggressor) {
   EXPECT_GT(r.delay_noise(), 0.0);
 }
 
-TEST(WindowPruning, OptOutRestoresClassicScan) {
-  CoupledNet net = example_coupled_net(2);
-  net.aggressors[1].window_early = 100 * ns;
-  net.aggressors[1].window_late = 101 * ns;
+TEST(WindowPruning, NarrowingWindowConfinesThePeak) {
+  // An aggressor window that keeps the aggressor but admits only
+  // alignments 150-300 ps earlier than the unconstrained worst case: the
+  // exhaustive peak must land in the mapped domain, and the noise cannot
+  // exceed the unconstrained worst case.
+  const CoupledNet plain = example_coupled_net(1);
+  SuperpositionEngine e0(plain);
+  const DelayNoiseOptions opts = coarse_options();
+  const DelayNoiseResult r0 = analyze_delay_noise(e0, opts);
+  const double t_ref = e0.options().t_ref;
+  const double start = t_ref + absolute_shifts(r0)[0];  // Aggressor input.
+
+  CoupledNet net = plain;
+  net.aggressors[0].window_early = start - 300 * ps;
+  net.aggressors[0].window_late = start - 150 * ps;
   SuperpositionEngine eng(net);
-  DelayNoiseOptions opts = coarse_options();
-  opts.window_pruning = false;
   const DelayNoiseResult r = analyze_delay_noise(eng, opts);
   EXPECT_EQ(r.aggressors_pruned_window, 0);
 
-  CoupledNet plain = example_coupled_net(2);
-  SuperpositionEngine e0(plain);
-  const DelayNoiseResult r0 = analyze_delay_noise(e0, opts);
-  EXPECT_EQ(r.noisy_t50, r0.noisy_t50);
+  // The final composite's mapping of the window onto peak times
+  // (core/delay_noise.cpp, window_domain).
+  const double base =
+      r.composite.params.t_peak - r.composite.shifts[0] - t_ref;
+  const double lo = base + net.aggressors[0].window_early;
+  const double hi = base + net.aggressors[0].window_late;
+  EXPECT_GE(r.alignment.t_peak, lo - 1e-15);
+  EXPECT_LE(r.alignment.t_peak, hi + 1e-15);
+  EXPECT_LT(hi, r0.alignment.t_peak);  // The free worst case is excluded.
+  EXPECT_LE(r.delay_noise(), r0.delay_noise());
 }
 
 TEST(WindowPruning, ValidateRejectsBadExclusions) {

@@ -87,8 +87,8 @@ TEST_P(FlowProperty, WindowedNeverExceedsUnconstrained) {
   const DelayNoiseResult r_free = analyze_delay_noise(eng, free);
 
   DelayNoiseOptions boxed = free;
-  boxed.search.window_min = r_free.alignment.t_peak - 500 * ps;
-  boxed.search.window_max = r_free.alignment.t_peak - 200 * ps;
+  boxed.search.domain = ScanDomain::interval(
+      r_free.alignment.t_peak - 500 * ps, r_free.alignment.t_peak - 200 * ps);
   const DelayNoiseResult r_boxed = analyze_delay_noise(eng, boxed);
   EXPECT_LE(r_boxed.delay_noise(), r_free.delay_noise() + 2 * ps);
 }

@@ -1,12 +1,11 @@
 // Remaining coverage: mixed-direction functional noise, multi-lobe
-// waveform measurements, algebraic waveform properties, and diamond
-// timing topologies.
+// waveform measurements, algebraic waveform properties, and library cell
+// names.
 #include <gtest/gtest.h>
 
 #include "core/functional_noise.hpp"
 #include "devices/gate_library.hpp"
 #include "rcnet/random_nets.hpp"
-#include "sta/timing_graph.hpp"
 #include "util/units.hpp"
 #include "waveform/pulse.hpp"
 
@@ -64,37 +63,6 @@ TEST(WaveformAlgebra, ScaledShiftCommute) {
   const Pwl y = p.shifted(100 * ps).scaled(2.0);
   for (double t = 0.5 * ns; t <= 1.8 * ns; t += 50 * ps)
     EXPECT_NEAR(x.at(t), y.at(t), 1e-12);
-}
-
-TEST(TimingDiamond, WindowsMergeAcrossReconvergence) {
-  // a -> {p, q} -> out: out's window spans the min/max through both arms.
-  TimingGraph g;
-  const int a = g.add_primary_input("a", 0.0, 40 * ps);
-  const int p = g.add_net("p");
-  const int q = g.add_net("q");
-  const int out = g.add_net("out");
-  g.add_gate(p, {a}, 100 * ps);
-  g.add_gate(q, {a}, 250 * ps);
-  g.add_gate(out, {p, q}, 50 * ps);
-  const auto w = g.compute_windows();
-  EXPECT_NEAR(w.early[static_cast<std::size_t>(out)], 150 * ps, 1e-15);
-  EXPECT_NEAR(w.late[static_cast<std::size_t>(out)], 340 * ps, 1e-15);
-}
-
-TEST(TimingDiamond, NoiseOnOneArmOnlyMovesLate) {
-  TimingGraph g;
-  const int a = g.add_primary_input("a", 0.0, 0.0);
-  const int p = g.add_net("p");
-  const int q = g.add_net("q");
-  const int out = g.add_net("out");
-  g.add_gate(p, {a}, 100 * ps);
-  g.add_gate(q, {a}, 100 * ps);
-  g.add_gate(out, {p, q}, 50 * ps);
-  std::vector<double> extra(static_cast<std::size_t>(g.num_nets()), 0.0);
-  extra[static_cast<std::size_t>(p)] = 60 * ps;
-  const auto w = g.compute_windows(extra);
-  EXPECT_NEAR(w.late[static_cast<std::size_t>(out)], 210 * ps, 1e-15);
-  EXPECT_NEAR(w.early[static_cast<std::size_t>(out)], 150 * ps, 1e-15);
 }
 
 TEST(GateLibraryNames, AllCellsResolve) {

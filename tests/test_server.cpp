@@ -277,7 +277,6 @@ TEST(ServerSession, EveryNonSchedulingConfigKeyDirtiesAllVictims) {
       {"fidelity_threshold_ps", "7"},
       {"fidelity_margin", "2.5"},
       {"fidelity_max_tier", "1"},
-      {"window_pruning", "false"},
       {"exhaustive", "true"},
       {"thevenin", "true"},
       {"solver", "\"sparse\""},
