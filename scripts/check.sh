@@ -3,14 +3,15 @@
 # ASan+UBSan pass over the solver/simulator core (the sparse LU and the
 # Newton restamp path are pointer-heavy index juggling — exactly what the
 # address sanitizer is for), a ThreadSanitizer pass over the batch
-# engine (the components with real cross-thread sharing: the
-# characterization cache, the driver-table store and the worker pool),
+# engine (the components with real cross-thread sharing: the table
+# store behind the characterization cache and the driver tables, and the
+# worker pool),
 # a fuzz smoke stage over
 # the SPEF parser, and a chaos stage that runs a batch under injected
 # faults at every site and demands degraded-not-crashed, job-count-
 # independent output (DESIGN.md §10), fault-free jobs-1 vs jobs-4
-# determinism checks (adaptive, fixed grid and exhaustive search), plus
-# server and CLI smokes.
+# determinism checks (adaptive, fixed grid and exhaustive search), a
+# cross-process cache-file round trip, plus server and CLI smokes.
 #
 # Usage: scripts/check.sh [--no-asan] [--no-tsan] [--no-fuzz] [--no-chaos]
 #                         [--no-bench]
@@ -86,9 +87,9 @@ if [[ "$run_tsan" == 1 ]]; then
   cmake --build build-tsan -j "$jobs" \
     --target test_batch_analyzer test_metrics test_fault_tolerance test_server \
              test_estimators
-  # The process-wide driver-table store: eight threads on shared and
-  # distinct keys.
-  ./build-tsan/tests/test_estimators --gtest_filter='TheveninTableStore.*'
+  # The table store behind driver and alignment tables: eight threads on
+  # shared and distinct keys, and on one failing key.
+  ./build-tsan/tests/test_estimators --gtest_filter='TableStore.*'
   ./build-tsan/tests/test_batch_analyzer
   ./build-tsan/tests/test_metrics
   ./build-tsan/tests/test_fault_tolerance
@@ -252,6 +253,28 @@ if ! cmp -s build/determinism_exhaustive_j1.json \
   exit 1
 fi
 echo "determinism: 10-net exhaustive report byte-identical at --jobs 1 and --jobs 4"
+
+echo "== cache file: cross-process round trip =="
+# The cache file carries alignment and driver tables: a second process
+# that loads it must print the same report and fill no table of either
+# kind.
+./build/tools/dnoise_cli --batch --random 40 --seed 3 --json \
+  --save-cache build/roundtrip.cache 2>/dev/null > build/roundtrip_save.json
+./build/tools/dnoise_cli --batch --random 40 --seed 3 --json \
+  --load-cache build/roundtrip.cache --metrics-json build/roundtrip.metrics \
+  2>/dev/null > build/roundtrip_load.json
+if ! cmp -s build/roundtrip_save.json build/roundtrip_load.json; then
+  echo "cache round trip: the loading run's report differs" >&2
+  exit 1
+fi
+python3 - build/roundtrip.metrics <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    counters = json.load(f)["counters"]
+for name in ("thevenin.tables", "characterize.tables"):
+    assert counters.get(name) == 0, f"cache round trip: {name} = {counters.get(name)}, want 0"
+print("cache round trip: same report, no table refilled")
+PY
 
 echo "== server smoke: scripted NDJSON session against --serve =="
 # A pipelined session: load a design, analyze, apply an ECO, re-analyze

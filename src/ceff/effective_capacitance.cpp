@@ -27,8 +27,7 @@ CeffResult compute_ceff(const GateParams& driver, double input_slew,
   obs::TraceSpan span("ceff.driver", "analyze");
   if (c_total <= 0.0)
     throw std::invalid_argument("compute_ceff: c_total must be > 0");
-  const TheveninTable& table =
-      driver_tables().table_for(driver, output_rising, opts.fit);
+  const TheveninTable& table = driver_table(driver, output_rising, opts.fit);
 
   CeffResult out;
   double ceff = c_total;

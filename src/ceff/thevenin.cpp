@@ -25,6 +25,8 @@ namespace {
 constexpr double kDt = 1e-12;        // Reference sim step (reference floor).
 constexpr double kTail = 3e-9;       // Sim horizon past the input ramp end.
 constexpr double kMaxTail = 16 * kTail;  // Longest tail a weak driver gets.
+constexpr double kSettled = 0.95;    // Swing, as a fraction of Vdd, that
+                                     // ends a reference sim.
 constexpr double kTimeTol = 1e-15;   // Crossing-time residual tolerance [s].
 constexpr int kMaxIterations = 60;   // Damped-Newton steps per seed.
 
@@ -90,9 +92,10 @@ Pwl simulate_reference(GateSim& sim, const Pwl& vin,
   if (std::abs(vin.max_value() - vin.min_value()) < 0.5 * vdd)
     throw std::runtime_error("fit_thevenin: input does not switch");
 
-  // A weak driver into a heavy load may not switch within kTail: double
-  // the tail until it does. Outputs that switch within kTail run exactly
-  // once, on the kTail horizon.
+  // A weak driver into a heavy load may not settle within kTail: double
+  // the tail until the output has swung kSettled of the rail, so the
+  // 10/50/90% crossings are taken on a full transition. Outputs that
+  // settle within kTail run exactly once, on the kTail horizon.
   for (double tail = kTail;; tail *= 2.0) {
     TransientSpec spec{0.0, vin.t_end() + tail, kDt};
     spec.lte_tol = opts.lte_tol;
@@ -101,10 +104,11 @@ Pwl simulate_reference(GateSim& sim, const Pwl& vin,
     if (!ref.ok()) raise(ref.status());
     const double v_start = ref->values().front();
     const double v_end = ref->values().back();
-    if (std::abs(v_end - v_start) >= 0.5 * vdd) return std::move(ref).value();
+    if (std::abs(v_end - v_start) >= kSettled * vdd)
+      return std::move(ref).value();
     if (tail >= kMaxTail)
       throw std::runtime_error(
-          "fit_thevenin: reference output did not switch");
+          "fit_thevenin: reference output did not settle");
   }
 }
 

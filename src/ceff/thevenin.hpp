@@ -59,9 +59,10 @@ struct TheveninFit {
 
 /// The nonlinear reference of a fit: one run of `sim` (the driver into its
 /// lumped load) with input `vin`, 3 ns past the input's end. An output
-/// that has not switched by then is rerun with the tail doubled, up to
-/// 48 ns. Returns the output waveform; throws when the input or the output
-/// does not switch.
+/// that has not swung 95% of Vdd by then is rerun with the tail doubled,
+/// up to 48 ns (INV 0.1 needs 24 ns at the driver tables' top load).
+/// Returns the output waveform; throws when the input does not switch or
+/// the output does not settle.
 Pwl simulate_reference(GateSim& sim, const Pwl& vin,
                        const TheveninFitOptions& opts = {});
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -10,8 +9,6 @@
 #include <string>
 
 #include "rcnet/net.hpp"
-#include "util/deadline.hpp"
-#include "util/fault_injection.hpp"
 #include "util/trace.hpp"
 
 namespace dn {
@@ -24,7 +21,7 @@ constexpr double kLoadMin = 0.5e-15;  // Default load axis [F].
 constexpr double kLoadMax = 700e-15;
 constexpr double kAxisStep = 1.7;     // Ratio of neighboring axis points.
 constexpr double kInputStart = 100e-12;  // Characterization input anchor.
-constexpr int kFormatVersion = 2;        // 2: reference crossing times.
+constexpr int kFormatVersion = 3;  // 3: the gate and fit options too.
 
 std::vector<double> geometric_axis(double lo, double hi) {
   std::vector<double> axis;
@@ -128,7 +125,8 @@ TheveninTable TheveninTable::characterize(const GateParams& gate,
 
   TheveninTable tbl;
   tbl.rising_ = output_rising;
-  tbl.vdd_ = gate.vdd;
+  tbl.gate_ = gate;
+  tbl.fit_ = fit;
   tbl.slews_ = std::move(slews);
   tbl.cloads_ = std::move(cloads);
   const std::size_t nc = tbl.cloads_.size();
@@ -181,7 +179,7 @@ TheveninModel TheveninTable::lookup(double input_slew, double cload,
   if (off_grid) c_clamped.add();
   // Fit the input-relative crossings, then move the model with the input:
   // the model depends on (slew, load) only.
-  TheveninModel m = fit_crossings(c, rising_, vdd_, cload);
+  TheveninModel m = fit_crossings(c, rising_, gate_.vdd, cload);
   m.t0 += t_input_start;
   return m;
 }
@@ -189,7 +187,9 @@ TheveninModel TheveninTable::lookup(double input_slew, double cload,
 void TheveninTable::save(std::ostream& os) const {
   os.precision(17);
   os << "dnoise-thevenin-table " << kFormatVersion << '\n';
-  os << (rising_ ? 1 : 0) << ' ' << vdd_ << '\n';
+  write_gate(os, gate_);
+  os << (rising_ ? 1 : 0) << ' ' << fit_.lte_tol << ' '
+     << fit_.stale_jacobian_iters << '\n';
   os << slews_.size() << ' ' << cloads_.size() << '\n';
   for (double s : slews_) os << s << ' ';
   os << '\n';
@@ -209,11 +209,13 @@ TheveninTable TheveninTable::load(std::istream& is) {
     throw std::runtime_error("TheveninTable: unsupported format version " +
                              std::to_string(version));
   TheveninTable tbl;
+  tbl.gate_ = read_gate(is);
   int rising = 0;
   std::size_t ns = 0, nc = 0;
-  is >> rising >> tbl.vdd_ >> ns >> nc;
-  if (!is || !std::isfinite(tbl.vdd_) || !(tbl.vdd_ > 0.0) || ns == 0 ||
-      nc == 0 || ns > 10000 || nc > 10000)
+  is >> rising >> tbl.fit_.lte_tol >> tbl.fit_.stale_jacobian_iters >> ns >>
+      nc;
+  if (!is || !std::isfinite(tbl.gate_.vdd) || !(tbl.gate_.vdd > 0.0) ||
+      ns == 0 || nc == 0 || ns > 10000 || nc > 10000)
     throw std::runtime_error("TheveninTable: corrupt header");
   tbl.rising_ = rising != 0;
   tbl.slews_.resize(ns);
@@ -235,66 +237,38 @@ TheveninTable TheveninTable::load(std::istream& is) {
   return tbl;
 }
 
-TheveninTableStore::Key TheveninTableStore::key_of(
-    const GateParams& g, bool output_rising, const TheveninFitOptions& fit) {
-  // A field added to either struct must join the key.
-  static_assert(sizeof(MosfetParams) == 8 * sizeof(double));
-  static_assert(sizeof(GateParams) ==
-                5 * sizeof(double) + 2 * sizeof(MosfetParams));
-  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
-  Key k{};
-  std::size_t i = 0;
-  k[i++] = static_cast<std::uint64_t>(g.type);
-  for (const double x : {g.size, g.vdd, g.wn_unit, g.wp_unit}) k[i++] = bits(x);
-  for (const MosfetParams* p : {&g.nmos_proto, &g.pmos_proto}) {
-    k[i++] = static_cast<std::uint64_t>(p->type);
-    for (const double x :
-         {p->w, p->l, p->vt, p->kp, p->lambda, p->cg_per_m, p->cj_per_m})
-      k[i++] = bits(x);
-  }
-  k[i++] = output_rising ? 1 : 0;
-  k[i++] = bits(fit.lte_tol);
-  k[i++] = static_cast<std::uint64_t>(fit.stale_jacobian_iters);
-  return k;
+GateTableKey TheveninTable::key() const {
+  return gate_table_key(gate_, rising_, fit_.lte_tol,
+                        fit_.stale_jacobian_iters);
 }
 
-const TheveninTable& TheveninTableStore::table_for(
-    const GateParams& gate, bool output_rising, const TheveninFitOptions& fit) {
-  const Key key = key_of(gate, output_rising, fit);
-  Entry* entry = nullptr;
-  {
-    std::shared_lock<std::shared_mutex> lk(mu_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) entry = it->second.get();
-  }
-  if (!entry) {
-    std::unique_lock<std::shared_mutex> lk(mu_);
-    entry = entries_.try_emplace(key, std::make_unique<Entry>())
-                .first->second.get();
-  }
-  if (const TheveninTable* t = entry->ready.load(std::memory_order_acquire))
-    return *t;
-  std::lock_guard<std::mutex> fill_lock(entry->fill_mu);
-  if (const TheveninTable* t = entry->ready.load(std::memory_order_acquire))
-    return *t;  // Another thread filled it while this one waited.
+DriverTableStore& driver_tables() {
+  static DriverTableStore* store = new DriverTableStore;
+  return *store;
+}
+
+const TheveninTable& driver_table(const GateParams& gate, bool output_rising,
+                                  const TheveninFitOptions& fit,
+                                  DriverTableStore& store) {
   static obs::Counter& c_tables = obs::metrics().counter("thevenin.tables");
   static obs::Histogram& h_seconds =
       obs::metrics().histogram("stage.thevenin.seconds");
-  obs::StageScope stage("thevenin.characterize", "characterize", h_seconds);
-  fault::ScopedSuspend no_faults;
-  ScopedDeadline no_deadline{Deadline{}};
-  entry->table = std::make_unique<const TheveninTable>(
-      TheveninTable::characterize(gate, output_rising,
-                                  TheveninTable::default_slews(),
-                                  TheveninTable::default_loads(), fit));
-  entry->ready.store(entry->table.get(), std::memory_order_release);
-  c_tables.add();
-  return *entry->table;
-}
-
-TheveninTableStore& driver_tables() {
-  static TheveninTableStore* store = new TheveninTableStore;
-  return *store;
+  TableFound found{};
+  const StatusOr<const TheveninTable*> table = store.get(
+      gate_table_key(gate, output_rising, fit.lte_tol,
+                     fit.stale_jacobian_iters),
+      [&] {
+        obs::StageScope stage("thevenin.characterize", "characterize",
+                              h_seconds);
+        return TheveninTable::characterize(gate, output_rising,
+                                           TheveninTable::default_slews(),
+                                           TheveninTable::default_loads(),
+                                           fit);
+      },
+      &found);
+  if (!table.ok()) raise(table.status());
+  if (found == TableFound::kFilled) c_tables.add();
+  return **table;
 }
 
 }  // namespace dn

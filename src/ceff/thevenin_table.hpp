@@ -10,22 +10,16 @@
 // (t0, tr, Rth) do not; a lookup interpolates the crossings and runs the
 // 3-crossing fit (ceff/thevenin.*) at the exact load.
 //
-// TheveninTableStore holds one table per cell condition for the whole
+// driver_tables() holds one table per cell condition for the whole
 // process: the C-effective loop of every SuperpositionEngine reads it, so
 // each driver cell is simulated once per process, never per net.
 #pragma once
 
-#include <array>
-#include <atomic>
-#include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <vector>
 
 #include "ceff/thevenin.hpp"
+#include "util/table_store.hpp"
 
 namespace dn {
 
@@ -64,14 +58,21 @@ class TheveninTable {
   const std::vector<double>& slews() const { return slews_; }
   const std::vector<double>& cloads() const { return cloads_; }
   bool output_rising() const { return rising_; }
-  double vdd() const { return vdd_; }
+  double vdd() const { return gate_.vdd; }
+  const GateParams& gate() const { return gate_; }
+  const TheveninFitOptions& fit() const { return fit_; }
+
+  /// The table's store key (gate_table_key): its gate, direction and the
+  /// reference sims' settings.
+  GateTableKey key() const;
 
   /// Raw grid entry (si-th slew, ci-th load), input-relative.
   const Crossings& at(std::size_t si, std::size_t ci) const;
 
-  /// Persistence (characterize once per library, reload per session).
-  /// load() applies characterize()'s axis checks and rejects non-finite
-  /// entries and any format version but the current one.
+  /// Persistence (characterize once per library, reload per session). The
+  /// record carries the gate and fit options. load() applies
+  /// characterize()'s axis checks and rejects non-finite entries and any
+  /// format version but the current one.
   void save(std::ostream& os) const;
   static TheveninTable load(std::istream& is);
 
@@ -80,48 +81,20 @@ class TheveninTable {
   std::vector<double> slews_, cloads_;
   std::vector<Crossings> grid_;  // [si * cloads + ci], input-relative.
   bool rising_ = true;
-  double vdd_ = 0.0;
+  GateParams gate_;
+  TheveninFitOptions fit_;
 };
 
-/// Thread-safe store of driver tables, one per fill key: every GateParams
-/// field, the output direction, and the reference sims' `lte_tol` and
-/// `stale_jacobian_iters`. Locking follows CharacterizationCache's two
-/// layers: a shared_mutex guards the key -> entry map (entries are never
-/// erased, so table references stay valid), and each entry serializes its
-/// own fill outside the map lock. The per-entry guard is a mutex plus a
-/// published pointer rather than a once_flag, because a fill may throw:
-/// std::call_once left by an exception hangs the next call under
-/// ThreadSanitizer's pthread_once interceptor.
-///
-/// A stored table is a pure function of its key: fills run on the
-/// default axes with fault injection suspended and outside the caller's
-/// deadline, and a fill that throws installs nothing, so the exception
-/// reaches the caller and the next request for the key retries.
-class TheveninTableStore {
- public:
-  TheveninTableStore() = default;
-  TheveninTableStore(const TheveninTableStore&) = delete;
-  TheveninTableStore& operator=(const TheveninTableStore&) = delete;
-
-  const TheveninTable& table_for(const GateParams& gate, bool output_rising,
-                                 const TheveninFitOptions& fit);
-
- private:
-  using Key = std::array<std::uint64_t, 24>;
-  static Key key_of(const GateParams& gate, bool output_rising,
-                    const TheveninFitOptions& fit);
-
-  struct Entry {
-    std::mutex fill_mu;  // Held while filling this key.
-    std::unique_ptr<const TheveninTable> table;  // Written under fill_mu.
-    std::atomic<const TheveninTable*> ready{nullptr};  // Set after `table`.
-  };
-
-  mutable std::shared_mutex mu_;
-  std::map<Key, std::unique_ptr<Entry>> entries_;
-};
+using DriverTableStore = TableStore<GateTableKey, TheveninTable>;
 
 /// The process-wide store the C-effective loop reads.
-TheveninTableStore& driver_tables();
+DriverTableStore& driver_tables();
+
+/// The table for (gate, output direction, fit) in `store`, filled on the
+/// default axes on first use. A failed fill is stored like a table: every
+/// call for its key throws the same status.
+const TheveninTable& driver_table(const GateParams& gate, bool output_rising,
+                                  const TheveninFitOptions& fit,
+                                  DriverTableStore& store = driver_tables());
 
 }  // namespace dn

@@ -5,9 +5,9 @@
 // vector of CoupledNets fans out across a worker pool, every worker runs
 // the complete per-net flow (Ceff/Thevenin characterization, Rtr
 // iteration, composite pulse, worst-case alignment), and all workers
-// share one process-wide CharacterizationCache so each receiver condition
-// is table-characterized exactly once per run, no matter how many
-// instances or threads touch it.
+// share one CharacterizationCache so each receiver condition is
+// table-characterized exactly once per run, no matter how many instances
+// or threads touch it.
 //
 // Guarantees:
 //   - Determinism: per-net results are bit-identical regardless of the

@@ -1,12 +1,11 @@
 #include "clarinet/characterization_cache.hpp"
 
-#include <bit>
 #include <fstream>
-#include <optional>
 #include <sstream>
+#include <vector>
 
+#include "ceff/thevenin_table.hpp"
 #include "rcnet/net_hash.hpp"
-#include "util/deadline.hpp"
 #include "util/durable_io.hpp"
 #include "util/fault_injection.hpp"
 #include "util/trace.hpp"
@@ -29,79 +28,49 @@ CacheMetrics& cache_metrics() {
   return m;
 }
 
+std::uint64_t key_hash(const GateTableKey& key) {
+  std::uint64_t h = 0;
+  for (const std::uint64_t word : key) h = fault::mix64(h ^ word);
+  return h;
+}
+
 }  // namespace
 
 CharacterizationCache::CharacterizationCache(AlignmentTableSpec spec)
     : spec_(std::move(spec)) {}
 
-CharacterizationCache::Entry* CharacterizationCache::entry_for(const Key& key) {
-  {
-    std::shared_lock<std::shared_mutex> lk(mu_);
-    const auto it = entries_.find(key);
-    if (it != entries_.end()) return it->second.get();
-  }
-  std::unique_lock<std::shared_mutex> lk(mu_);
-  // try_emplace: a thread that lost the upgrade race reuses the winner's
-  // placeholder entry instead of clobbering it.
-  const auto [it, inserted] =
-      entries_.try_emplace(key, std::make_unique<Entry>());
-  (void)inserted;
-  return it->second.get();
-}
-
 StatusOr<const AlignmentTable*> CharacterizationCache::try_table_for(
     const GateParams& receiver, bool victim_rising) {
-  const Key key{receiver.type, receiver.size, receiver.vdd, victim_rising};
-  Entry* entry = entry_for(key);
+  const GateTableKey key =
+      gate_table_key(receiver, victim_rising, spec_.search.lte_tol,
+                     spec_.search.stale_jacobian_iters);
+  if (fault::should_fail(fault::Site::kCacheFill, key_hash(key)))
+    return Status::Internal(
+        "injected fault: alignment-table characterization");
 
-  // `ready` distinguishes a clean hit from a hit that blocked on another
-  // thread's in-flight characterization (once-flag contention).
-  const bool was_ready = entry->ready.load(std::memory_order_acquire);
-  bool characterized_here = false;
-  std::call_once(entry->once, [&] {
-    characterized_here = true;
-    // The fill produces SHARED state: its outcome must be a function of
-    // the cache key alone, never of which net's worker got here first.
-    // So it runs under its own fault-injection context (keyed by the
-    // key), shielded from the calling net's deadline (one net's budget
-    // must not poison the entry for every later net), and any failure is
-    // caught into the entry so call_once completes and every future
-    // lookup observes the identical status.
-    const std::uint64_t key_hash =
-        fault::mix64(static_cast<std::uint64_t>(receiver.type)) ^
-        fault::mix64(std::bit_cast<std::uint64_t>(receiver.size)) ^
-        fault::mix64(std::bit_cast<std::uint64_t>(receiver.vdd)) ^
-        fault::mix64(victim_rising ? 1 : 2);
-    fault::ScopedContext fault_ctx(key_hash);
-    ScopedDeadline no_deadline{Deadline{}};
-    obs::StageScope stage("cache.table", "characterize",
-                          cache_metrics().seconds);
-    try {
-      if (fault::should_fail(fault::Site::kCacheFill, key_hash))
-        throw std::runtime_error(
-            "injected fault: alignment-table characterization");
-      entry->table = std::make_unique<const AlignmentTable>(
-          AlignmentTable::characterize(receiver, victim_rising, spec_,
-                                       fault::enabled() ? nullptr : pool_));
-    } catch (const std::exception& e) {
-      entry->status = status_from_exception(e);
-    }
-    entry->ready.store(true, std::memory_order_release);
-  });
-  if (characterized_here) {
+  TableFound found{};
+  StatusOr<const AlignmentTable*> table = tables_.get(
+      key,
+      [&] {
+        obs::StageScope stage("cache.table", "characterize",
+                              cache_metrics().seconds);
+        return AlignmentTable::characterize(receiver, victim_rising, spec_,
+                                            pool_);
+      },
+      &found);
+  if (found == TableFound::kFilled) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     cache_metrics().misses.add();
-    if (entry->table) cache_metrics().tables.add();
+    if (table.ok()) cache_metrics().tables.add();
   } else {
     hits_.fetch_add(1, std::memory_order_relaxed);
     cache_metrics().hits.add();
-    if (!was_ready) {
+    if (found == TableFound::kWaited) {
       contention_waits_.fetch_add(1, std::memory_order_relaxed);
       cache_metrics().waits.add();
     }
   }
-  if (entry->table) return entry->table.get();
-  return entry->status;
+  return table;
 }
 
 const AlignmentTable* CharacterizationCache::table_for(
@@ -111,15 +80,13 @@ const AlignmentTable* CharacterizationCache::table_for(
   return *table;
 }
 
-std::size_t CharacterizationCache::tables_cached() const {
-  std::shared_lock<std::shared_mutex> lk(mu_);
-  return entries_.size();
-}
-
 namespace {
 
 constexpr const char* kCacheMagic = "dnoise-char-cache";
-constexpr int kCacheVersion = 3;
+// 4: tagged alignment and driver records (3 held alignment tables only).
+constexpr int kCacheVersion = 4;
+constexpr const char* kAlignmentTag = "alignment";
+constexpr const char* kDriverTag = "driver";
 
 std::uint64_t payload_hash(const std::string& payload) {
   HashStream h;
@@ -130,20 +97,16 @@ std::uint64_t payload_hash(const std::string& payload) {
 }  // namespace
 
 Status CharacterizationCache::save(std::ostream& os) const {
-  // Snapshot the finished tables under the shared lock (pointers are
-  // stable, so serialization can run outside it — but entries are tiny
-  // text records, so simplicity wins: serialize inside).
   std::ostringstream payload;
   std::size_t count = 0;
-  {
-    std::shared_lock<std::shared_mutex> lk(mu_);
-    for (const auto& [key, entry] : entries_) {
-      if (!entry->ready.load(std::memory_order_acquire) || !entry->table)
-        continue;  // In-flight or failed: not worth persisting.
-      entry->table->save(payload);
-      ++count;
-    }
-  }
+  const auto write = [&](const char* tag, const auto& table) {
+    payload << tag << '\n';
+    table.save(payload);
+    ++count;
+  };
+  tables_.for_each([&](const AlignmentTable& t) { write(kAlignmentTag, t); });
+  driver_tables().for_each(
+      [&](const TheveninTable& t) { write(kDriverTag, t); });
   const std::string bytes = payload.str();
   os << kCacheMagic << ' ' << kCacheVersion << ' ' << count << ' ' << std::hex
      << payload_hash(bytes) << std::dec << '\n'
@@ -187,35 +150,50 @@ StatusOr<std::size_t> CharacterizationCache::load(std::istream& is) {
         "characterization cache: content hash mismatch (corrupt or "
         "truncated file)");
 
+  // Parse and check every record before installing any.
   std::istringstream records(payload);
-  std::size_t installed = 0;
+  std::vector<AlignmentTable> alignment;
+  std::vector<TheveninTable> drivers;
   for (std::size_t i = 0; i < count; ++i) {
-    std::optional<AlignmentTable> loaded;
+    std::string tag;
+    records >> tag;
     try {
-      loaded.emplace(AlignmentTable::load(records));
+      if (tag == kAlignmentTag) {
+        alignment.push_back(AlignmentTable::load(records));
+        if (alignment.back().spec() != spec_)
+          return Status::FailedPrecondition(
+              "characterization cache: table spec differs from this "
+              "cache's spec");
+      } else if (tag == kDriverTag) {
+        drivers.push_back(TheveninTable::load(records));
+        if (drivers.back().slews() != TheveninTable::default_slews() ||
+            drivers.back().cloads() != TheveninTable::default_loads())
+          return Status::FailedPrecondition(
+              "characterization cache: driver table off the store's axes");
+      } else {
+        return Status::InvalidArgument(
+            "characterization cache: unknown record tag '" + tag + "'");
+      }
     } catch (const std::exception& e) {
       // Corrupt records the hash check could not catch (it validates
       // bytes, not semantics).
       return Status::InvalidArgument(std::string("characterization cache: ") +
                                      e.what());
     }
-    if (loaded->spec() != spec_)
-      return Status::FailedPrecondition(
-          "characterization cache: table spec differs from this cache's "
-          "spec");
-    const GateParams& receiver = loaded->receiver();
-    const Key key{receiver.type, receiver.size, receiver.vdd,
-                  loaded->victim_rising()};
-    Entry* entry = entry_for(key);
-    std::call_once(entry->once, [&] {
-      entry->table =
-          std::make_unique<const AlignmentTable>(std::move(*loaded));
-      entry->ready.store(true, std::memory_order_release);
-      ++installed;
-    });
-    // A key already characterized live keeps its live table: pointers
-    // handed out earlier must stay valid.
   }
+
+  // Install each record through its store's fill path: the first table
+  // for a key wins.
+  std::size_t installed = 0;
+  const auto install = [&](auto& store, auto& tables) {
+    for (auto& t : tables) {
+      TableFound found{};
+      (void)store.get(t.key(), [&] { return std::move(t); }, &found);
+      installed += found == TableFound::kFilled ? 1 : 0;
+    }
+  };
+  install(tables_, alignment);
+  install(driver_tables(), drivers);
   return installed;
 }
 

@@ -1,36 +1,23 @@
-// Process-wide, thread-safe characterization cache.
+// Thread-safe characterization cache: the 8-point alignment tables of one
+// table spec, shared by every analyzer and worker of a run or server
+// session, and the file that persists them with the process's driver
+// tables.
 //
-// An 8-point AlignmentTable costs eight exhaustive alignment searches —
-// by far the most expensive step of the flow — but depends only on the
-// receiver (type, size, vdd) and the victim transition direction, exactly
-// like a library pre-characterization. A full-chip run sees each receiver
-// condition millions of times, so the cache is shared by every analyzer
-// and every worker thread.
-//
-// Locking protocol (two layers, so characterization never blocks lookups):
-//   1. A std::shared_mutex guards the key -> Entry map. Lookups take it
-//      shared; inserting a *placeholder* Entry takes it exclusive for the
-//      few nanoseconds a map insert needs. Entries are heap-allocated and
-//      never erased, so the returned table pointers are stable forever.
-//   2. Each Entry owns a std::once_flag. The actual characterization runs
-//      inside call_once, outside the map lock: two threads racing on the
-//      same NEW key serialize on that entry alone (one computes, one
-//      waits), and a table is computed exactly once per key — while
-//      threads working on other keys sail through untouched.
+// An AlignmentTable costs eight exhaustive alignment searches — by far
+// the most expensive step of the flow — but depends only on the receiver
+// and the victim transition direction, like a library
+// pre-characterization. The tables live in a TableStore
+// (util/table_store.hpp), which fixes how they fill and fail.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
-#include <tuple>
 
 #include "core/alignment_table.hpp"
 #include "util/status.hpp"
+#include "util/table_store.hpp"
 
 namespace dn {
 
@@ -43,16 +30,10 @@ class CharacterizationCache {
   CharacterizationCache& operator=(const CharacterizationCache&) = delete;
 
   /// The 8-point table for a receiver condition, characterizing it on
-  /// first use. The pointer is stable: it is never invalidated by later
-  /// insertions and remains valid for the cache's lifetime. Thread-safe.
-  ///
-  /// A characterization that FAILS is cached too: call_once still
-  /// completes, the entry stores the failure Status, and every lookup of
-  /// that key — on any thread, in any order — observes the identical
-  /// status. The fill runs under its own fault-injection context (keyed
-  /// by the cache key) and shielded from the calling net's deadline, so
-  /// a shared entry's outcome is a function of the key alone, never of
-  /// which net's worker happened to fill it first.
+  /// first use; the pointer stays valid for the cache's lifetime.
+  /// Thread-safe. The `cache` fault site is probed here, from the key,
+  /// before the store: an injected fault fails this lookup alone and is
+  /// never stored.
   StatusOr<const AlignmentTable*> try_table_for(const GateParams& receiver,
                                                 bool victim_rising);
 
@@ -60,20 +41,21 @@ class CharacterizationCache {
   const AlignmentTable* table_for(const GateParams& receiver,
                                   bool victim_rising);
 
-  /// Number of distinct receiver conditions characterized so far.
-  std::size_t tables_cached() const;
+  /// Tables characterized or loaded so far (what save() writes; failed
+  /// and in-flight fills do not count).
+  std::size_t tables_cached() const { return tables_.size(); }
 
-  /// Lookup counters: a hit found a finished table; a miss performed the
-  /// characterization. (A thread that waits on another thread's in-flight
-  /// characterization counts as a hit — it did not pay for the work.)
+  /// Lookup counters: a hit found a finished outcome; a miss performed
+  /// the characterization. (A thread that waits on another thread's
+  /// in-flight characterization counts as a hit — it did not pay for the
+  /// work.) A lookup failed by an injected fault counts as neither.
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   std::uint64_t misses() const {
     return misses_.load(std::memory_order_relaxed);
   }
   /// Hits that had to BLOCK on another thread's in-flight characterization
-  /// of the same key (once-flag contention) — the batch engine's main
-  /// cold-start serialization. Also exported as obs counter
-  /// "cache.contention_waits".
+  /// of the same key — the batch engine's main cold-start serialization.
+  /// Also exported as obs counter "cache.contention_waits".
   std::uint64_t contention_waits() const {
     return contention_waits_.load(std::memory_order_relaxed);
   }
@@ -85,47 +67,28 @@ class CharacterizationCache {
   /// workers instead of serializing on the filling thread — the --jobs
   /// win for runs with few distinct receiver conditions. The pool must
   /// outlive every fill (the owner clears it before destroying the
-  /// pool). Ignored while fault injection is enabled: chaos runs keep
-  /// the sequential per-corner probe sequence so injected-fault
-  /// decisions stay reproducible. Not synchronized — set it before
-  /// handing the cache to workers.
+  /// pool). Not synchronized — set it before handing the cache to
+  /// workers.
   void set_characterization_pool(ThreadPool* pool) { pool_ = pool; }
 
-  /// Disk persistence. save() writes every SUCCESSFULLY characterized
-  /// table (failures are cheap to rediscover and may be run-specific) in
-  /// deterministic key order, preceded by a header carrying an FNV-1a
-  /// hash of the payload bytes. load() verifies that content hash before
-  /// touching the cache — a truncated or hand-edited file is rejected
-  /// whole as kInvalidArgument — and rejects tables whose embedded spec
-  /// differs from this cache's spec (kFailedPrecondition): a table
-  /// characterized under different corners must never satisfy a lookup.
-  ///
-  /// Loaded tables are installed through the same per-entry call_once
-  /// discipline as live fills, so they are indistinguishable from tables
-  /// characterized this run: later lookups count as hits, pointers are
-  /// stable, and a key already characterized live keeps its live table.
-  /// Returns the number of tables actually installed.
+  /// Disk persistence. save() writes this cache's tables and the
+  /// process-wide driver tables (driver_tables()) as tagged records in
+  /// key order, under a header carrying an FNV-1a hash of the payload.
+  /// load() rejects the file whole when that hash does not match
+  /// (kInvalidArgument), or when an alignment table's spec differs from
+  /// this cache's or a driver table is off the store's axes
+  /// (kFailedPrecondition); then it installs each record into its own
+  /// store. The first table for a key wins, so pointers handed out
+  /// earlier stay valid. Returns the number of tables installed.
   Status save(std::ostream& os) const;
   Status save_file(const std::string& path) const;
   StatusOr<std::size_t> load(std::istream& is);
   StatusOr<std::size_t> load_file(const std::string& path);
 
  private:
-  using Key = std::tuple<GateType, double, double, bool>;
-
-  struct Entry {
-    std::once_flag once;
-    std::unique_ptr<const AlignmentTable> table;  // Set inside call_once.
-    Status status;  // Failure cause when the fill failed (table == null).
-    std::atomic<bool> ready{false};  // Set after `table`, inside call_once.
-  };
-
-  Entry* entry_for(const Key& key);
-
   AlignmentTableSpec spec_;
   ThreadPool* pool_ = nullptr;  // Optional; see set_characterization_pool.
-  mutable std::shared_mutex mu_;
-  std::map<Key, std::unique_ptr<Entry>> entries_;
+  TableStore<GateTableKey, AlignmentTable> tables_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> contention_waits_{0};

@@ -8,12 +8,20 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "util/deadline.hpp"
 #include "util/metrics.hpp"
 #include "util/numeric.hpp"
+#include "util/table_store.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dn {
+
+namespace {
+
+// 5: every GateParams field of the receiver (4 dropped the MOSFET
+// prototypes' type, w and l).
+constexpr int kFormatVersion = 5;
+
+}  // namespace
 
 AlignmentTable AlignmentTable::characterize(const GateParams& receiver,
                                             bool victim_rising,
@@ -66,32 +74,34 @@ AlignmentTable AlignmentTable::characterize(const GateParams& receiver,
     return worst.align_voltage;
   };
 
-  if (pool && pool->num_threads() > 0) {
-    // Corners write disjoint fixed slots; a failed corner parks its
-    // exception and the lowest corner index wins the rethrow, so the
-    // reported error never depends on completion order.
-    std::array<std::exception_ptr, 8> errors{};
-    pool->parallel_for(8, [&](std::size_t c) {
-      const int si = static_cast<int>(c >> 2) & 1;
-      const int wi = static_cast<int>(c >> 1) & 1;
-      const int hi = static_cast<int>(c) & 1;
-      try {
-        tbl.va_[si][wi][hi] = corner_value(si, wi, hi);
-      } catch (...) {
-        errors[c] = std::current_exception();
-      }
-    });
-    for (const auto& e : errors)
-      if (e) std::rethrow_exception(e);
-  } else {
-    for (int si = 0; si < 2; ++si)
-      for (int wi = 0; wi < 2; ++wi)
-        for (int hi = 0; hi < 2; ++hi) {
-          deadline_checkpoint("AlignmentTable::characterize");
-          tbl.va_[si][wi][hi] = corner_value(si, wi, hi);
-        }
-  }
+  // Corners write disjoint fixed slots; a failed corner parks its
+  // exception and the lowest corner index wins the rethrow, so the
+  // reported error never depends on completion order. Each corner opens
+  // the fill protocol's thread-local scopes on the thread it runs on.
+  std::array<std::exception_ptr, 8> errors{};
+  const auto run_corner = [&](std::size_t c) {
+    FillScope fill_scope;
+    const int si = static_cast<int>(c >> 2) & 1;
+    const int wi = static_cast<int>(c >> 1) & 1;
+    const int hi = static_cast<int>(c) & 1;
+    try {
+      tbl.va_[si][wi][hi] = corner_value(si, wi, hi);
+    } catch (...) {
+      errors[c] = std::current_exception();
+    }
+  };
+  if (pool)
+    pool->parallel_for(8, run_corner);
+  else
+    for (std::size_t c = 0; c < 8; ++c) run_corner(c);
+  for (const auto& e : errors)
+    if (e) std::rethrow_exception(e);
   return tbl;
+}
+
+GateTableKey AlignmentTable::key() const {
+  return gate_table_key(receiver_, victim_rising_, spec_.search.lte_tol,
+                        spec_.search.stale_jacobian_iters);
 }
 
 double AlignmentTable::alignment_voltage(int si, int wi, int hi) const {
@@ -154,38 +164,10 @@ double AlignmentTable::predict_peak_time(const Pwl& noiseless_sink,
   return t_corner[0] * (1 - ts) + t_corner[1] * ts;
 }
 
-}  // namespace dn
-
-namespace {
-
-void save_gate(std::ostream& os, const dn::GateParams& g) {
-  os << static_cast<int>(g.type) << ' ' << g.size << ' ' << g.vdd << ' '
-     << g.wn_unit << ' ' << g.wp_unit;
-  for (const dn::MosfetParams* p : {&g.nmos_proto, &g.pmos_proto})
-    os << ' ' << p->vt << ' ' << p->kp << ' ' << p->lambda << ' '
-       << p->cg_per_m << ' ' << p->cj_per_m;
-  os << '\n';
-}
-
-dn::GateParams load_gate(std::istream& is) {
-  dn::GateParams g;
-  int type = 0;
-  is >> type >> g.size >> g.vdd >> g.wn_unit >> g.wp_unit;
-  g.type = static_cast<dn::GateType>(type);
-  for (dn::MosfetParams* p : {&g.nmos_proto, &g.pmos_proto})
-    is >> p->vt >> p->kp >> p->lambda >> p->cg_per_m >> p->cj_per_m;
-  if (!is) throw std::runtime_error("AlignmentTable: corrupt gate record");
-  return g;
-}
-
-}  // namespace
-
-namespace dn {
-
 void AlignmentTable::save(std::ostream& os) const {
   os.precision(17);
-  os << "dnoise-alignment-table 4\n";
-  save_gate(os, receiver_);
+  os << "dnoise-alignment-table " << kFormatVersion << '\n';
+  write_gate(os, receiver_);
   os << (victim_rising_ ? 1 : 0) << '\n';
   os << spec_.slew_min << ' ' << spec_.slew_max << ' ' << spec_.width_min
      << ' ' << spec_.width_max << ' ' << spec_.height_min_frac << ' '
@@ -207,10 +189,10 @@ AlignmentTable AlignmentTable::load(std::istream& is) {
   std::string magic;
   int version = 0;
   is >> magic >> version;
-  if (magic != "dnoise-alignment-table" || version != 4)
+  if (magic != "dnoise-alignment-table" || version != kFormatVersion)
     throw std::runtime_error("AlignmentTable: unrecognized table file");
   AlignmentTable tbl;
-  tbl.receiver_ = load_gate(is);
+  tbl.receiver_ = read_gate(is);
   int rising = 0;
   is >> rising;
   tbl.victim_rising_ = rising != 0;

@@ -55,11 +55,9 @@ class AlignmentTable {
   /// and identical to the sequential path: every corner computes from
   /// its own inputs alone and writes its own fixed table slot, and on
   /// failure the lowest-index corner's error is reported regardless of
-  /// completion order. Corner searches on pool workers do not observe
-  /// the caller's thread-local deadline (the characterization-cache fill
-  /// deliberately runs deadline-shielded anyway) or fault-injection
-  /// scope, so callers that need those sequenced (chaos runs) must pass
-  /// nullptr.
+  /// completion order. Every corner search runs inside a FillScope
+  /// (util/table_store.hpp) on the thread that runs it: fault injection
+  /// suspended and no deadline, so a table is a function of its inputs.
   static AlignmentTable characterize(const GateParams& receiver,
                                      bool victim_rising,
                                      const AlignmentTableSpec& spec = {},
@@ -77,13 +75,18 @@ class AlignmentTable {
   double alignment_voltage(int si, int wi, int hi) const;
 
   /// Persistence: characterization is expensive (8 exhaustive searches),
-  /// so tools save the tables with the library. Text format, versioned.
+  /// so tools save the tables with the library. Text format, versioned;
+  /// the record carries every field of the receiver.
   void save(std::ostream& os) const;
   static AlignmentTable load(std::istream& is);
 
   const AlignmentTableSpec& spec() const { return spec_; }
   bool victim_rising() const { return victim_rising_; }
   const GateParams& receiver() const { return receiver_; }
+
+  /// The table's store key (gate_table_key): its receiver, direction and
+  /// the search's sim settings.
+  GateTableKey key() const;
 
  private:
   AlignmentTable() = default;

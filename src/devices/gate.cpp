@@ -1,5 +1,8 @@
 #include "devices/gate.hpp"
 
+#include <bit>
+#include <istream>
+#include <ostream>
 #include <stdexcept>
 
 namespace dn {
@@ -26,6 +29,57 @@ double GateParams::output_parasitic_cap() const {
   // Drain junction caps on the output node: one N + one P for an inverter;
   // series/parallel stacks are close enough to the same for our purposes.
   return wn() * nmos_proto.cj_per_m + wp() * pmos_proto.cj_per_m;
+}
+
+GateTableKey gate_table_key(const GateParams& g, bool rising, double lte_tol,
+                            int stale_jacobian_iters) {
+  // A field added to either struct must join the key and the record.
+  static_assert(sizeof(MosfetParams) == 8 * sizeof(double));
+  static_assert(sizeof(GateParams) ==
+                5 * sizeof(double) + 2 * sizeof(MosfetParams));
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  GateTableKey k{};
+  std::size_t i = 0;
+  k[i++] = static_cast<std::uint64_t>(g.type);
+  for (const double x : {g.size, g.vdd, g.wn_unit, g.wp_unit}) k[i++] = bits(x);
+  for (const MosfetParams* p : {&g.nmos_proto, &g.pmos_proto}) {
+    k[i++] = static_cast<std::uint64_t>(p->type);
+    for (const double x :
+         {p->w, p->l, p->vt, p->kp, p->lambda, p->cg_per_m, p->cj_per_m})
+      k[i++] = bits(x);
+  }
+  k[i++] = rising ? 1 : 0;
+  k[i++] = bits(lte_tol);
+  k[i++] = static_cast<std::uint64_t>(stale_jacobian_iters);
+  return k;
+}
+
+void write_gate(std::ostream& os, const GateParams& g) {
+  os.precision(17);
+  os << static_cast<int>(g.type) << ' ' << g.size << ' ' << g.vdd << ' '
+     << g.wn_unit << ' ' << g.wp_unit;
+  for (const MosfetParams* p : {&g.nmos_proto, &g.pmos_proto})
+    os << ' ' << static_cast<int>(p->type) << ' ' << p->w << ' ' << p->l
+       << ' ' << p->vt << ' ' << p->kp << ' ' << p->lambda << ' '
+       << p->cg_per_m << ' ' << p->cj_per_m;
+  os << '\n';
+}
+
+GateParams read_gate(std::istream& is) {
+  GateParams g;
+  int type = 0;
+  is >> type >> g.size >> g.vdd >> g.wn_unit >> g.wp_unit;
+  bool valid = type >= 0 && type <= static_cast<int>(GateType::Nor2);
+  g.type = static_cast<GateType>(type);
+  for (MosfetParams* p : {&g.nmos_proto, &g.pmos_proto}) {
+    int mos_type = 0;
+    is >> mos_type >> p->w >> p->l >> p->vt >> p->kp >> p->lambda >>
+        p->cg_per_m >> p->cj_per_m;
+    valid = valid && (mos_type == 0 || mos_type == 1);
+    p->type = static_cast<MosType>(mos_type);
+  }
+  if (!is || !valid) throw std::runtime_error("corrupt gate record");
+  return g;
 }
 
 namespace {

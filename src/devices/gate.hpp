@@ -8,6 +8,9 @@
 // Figure 4).
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,6 +49,19 @@ struct GateParams {
   /// Parasitic output capacitance (drain junctions on the output node).
   double output_parasitic_cap() const;
 };
+
+/// Content key of a characterization table for `gate`: the bits of every
+/// GateParams field, the transition direction, and the two sim settings
+/// that shape any table (the transient `lte_tol` and the chord-Newton
+/// `stale_jacobian_iters`). Driver and alignment tables share it.
+using GateTableKey = std::array<std::uint64_t, 24>;
+GateTableKey gate_table_key(const GateParams& gate, bool rising,
+                            double lte_tol, int stale_jacobian_iters);
+
+/// One text line holding every GateParams field at full precision, and
+/// its reader (throws std::runtime_error on a corrupt record).
+void write_gate(std::ostream& os, const GateParams& gate);
+GateParams read_gate(std::istream& is);
 
 /// Adds the gate's transistors to `ckt` between `in` and `out`; `vdd_node`
 /// must carry the supply. Unused side inputs of NAND2/NOR2 are tied to

@@ -9,7 +9,7 @@
 // Propagation is ambient rather than threaded through every constructor:
 // ScopedDeadline installs a deadline for the current thread, and the
 // long-running loops (LinearSim/NonlinearSim steps, PRIMA Krylov
-// iterations, alignment-table characterization, batch workers) poll
+// iterations, alignment scans, batch workers) poll
 // deadline_checkpoint(), which throws DeadlineError when the active
 // deadline has expired. The Status boundary maps that to
 // kDeadlineExceeded. With no deadline installed a checkpoint is two

@@ -6,7 +6,7 @@
 // This module plants five injection sites across the pipeline:
 //
 //   parse    SPEF tokenize/parse            -> kInvalidArgument
-//   cache    alignment-table cache fill     -> kInternal (table poisoned)
+//   cache    alignment-table lookup         -> kInternal (that lookup only)
 //   factor   sparse factor/refactor, MOR    -> pivot failure / breakdown
 //   newton   NonlinearSim transient solve   -> ConvergenceError
 //   task     batch worker task boundary     -> TransientError (retryable)
@@ -98,9 +98,9 @@ std::uint64_t injected(Site s) noexcept;
 std::uint64_t injected_total() noexcept;
 
 /// Establishes the deterministic identity of the work running on this
-/// thread (a net's analysis attempt, a table characterization) and
-/// resets the per-site probe counters for the scope. Restores the outer
-/// scope's identity and counters on destruction.
+/// thread (a net's analysis attempt) and resets the per-site probe
+/// counters for the scope. Restores the outer scope's identity and
+/// counters on destruction.
 class ScopedContext {
  public:
   explicit ScopedContext(std::uint64_t context_id);
@@ -116,7 +116,7 @@ class ScopedContext {
 
 /// Suspends every probe on this thread for the scope: probes neither fire
 /// nor advance the ambient scope's probe counters. For fills of shared
-/// state that must not depend on the injection (driver tables).
+/// state that must not depend on the injection (util/table_store.hpp).
 class ScopedSuspend {
  public:
   ScopedSuspend() noexcept { ++detail::t_suspended; }

@@ -35,6 +35,7 @@ void raise(const Status& s) {
     case StatusCode::kUnavailable: throw TransientError(s.message());
     case StatusCode::kInvalidArgument:
       throw std::invalid_argument(s.message());
+    case StatusCode::kInternal: throw std::runtime_error(s.message());
     default: throw std::runtime_error(s.to_string());
   }
 }

@@ -119,11 +119,13 @@ Status status_from_exception(const std::exception& e);
 /// Inverse bridge: re-raises a non-OK Status as the matching typed
 /// exception (kDeadlineExceeded -> DeadlineError, kNumericError ->
 /// NumericError, kUnavailable -> TransientError, kInvalidArgument ->
-/// std::invalid_argument, everything else -> std::runtime_error). The
+/// std::invalid_argument, kInternal -> std::runtime_error of the message,
+/// everything else -> std::runtime_error of the status text). The
 /// internal layers that still unwind with throw (superposition, Ceff,
 /// Rtr, alignment) use this to consume the simulators' StatusOr surface
 /// without losing the taxonomy the analyzer boundary and the degradation
-/// ladder key on. status_from_exception(raise(s)) round-trips the code.
+/// ladder key on. status_from_exception(raise(s)) round-trips the code,
+/// and the message too for these five codes.
 [[noreturn]] void raise(const Status& s);
 
 /// A value or the Status explaining its absence.

@@ -149,12 +149,31 @@ TEST(CharacterizationCache, HammeredFromManyThreadsCachesEachKeyOnce) {
   }
   for (auto& th : threads) th.join();
 
+  // A receiver that cannot switch: its fill fails, and the failure is
+  // stored for the key like a table.
+  GateParams dead;
+  dead.vdd = 0.3;
+  std::vector<Status> dead_seen(kThreads);
+  threads.clear();
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      dead_seen[static_cast<std::size_t>(t)] =
+          cache.try_table_for(dead, true).status();
+    });
+  for (auto& th : threads) th.join();
+
+  // Only finished tables count: the failed key is not a table.
   EXPECT_EQ(cache.tables_cached(), sizes.size() * 2);
-  // Exactly one characterization per distinct condition, no matter the
-  // contention; everything else was a hit.
-  EXPECT_EQ(cache.misses(), sizes.size() * 2);
+  for (const Status& st : dead_seen) {
+    EXPECT_FALSE(st.ok());
+    EXPECT_EQ(st.message(), dead_seen[0].message());
+  }
+  // Exactly one characterization per distinct condition, the failed one
+  // included, no matter the contention; everything else was a hit.
+  EXPECT_EQ(cache.misses(), sizes.size() * 2 + 1);
   EXPECT_EQ(cache.hits() + cache.misses(),
-            static_cast<std::uint64_t>(kThreads) * kRounds * sizes.size() * 2);
+            static_cast<std::uint64_t>(kThreads) * kRounds * sizes.size() * 2 +
+                kThreads);
   // All threads resolved each key to the same table object.
   for (int t = 1; t < kThreads; ++t)
     EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]);

@@ -120,8 +120,7 @@ TEST(Ceff, ModelIsFitAtReportedCeff) {
     opts.max_iterations = budget;
     const CeffResult r = ceff_of_net(line, {}, 10 * fF, opts);
     EXPECT_EQ(r.converged, budget == 15);
-    const TheveninModel m = driver_tables()
-                                .table_for(driver(), false, opts.fit)
+    const TheveninModel m = driver_table(driver(), false, opts.fit)
                                 .lookup(kSlew, r.ceff, kStart);
     EXPECT_EQ(std::bit_cast<std::uint64_t>(m.t0),
               std::bit_cast<std::uint64_t>(r.model.t0));

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "clarinet/batch_analyzer.hpp"
@@ -699,7 +700,7 @@ TEST(CharacterizationCachePersistence, Version2IsUnsupported) {
   ASSERT_TRUE(cache.try_table_for(rcv, true).ok());
   std::ostringstream saved;
   ASSERT_TRUE(cache.save(saved).ok());
-  ASSERT_EQ(saved.str().rfind("dnoise-char-cache 3 ", 0), 0u);
+  ASSERT_EQ(saved.str().rfind("dnoise-char-cache 4 ", 0), 0u);
   CharacterizationCache fresh{fast_config().table_spec};
   std::istringstream v2(with_version(saved.str(), "2"));
   const StatusOr<std::size_t> r = fresh.load(v2);
@@ -708,6 +709,74 @@ TEST(CharacterizationCachePersistence, Version2IsUnsupported) {
             std::string::npos)
       << r.status().message();
   EXPECT_EQ(fresh.tables_cached(), 0u);
+}
+
+// Version-3 files held alignment tables only, in a record format that
+// dropped part of the receiver; version 4 tags alignment and driver
+// records.
+TEST(CharacterizationCachePersistence, Version3IsUnsupported) {
+  CharacterizationCache cache{fast_config().table_spec};
+  GateParams rcv;
+  ASSERT_TRUE(cache.try_table_for(rcv, true).ok());
+  std::ostringstream saved;
+  ASSERT_TRUE(cache.save(saved).ok());
+  CharacterizationCache fresh{fast_config().table_spec};
+  std::istringstream v3(with_version(saved.str(), "3"));
+  const StatusOr<std::size_t> r = fresh.load(v3);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("unsupported version 3"),
+            std::string::npos)
+      << r.status().message();
+  EXPECT_EQ(fresh.tables_cached(), 0u);
+}
+
+// Receivers that differ in any GateParams field are different tables,
+// and a saved table reloads with the receiver it was characterized for.
+TEST(CharacterizationCachePersistence, ContentKeyCoversEveryReceiverField) {
+  CharacterizationCache cache{fast_config().table_spec};
+  GateParams base;
+  GateParams wider = base;
+  wider.wn_unit *= 1.25;
+  GateParams longer = base;
+  longer.nmos_proto.l *= 1.5;
+  GateParams pmos_w = base;
+  pmos_w.pmos_proto.w *= 2.0;
+  const AlignmentTable* t_base = cache.try_table_for(base, true).value();
+  const AlignmentTable* t_wider = cache.try_table_for(wider, true).value();
+  const AlignmentTable* t_longer = cache.try_table_for(longer, true).value();
+  const AlignmentTable* t_pmos = cache.try_table_for(pmos_w, true).value();
+  EXPECT_NE(t_wider, t_base);
+  EXPECT_NE(t_longer, t_base);
+  EXPECT_NE(t_pmos, t_base);
+  EXPECT_EQ(cache.tables_cached(), 4u);
+  EXPECT_EQ(cache.misses(), 4u);
+
+  std::ostringstream saved;
+  ASSERT_TRUE(cache.save(saved).ok());
+  CharacterizationCache fresh{fast_config().table_spec};
+  std::istringstream is(saved.str());
+  ASSERT_TRUE(fresh.load(is).ok());
+  EXPECT_EQ(fresh.tables_cached(), 4u);
+  for (const GateParams& g : {base, wider, longer, pmos_w}) {
+    const GateParams& back = fresh.try_table_for(g, true).value()->receiver();
+    EXPECT_EQ(back.type, g.type);
+    EXPECT_EQ(back.size, g.size);
+    EXPECT_EQ(back.vdd, g.vdd);
+    EXPECT_EQ(back.wn_unit, g.wn_unit);
+    EXPECT_EQ(back.wp_unit, g.wp_unit);
+    for (const auto& [b, p] : {std::pair{&back.nmos_proto, &g.nmos_proto},
+                               std::pair{&back.pmos_proto, &g.pmos_proto}}) {
+      EXPECT_EQ(b->type, p->type);
+      EXPECT_EQ(b->w, p->w);
+      EXPECT_EQ(b->l, p->l);
+      EXPECT_EQ(b->vt, p->vt);
+      EXPECT_EQ(b->kp, p->kp);
+      EXPECT_EQ(b->lambda, p->lambda);
+      EXPECT_EQ(b->cg_per_m, p->cg_per_m);
+      EXPECT_EQ(b->cj_per_m, p->cj_per_m);
+    }
+  }
+  EXPECT_EQ(fresh.misses(), 0u);  // Every lookup was a loaded table.
 }
 
 TEST(CharacterizationCachePersistence, SpecSkewIsFailedPrecondition) {

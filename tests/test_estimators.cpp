@@ -1,9 +1,11 @@
 // Tests for the estimator / table additions: Elmore moments (validated
 // against the transient simulator), the bus topology builder,
-// and the pre-characterized Thevenin tables and their process-wide store.
+// the pre-characterized Thevenin tables, and the table store that holds
+// them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -194,8 +196,9 @@ TEST(TheveninTable, InterpolationIsExactForQuadratics) {
   };
   std::ostringstream os;
   os.precision(17);
-  os << "dnoise-thevenin-table 2\n1 1.8\n"
-     << slews.size() << ' ' << loads.size() << '\n';
+  os << "dnoise-thevenin-table 3\n";
+  write_gate(os, GateParams{});
+  os << "1 0 0\n" << slews.size() << ' ' << loads.size() << '\n';
   for (double s : slews) os << s << ' ';
   os << '\n';
   for (double c : loads) os << c << ' ';
@@ -228,7 +231,7 @@ TEST(TheveninTable, LookupTracksDirectFitAcrossSizes) {
     for (const bool rising : {true, false}) {
       GateParams g;
       g.size = size;
-      const TheveninTable& tbl = driver_tables().table_for(g, rising, {});
+      const TheveninTable& tbl = driver_table(g, rising, {});
       double sum = 0.0, worst = 0.0;
       const int points = 50;
       for (int i = 0; i < points; ++i) {
@@ -253,14 +256,14 @@ TEST(TheveninTable, LookupTracksDirectFitAcrossSizes) {
 
 TEST(TheveninTable, EveryStandardCellFillsBothDirections) {
   const GateLibrary lib = GateLibrary::standard();
-  TheveninTableStore store;
+  DriverTableStore store;
   obs::set_metrics_enabled(true);
   const obs::Counter& fills = obs::metrics().counter("thevenin.tables");
   const std::uint64_t fills0 = fills.value();
   for (const std::string& name : lib.names())
     for (const bool rising : {true, false}) {
       const TheveninTable& tbl =
-          store.table_for(lib.cell(name), rising, {});
+          driver_table(lib.cell(name), rising, {}, store);
       EXPECT_EQ(tbl.output_rising(), rising) << name;
       EXPECT_EQ(tbl.slews().size() * tbl.cloads().size(), 140u) << name;
       EXPECT_TRUE(tbl.lookup(150 * ps, 60 * fF, 0.0).rth > 0.0) << name;
@@ -275,7 +278,7 @@ TEST(TheveninTable, EveryStandardCellFillsBothDirections) {
 // the heaviest table loads within the first reference-sim tail, in
 // either direction; their fills still complete.
 TEST(TheveninTable, OffLibrarySizeFillsOnceAndOrdersByStrength) {
-  TheveninTableStore store;
+  DriverTableStore store;
   obs::set_metrics_enabled(true);
   const obs::Counter& fills = obs::metrics().counter("thevenin.tables");
   const std::uint64_t fills0 = fills.value();
@@ -283,7 +286,7 @@ TEST(TheveninTable, OffLibrarySizeFillsOnceAndOrdersByStrength) {
     GateParams g;
     g.size = size;
     const TheveninModel m =
-        store.table_for(g, rising, {}).lookup(120 * ps, 80 * fF, 0.0);
+        driver_table(g, rising, {}, store).lookup(120 * ps, 80 * fF, 0.0);
     return *m.response_crossing(0.5, 80 * fF);
   };
   for (const bool rising : {false, true}) {
@@ -309,14 +312,14 @@ std::string table_text(const TheveninTable& tbl) {
 // Eight threads request one shared key and one key of their own: every
 // key fills once, every thread sees the same table, and each table holds
 // the bits a fresh store fills.
-TEST(TheveninTableStore, ConcurrentRequestsFillEachKeyOnce) {
+TEST(TableStore, ConcurrentRequestsFillEachKeyOnce) {
   constexpr int kThreads = 8;
   auto key_gate = [](int t) {
     GateParams g;
     g.size = t < 0 ? 2.0 : 1.0 + 0.5 * t;
     return g;
   };
-  TheveninTableStore store;
+  DriverTableStore store;
   obs::set_metrics_enabled(true);
   const obs::Counter& fills = obs::metrics().counter("thevenin.tables");
   const std::uint64_t fills0 = fills.value();
@@ -325,28 +328,66 @@ TEST(TheveninTableStore, ConcurrentRequestsFillEachKeyOnce) {
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&, t] {
       const GateParams mine = key_gate(t);
-      if (t % 2) own[t] = &store.table_for(mine, t % 4 == 1, {});
-      shared[t] = &store.table_for(key_gate(-1), true, {});
-      if (t % 2 == 0) own[t] = &store.table_for(mine, t % 4 == 0, {});
+      if (t % 2) own[t] = &driver_table(mine, t % 4 == 1, {}, store);
+      shared[t] = &driver_table(key_gate(-1), true, {}, store);
+      if (t % 2 == 0) own[t] = &driver_table(mine, t % 4 == 0, {}, store);
     });
   for (auto& th : threads) th.join();
   obs::set_metrics_enabled(false);
   EXPECT_EQ(fills.value() - fills0, kThreads + 1u);
-  TheveninTableStore fresh;
+  EXPECT_EQ(store.size(), kThreads + 1u);
+  DriverTableStore fresh;
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(shared[t], shared[0]);
-    EXPECT_EQ(own[t], &store.table_for(key_gate(t), own[t]->output_rising(),
-                                       {}));
+    EXPECT_EQ(own[t],
+              &driver_table(key_gate(t), own[t]->output_rising(), {}, store));
     EXPECT_EQ(table_text(*own[t]),
-              table_text(fresh.table_for(key_gate(t),
-                                         own[t]->output_rising(), {})));
+              table_text(driver_table(key_gate(t), own[t]->output_rising(),
+                                      {}, fresh)));
   }
   EXPECT_EQ(table_text(*shared[0]),
-            table_text(fresh.table_for(key_gate(-1), true, {})));
+            table_text(driver_table(key_gate(-1), true, {}, fresh)));
   // The fit options are part of the key.
   TheveninFitOptions fixed;
   fixed.stale_jacobian_iters = 0;
-  EXPECT_NE(&store.table_for(key_gate(-1), true, fixed), shared[0]);
+  EXPECT_NE(&driver_table(key_gate(-1), true, fixed, store), shared[0]);
+}
+
+// A failing fill runs once however many threads ask: each gets the one
+// stored status, and the failure is not a table.
+TEST(TableStore, ConcurrentRequestsShareOneFailure) {
+  constexpr int kThreads = 8;
+  TableStore<int, int> store;
+  std::atomic<int> fills{0};
+  std::vector<Status> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      seen[t] = store
+                    .get(7,
+                         [&]() -> int {
+                           fills.fetch_add(1);
+                           throw NumericError("fill failed");
+                         })
+                    .status();
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(fills.load(), 1);
+  for (const Status& s : seen) {
+    EXPECT_EQ(s.code(), StatusCode::kNumericError);
+    EXPECT_EQ(s.message(), "fill failed");
+  }
+  EXPECT_EQ(store.size(), 0u);
+  // The failure is the key's outcome: a later fill never runs.
+  TableFound found{};
+  EXPECT_FALSE(store.get(7, [] { return 1; }, &found).ok());
+  EXPECT_EQ(found, TableFound::kReady);
+  EXPECT_TRUE(store.get(8, [] { return 2; }, &found).ok());
+  EXPECT_EQ(found, TableFound::kFilled);
+  const int* stored = store.get(8, [] { return 3; }, &found).value();
+  EXPECT_EQ(*stored, 2);
+  EXPECT_EQ(found, TableFound::kReady);
+  EXPECT_EQ(store.size(), 1u);
 }
 
 }  // namespace

@@ -19,12 +19,14 @@
 
 #include "ceff/thevenin_table.hpp"
 #include "clarinet/batch_analyzer.hpp"
+#include "clarinet/characterization_cache.hpp"
 #include "rcnet/random_nets.hpp"
 #include "rcnet/spef.hpp"
 #include "util/deadline.hpp"
 #include "util/degradation.hpp"
 #include "util/fault_injection.hpp"
 #include "util/metrics.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace dn {
@@ -457,23 +459,29 @@ std::string table_text(const TheveninTable& tbl) {
   return os.str();
 }
 
+std::string table_text(const AlignmentTable& tbl) {
+  std::ostringstream os;
+  tbl.save(os);
+  return os.str();
+}
+
 // The driver-table store outlives every analyzer, fault configuration,
 // deadline and solver setting, so a stored table must be the clean fill
 // whatever the filling thread was running under.
 TEST(FaultSites, DriverTableFillsIgnoreFaultsDeadlineAndSolver) {
   GateParams g;
   g.size = 3.0;
-  TheveninTableStore clean;
-  const std::string want = table_text(clean.table_for(g, true, {}));
+  DriverTableStore clean;
+  const std::string want = table_text(driver_table(g, true, {}, clean));
   {
     ScopedFaults faults("all:1", 5);
-    TheveninTableStore store;
-    EXPECT_EQ(table_text(store.table_for(g, true, {})), want);
+    DriverTableStore store;
+    EXPECT_EQ(table_text(driver_table(g, true, {}, store)), want);
   }
   {
     ScopedDeadline expired(Deadline::after(-1.0));
-    TheveninTableStore store;
-    EXPECT_EQ(table_text(store.table_for(g, true, {})), want);
+    DriverTableStore store;
+    EXPECT_EQ(table_text(driver_table(g, true, {}, store)), want);
   }
   // An engine on the forced sparse backend, its dense fallback off, fills
   // the process-wide store with the clean bits too.
@@ -487,27 +495,76 @@ TEST(FaultSites, DriverTableFillsIgnoreFaultsDeadlineAndSolver) {
   TheveninFitOptions fit;
   fit.lte_tol = opts.lte_tol;
   fit.stale_jacobian_iters = opts.newton.stale_jacobian_iters;
-  EXPECT_EQ(table_text(driver_tables().table_for(
-                net.victim.driver, net.victim.output_rising, fit)),
-            table_text(clean.table_for(net.victim.driver,
-                                       net.victim.output_rising, fit)));
+  EXPECT_EQ(
+      table_text(driver_table(net.victim.driver, net.victim.output_rising,
+                              fit)),
+      table_text(driver_table(net.victim.driver, net.victim.output_rising,
+                              fit, clean)));
 }
 
-TEST(FaultSites, FailedDriverTableFillInstallsNothingAndRetries) {
+// Alignment tables keep the same protocol, their corner searches on pool
+// workers included: under every site the fill reaches and an expired
+// deadline, the cache fills the clean table. An injected `cache` fault
+// fails its lookups while it is armed and leaves nothing in the store.
+TEST(FaultSites, AlignmentTableFillsIgnoreFaultsAndDeadline) {
+  const AlignmentTableSpec spec = fast_config().table_spec;
+  GateParams rcv;
+  rcv.size = 1.5;
+  CharacterizationCache clean{spec};
+  const std::string want = table_text(*clean.try_table_for(rcv, true).value());
+
+  ThreadPool pool(4);
+  CharacterizationCache cache{spec};
+  cache.set_characterization_pool(&pool);
+  {
+    ScopedFaults faults("all:1", 5);
+    ScopedDeadline expired(Deadline::after(-1.0));
+    const StatusOr<const AlignmentTable*> r = cache.try_table_for(rcv, true);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().message().find("injected fault"), std::string::npos);
+    EXPECT_EQ(cache.tables_cached(), 0u);
+  }
+  {
+    ScopedFaults faults("factor:1,newton:1,task:1", 5);
+    ScopedDeadline expired(Deadline::after(-1.0));
+    const StatusOr<const AlignmentTable*> r = cache.try_table_for(rcv, true);
+    ASSERT_TRUE(r.ok()) << r.status().to_string();
+    EXPECT_EQ(table_text(**r), want);
+  }
+  EXPECT_EQ(table_text(*cache.try_table_for(rcv, true).value()), want);
+  EXPECT_EQ(cache.misses(), 1u);
+  cache.set_characterization_pool(nullptr);
+}
+
+// A failed fill is stored like a table: the next lookup of its key
+// returns the same status without simulating again.
+TEST(FaultSites, FailedDriverTableFillIsStoredNotRetried) {
   GateParams dead;
   dead.vdd = 0.3;  // Below both thresholds: the output never switches.
-  TheveninTableStore store;
+  DriverTableStore store;
   obs::set_metrics_enabled(true);
   const obs::Counter& steps = obs::metrics().counter("sim.nonlinear.steps");
   const obs::Counter& fills = obs::metrics().counter("thevenin.tables");
-  const std::uint64_t fills0 = fills.value();
-  EXPECT_ANY_THROW(store.table_for(dead, true, {}));
-  EXPECT_EQ(fills.value(), fills0);
+  const std::uint64_t fills0 = fills.value(), steps0 = steps.value();
+  auto failure = [&] {
+    try {
+      driver_table(dead, true, {}, store);
+    } catch (const std::exception& e) {
+      return status_from_exception(e);
+    }
+    return Status::Ok();
+  };
+  const Status first = failure();
+  EXPECT_FALSE(first.ok());
   const std::uint64_t after_first = steps.value();
-  EXPECT_ANY_THROW(store.table_for(dead, true, {}));
-  EXPECT_GT(steps.value(), after_first);  // The retry simulated again.
+  EXPECT_GT(after_first, steps0);  // The first lookup simulated.
+  const Status second = failure();
+  EXPECT_EQ(steps.value(), after_first);  // No new simulation.
   obs::set_metrics_enabled(false);
+  EXPECT_EQ(second.code(), first.code());
+  EXPECT_EQ(second.message(), first.message());
   EXPECT_EQ(fills.value(), fills0);
+  EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(FaultSites, TransientTaskFaultsRetryAndRecover) {

@@ -29,7 +29,7 @@ TEST(AlignmentTablePersistence, RoundTripIsExact) {
       AlignmentTable::characterize(rcv, true, fast_spec());
   std::stringstream ss;
   tbl.save(ss);
-  EXPECT_EQ(ss.str().rfind("dnoise-alignment-table 4\n", 0), 0u);
+  EXPECT_EQ(ss.str().rfind("dnoise-alignment-table 5\n", 0), 0u);
   const AlignmentTable back = AlignmentTable::load(ss);
 
   for (int si = 0; si < 2; ++si)
@@ -55,7 +55,7 @@ TEST(AlignmentTablePersistence, RoundTripIsExact) {
 TEST(AlignmentTablePersistence, RejectsGarbage) {
   std::stringstream bad("not-a-table 7\n");
   EXPECT_THROW(AlignmentTable::load(bad), std::runtime_error);
-  std::stringstream truncated("dnoise-alignment-table 4\n0 1 1.8");
+  std::stringstream truncated("dnoise-alignment-table 5\n0 1 1.8");
   EXPECT_THROW(AlignmentTable::load(truncated), std::runtime_error);
 }
 
@@ -68,9 +68,9 @@ std::string record_as_version(int version) {
   std::stringstream ss;
   tbl.save(ss);
   std::string text = ss.str();
-  const std::string v4 = "dnoise-alignment-table 4";
-  EXPECT_EQ(text.rfind(v4, 0), 0u);
-  return text.replace(0, v4.size(),
+  const std::string v5 = "dnoise-alignment-table 5";
+  EXPECT_EQ(text.rfind(v5, 0), 0u);
+  return text.replace(0, v5.size(),
                       "dnoise-alignment-table " + std::to_string(version));
 }
 
@@ -88,6 +88,13 @@ TEST(AlignmentTablePersistence, RejectsVersion3) {
   EXPECT_THROW(AlignmentTable::load(v3), std::runtime_error);
 }
 
+// Version 4 dropped the MOSFET prototypes' type, w and l from the
+// receiver record.
+TEST(AlignmentTablePersistence, RejectsVersion4) {
+  std::stringstream v4(record_as_version(4));
+  EXPECT_THROW(AlignmentTable::load(v4), std::runtime_error);
+}
+
 TEST(TheveninTablePersistence, RoundTripIsExact) {
   GateParams g;
   const TheveninTable tbl = TheveninTable::characterize(
@@ -99,6 +106,7 @@ TEST(TheveninTablePersistence, RoundTripIsExact) {
   ASSERT_EQ(back.cloads().size(), 2u);
   EXPECT_FALSE(back.output_rising());
   EXPECT_EQ(back.vdd(), tbl.vdd());
+  EXPECT_EQ(back.key(), tbl.key());  // Gate and fit options included.
   for (std::size_t si = 0; si < 2; ++si)
     for (std::size_t ci = 0; ci < 2; ++ci) {
       EXPECT_EQ(back.at(si, ci).t10, tbl.at(si, ci).t10);
@@ -114,8 +122,6 @@ TEST(TheveninTablePersistence, RoundTripIsExact) {
 TEST(TheveninTablePersistence, RejectsGarbage) {
   std::stringstream bad("dnoise-thevenin-table 99\n");
   EXPECT_THROW(TheveninTable::load(bad), std::runtime_error);
-  std::stringstream huge("dnoise-thevenin-table 2\n1 1.8\n99999999 2\n");
-  EXPECT_THROW(TheveninTable::load(huge), std::runtime_error);
 
   GateParams g;
   const TheveninTable tbl = TheveninTable::characterize(
@@ -127,27 +133,33 @@ TEST(TheveninTablePersistence, RejectsGarbage) {
     std::stringstream is(edited);
     EXPECT_THROW(TheveninTable::load(is), std::runtime_error) << edited;
   };
-  // Version 1 stored fitted (t0, tr, Rth): unsupported, never misread.
-  const std::string v2 = "dnoise-thevenin-table 2";
-  ASSERT_EQ(text.rfind(v2, 0), 0u);
-  rejects("dnoise-thevenin-table 1" + text.substr(v2.size()));
-  // An unsorted axis, as characterize() rejects it.
+  // Version 1 stored fitted (t0, tr, Rth) and version 2 no gate: both
+  // unsupported, never misread.
+  const std::string v3 = "dnoise-thevenin-table 3";
+  ASSERT_EQ(text.rfind(v3, 0), 0u);
+  rejects("dnoise-thevenin-table 1" + text.substr(v3.size()));
+  rejects("dnoise-thevenin-table 2" + text.substr(v3.size()));
   std::istringstream lines(text);
   std::vector<std::string> line;
   for (std::string l; std::getline(lines, l);) line.push_back(l);
-  ASSERT_EQ(line.size(), 9u);  // Magic, direction+vdd, sizes, 2 axes, 4.
+  // Magic, gate, direction+fit, sizes, 2 axes, 4 entries.
+  ASSERT_EQ(line.size(), 10u);
   auto with_line = [&](std::size_t i, const std::string& l) {
     std::string out;
     for (std::size_t k = 0; k < line.size(); ++k)
       out += (k == i ? l : line[k]) + "\n";
     return out;
   };
-  rejects(with_line(3, "3e-10 1e-10"));
-  rejects(with_line(4, "2e-14 2e-14"));
-  rejects(with_line(4, "-2e-14 8e-14"));
+  // An absurd table size, and a gate of no known type.
+  rejects(with_line(3, "99999999 2"));
+  rejects(with_line(1, "9" + line[1].substr(1)));
+  // An unsorted axis, as characterize() rejects it.
+  rejects(with_line(4, "3e-10 1e-10"));
+  rejects(with_line(5, "2e-14 2e-14"));
+  rejects(with_line(5, "-2e-14 8e-14"));
   // A non-finite entry.
-  rejects(with_line(6, "nan 1e-10 2e-10"));
-  rejects(with_line(7, "1e-11 inf 2e-10"));
+  rejects(with_line(7, "nan 1e-10 2e-10"));
+  rejects(with_line(8, "1e-11 inf 2e-10"));
   // The untouched text still loads.
   std::stringstream ok(with_line(0, line[0]));
   EXPECT_NO_THROW(TheveninTable::load(ok));

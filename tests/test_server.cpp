@@ -196,6 +196,32 @@ TEST(ServerSession, IncrementalReportMatchesColdRunByteForByte) {
   EXPECT_EQ(report_bytes(incr), report_bytes(cold));
 }
 
+// A request's injected `cache` fault degrades that request alone: the
+// session's characterization cache keeps no trace of it, so a later
+// clean analyze serves what a fresh session would.
+TEST(ServerSession, InjectedTableFaultDoesNotOutliveItsRequest) {
+  // Ring of 5 with 2 successors: an edit of n0 dirties every victim.
+  Session a;
+  ASSERT_TRUE(ok(req(a, load_line(29, 5, 2))));
+  const json::Value faulted = req(
+      a, "{\"verb\":\"analyze\",\"inject_faults\":\"cache:1\"}");
+  ASSERT_TRUE(ok(faulted));
+  EXPECT_NE(report_bytes(faulted).find("table_to_vdd2"), std::string::npos);
+  ASSERT_TRUE(ok(
+      req(a, "{\"verb\":\"update_net\",\"net\":\"n0\",\"scale_c\":1.2}")));
+  const json::Value clean = req(a, "{\"verb\":\"analyze\"}");
+  ASSERT_TRUE(ok(clean));
+  EXPECT_EQ(result_of(clean).find("reanalyzed")->as_number(), 5.0);
+
+  Session b;
+  ASSERT_TRUE(ok(req(b, load_line(29, 5, 2))));
+  ASSERT_TRUE(ok(
+      req(b, "{\"verb\":\"update_net\",\"net\":\"n0\",\"scale_c\":1.2}")));
+  const json::Value cold = req(b, "{\"verb\":\"analyze\"}");
+  ASSERT_TRUE(ok(cold));
+  EXPECT_EQ(report_bytes(clean), report_bytes(cold));
+}
+
 TEST(ServerSession, JobsOneAndEightProduceIdenticalReports) {
   const std::string cfg1 = "{\"verb\":\"config\",\"set\":{\"jobs\":1}}";
   const std::string cfg8 = "{\"verb\":\"config\",\"set\":{\"jobs\":8}}";

@@ -62,6 +62,23 @@ TEST(Status, ThrowIfErrorCarriesTheStatusText) {
   }
 }
 
+// A status raised by an internal layer and caught at the analyzer
+// boundary comes back as itself: a stored table failure reaches every
+// requester unchanged.
+TEST(Status, RaiseRoundTripsCodeAndMessage) {
+  for (const Status& s :
+       {Status::Internal("fill failed"), Status::InvalidArgument("bad"),
+        Status::DeadlineExceeded("late"), Status::Unavailable("busy")}) {
+    try {
+      raise(s);
+    } catch (const std::exception& e) {
+      const Status back = status_from_exception(e);
+      EXPECT_EQ(back.code(), s.code());
+      EXPECT_EQ(back.message(), s.message());
+    }
+  }
+}
+
 TEST(StatusOr, HoldsValue) {
   StatusOr<int> v = 42;
   EXPECT_TRUE(v.ok());

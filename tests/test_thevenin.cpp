@@ -14,6 +14,8 @@
 #include <tuple>
 #include <utility>
 
+#include "ceff/thevenin_table.hpp"
+#include "rcnet/net.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -274,6 +276,21 @@ TEST(TheveninFit, RejectsBadLoad) {
 TEST(TheveninFit, NonSwitchingInputThrows) {
   GateParams g;
   EXPECT_THROW(fit_thevenin(g, Pwl::constant(0.9), 20 * fF), std::runtime_error);
+}
+
+// A weak driver's reference runs until its output is near the rail, so
+// the 10/50/90% crossings are those of the full transition: INV 0.3
+// rising into the driver tables' top load at every table slew.
+TEST(TheveninFit, WeakDriverReferenceSettlesNearTheRail) {
+  GateParams g;
+  g.size = 0.3;
+  GateSim sim(g, TheveninTable::default_loads().back());
+  for (const double slew : TheveninTable::default_slews()) {
+    const Pwl vin = driver_input_ramp(g, slew, true, 100 * ps);
+    const Pwl out = simulate_reference(sim, vin);
+    EXPECT_GE(out.values().back() - out.values().front(), 0.95 * g.vdd)
+        << "slew " << slew;
+  }
 }
 
 // Property sweep: the fit must converge across gate sizes, slews and loads,

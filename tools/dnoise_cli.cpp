@@ -461,7 +461,7 @@ int run_batch(int argc, char** argv, const AnalysisConfig& cfg) {
       std::fprintf(stderr, "error: %s\n", loaded.status().to_string().c_str());
       return 1;
     }
-    std::fprintf(stderr, "loaded %zu cached alignment tables from %s\n",
+    std::fprintf(stderr, "loaded %zu cached tables from %s\n",
                  *loaded, path);
   }
   BatchResult result = engine.analyze(nets, names);
