@@ -11,7 +11,8 @@
 # faults at every site and demands degraded-not-crashed, job-count-
 # independent output (DESIGN.md §10), fault-free jobs-1 vs jobs-4
 # determinism checks (adaptive, fixed grid and exhaustive search), a
-# cross-process cache-file round trip, plus server and CLI smokes.
+# cross-process cache-file round trip, a JSON-output stage over net names
+# that need escaping, plus server and CLI smokes.
 #
 # Usage: scripts/check.sh [--no-asan] [--no-tsan] [--no-fuzz] [--no-chaos]
 #                         [--no-bench]
@@ -276,10 +277,41 @@ for name in ("thevenin.tables", "characterize.tables"):
 print("cache round trip: same report, no table refilled")
 PY
 
+echo "== JSON output: net names that need escaping =="
+# Every JSON document comes from one writer (util/json). A failing deck
+# and a good one, each copied under a name holding '"' and '\', must give
+# a --json report and a --metrics-json file that both parse, with each
+# net's "net" field equal to its path.
+jsondir=build/json-names
+rm -rf "$jsondir"
+mkdir -p "$jsondir"
+bad_deck="$jsondir/bad\"deck\\1.spef"
+good_deck="$jsondir/good\"deck\\2.spef"
+printf 'not a spef deck\n' > "$bad_deck"
+cp tests/corpus/spef/minimal.spef "$good_deck"
+./build/tools/dnoise_cli --batch "$bad_deck" "$good_deck" --json \
+  --metrics-json build/json_names.metrics 2>/dev/null > build/json_names.json
+python3 - build/json_names.json build/json_names.metrics "$bad_deck" \
+  "$good_deck" <<'PY'
+import json, sys
+report_path, metrics_path, bad, good = sys.argv[1:]
+with open(report_path) as f:
+    report = json.loads(f.read())
+with open(metrics_path) as f:
+    json.loads(f.read())
+by_net = {n["net"]: n for n in report["nets"]}
+assert sorted(by_net) == sorted([bad, good]), f"net names differ: {list(by_net)}"
+assert "error" in by_net[bad], by_net[bad]
+assert "delay_noise_ps" in by_net[good], by_net[good]
+print("JSON output: report and metrics parse, both net names read back exactly")
+PY
+
 echo "== server smoke: scripted NDJSON session against --serve =="
 # A pipelined session: load a design, analyze, apply an ECO, re-analyze
 # (must touch only the dirty closure), run one fault-injected request
-# (must degrade/fail cleanly, not crash), then shut down. The python
+# (must degrade/fail cleanly, not crash) and one plain analyze after it
+# (must recompute the faulted victims: no degradation outlives its
+# request), then shut down. The python
 # shim validates the protocol invariants — one response per request,
 # ids echoed in order, schema_version everywhere — and exits nonzero on
 # any violation, which fails this stage.
@@ -291,9 +323,10 @@ printf '%s\n' \
   '{"id":5,"verb":"analyze"}' \
   '{"id":6,"verb":"update_net","net":"n7","scale_c":1.2}' \
   '{"id":7,"verb":"analyze","inject_faults":"newton:0.5,cache:0.5","fault_seed":3}' \
-  '{"id":8,"verb":"not_a_verb"}' \
-  '{"id":9,"verb":"stats"}' \
-  '{"id":10,"verb":"shutdown"}' \
+  '{"id":8,"verb":"analyze"}' \
+  '{"id":9,"verb":"not_a_verb"}' \
+  '{"id":10,"verb":"stats"}' \
+  '{"id":11,"verb":"shutdown"}' \
   | ./build/tools/dnoise_cli --serve --jobs 2 2>/dev/null \
   > build/serve_smoke.ndjson
 python3 - build/serve_smoke.ndjson src/clarinet/report.hpp <<'PY'
@@ -305,20 +338,25 @@ with open(sys.argv[1]) as f:
 with open(sys.argv[2]) as f:
     schema = int(re.search(r"kReportSchemaVersion\s*=\s*(\d+)\s*;",
                            f.read()).group(1))
-assert len(resps) == 10, f"expected 10 responses, got {len(resps)}"
+assert len(resps) == 11, f"expected 11 responses, got {len(resps)}"
 for i, r in enumerate(resps, 1):
     assert r["id"] == i, f"response order broken at {i}: {r}"
     assert r["schema_version"] == schema, f"schema_version != {schema}: {r}"
 ok = {i: r["ok"] for i, r in enumerate(resps, 1)}
-assert all(ok[i] for i in (1, 2, 3, 4, 5, 6, 9, 10)), f"unexpected failure: {ok}"
+assert all(ok[i] for i in (1, 2, 3, 4, 5, 6, 8, 10, 11)), f"unexpected failure: {ok}"
 # The fault-injected analyze must degrade or fail CLEANLY: either an ok
 # report (per-net failures recorded inside it) or a Status error.
 assert ok[7] or resps[6]["error"]["code"], resps[6]
-assert not ok[8] and resps[7]["error"]["code"] == "INVALID_ARGUMENT", resps[7]
+# The plain analyze after it recomputes the faulted victims.
+after = resps[7]["result"]
+assert after["reanalyzed"] > 0, after["reanalyzed"]
+assert not any("degradations" in n for n in after["report"]["nets"]), after
+assert not ok[9] and resps[8]["error"]["code"] == "INVALID_ARGUMENT", resps[8]
 assert resps[4]["result"]["reanalyzed"] == 5, resps[4]["result"]["reanalyzed"]
-assert resps[8]["result"]["requests"] == 9, resps[8]["result"]
-print("server smoke: 10 responses, in order, dirty closure = 5 nets, "
-      "fault-injected request handled " + ("ok" if ok[7] else "as clean error"))
+assert resps[9]["result"]["requests"] == 10, resps[9]["result"]
+print("server smoke: 11 responses, in order, dirty closure = 5 nets, "
+      "fault-injected request handled " + ("ok" if ok[7] else "as clean error")
+      + f", {after['reanalyzed']} faulted victims recomputed clean")
 PY
 
 echo "== CLI smoke: unknown flags and malformed numbers exit 2 =="

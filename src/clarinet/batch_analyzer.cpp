@@ -314,53 +314,57 @@ std::string BatchResult::to_text() const {
   return os.str();
 }
 
-void BatchResult::write_json(std::ostream& os) const {
-  os << "{\"schema_version\":" << kReportSchemaVersion << ",\"nets\":[";
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    if (i) os << ",";
-    const auto& nr = nets[i];
+json::Value BatchResult::to_json_value() const {
+  json::Array entries;
+  entries.reserve(nets.size());
+  for (const auto& nr : nets) {
     if (nr.outcome == AnalysisOutcome::kScreened ||
         nr.outcome == AnalysisOutcome::kDeferred) {
-      const auto saved = os.precision(6);
-      os << "{\"net\":\"" << nr.name << "\",\""
-         << (nr.outcome == AnalysisOutcome::kScreened ? "screened_out"
-                                                      : "deferred")
-         << "\":true,\"tier\":\"" << fidelity_tier_name(nr.decided_by)
-         << "\",\"bound_ps\":" << nr.dn_bound * 1e12 << "}";
-      os.precision(saved);
+      json::Object e;
+      e["net"] = nr.name;
+      e[nr.outcome == AnalysisOutcome::kScreened ? "screened_out"
+                                                  : "deferred"] = true;
+      e["tier"] = fidelity_tier_name(nr.decided_by);
+      e["bound_ps"] = nr.dn_bound * 1e12;
+      entries.emplace_back(std::move(e));
     } else if (nr.status.ok()) {
-      nr.report.to_json(os);
+      entries.push_back(nr.report.to_json_value());
     } else {
-      os << "{\"net\":\"" << nr.name << "\",\"error\":\""
-         << status_code_name(nr.status.code()) << "\"";
-      if (nr.attempts > 1) os << ",\"attempts\":" << nr.attempts;
-      os << "}";
+      json::Object e;
+      e["net"] = nr.name;
+      e["error"] = status_code_name(nr.status.code());
+      if (nr.attempts > 1) e["attempts"] = nr.attempts;
+      entries.emplace_back(std::move(e));
     }
   }
-  os << "],\"worst\":[";
-  for (std::size_t i = 0; i < worst.size(); ++i)
-    os << (i ? "," : "") << worst[i];
-  os << "],\"failed\":" << stats.failed;
-  if (stats.degraded) os << ",\"degraded\":" << stats.degraded;
-  if (stats.pruned()) os << ",\"screened_out\":" << stats.pruned();
-  if (stats.retries) os << ",\"retries\":" << stats.retries;
+  json::Array ranked;
+  for (const std::size_t i : worst) ranked.emplace_back(i);
+
+  json::Object o;
+  o["schema_version"] = kReportSchemaVersion;
+  o["nets"] = std::move(entries);
+  o["worst"] = std::move(ranked);
+  o["failed"] = stats.failed;
+  if (stats.degraded) o["degraded"] = stats.degraded;
+  if (stats.pruned()) o["screened_out"] = stats.pruned();
+  if (stats.retries) o["retries"] = stats.retries;
   if (stats.ladder) {
-    const auto saved = os.precision(6);
-    os << ",\"ladder\":{\"tier0_pruned\":" << stats.tier0_pruned
-       << ",\"tier1_pruned\":" << stats.tier1_pruned
-       << ",\"tier2_analyzed\":" << stats.tier2_analyzed
-       << ",\"deferred\":" << stats.deferred_nets
-       << ",\"max_pruned_bound_ps\":" << stats.max_pruned_bound * 1e12 << "}";
-    os.precision(saved);
+    json::Object ladder;
+    ladder["tier0_pruned"] = stats.tier0_pruned;
+    ladder["tier1_pruned"] = stats.tier1_pruned;
+    ladder["tier2_analyzed"] = stats.tier2_analyzed;
+    ladder["deferred"] = stats.deferred_nets;
+    ladder["max_pruned_bound_ps"] = stats.max_pruned_bound * 1e12;
+    o["ladder"] = json::Value(std::move(ladder));
   }
-  os << "}";
+  return json::Value(std::move(o));
 }
 
-std::string BatchResult::to_json() const {
-  std::ostringstream os;
-  write_json(os);
-  return os.str();
+void BatchResult::write_json(std::ostream& os) const {
+  to_json_value().dump(os);
 }
+
+std::string BatchResult::to_json() const { return to_json_value().dump(); }
 
 std::string BatchResult::stats_text() const {
   std::ostringstream os;

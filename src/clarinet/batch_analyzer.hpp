@@ -129,7 +129,9 @@ struct BatchResult {
   void write_text(std::ostream& os) const;
   std::string to_text() const;
 
-  /// Deterministic JSON: {"nets":[...], "worst":[...], "failed":N}.
+  /// Deterministic JSON: {"nets":[...], "worst":[...], "failed":N};
+  /// write_json/to_json render to_json_value().
+  json::Value to_json_value() const;
   void write_json(std::ostream& os) const;
   std::string to_json() const;
 

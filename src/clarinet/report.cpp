@@ -73,74 +73,48 @@ std::string DelayNoiseReport::to_text() const {
   return os.str();
 }
 
-namespace {
-
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) break;  // Drop controls.
-        os << c;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
-void DelayNoiseReport::to_json(std::ostream& os) const {
-  const auto saved = os.precision(12);
-  os << "{\"schema_version\":" << kReportSchemaVersion << ",\"net\":";
-  json_string(os, net_name);
-  os << ",\"victim_driver\":";
-  json_string(os, victim_driver);
-  os << ",\"victim_driver_size\":" << victim_driver_size
-     << ",\"victim_segments\":" << victim_segments
-     << ",\"victim_rising\":" << (victim_rising ? "true" : "false")
-     << ",\"aggressors\":" << num_aggressors
-     << ",\"coupling_total_ff\":" << coupling_total_ff
-     << ",\"rth_ohm\":" << rth_ohm
-     << ",\"holding_r_ohm\":" << holding_r_ohm
-     << ",\"rtr_iterations\":" << rtr_iterations
-     << ",\"pulse_height_v\":" << pulse_height_v
-     << ",\"pulse_width_ps\":" << pulse_width_ps
-     << ",\"peak_time_ps\":" << peak_time_ps
-     << ",\"align_voltage_v\":" << align_voltage_v
-     << ",\"input_delay_noise_ps\":" << input_delay_noise_ps
-     << ",\"delay_noise_ps\":" << delay_noise_ps;
-  if (!fidelity_tier.empty()) {
-    os << ",\"fidelity_tier\":";
-    json_string(os, fidelity_tier);
-  }
+json::Value DelayNoiseReport::to_json_value() const {
+  json::Object o;
+  o["schema_version"] = kReportSchemaVersion;
+  o["net"] = net_name;
+  o["victim_driver"] = victim_driver;
+  o["victim_driver_size"] = victim_driver_size;
+  o["victim_segments"] = victim_segments;
+  o["victim_rising"] = victim_rising;
+  o["aggressors"] = num_aggressors;
+  o["coupling_total_ff"] = coupling_total_ff;
+  o["rth_ohm"] = rth_ohm;
+  o["holding_r_ohm"] = holding_r_ohm;
+  o["rtr_iterations"] = rtr_iterations;
+  o["pulse_height_v"] = pulse_height_v;
+  o["pulse_width_ps"] = pulse_width_ps;
+  o["peak_time_ps"] = peak_time_ps;
+  o["align_voltage_v"] = align_voltage_v;
+  o["input_delay_noise_ps"] = input_delay_noise_ps;
+  o["delay_noise_ps"] = delay_noise_ps;
+  if (!fidelity_tier.empty()) o["fidelity_tier"] = fidelity_tier;
   if (aggressors_pruned_window + aggressors_pruned_exclusion > 0) {
-    os << ",\"aggressors_pruned_window\":" << aggressors_pruned_window
-       << ",\"aggressors_pruned_exclusion\":" << aggressors_pruned_exclusion;
+    o["aggressors_pruned_window"] = aggressors_pruned_window;
+    o["aggressors_pruned_exclusion"] = aggressors_pruned_exclusion;
   }
   if (!degradations.empty()) {
-    os << ",\"degradations\":[";
-    for (std::size_t i = 0; i < degradations.size(); ++i) {
-      if (i) os << ",";
-      os << "{\"kind\":\"" << degrade_kind_name(degradations[i].kind)
-         << "\",\"detail\":";
-      json_string(os, degradations[i].detail);
-      if (degradations[i].count > 1) os << ",\"count\":" << degradations[i].count;
-      os << "}";
+    json::Array steps;
+    for (const Degradation& d : degradations) {
+      json::Object step;
+      step["kind"] = degrade_kind_name(d.kind);
+      step["detail"] = d.detail;
+      if (d.count > 1) step["count"] = d.count;
+      steps.emplace_back(std::move(step));
     }
-    os << "]";
+    o["degradations"] = std::move(steps);
   }
-  os << "}";
-  os.precision(saved);
+  return json::Value(std::move(o));
 }
 
-std::string DelayNoiseReport::to_json() const {
-  std::ostringstream os;
-  to_json(os);
-  return os.str();
+void DelayNoiseReport::to_json(std::ostream& os) const {
+  to_json_value().dump(os);
 }
+
+std::string DelayNoiseReport::to_json() const { return to_json_value().dump(); }
 
 }  // namespace dn

@@ -4,7 +4,8 @@
 // but useless to the batch engine, which must merge millions of per-net
 // outcomes into worst-K tables, CSV dumps, and downstream signoff flows.
 // DelayNoiseReport is the data; to_text() reproduces the classic report,
-// to_json() renders the same fields machine-readable.
+// to_json_value() builds the same fields machine-readable and to_json()
+// renders that value.
 #pragma once
 
 #include <iosfwd>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/delay_noise.hpp"
+#include "util/json.hpp"
 
 namespace dn {
 
@@ -82,7 +84,9 @@ struct DelayNoiseReport {
   std::string to_text() const;
   void to_text(std::ostream& os) const;
 
-  /// One JSON object, keys fixed, numbers rendered with %.12g.
+  /// One JSON object, keys fixed; to_json() is its json::Value::dump
+  /// (numbers in the shortest round-trip form).
+  json::Value to_json_value() const;
   std::string to_json() const;
   void to_json(std::ostream& os) const;
 };

@@ -94,10 +94,10 @@ class Design {
 
   /// Full-fidelity JSON serialization for the server's durable
   /// snapshots: every field of every net and coupling, doubles rendered
-  /// at %.17g by the json writer so to_json → dump → parse → from_json
-  /// reproduces the design bit-identically. from_json rejects malformed
-  /// or partial documents as kInvalidArgument without constructing a
-  /// half-valid design.
+  /// in the json writer's shortest round-trip form so to_json → dump →
+  /// parse → from_json reproduces the design bit-identically. from_json
+  /// rejects malformed or partial documents as kInvalidArgument without
+  /// constructing a half-valid design.
   json::Value to_json() const;
   static StatusOr<Design> from_json(const json::Value& v);
 

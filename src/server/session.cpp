@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstring>
 #include <iterator>
-#include <sstream>
 #include <utility>
 
 #include <sys/stat.h>
@@ -590,12 +589,14 @@ Status Session::verb_analyze(const json::Value& req, json::Object& result,
       // A net that ran out of deadline or hit a transient fault stays
       // dirty: the stored slot records the failure honestly, and the
       // next analyze retries it instead of serving the failure forever.
+      // So does every net of a fault-injected request: its faults belong
+      // to that request alone.
       const Status& ns = br.nets[p].status;
       const bool retry_later =
           !ns.ok() && (ns.code() == StatusCode::kDeadlineExceeded ||
                        ns.is_transient());
       slots_[o] = std::move(br.nets[p]);
-      dirty_[o] = degraded || retry_later;
+      dirty_[o] = degraded || retry_later || fault_guard.active;
     }
     ++analyze_runs_;
     nets_reanalyzed_ += dirty_idx.size();
@@ -636,13 +637,9 @@ Status Session::verb_analyze(const json::Value& req, json::Object& result,
   finalize_batch_result(assembled, cfg_.batch.top_k,
                         cfg_.batch.ladder.enabled);
 
-  StatusOr<json::Value> report = json::parse(assembled.to_json());
-  if (!report.ok())
-    return Status::Internal("analyze: batch report round-trip failed: " +
-                            report.status().message());
   result["reanalyzed"] = dirty_idx.size();
   if (degraded) result["admission_degraded"] = true;
-  result["report"] = *report;
+  result["report"] = assembled.to_json_value();
   return Status::Ok();
 }
 
@@ -706,12 +703,8 @@ Status Session::verb_stats(json::Object& result) {
   // The full dn::obs registry, when the process was started with
   // metrics on (--profile/--metrics-json): the daemon's observability
   // story is the same one batch mode has.
-  if (obs::metrics_enabled()) {
-    std::ostringstream os;
-    obs::metrics().write_json(os);
-    StatusOr<json::Value> metrics = json::parse(os.str());
-    if (metrics.ok()) result["metrics"] = *metrics;
-  }
+  if (obs::metrics_enabled())
+    result["metrics"] = obs::metrics().to_json_value();
   return Status::Ok();
 }
 

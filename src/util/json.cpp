@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -65,18 +66,19 @@ void write_number(std::ostream& os, double v) {
     os << "null";
     return;
   }
-  if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-    os << static_cast<long long>(v);
-    return;
-  }
+  // Shortest round-trip digits, laid out like %g (so at most 17 of them);
+  // an integral double below 2^53 in fixed notation is its exact integer
+  // ("-0" keeps the sign bit).
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  os << buf;
+  const bool integral =
+      v == std::floor(v) && std::abs(v) < 9.007199254740992e15;
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, v,
+      integral ? std::chars_format::fixed : std::chars_format::general);
+  os.write(buf, r.ptr - buf);
 }
 
-namespace {
-
-void write_string(std::ostream& os, const std::string& s) {
+void write_string(std::ostream& os, std::string_view s) {
   os << '"';
   for (const char c : s) {
     switch (c) {
@@ -97,8 +99,6 @@ void write_string(std::ostream& os, const std::string& s) {
   }
   os << '"';
 }
-
-}  // namespace
 
 void Value::dump(std::ostream& os) const {
   switch (type_) {

@@ -2,13 +2,15 @@
 //
 // The serving stack speaks newline-delimited JSON (one request/response
 // object per line) and the unified AnalysisConfig round-trips through the
-// same representation, so both ends need a real parser — the hand-rolled
-// writers in report.cpp stay for the hot output path, but anything that
-// READS JSON goes through here. Scope is deliberately small: the standard
-// value model (null/bool/number/string/array/object), strict RFC-8259
-// syntax with a nesting-depth bound, and deterministic serialization
-// (object keys kept in insertion order, numbers via a shortest-ish
-// round-trip format) so protocol transcripts are byte-stable.
+// same representation, so both ends need a real parser. This is also the
+// one JSON writer: reports, batch envelopes, the metrics registry and
+// protocol responses are built as Values and rendered by dump(), and the
+// trace recorder streams its events' strings through write_string.
+// Scope is deliberately small: the standard value model
+// (null/bool/number/string/array/object), strict RFC-8259 syntax with a
+// nesting-depth bound, and deterministic serialization (object keys kept
+// in insertion order, numbers in the shortest round-trip form) so
+// protocol transcripts are byte-stable.
 #pragma once
 
 #include <cstdint>
@@ -113,10 +115,15 @@ class Value {
   std::shared_ptr<Object> obj_;
 };
 
-/// Renders a double the way dump() does: integers without a fraction part
-/// (when exactly representable), everything else with %.17g round-trip
-/// precision.
+/// Renders a double the way dump() does: integers below 2^53 without a
+/// fraction part, Inf/NaN as null, everything else as the shortest decimal
+/// that parses back to the same double (never more than 17 significant
+/// digits). parse(dump(x)) returns x bit for bit, -0 included.
 void write_number(std::ostream& os, double v);
+
+/// Renders `s` as a quoted JSON string: '"' and '\\' escaped, control
+/// characters as \n/\r/\t or \u00XX (never dropped), other bytes as is.
+void write_string(std::ostream& os, std::string_view s);
 
 /// Strict parse of one JSON document (the whole string must be consumed
 /// apart from trailing whitespace). Malformed input comes back as

@@ -5,8 +5,9 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <vector>
+
+#include "util/json.hpp"
 
 namespace dn::obs {
 
@@ -220,66 +221,38 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
   return *slot;
 }
 
-namespace {
-
-void json_number(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "0";
-    return;
-  }
-  std::ostringstream tmp;
-  tmp.precision(12);
-  tmp << v;
-  os << tmp.str();
-}
-
-}  // namespace
-
-void MetricsRegistry::write_json(std::ostream& os) const {
+json::Value MetricsRegistry::to_json_value() const {
   std::lock_guard<std::mutex> lk(mu_);
-  os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    os << (first ? "" : ",") << "\"" << name << "\":" << c->value();
-    first = false;
-  }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    os << (first ? "" : ",") << "\"" << name << "\":";
-    json_number(os, g->value());
-    first = false;
-  }
-  os << "},\"histograms\":{";
-  first = true;
+  json::Object counters;
+  for (const auto& [name, c] : counters_) counters[name] = c->value();
+  json::Object gauges;
+  for (const auto& [name, g] : gauges_) gauges[name] = g->value();
+  json::Object histograms;
   for (const auto& [name, h] : histograms_) {
     const Histogram::Snapshot s = h->snapshot();
-    os << (first ? "" : ",") << "\"" << name << "\":{\"count\":" << s.count
-       << ",\"sum\":";
-    json_number(os, s.sum);
-    os << ",\"min\":";
-    json_number(os, s.min);
-    os << ",\"max\":";
-    json_number(os, s.max);
-    os << ",\"mean\":";
-    json_number(os, s.mean());
-    os << ",\"p50\":";
-    json_number(os, s.percentile(50));
-    os << ",\"p90\":";
-    json_number(os, s.percentile(90));
-    os << ",\"p99\":";
-    json_number(os, s.percentile(99));
-    os << "}";
-    first = false;
+    json::Object stats;
+    stats["count"] = s.count;
+    stats["sum"] = s.sum;
+    stats["min"] = s.min;
+    stats["max"] = s.max;
+    stats["mean"] = s.mean();
+    stats["p50"] = s.percentile(50);
+    stats["p90"] = s.percentile(90);
+    stats["p99"] = s.percentile(99);
+    histograms[name] = json::Value(std::move(stats));
   }
-  os << "}}";
+  json::Object o;
+  o["counters"] = json::Value(std::move(counters));
+  o["gauges"] = json::Value(std::move(gauges));
+  o["histograms"] = json::Value(std::move(histograms));
+  return json::Value(std::move(o));
 }
 
-std::string MetricsRegistry::to_json() const {
-  std::ostringstream os;
-  write_json(os);
-  return os.str();
+void MetricsRegistry::write_json(std::ostream& os) const {
+  to_json_value().dump(os);
 }
+
+std::string MetricsRegistry::to_json() const { return to_json_value().dump(); }
 
 void MetricsRegistry::write_summary(std::ostream& os) const {
   std::lock_guard<std::mutex> lk(mu_);

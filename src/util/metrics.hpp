@@ -33,6 +33,10 @@
 #include <mutex>
 #include <string>
 
+namespace dn::json {
+class Value;
+}
+
 namespace dn::obs {
 
 namespace detail {
@@ -206,6 +210,8 @@ class MetricsRegistry {
   ///   {"counters":{...},"gauges":{...},
   ///    "histograms":{"x":{"count":..,"sum":..,"min":..,"max":..,
   ///                       "mean":..,"p50":..,"p90":..,"p99":..}}}
+  /// write_json/to_json render to_json_value().
+  json::Value to_json_value() const;
   void write_json(std::ostream& os) const;
   std::string to_json() const;
 

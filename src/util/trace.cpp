@@ -1,8 +1,9 @@
 #include "util/trace.hpp"
 
-#include <cstdio>
 #include <ostream>
 #include <sstream>
+
+#include "util/json.hpp"
 
 namespace dn::obs {
 
@@ -51,7 +52,13 @@ void TraceRecorder::write_json(std::ostream& os) const {
         num << std::fixed << e.ts_us << ",\"dur\":" << e.dur_us;
         os << num.str();
       }
-      if (!e.args.empty()) os << ",\"args\":{" << e.args << "}";
+      if (e.arg_key) {
+        os << ",\"args\":{";
+        json::write_string(os, e.arg_key);
+        os << ':';
+        json::write_string(os, e.arg_value);
+        os << '}';
+      }
       os << "}";
     }
   }
@@ -82,35 +89,13 @@ std::size_t TraceRecorder::event_count() const {
   return n;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof hex, "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 TraceSpan::TraceSpan(const char* name, const char* cat, const char* key,
                      const std::string& value)
     : name_(name), cat_(cat), active_(tracing_enabled()) {
   if (!active_) return;
   t0_us_ = TraceRecorder::instance().now_us();
-  args_ = std::string("\"") + key + "\":\"" + json_escape(value) + "\"";
+  arg_key_ = key;
+  arg_value_ = value;
 }
 
 TraceSpan::~TraceSpan() {
@@ -121,7 +106,8 @@ TraceSpan::~TraceSpan() {
   e.cat = cat_;
   e.ts_us = t0_us_;
   e.dur_us = rec.now_us() - t0_us_;
-  e.args = std::move(args_);
+  e.arg_key = arg_key_;
+  e.arg_value = std::move(arg_value_);
   rec.append(e);
 }
 

@@ -52,7 +52,8 @@ struct TraceEvent {
   double ts_us = 0.0;     // Start, microseconds since recorder epoch.
   double dur_us = 0.0;
   int tid = 0;
-  std::string args;  // Pre-rendered JSON object body ("\"k\":\"v\""), may be empty.
+  const char* arg_key = nullptr;  // Optional string argument; a literal.
+  std::string arg_value;          // Raw; escaped when the trace is written.
 };
 
 /// Process-wide trace sink. instance() never dies.
@@ -107,8 +108,8 @@ class TraceSpan {
       : name_(name), cat_(cat), active_(tracing_enabled()) {
     if (active_) t0_us_ = TraceRecorder::instance().now_us();
   }
-  /// Attaches one string argument (e.g. the net name); the JSON is built
-  /// only when the span is active.
+  /// Attaches one string argument (e.g. the net name), copied only when
+  /// the span is active.
   TraceSpan(const char* name, const char* cat, const char* key,
             const std::string& value);
   ~TraceSpan();
@@ -121,7 +122,8 @@ class TraceSpan {
   const char* cat_;
   bool active_;
   double t0_us_ = 0.0;
-  std::string args_;
+  const char* arg_key_ = nullptr;
+  std::string arg_value_;
 };
 
 /// Span + stage-latency histogram in one declaration — the common shape
@@ -136,8 +138,5 @@ class StageScope {
   TraceSpan span_;
   ScopedLatency lat_;
 };
-
-/// Escapes a string for embedding inside a JSON string literal.
-std::string json_escape(const std::string& s);
 
 }  // namespace dn::obs

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -168,11 +169,13 @@ TEST_F(ObsTest, RegistryHandsOutStableReferences) {
 TEST_F(ObsTest, RegistryJsonHasTheDocumentedShape) {
   metrics().counter("test.json.hits").add(3);
   metrics().gauge("test.json.depth").set(2.0);
+  metrics().gauge("test.json.nan").set(std::nan(""));
   metrics().histogram("test.json.lat").record(0.5);
   const std::string json = metrics().to_json();
   for (const char* key :
        {"\"counters\":", "\"gauges\":", "\"histograms\":",
         "\"test.json.hits\":3", "\"test.json.depth\":2",
+        "\"test.json.nan\":null",
         "\"test.json.lat\":{\"count\":1", "\"sum\":", "\"min\":", "\"max\":",
         "\"mean\":", "\"p50\":", "\"p90\":", "\"p99\":"})
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
@@ -238,10 +241,19 @@ TEST_F(ObsTest, ConcurrentSpansAllLand) {
   EXPECT_EQ(TraceRecorder::instance().event_count(), 0u);
 }
 
+// Span args and every other string go through the one json writer.
+std::string json_quoted(std::string_view s) {
+  std::ostringstream os;
+  json::write_string(os, s);
+  return os.str();
+}
+
 TEST_F(ObsTest, JsonEscapeHandlesSpecials) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
+  EXPECT_EQ(json_quoted("plain"), "\"plain\"");
+  EXPECT_EQ(json_quoted("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(json_quoted("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
+  // A control character is escaped, never dropped.
+  EXPECT_EQ(json_quoted(std::string("x\x01y\x1f")), "\"x\\u0001y\\u001f\"");
 }
 
 }  // namespace

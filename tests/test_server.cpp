@@ -16,6 +16,8 @@
 
 #include "clarinet/analysis_config.hpp"
 #include "clarinet/characterization_cache.hpp"
+#include "rcnet/random_nets.hpp"
+#include "rcnet/spef.hpp"
 #include "server/design.hpp"
 #include "server/server.hpp"
 #include "util/json.hpp"
@@ -54,6 +56,10 @@ std::string load_line(int seed, int nets, int neighbors) {
   os << "{\"verb\":\"load_design\",\"design\":{\"random\":{\"seed\":" << seed
      << ",\"nets\":" << nets << ",\"neighbors\":" << neighbors << "}}}";
   return os.str();
+}
+
+std::string temp_path(const char* stem) {
+  return testing::TempDir() + stem;
 }
 
 /// The report sub-object of an analyze response, re-serialized. Byte
@@ -220,6 +226,57 @@ TEST(ServerSession, InjectedTableFaultDoesNotOutliveItsRequest) {
   const json::Value cold = req(b, "{\"verb\":\"analyze\"}");
   ASSERT_TRUE(ok(cold));
   EXPECT_EQ(report_bytes(clean), report_bytes(cold));
+}
+
+// Every net an injected-fault analyze recomputed stays dirty, so the
+// next plain analyze recomputes it instead of serving the faults.
+TEST(ServerSession, FaultInjectedResultsDoNotOutliveTheirRequest) {
+  Session a;
+  ASSERT_TRUE(ok(req(a, load_line(7, 6, 1))));
+  const json::Value faulted = req(
+      a, "{\"verb\":\"analyze\",\"inject_faults\":\"cache:1\"}");
+  ASSERT_TRUE(ok(faulted));
+  EXPECT_NE(report_bytes(faulted).find("table_to_vdd2"), std::string::npos);
+  const json::Value clean = req(a, "{\"verb\":\"analyze\"}");
+  ASSERT_TRUE(ok(clean));
+  EXPECT_EQ(result_of(clean).find("reanalyzed")->as_number(), 6.0);
+  EXPECT_EQ(report_bytes(clean).find("degradations"), std::string::npos);
+
+  Session b;
+  ASSERT_TRUE(ok(req(b, load_line(7, 6, 1))));
+  const json::Value cold = req(b, "{\"verb\":\"analyze\"}");
+  ASSERT_TRUE(ok(cold));
+  EXPECT_EQ(report_bytes(clean), report_bytes(cold));
+}
+
+// The analyze report is embedded as built, so a net path that needs
+// escaping (here a '"') is served like any other, failed slot included.
+TEST(ServerSession, NetPathWithAQuoteAnalyzes) {
+  Rng rng(3);
+  const std::string path = temp_path("dn_quote\"name.spef");
+  {
+    std::ofstream out(path);
+    write_spef(out, random_coupled_net(rng));
+    ASSERT_TRUE(out.good());
+  }
+  json::Object design;
+  design["spef_files"] = json::Array{json::Value(path)};
+  json::Object load;
+  load["verb"] = "load_design";
+  load["design"] = json::Value(std::move(design));
+  Session s;
+  ASSERT_TRUE(ok(req(s, json::Value(std::move(load)).dump())));
+
+  for (const char* line : {"{\"verb\":\"analyze\",\"deadline_ms\":0.0001}",
+                           "{\"verb\":\"analyze\"}"}) {
+    const json::Value resp = req(s, line);
+    ASSERT_TRUE(ok(resp)) << resp.dump();
+    const json::Value* nets = result_of(resp).find("report")->find("nets");
+    ASSERT_NE(nets, nullptr);
+    ASSERT_EQ(nets->as_array().size(), 1u);
+    EXPECT_EQ(nets->as_array()[0].find("net")->as_string(), path);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ServerSession, JobsOneAndEightProduceIdenticalReports) {
@@ -436,10 +493,6 @@ TEST(ServerSession, StatsReportsCountersAndCacheState) {
 }
 
 // --- Cache persistence ---------------------------------------------------
-
-std::string temp_path(const char* stem) {
-  return testing::TempDir() + stem;
-}
 
 TEST(CharacterizationCachePersistence, SaveLoadRoundTripServesHits) {
   Session s;

@@ -19,15 +19,15 @@
 //     Per-net failures (unreadable/malformed decks, solver errors) are
 //     recorded and the run continues. stdout is byte-identical for any
 //     --jobs value; throughput/cache stats go to stderr.
-//     [--load-cache FILE] preloads characterized alignment tables,
-//     [--save-cache FILE] persists them after the run.
+//     [--load-cache FILE] preloads characterized alignment and driver
+//     tables, [--save-cache FILE] persists both after the run.
 //
 // Server mode (the resident analysis daemon, DESIGN.md §11):
 //   dnoise_cli --serve [--socket PATH] [--queue-soft N] [--queue-hard N]
 //     Speaks newline-delimited JSON (one request object per line, one
 //     response per line) on stdin/stdout, or on a Unix socket with
 //     --socket. Verbs: ping, load_design, update_net, update_driver,
-//     analyze, config, stats, save_cache, load_cache, shutdown.
+//     analyze, config, stats, save_cache, load_cache, snapshot, shutdown.
 //
 // Configuration (single, batch, and serve modes): every analysis knob is
 // a key of dn::AnalysisConfig. Flags below are shorthand for those keys;
