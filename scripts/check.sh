@@ -11,8 +11,9 @@
 # faults at every site and demands degraded-not-crashed, job-count-
 # independent output (DESIGN.md §10), fault-free jobs-1 vs jobs-4
 # determinism checks (adaptive, fixed grid and exhaustive search), a
-# cross-process cache-file round trip, a JSON-output stage over net names
-# that need escaping, plus server and CLI smokes.
+# cross-process cache-file round trip, a trace-attribution gate, a
+# JSON-output stage over net names that need escaping or are not UTF-8,
+# plus server and CLI smokes.
 #
 # Usage: scripts/check.sh [--no-asan] [--no-tsan] [--no-fuzz] [--no-chaos]
 #                         [--no-bench]
@@ -186,7 +187,7 @@ if [[ "$run_bench" == 1 ]]; then
   # accuracy guard) and prints one JSON result as its last stdout line.
   # On top of that, a single-job throughput floor: 24.1 nets/s is the
   # pre-kernel-fast-path baseline (DESIGN.md §14) — dipping below it
-  # means the small-dense kernels / batched probing regressed.
+  # means the unrolled dense solves / batched probing regressed.
   python3 perfbench/run.py --workload batch_warm --seed 1 --seconds 10 \
     > build/perfbench_batch_warm.out
   python3 - build/perfbench_batch_warm.out <<'PY'
@@ -203,10 +204,11 @@ assert ops >= floor, (
 print(f"batch perf gate: {ops:.1f} nets/s at --jobs 1 (floor {floor})")
 PY
 
-  echo "== native-codegen build (DN_NATIVE=ON): kernel equivalence =="
-  # -march=native changes instruction selection (FMA contraction, AVX);
-  # the small-dense bit-identity contract must hold WITHIN any one build,
-  # so the BackendEquivalence suite runs again under host-tuned codegen.
+  echo "== native-codegen build (DN_NATIVE=ON): one dense LU =="
+  # -march=native changes instruction selection (FMA contraction, AVX).
+  # LuFactor's unrolled (n <= 16) and runtime-loop solves must still agree
+  # bit for bit within the build, so the matrix and adaptive-sim suites
+  # run again under host-tuned codegen.
   cmake -B build-native -S . -DDN_NATIVE=ON -DDN_WERROR=ON >/dev/null
   cmake --build build-native -j "$jobs" --target test_matrix test_adaptive_sim
   ./build-native/tests/test_matrix
@@ -277,6 +279,46 @@ for name in ("thevenin.tables", "characterize.tables"):
 print("cache round trip: same report, no table refilled")
 PY
 
+echo "== trace attribution: library spans cover net.analyze =="
+# Where a net's time went must be answerable from the trace alone: the
+# top-level child spans of each net.analyze (same thread, nested by
+# ts/dur: ceff.driver, cache.table, superposition.linear, receiver.eval,
+# rtr.solve) must cover >= 95% of the total net.analyze time.
+./build/tools/dnoise_cli --batch --random 40 --seed 1 --jobs 1 \
+  --trace-out build/attribution.trace >/dev/null 2>&1
+python3 - build/attribution.trace <<'PY'
+import json, sys
+from collections import defaultdict
+with open(sys.argv[1]) as f:
+    events = [e for e in json.load(f)["traceEvents"] if e.get("ph") == "X"]
+by_tid = defaultdict(list)
+for e in events:
+    by_tid[e["tid"]].append(e)
+eps = 1e-3  # us; ts and dur are printed at ns resolution.
+total = covered = 0.0
+nets = 0
+for spans in by_tid.values():
+    spans.sort(key=lambda e: (e["ts"], -e["dur"]))
+    for a in (e for e in spans if e["name"] == "net.analyze"):
+        lo, hi = a["ts"], a["ts"] + a["dur"]
+        end = lo  # End of the last top-level child so far.
+        for c in spans:
+            if c is a or c["ts"] < lo - eps or c["ts"] + c["dur"] > hi + eps:
+                continue
+            if c["ts"] >= end - eps:  # Not nested in an earlier child.
+                covered += c["dur"]
+                end = c["ts"] + c["dur"]
+        total += a["dur"]
+        nets += 1
+assert nets == 40, f"trace attribution: {nets} net.analyze spans, want 40"
+share = covered / total
+assert share >= 0.95, (
+    f"trace attribution: child spans cover {share:.1%} of net.analyze "
+    f"time (gate 95%)")
+print(f"trace attribution: child spans cover {share:.1%} of {nets} "
+      f"net.analyze spans ({total / 1e6:.2f} s)")
+PY
+
 echo "== JSON output: net names that need escaping =="
 # Every JSON document comes from one writer (util/json). A failing deck
 # and a good one, each copied under a name holding '"' and '\', must give
@@ -304,6 +346,21 @@ assert sorted(by_net) == sorted([bad, good]), f"net names differ: {list(by_net)}
 assert "error" in by_net[bad], by_net[bad]
 assert "delay_noise_ps" in by_net[good], by_net[good]
 print("JSON output: report and metrics parse, both net names read back exactly")
+PY
+# A deck name holding a byte that is not UTF-8: the report must still be
+# valid UTF-8 JSON, the byte written as U+FFFD.
+ff_deck="$jsondir/n"$'\xff'".spef"
+cp tests/corpus/spef/minimal.spef "$ff_deck"
+./build/tools/dnoise_cli --batch "$ff_deck" --json 2>/dev/null \
+  > build/json_ff.json
+python3 - build/json_ff.json "$jsondir" <<'PY'
+import json, sys
+with open(sys.argv[1], "rb") as f:
+    report = json.loads(f.read().decode("utf-8"))
+[net] = report["nets"]
+assert net["net"] == sys.argv[2] + "/n\ufffd.spef", net["net"]
+assert "delay_noise_ps" in net, net
+print("JSON output: a non-UTF-8 deck name reads back with U+FFFD")
 PY
 
 echo "== server smoke: scripted NDJSON session against --serve =="

@@ -20,11 +20,14 @@ constexpr double kSimTail = 3e-9;   // Linear-sim horizon past the input end.
 
 }  // namespace
 
-CeffResult compute_ceff(const GateParams& driver, double input_slew,
-                        bool output_rising, double t_input_start,
-                        const LoadBuilder& build_load, double c_total,
-                        const CeffOptions& opts) {
+CeffResult compute_ceff(
+    const GateParams& driver, double input_slew, bool output_rising,
+    double t_input_start, const RcTree& net,
+    const std::vector<std::pair<int, double>>& extra_node_caps,
+    double sink_pin_cap, const CeffOptions& opts) {
   obs::TraceSpan span("ceff.driver", "analyze");
+  double c_total = net.total_cap() + sink_pin_cap;
+  for (const auto& [node, c] : extra_node_caps) c_total += c;
   if (c_total <= 0.0)
     throw std::invalid_argument("compute_ceff: c_total must be > 0");
   const TheveninTable& table = driver_table(driver, output_rising, opts.fit);
@@ -39,7 +42,14 @@ CeffResult compute_ceff(const GateParams& driver, double input_slew,
 
     // Linear simulation: Thevenin driver into the real load.
     Circuit ckt;
-    const NodeId port = build_load(ckt);
+    const auto map = net.instantiate(ckt, "v");
+    for (const auto& [node, c] : extra_node_caps)
+      if (c > 0)
+        ckt.add_capacitor(map[static_cast<std::size_t>(node)], kGround, c);
+    if (sink_pin_cap > 0)
+      ckt.add_capacitor(map[static_cast<std::size_t>(net.sink)], kGround,
+                        sink_pin_cap);
+    const NodeId port = map[0];
     const NodeId src = ckt.node("thv_src");
     const double t_stop = t_input_start + input_slew + kSimTail;
     ckt.add_vsource(src, kGround, m.source(t_stop));
@@ -96,28 +106,6 @@ CeffResult compute_ceff(const GateParams& driver, double input_slew,
   h_iters.record(static_cast<double>(out.iterations));
   if (!out.converged) c_unconverged.add(1);
   return out;
-}
-
-CeffResult compute_ceff_for_net(
-    const GateParams& driver, double input_slew, bool output_rising,
-    double t_input_start, const RcTree& net,
-    const std::vector<std::pair<int, double>>& extra_node_caps,
-    double sink_pin_cap, const CeffOptions& opts) {
-  double c_total = net.total_cap() + sink_pin_cap;
-  for (const auto& [node, c] : extra_node_caps) c_total += c;
-
-  LoadBuilder builder = [&net, &extra_node_caps, sink_pin_cap](Circuit& ckt) {
-    const auto map = net.instantiate(ckt, "v");
-    for (const auto& [node, c] : extra_node_caps)
-      if (c > 0)
-        ckt.add_capacitor(map[static_cast<std::size_t>(node)], kGround, c);
-    if (sink_pin_cap > 0)
-      ckt.add_capacitor(map[static_cast<std::size_t>(net.sink)], kGround,
-                        sink_pin_cap);
-    return map[0];
-  };
-  return compute_ceff(driver, input_slew, output_rising, t_input_start,
-                      builder, c_total, opts);
 }
 
 }  // namespace dn

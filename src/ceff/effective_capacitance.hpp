@@ -13,7 +13,6 @@
 // model and the one nonlinear driver simulation of the Rtr extraction.
 #pragma once
 
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -38,22 +37,13 @@ struct CeffResult {
   bool converged = false;
 };
 
-/// Populates a circuit with the load network and returns the port node the
-/// driver attaches to.
-using LoadBuilder = std::function<NodeId(Circuit&)>;
-
-/// General form: `driver` switches its output in direction `output_rising`
-/// from a full-swing input ramp of `input_slew` starting at
-/// `t_input_start` (driver_input_ramp); `c_total` seeds the iteration (the
-/// lumped total load). Models come from driver_tables().
-CeffResult compute_ceff(const GateParams& driver, double input_slew,
-                        bool output_rising, double t_input_start,
-                        const LoadBuilder& build_load, double c_total,
-                        const CeffOptions& opts = {});
-
-/// Net form: load = `net` + grounded extra caps at local nodes (e.g.
-/// coupling caps treated as grounded) + receiver pin cap at the sink.
-CeffResult compute_ceff_for_net(
+/// `driver` switches its output in direction `output_rising` from a
+/// full-swing input ramp of `input_slew` starting at `t_input_start`
+/// (driver_input_ramp) into a load of `net` + grounded extra caps at local
+/// nodes (e.g. coupling caps treated as grounded) + receiver pin cap at the
+/// sink. The lumped total load seeds the iteration and must be > 0. Models
+/// come from driver_tables().
+CeffResult compute_ceff(
     const GateParams& driver, double input_slew, bool output_rising,
     double t_input_start, const RcTree& net,
     const std::vector<std::pair<int, double>>& extra_node_caps,

@@ -42,7 +42,7 @@ SuperpositionEngine::SuperpositionEngine(const CoupledNet& net,
   ceff.fit.stale_jacobian_iters = opts_.newton.stale_jacobian_iters;
 
   // Victim driver: Ceff + Thevenin with coupling caps grounded.
-  victim_model_ = compute_ceff_for_net(
+  victim_model_ = compute_ceff(
       net_.victim.driver, net_.victim.input_slew, net_.victim.output_rising,
       opts_.t_ref, net_.victim.net, grounded_couplings_for_victim(net_),
       net_.victim.receiver.input_cap(), ceff);
@@ -50,7 +50,7 @@ SuperpositionEngine::SuperpositionEngine(const CoupledNet& net,
   aggressor_models_.reserve(net_.aggressors.size());
   for (std::size_t k = 0; k < net_.aggressors.size(); ++k) {
     const auto& agg = net_.aggressors[k];
-    aggressor_models_.push_back(compute_ceff_for_net(
+    aggressor_models_.push_back(compute_ceff(
         agg.driver, agg.input_slew, agg.output_rising, opts_.t_ref, agg.net,
         grounded_couplings_for_aggressor(net_, static_cast<int>(k)),
         agg.sink_load, ceff));

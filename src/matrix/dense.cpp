@@ -1,10 +1,13 @@
 #include "matrix/dense.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "matrix/sparse.hpp"
 
@@ -76,37 +79,89 @@ double Matrix::norm() const {
   return std::sqrt(acc);
 }
 
-StatusOr<LuFactor> LuFactor::make(Matrix a) {
+namespace {
+
+/// x <- U^-1 L^-1 P x on factors packed at stride n, with y (n doubles) as
+/// workspace. `n` is a std::size_t, or a std::integral_constant, which
+/// makes every loop bound and index a compile-time constant; the
+/// floating-point operations and their order are the same either way.
+template <class Dim>
+void substitute(const double* lu, const std::size_t* perm, Dim n, double* x,
+                double* y) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = x[perm[i]];
+  // Forward substitution with unit lower-triangular L.
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc = y[i];
+    for (std::size_t j = 0; j < i; ++j) acc -= lu[i * n + j] * y[j];
+    y[i] = acc;
+  }
+  // Back substitution with U.
+  for (std::size_t ii = n; ii-- > 0;) {
+    double acc = y[ii];
+    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu[ii * n + j] * y[j];
+    y[ii] = acc / lu[ii * n + ii];
+  }
+  for (std::size_t i = 0; i < n; ++i) x[i] = y[i];
+}
+
+template <std::size_t N>
+void solve_unrolled(const double* lu, const std::size_t* perm, double* x) {
+  double y[N];
+  substitute(lu, perm, std::integral_constant<std::size_t, N>{}, x, y);
+}
+
+template <std::size_t... I>
+constexpr auto unrolled_solves(std::index_sequence<I...>) {
+  return std::array{&solve_unrolled<I + 1>...};
+}
+
+/// kUnrolledSolves[n - 1] solves a system of dimension n.
+constexpr auto kUnrolledSolves =
+    unrolled_solves(std::make_index_sequence<kUnrolledSolveMaxDim>{});
+
+}  // namespace
+
+StatusOr<LuFactor> LuFactor::make(const Matrix& a) {
+  if (a.rows() != a.cols())
+    return Status::InvalidArgument("LuFactor: not square");
   LuFactor f;
-  f.lu_ = std::move(a);
+  f.n_ = a.rows();
+  f.lu_.reserve(f.n_ * f.n_);
+  for (std::size_t r = 0; r < f.n_; ++r)
+    f.lu_.insert(f.lu_.end(), a.row(r).begin(), a.row(r).end());
   Status s = f.factorize();
   if (!s.ok()) return s;
   return f;
 }
 
-Status LuFactor::refactor(const Matrix& a) {
-  if (a.rows() != lu_.rows() || a.cols() != lu_.cols())
-    return Status::InvalidArgument("LuFactor::refactor: shape mismatch");
-  lu_ = a;  // Same shape: reuses lu_'s existing storage, no allocation.
-  return factorize();
+StatusOr<LuFactor> LuFactor::make(const SparseMatrix& a) {
+  if (a.rows() != a.cols())
+    return Status::InvalidArgument("LuFactor: not square");
+  LuFactor f;
+  f.n_ = a.rows();
+  f.lu_.resize(f.n_ * f.n_);
+  Status s = f.refactor(a);
+  if (!s.ok()) return s;
+  return f;
 }
 
 Status LuFactor::refactor(const SparseMatrix& a) {
-  if (a.rows() != lu_.rows() || a.cols() != lu_.cols())
+  if (a.rows() != n_ || a.cols() != n_)
     return Status::InvalidArgument("LuFactor::refactor: shape mismatch");
-  lu_.fill(0.0);
+  std::fill(lu_.begin(), lu_.end(), 0.0);
   const auto rp = a.row_ptr();
   const auto ci = a.col_idx();
   const auto v = a.values();
-  for (std::size_t r = 0; r < lu_.rows(); ++r)
-    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p) lu_(r, ci[p]) += v[p];
+  for (std::size_t r = 0; r < n_; ++r) {
+    double* row = lu_.data() + r * n_;
+    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p) row[ci[p]] += v[p];
+  }
   return factorize();
 }
 
 Status LuFactor::factorize() {
-  if (lu_.rows() != lu_.cols())
-    return Status::InvalidArgument("LuFactor: not square");
-  const std::size_t n = lu_.rows();
+  double* lu = lu_.data();
+  const std::size_t n = n_;
   perm_.resize(n);
   for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
   min_pivot_ = std::numeric_limits<double>::infinity();
@@ -114,9 +169,9 @@ Status LuFactor::factorize() {
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivoting: pick the largest magnitude in column k at/below row k.
     std::size_t piv = k;
-    double best = std::abs(lu_(k, k));
+    double best = std::abs(lu[k * n + k]);
     for (std::size_t i = k + 1; i < n; ++i) {
-      const double m = std::abs(lu_(i, k));
+      const double m = std::abs(lu[i * n + k]);
       if (m > best) {
         best = m;
         piv = i;
@@ -127,14 +182,16 @@ Status LuFactor::factorize() {
     min_pivot_ = std::min(min_pivot_, best);
     if (piv != k) {
       std::swap(perm_[piv], perm_[k]);
-      for (std::size_t j = 0; j < n; ++j) std::swap(lu_(piv, j), lu_(k, j));
+      for (std::size_t j = 0; j < n; ++j)
+        std::swap(lu[piv * n + j], lu[k * n + j]);
     }
-    const double inv_pivot = 1.0 / lu_(k, k);
+    const double inv_pivot = 1.0 / lu[k * n + k];
     for (std::size_t i = k + 1; i < n; ++i) {
-      const double mult = lu_(i, k) * inv_pivot;
-      lu_(i, k) = mult;
+      const double mult = lu[i * n + k] * inv_pivot;
+      lu[i * n + k] = mult;
       if (mult == 0.0) continue;
-      for (std::size_t j = k + 1; j < n; ++j) lu_(i, j) -= mult * lu_(k, j);
+      for (std::size_t j = k + 1; j < n; ++j)
+        lu[i * n + j] -= mult * lu[k * n + j];
     }
   }
   return Status::Ok();
@@ -148,23 +205,10 @@ Vector LuFactor::solve(std::span<const double> b) const {
 }
 
 void LuFactor::solve_in_place(std::span<double> x) const {
-  const std::size_t n = size();
-  scratch_.resize(n);  // No-op after the first solve.
-  Vector& y = scratch_;
-  for (std::size_t i = 0; i < n; ++i) y[i] = x[perm_[i]];
-  // Forward substitution with unit lower-triangular L.
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = y[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * y[j];
-    y[i] = acc;
-  }
-  // Back substitution with U.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = y[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * y[j];
-    y[ii] = acc / lu_(ii, ii);
-  }
-  for (std::size_t i = 0; i < n; ++i) x[i] = y[i];
+  if (n_ >= 1 && n_ <= kUnrolledSolveMaxDim)
+    return kUnrolledSolves[n_ - 1](lu_.data(), perm_.data(), x.data());
+  scratch_.resize(n_);  // No-op after the first solve.
+  substitute(lu_.data(), perm_.data(), n_, x.data(), scratch_.data());
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {

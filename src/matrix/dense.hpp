@@ -2,8 +2,10 @@
 //
 // Gate and characterization circuits are a few to a few dozen unknowns,
 // and dense storage with partial-pivot LU is simpler and faster there.
-// SystemSolver (matrix/solver.hpp) picks this backend for small or dense
-// systems and SparseLu for large sparse MNA systems; the flow simulates
+// LuFactor is the one dense LU: SystemSolver (matrix/solver.hpp) picks it
+// for small or dense systems and SparseLu for large sparse MNA systems,
+// and a gate circuit's 2-12 unknowns solve on its unrolled kernels
+// (kUnrolledSolveMaxDim) with no heap traffic per solve; the flow simulates
 // unreduced nets, which can run to thousands of nodes. A transient
 // factors once per step size, not once per run: LinearSim caches one
 // factor per dt rung it visits and back-substitutes every step on it.
@@ -58,36 +60,43 @@ class Matrix {
   Vector data_;
 };
 
+/// Largest dimension whose solves run on a compile-time-unrolled kernel.
+/// Gate circuits are 2-12 unknowns; above this the runtime loop runs.
+inline constexpr std::size_t kUnrolledSolveMaxDim = 16;
+
 /// Partial-pivot LU factorization of a square matrix; solve() reuses the
-/// factorization for any number of right-hand sides.
+/// factorization for any number of right-hand sides. The one dense LU:
+/// factors are packed row-major at stride n, factorization is one
+/// runtime-n loop, and solves of n <= kUnrolledSolveMaxDim dispatch to an
+/// unrolled substitution with a stack workspace. Both solve paths do the
+/// same floating-point operations in the same order, so a system's
+/// solution does not depend on which one served it.
 class LuFactor {
  public:
   /// Factors A. Non-square shapes come back as kInvalidArgument and
   /// numerical singularity as kInternal — a singular MNA system is a
   /// per-net analysis failure the batch engine records and skips.
-  static StatusOr<LuFactor> make(Matrix a);
+  static StatusOr<LuFactor> make(const Matrix& a);
 
-  /// Numeric refactorization of a same-shaped matrix reusing this
-  /// factor's storage — the zero-allocation path for fixed-pattern
-  /// Newton restamps. Full re-pivoting each call (dense partial-pivot
-  /// LU has no symbolic phase worth caching).
-  Status refactor(const Matrix& a);
+  /// Factors a CSR matrix, densifying straight into the factor's own
+  /// storage (zero fill, then the stored values added in row order).
+  static StatusOr<LuFactor> make(const SparseMatrix& a);
 
-  /// Same-pattern numeric refactor straight from CSR: densifies into the
-  /// factor's own storage — the identical value adds in the identical
-  /// order as densify-into-a-Matrix-then-copy, minus the n^2 intermediate
-  /// copy. The Newton restamp path refactors millions of times per batch
-  /// run, so that copy was a measurable slice of stage.solver_factor.
+  /// Numeric refactorization of a same-shaped CSR matrix reusing this
+  /// factor's storage — the zero-allocation path for fixed-pattern Newton
+  /// restamps, which run millions of times per batch. Full re-pivoting
+  /// each call (dense partial-pivot LU has no symbolic phase worth
+  /// caching).
   Status refactor(const SparseMatrix& a);
 
-  std::size_t size() const { return lu_.rows(); }
+  std::size_t size() const { return n_; }
 
   /// Solves A x = b.
   Vector solve(std::span<const double> b) const;
 
-  /// Solves in place (x holds b on entry, solution on exit). Backed by a
-  /// member scratch buffer so steady-state solves allocate nothing.
-  void solve_in_place(Vector& x) const { solve_in_place(std::span<double>(x)); }
+  /// Solves in place (x holds b on entry, solution on exit). Allocates
+  /// nothing: small systems substitute on the stack, larger ones on a
+  /// member scratch buffer sized by the first solve.
   void solve_in_place(std::span<double> x) const;
 
   /// 1-norm condition estimate is overkill; this exposes the smallest
@@ -100,10 +109,11 @@ class LuFactor {
   /// Factors lu_ in place; perm_/min_pivot_ are (re)initialized.
   Status factorize();
 
-  Matrix lu_;
+  std::size_t n_ = 0;
+  std::vector<double> lu_;  // Row-major, packed at stride n_.
   std::vector<std::size_t> perm_;
   double min_pivot_ = 0.0;
-  mutable Vector scratch_;  // Permuted-RHS workspace reused across solves.
+  mutable Vector scratch_;  // Substitution workspace above the unrolled dims.
 };
 
 // Basic vector helpers shared by the simulators and PRIMA.

@@ -14,8 +14,6 @@ namespace {
 // hot path is one relaxed atomic load when metrics are off (DESIGN.md §8).
 struct SolverMetrics {
   obs::Counter& dense_picked = obs::metrics().counter("solver.backend.dense");
-  obs::Counter& small_picked =
-      obs::metrics().counter("solver.backend.small_dense");
   obs::Counter& sparse_picked = obs::metrics().counter("solver.backend.sparse");
   obs::Counter& refactors = obs::metrics().counter("solver.refactors");
   obs::Counter& refactor_fallbacks =
@@ -36,15 +34,6 @@ constexpr double kDensityThreshold = 0.25;
 SolverMetrics& sm() {
   static SolverMetrics m;
   return m;
-}
-
-void densify_into(const SparseMatrix& a, Matrix& m) {
-  m.fill(0.0);
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto v = a.values();
-  for (std::size_t r = 0; r < a.rows(); ++r)
-    for (std::size_t p = rp[r]; p < rp[r + 1]; ++p) m(r, ci[p]) += v[p];
 }
 
 }  // namespace
@@ -75,14 +64,14 @@ StatusOr<SystemSolver> SystemSolver::make(const SparseMatrix& a,
     return Status::InvalidArgument("SystemSolver: matrix not square");
   SystemSolver s;
   s.allow_dense_fallback_ = opts.allow_dense_fallback;
-  s.backend_ = opts.backend;
-  if (s.backend_ == SolverBackend::kAuto)
-    s.backend_ = (a.rows() < kDenseMaxDim || a.density() > kDensityThreshold)
-                     ? SolverBackend::kDense
-                     : SolverBackend::kSparse;
+  SolverBackend backend = opts.backend;
+  if (backend == SolverBackend::kAuto)
+    backend = (a.rows() < kDenseMaxDim || a.density() > kDensityThreshold)
+                  ? SolverBackend::kDense
+                  : SolverBackend::kSparse;
 
   obs::ScopedLatency lat(sm().factor_seconds);
-  if (s.backend_ == SolverBackend::kSparse) {
+  if (backend == SolverBackend::kSparse) {
     sm().sparse_picked.add();
     StatusOr<SparseLu> f =
         fault::should_fail(fault::Site::kFactor)
@@ -102,23 +91,9 @@ StatusOr<SystemSolver> SystemSolver::make(const SparseMatrix& a,
     degrade::record(DegradeKind::kSparseToDense,
                     "sparse factor failed (" + f.status().message() +
                         "); forced dense backend");
-    s.backend_ = SolverBackend::kDense;
   }
   sm().dense_picked.add();
-  // Small-system fast path: the unrolled stack kernels do the same
-  // arithmetic as LuFactor with none of the heap/loop overhead. The CSR
-  // input densifies straight into the kernel's block — no scratch Matrix.
-  if (a.rows() > 0 && a.rows() <= kSmallLuMaxDim) {
-    sm().small_picked.add();
-    SmallLu lu;
-    Status st = lu.factorize(a);
-    if (!st.ok()) return st;
-    s.small_.emplace(lu);
-    return s;
-  }
-  s.dense_scratch_ = Matrix(a.rows(), a.cols());
-  densify_into(a, s.dense_scratch_);
-  auto f = LuFactor::make(s.dense_scratch_);
+  auto f = LuFactor::make(a);
   if (!f.ok()) return f.status();
   s.dense_.emplace(std::move(*f));
   return s;
@@ -127,20 +102,7 @@ StatusOr<SystemSolver> SystemSolver::make(const SparseMatrix& a,
 Status SystemSolver::refactor(const SparseMatrix& a) {
   sm().refactors.add();
   obs::ScopedLatency lat(sm().factor_seconds);
-  if (backend_ == SolverBackend::kDense) {
-    if (!dense_ && !small_)
-      return Status::Internal("SystemSolver: not factored");
-    // Both dense sub-backends densify straight from CSR into their own
-    // factor storage (same adds, same order as a scratch densify — the
-    // values and therefore the factors are bit-identical).
-    if (small_) {
-      if (a.rows() != small_->size() || a.cols() != small_->size())
-        return Status::InvalidArgument("SystemSolver::refactor: shape mismatch");
-      return small_->factorize(a);
-    }
-    return dense_->refactor(a);
-  }
-  if (!sparse_) return Status::Internal("SystemSolver: not factored");
+  if (dense_) return dense_->refactor(a);
   Status s;
   if (fault::should_fail(fault::Site::kFactor)) {
     s = Status::Internal("injected fault: sparse refactor");
@@ -163,41 +125,21 @@ Status SystemSolver::refactor(const SparseMatrix& a) {
   degrade::record(DegradeKind::kSparseToDense,
                   "sparse refactor failed (" + s.message() +
                       "); forced dense backend");
-  dense_scratch_ = Matrix(a.rows(), a.cols());
-  densify_into(a, dense_scratch_);
-  auto f = LuFactor::make(dense_scratch_);
+  auto f = LuFactor::make(a);
   if (!f.ok()) return f.status();
   dense_.emplace(std::move(*f));
   sparse_.reset();
-  backend_ = SolverBackend::kDense;
   return Status::Ok();
 }
 
 Vector SystemSolver::solve(std::span<const double> b) const {
   obs::ScopedLatency lat(sm().solve_seconds);
-  if (small_) {
-    Vector x(b.begin(), b.end());
-    small_->solve_in_place(x);
-    return x;
-  }
   return dense_ ? dense_->solve(b) : sparse_->solve(b);
-}
-
-void SystemSolver::solve_in_place(Vector& x) const {
-  obs::ScopedLatency lat(sm().solve_seconds);
-  if (small_)
-    small_->solve_in_place(x);
-  else if (dense_)
-    dense_->solve_in_place(x);
-  else
-    sparse_->solve_in_place(x);
 }
 
 void SystemSolver::solve_in_place(std::span<double> x) const {
   obs::ScopedLatency lat(sm().solve_seconds);
-  if (small_)
-    small_->solve_in_place(x);
-  else if (dense_)
+  if (dense_)
     dense_->solve_in_place(x);
   else
     sparse_->solve_in_place(x);
@@ -205,10 +147,6 @@ void SystemSolver::solve_in_place(std::span<double> x) const {
 
 void SystemSolver::solve_batch(std::span<double> cols, std::size_t k) const {
   obs::ScopedLatency lat(sm().solve_seconds);
-  if (small_) {
-    small_->solve_batch(cols, k);
-    return;
-  }
   const std::size_t n = size();
   for (std::size_t j = 0; j < k; ++j) {
     auto col = cols.subspan(j * n, n);
@@ -220,13 +158,11 @@ void SystemSolver::solve_batch(std::span<double> cols, std::size_t k) const {
 }
 
 std::size_t SystemSolver::size() const {
-  if (small_) return small_->size();
-  return dense_ ? dense_->size() : sparse_ ? sparse_->size() : 0;
+  return dense_ ? dense_->size() : sparse_->size();
 }
 
 double SystemSolver::min_pivot() const {
-  if (small_) return small_->min_pivot();
-  return dense_ ? dense_->min_pivot() : sparse_ ? sparse_->min_pivot() : 0.0;
+  return dense_ ? dense_->min_pivot() : sparse_->min_pivot();
 }
 
 }  // namespace dn

@@ -2,10 +2,13 @@
 //
 // The simulators and PRIMA never care which storage format backs a
 // factorization — they need factor-once/backsub-many and, for Newton,
-// cheap same-pattern refactorization. This facade picks the backend per
-// system (small or genuinely dense systems stay on the dense path, large
-// sparse MNA systems go to SparseLu) and callers can force either via
-// SolverOptions, which the CLI exposes as --solver.
+// cheap same-pattern refactorization. This facade holds exactly one of
+// the two factors: it picks the backend per system (small or genuinely
+// dense systems stay on the dense path, large sparse MNA systems go to
+// SparseLu) and callers can force either via SolverOptions, which the
+// CLI exposes as --solver. Every dense system, whatever its size or
+// route (picked, forced, or a sparse failure's fallback), factors
+// through LuFactor's CSR entry points.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +17,6 @@
 #include <string>
 
 #include "matrix/dense.hpp"
-#include "matrix/small_dense.hpp"
 #include "matrix/sparse.hpp"
 #include "util/status.hpp"
 
@@ -34,10 +36,7 @@ struct SolverOptions {
   /// kAuto stays dense below dimension 96 (dense LU's constant factors
   /// beat the sparse ordering + DFS overhead on small MNA systems) and
   /// above density nnz/(n*n) = 0.25 (fill-in would make the sparse factors
-  /// about as dense as the dense ones anyway). Dense systems of dimension
-  /// <= kSmallLuMaxDim run on the stack-allocated unrolled kernels of
-  /// matrix/small_dense.hpp, bit-identical to the generic dense LU
-  /// (pinned by the BackendEquivalence tests).
+  /// about as dense as the dense ones anyway).
   SolverBackend backend = SolverBackend::kAuto;
   /// Degradation-ladder rung (DESIGN.md §10): when a sparse
   /// factorization or refactorization fails outright (pivot breakdown
@@ -64,9 +63,7 @@ class SystemSolver {
   Status refactor(const SparseMatrix& a);
 
   Vector solve(std::span<const double> b) const;
-  void solve_in_place(Vector& x) const;
-  /// Span form of solve_in_place (no container requirement; the small
-  /// kernels and block solves are allocation-free through this entry).
+  /// Solves in place (x holds b on entry, the solution on exit).
   void solve_in_place(std::span<double> x) const;
 
   /// Solves A X = B for k right-hand sides stored as k contiguous
@@ -77,21 +74,18 @@ class SystemSolver {
   void solve_batch(std::span<double> cols, std::size_t k) const;
 
   /// The resolved backend: kDense or kSparse, never kAuto.
-  SolverBackend backend() const { return backend_; }
-  /// True when the dense backend is served by the unrolled small kernels.
-  bool uses_small_kernel() const { return small_.has_value(); }
+  SolverBackend backend() const {
+    return dense_ ? SolverBackend::kDense : SolverBackend::kSparse;
+  }
   std::size_t size() const;
   double min_pivot() const;
 
  private:
   SystemSolver() = default;
 
-  SolverBackend backend_ = SolverBackend::kDense;
   bool allow_dense_fallback_ = true;
-  std::optional<SmallLu> small_;  // Dense sub-backend for dims <= 16.
-  std::optional<LuFactor> dense_;
+  std::optional<LuFactor> dense_;  // Exactly one of the two is set.
   std::optional<SparseLu> sparse_;
-  Matrix dense_scratch_;  // Densification target reused across refactors.
 };
 
 }  // namespace dn

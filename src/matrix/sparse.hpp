@@ -114,7 +114,6 @@ class SparseLu {
   /// Solves A x = b reusing the factorization. solve_in_place runs over a
   /// member scratch buffer, so steady-state solves allocate nothing.
   Vector solve(std::span<const double> b) const;
-  void solve_in_place(Vector& x) const { solve_in_place(std::span<double>(x)); }
   void solve_in_place(std::span<double> x) const;
 
   /// nnz(L) + nnz(U) including both diagonals.

@@ -78,9 +78,39 @@ void write_number(std::ostream& os, double v) {
   os.write(buf, r.ptr - buf);
 }
 
+namespace {
+
+/// Length of the well-formed multi-byte UTF-8 sequence starting at s[i]
+/// (Unicode Table 3-7: no overlongs, no surrogates, nothing past
+/// U+10FFFF), or 0 when s[i] does not start one.
+std::size_t utf8_sequence_length(std::string_view s, std::size_t i) {
+  const auto byte = [&](std::size_t k) {
+    return i + k < s.size() ? static_cast<unsigned char>(s[i + k]) : 0u;
+  };
+  const auto cont = [](unsigned b, unsigned lo = 0x80, unsigned hi = 0xbf) {
+    return b >= lo && b <= hi;
+  };
+  const unsigned b0 = byte(0);
+  if (b0 >= 0xc2 && b0 <= 0xdf) return cont(byte(1)) ? 2 : 0;
+  if (b0 >= 0xe0 && b0 <= 0xef) {
+    const unsigned lo = b0 == 0xe0 ? 0xa0 : 0x80;
+    const unsigned hi = b0 == 0xed ? 0x9f : 0xbf;
+    return cont(byte(1), lo, hi) && cont(byte(2)) ? 3 : 0;
+  }
+  if (b0 >= 0xf0 && b0 <= 0xf4) {
+    const unsigned lo = b0 == 0xf0 ? 0x90 : 0x80;
+    const unsigned hi = b0 == 0xf4 ? 0x8f : 0xbf;
+    return cont(byte(1), lo, hi) && cont(byte(2)) && cont(byte(3)) ? 4 : 0;
+  }
+  return 0;
+}
+
+}  // namespace
+
 void write_string(std::ostream& os, std::string_view s) {
   os << '"';
-  for (const char c : s) {
+  for (std::size_t i = 0; i < s.size();) {
+    const char c = s[i];
     switch (c) {
       case '"': os << "\\\""; break;
       case '\\': os << "\\\\"; break;
@@ -92,10 +122,17 @@ void write_string(std::ostream& os, std::string_view s) {
           char buf[8];
           std::snprintf(buf, sizeof buf, "\\u%04x", c);
           os << buf;
-        } else {
+        } else if (static_cast<unsigned char>(c) < 0x80) {
           os << c;
+        } else if (const std::size_t len = utf8_sequence_length(s, i)) {
+          os.write(s.data() + i, static_cast<std::streamsize>(len));
+          i += len;
+          continue;
+        } else {
+          os << "\\ufffd";
         }
     }
+    ++i;
   }
   os << '"';
 }

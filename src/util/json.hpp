@@ -122,7 +122,9 @@ class Value {
 void write_number(std::ostream& os, double v);
 
 /// Renders `s` as a quoted JSON string: '"' and '\\' escaped, control
-/// characters as \n/\r/\t or \u00XX (never dropped), other bytes as is.
+/// characters as \n/\r/\t or \u00XX (never dropped), well-formed UTF-8
+/// sequences as is, and each other byte as \ufffd, so the text is always
+/// valid UTF-8 (RFC 8259) whatever bytes a file name holds.
 void write_string(std::ostream& os, std::string_view s);
 
 /// Strict parse of one JSON document (the whole string must be consumed

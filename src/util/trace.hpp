@@ -15,9 +15,13 @@
 //   parse.spef.parse          one SPEF deck parse
 //   reduce.mor.prima          one PRIMA reduction
 //   screen.screen.net         one moment-level screening estimate
+//   screen.ladder.tier0       one fidelity-ladder tier-0 bound
 //   characterize.cache.table  one 8-point alignment-table characterization
 //   characterize.thevenin.characterize  one driver-table fill
 //   analyze.ceff.driver       one driver's C-effective iteration
+//   analyze.superposition.linear  one linear superposition sim of the net
+//   analyze.receiver.eval     one receiver gate sim (probe or table point)
+//   analyze.rtr.solve         one Rtr extraction (paired driver sim)
 //   analyze.net.analyze       one full per-net delay-noise analysis
 //   batch.batch.run           one BatchAnalyzer::analyze call
 //   batch.batch.net           one net inside a batch (args: net name)

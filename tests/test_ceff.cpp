@@ -27,27 +27,34 @@ GateParams driver(double size = 2.0) {
 constexpr double kSlew = 100 * ps;
 constexpr double kStart = 100 * ps;
 
-CeffResult ceff_of(const LoadBuilder& builder, double c_total,
-                   const CeffOptions& opts = {}) {
-  return compute_ceff(driver(), kSlew, false, kStart, builder, c_total, opts);
+CeffResult ceff_of(const RcTree& net,
+                   const std::vector<std::pair<int, double>>& extra = {},
+                   double sink_cap = 0.0, const CeffOptions& opts = {}) {
+  return compute_ceff(driver(), kSlew, false, kStart, net, extra, sink_cap,
+                      opts);
 }
 
-CeffResult ceff_of_net(const RcTree& net,
-                       const std::vector<std::pair<int, double>>& extra,
-                       double sink_cap, const CeffOptions& opts = {}) {
-  return compute_ceff_for_net(driver(), kSlew, false, kStart, net, extra,
-                              sink_cap, opts);
+/// One node holding the whole load.
+RcTree lumped(double c) {
+  RcTree t;
+  t.caps = {{0, c}};
+  return t;
+}
+
+/// `c_near` at the port, `c_far` behind `r_shield`.
+RcTree shielded_pi(double c_near, double r_shield, double c_far) {
+  RcTree t;
+  t.num_nodes = 2;
+  t.res = {{0, 1, r_shield}};
+  t.caps = {{0, c_near}, {1, c_far}};
+  t.sink = 1;
+  return t;
 }
 
 TEST(Ceff, LumpedLoadIsItsOwnCeff) {
   // Pure capacitor load: Ceff must converge to (nearly) the total cap.
   const double c = 80 * fF;
-  LoadBuilder builder = [&](Circuit& ckt) {
-    const NodeId port = ckt.node("port");
-    ckt.add_capacitor(port, kGround, c);
-    return port;
-  };
-  const CeffResult r = ceff_of(builder, c);
+  const CeffResult r = ceff_of(lumped(c));
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.ceff, c, 0.08 * c);
 }
@@ -55,15 +62,7 @@ TEST(Ceff, LumpedLoadIsItsOwnCeff) {
 TEST(Ceff, ResistiveShieldingReducesCeff) {
   // Far cap behind a big resistance is partially hidden from the driver.
   const double c_near = 10 * fF, c_far = 90 * fF, r_shield = 5 * kOhm;
-  LoadBuilder builder = [&](Circuit& ckt) {
-    const NodeId port = ckt.node("port");
-    const NodeId far = ckt.node("far");
-    ckt.add_capacitor(port, kGround, c_near);
-    ckt.add_resistor(port, far, r_shield);
-    ckt.add_capacitor(far, kGround, c_far);
-    return port;
-  };
-  const CeffResult r = ceff_of(builder, c_near + c_far);
+  const CeffResult r = ceff_of(shielded_pi(c_near, r_shield, c_far));
   EXPECT_TRUE(r.converged);
   EXPECT_LT(r.ceff, 0.85 * (c_near + c_far));
   EXPECT_GT(r.ceff, c_near);
@@ -71,41 +70,21 @@ TEST(Ceff, ResistiveShieldingReducesCeff) {
 
 TEST(Ceff, MoreShieldingMeansSmallerCeff) {
   auto ceff_with_shield = [&](double r_shield) {
-    LoadBuilder builder = [&](Circuit& ckt) {
-      const NodeId port = ckt.node("port");
-      const NodeId far = ckt.node("far");
-      ckt.add_capacitor(port, kGround, 10 * fF);
-      ckt.add_resistor(port, far, r_shield);
-      ckt.add_capacitor(far, kGround, 90 * fF);
-      return port;
-    };
-    return ceff_of(builder, 100 * fF).ceff;
+    return ceff_of(shielded_pi(10 * fF, r_shield, 90 * fF)).ceff;
   };
   EXPECT_GT(ceff_with_shield(200.0), ceff_with_shield(10 * kOhm));
 }
 
-TEST(Ceff, NetFormMatchesGeneralForm) {
-  const RcTree line = make_line(8, 1 * kOhm, 80 * fF);
-  const CeffResult by_net = ceff_of_net(line, {}, 5 * fF);
-  LoadBuilder builder = [&](Circuit& ckt) {
-    const auto map = line.instantiate(ckt, "n");
-    ckt.add_capacitor(map[static_cast<std::size_t>(line.sink)], kGround, 5 * fF);
-    return map[0];
-  };
-  const CeffResult by_builder = ceff_of(builder, line.total_cap() + 5 * fF);
-  EXPECT_NEAR(by_net.ceff, by_builder.ceff, 0.01 * by_builder.ceff);
-}
-
 TEST(Ceff, ExtraNodeCapsEnterTheLoad) {
   const RcTree line = make_line(4, 500.0, 40 * fF);
-  const CeffResult plain = ceff_of_net(line, {}, 0.0);
-  const CeffResult loaded = ceff_of_net(line, {{0, 30 * fF}}, 0.0);
+  const CeffResult plain = ceff_of(line, {}, 0.0);
+  const CeffResult loaded = ceff_of(line, {{0, 30 * fF}}, 0.0);
   EXPECT_GT(loaded.ceff, plain.ceff + 15 * fF);
 }
 
 TEST(Ceff, ConvergesQuickly) {
   const RcTree line = make_line(10, 2 * kOhm, 100 * fF);
-  const CeffResult r = ceff_of_net(line, {}, 10 * fF);
+  const CeffResult r = ceff_of(line, {}, 10 * fF);
   EXPECT_TRUE(r.converged);
   EXPECT_LE(r.iterations, 6);
 }
@@ -118,7 +97,7 @@ TEST(Ceff, ModelIsFitAtReportedCeff) {
   for (const int budget : {15, 2}) {
     CeffOptions opts;
     opts.max_iterations = budget;
-    const CeffResult r = ceff_of_net(line, {}, 10 * fF, opts);
+    const CeffResult r = ceff_of(line, {}, 10 * fF, opts);
     EXPECT_EQ(r.converged, budget == 15);
     const TheveninModel m = driver_table(driver(), false, opts.fit)
                                 .lookup(kSlew, r.ceff, kStart);
@@ -134,8 +113,8 @@ TEST(Ceff, ModelIsFitAtReportedCeff) {
 }
 
 TEST(Ceff, InvalidTotalThrows) {
-  LoadBuilder builder = [&](Circuit& ckt) { return ckt.node("p"); };
-  EXPECT_THROW(ceff_of(builder, 0.0), std::invalid_argument);
+  // A tree with no caps and no pin cap has no load to seed the iteration.
+  EXPECT_THROW(ceff_of(RcTree{}), std::invalid_argument);
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ TEST_P(DriverSweep, CharacterizesCleanly) {
   g.size = size;
   const RcTree net = make_line(6, 900.0, 60 * fF);
   const CeffResult r =
-      compute_ceff_for_net(g, 150 * ps, rising, 100 * ps, net, {}, 4 * fF);
+      compute_ceff(g, 150 * ps, rising, 100 * ps, net, {}, 4 * fF);
   EXPECT_TRUE(r.converged) << gate_type_name(type);
   EXPECT_GT(r.ceff, 10 * fF);
   EXPECT_LT(r.ceff, 70 * fF);

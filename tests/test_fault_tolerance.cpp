@@ -20,6 +20,7 @@
 #include "ceff/thevenin_table.hpp"
 #include "clarinet/batch_analyzer.hpp"
 #include "clarinet/characterization_cache.hpp"
+#include "matrix/solver.hpp"
 #include "rcnet/random_nets.hpp"
 #include "rcnet/spef.hpp"
 #include "util/deadline.hpp"
@@ -427,6 +428,48 @@ TEST(FaultSites, FactorFaultFallsBackToDenseAndMatchesCleanResults) {
                 clean.nets[i].result.delay_noise(),
                 1e-4 * ps + 1e-5 * std::abs(clean.nets[i].result.delay_noise()));
   }
+}
+
+// A small system that takes the sparse-to-dense rung, at factor or at
+// refactor time, lands on the same LuFactor a forced-dense solver builds,
+// so its solutions are bit-identical to the dense backend's.
+TEST(FaultSites, SmallSystemDenseFallbackMatchesDenseSolverBitwise) {
+  const std::size_t n = 6;
+  Matrix a(n, n), a2(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      a(r, c) = r == c ? 4.0 + static_cast<double>(r) : 1.0 / (1.0 + r + 2.0 * c);
+      a2(r, c) = 1.5 * a(r, c) - (r == c + 1 ? 0.25 : 0.0);
+    }
+  }
+  const SparseMatrix sa = SparseMatrix::from_dense(a);
+  const SparseMatrix sa2 = SparseMatrix::from_dense(a2);
+  SolverOptions sparse_opts, dense_opts;
+  sparse_opts.backend = SolverBackend::kSparse;
+  dense_opts.backend = SolverBackend::kDense;
+  const Vector b{1.0, -2.0, 0.5, 3.0, -0.25, 7.0};
+
+  auto dense = SystemSolver::make(sa, dense_opts);
+  ASSERT_TRUE(dense.ok());
+  auto fell_back = [&] {
+    ScopedFaults faults("factor:1", 17);
+    return SystemSolver::make(sa, sparse_opts);
+  }();
+  ASSERT_TRUE(fell_back.ok());
+  EXPECT_EQ(fell_back->backend(), SolverBackend::kDense);
+  EXPECT_EQ(fell_back->solve(b), dense->solve(b));
+
+  // Refactor rung: factored sparse, then every re-pivot attempt fails.
+  auto refactored = SystemSolver::make(sa, sparse_opts);
+  ASSERT_TRUE(refactored.ok());
+  ASSERT_EQ(refactored->backend(), SolverBackend::kSparse);
+  {
+    ScopedFaults faults("factor:1", 17);
+    ASSERT_TRUE(refactored->refactor(sa2).ok());
+  }
+  EXPECT_EQ(refactored->backend(), SolverBackend::kDense);
+  ASSERT_TRUE(dense->refactor(sa2).ok());
+  EXPECT_EQ(refactored->solve(b), dense->solve(b));
 }
 
 // With the sparse-to-dense rung switched off, no sim of the net takes

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -85,6 +86,48 @@ TEST(JsonWriter, NonFiniteNumbersRenderAsNull) {
   EXPECT_EQ(rendered(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(rendered(-std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(rendered(std::numeric_limits<double>::quiet_NaN()), "null");
+}
+
+std::string rendered(std::string_view s) { return Value(std::string(s)).dump(); }
+
+constexpr std::string_view kReplacement = "\xef\xbf\xbd";  // U+FFFD
+
+TEST(JsonWriter, InvalidUtf8BytesBecomeReplacementCharacters) {
+  struct Case {
+    std::string_view in;
+    int replaced;  // Bytes that are not part of a well-formed sequence.
+    std::string_view prefix, suffix;
+  };
+  const Case cases[] = {
+      {"n\xff", 1, "n", ""},
+      {"a\xe2\x82z", 2, "a", "z"},  // Truncated 3-byte sequence.
+      {"\xe2\x82", 2, "", ""},      // ... at the end of the string.
+      {"\xc0\xaf", 2, "", ""},      // Overlong '/'.
+      {"\xed\xa0\x80", 3, "", ""},  // Encoded surrogate U+D800.
+  };
+  for (const Case& c : cases) {
+    const std::string text = rendered(c.in);
+    // Every invalid byte was escaped, so the text is ASCII: valid UTF-8.
+    for (const char ch : text)
+      EXPECT_LT(static_cast<unsigned char>(ch), 0x80u) << text;
+    StatusOr<Value> back = parse(text);
+    ASSERT_TRUE(back.ok()) << text;
+    std::string want(c.prefix);
+    for (int i = 0; i < c.replaced; ++i) want += kReplacement;
+    want += c.suffix;
+    EXPECT_EQ(back->as_string(), want) << text;
+  }
+}
+
+TEST(JsonWriter, WellFormedUtf8PassesThroughByteForByte) {
+  for (const std::string_view s :
+       {"caf\xc3\xa9", "\xe2\x82\xac 5", "\xf0\x9f\x98\x80", "\xef\xbf\xbd"}) {
+    const std::string text = rendered(s);
+    EXPECT_EQ(text, "\"" + std::string(s) + "\"");
+    StatusOr<Value> back = parse(text);
+    ASSERT_TRUE(back.ok()) << text;
+    EXPECT_EQ(back->as_string(), s);
+  }
 }
 
 }  // namespace

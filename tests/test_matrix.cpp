@@ -8,7 +8,6 @@
 #include <span>
 #include <vector>
 
-#include "matrix/small_dense.hpp"
 #include "matrix/solver.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -128,27 +127,29 @@ TEST(Lu, RefactorReusesStorage) {
 
   Matrix a2 = a;
   a2(0, 0) = 4;  // New values, same shape.
-  ASSERT_TRUE(lu->refactor(a2).ok());
+  ASSERT_TRUE(lu->refactor(SparseMatrix::from_dense(a2)).ok());
   const Vector x = lu->solve(Vector{5.0, 4.0});
   EXPECT_NEAR(4.0 * x[0] + x[1], 5.0, 1e-12);
   EXPECT_NEAR(x[0] + 3.0 * x[1], 4.0, 1e-12);
 
-  EXPECT_EQ(lu->refactor(Matrix(3, 3)).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(lu->refactor(SparseMatrix::from_dense(Matrix(3, 3))).code(),
+            StatusCode::kInvalidArgument);
   Matrix sing(2, 2);
   sing(0, 0) = 1;
   sing(0, 1) = 2;
   sing(1, 0) = 2;
   sing(1, 1) = 4;
-  EXPECT_EQ(lu->refactor(sing).code(), StatusCode::kInternal);
+  EXPECT_EQ(lu->refactor(SparseMatrix::from_dense(sing)).code(),
+            StatusCode::kInternal);
 }
 
 // ---------------------------------------------------------------------------
-// BackendEquivalence: the small-dense stack kernels (matrix/small_dense.*)
-// must perform EXACTLY the arithmetic of the generic LuFactor path — the
-// batch engine's byte-identical reports depend on solutions being bitwise
-// equal no matter which backend served the solve. These are property
-// tests over every supported dimension; EXPECT_EQ on double is the
-// deliberate bitwise check (== on identical bit patterns).
+// BackendEquivalence: LuFactor solves n <= kUnrolledSolveMaxDim on an
+// unrolled kernel and larger n on a runtime loop, and factors from a Matrix
+// or straight from CSR. Every route must do the same arithmetic: the batch
+// engine's byte-identical reports depend on a system's solution not
+// depending on the route that served it. EXPECT_EQ on double is the
+// deliberate bitwise check.
 
 Matrix random_system(Rng& rng, std::size_t n) {
   // Diagonally dominant so every dimension factors without breakdown,
@@ -166,140 +167,148 @@ Matrix random_system(Rng& rng, std::size_t n) {
   return a;
 }
 
-TEST(BackendEquivalence, SmallLuMatchesLuFactorBitwise) {
-  Rng rng(2026);
-  for (std::size_t n = 1; n <= kSmallLuMaxDim; ++n) {
-    const Matrix a = random_system(rng, n);
-    auto lu = LuFactor::make(a);
-    ASSERT_TRUE(lu.ok()) << "dim " << n;
-    SmallLu small;
-    ASSERT_TRUE(small.factorize(a).ok()) << "dim " << n;
-    EXPECT_EQ(small.size(), n);
-    EXPECT_EQ(small.min_pivot(), lu->min_pivot()) << "dim " << n;
+/// [A 0; 0 I]: an identity block of `pad` rows past A. Pivot search and
+/// elimination over A's columns see only zeros in the padding, so the
+/// first a.rows() unknowns go through A's own arithmetic.
+Matrix padded(const Matrix& a, std::size_t pad) {
+  const std::size_t n = a.rows();
+  Matrix big(n + pad, n + pad);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) big(r, c) = a(r, c);
+  for (std::size_t i = n; i < n + pad; ++i) big(i, i) = 1.0;
+  return big;
+}
 
-    Vector b(n);
-    for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-2.0, 2.0);
-    const Vector x_ref = lu->solve(b);
-    Vector x_small = b;
-    small.solve_in_place(std::span<double>(x_small));
+/// The anti-diagonal permutation: every column needs a row swap.
+Matrix reversal(std::size_t n) {
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i) a(i, n - 1 - i) = 1.0;
+  return a;
+}
+
+SolverOptions forced(SolverBackend b) {
+  SolverOptions o;
+  o.backend = b;
+  return o;
+}
+
+TEST(BackendEquivalence, UnrolledSolveMatchesRuntimeLoopBitwise) {
+  // Embedding A in [A 0; 0 I_17] moves its solve onto the runtime loop.
+  Rng rng(2026);
+  for (std::size_t n = 1; n <= kUnrolledSolveMaxDim; ++n) {
+    const Matrix a = random_system(rng, n);
+    auto unrolled = LuFactor::make(a);
+    auto runtime = LuFactor::make(padded(a, kUnrolledSolveMaxDim + 1));
+    ASSERT_TRUE(unrolled.ok()) << "dim " << n;
+    ASSERT_TRUE(runtime.ok()) << "dim " << n;
+    ASSERT_GT(runtime->size(), kUnrolledSolveMaxDim);
+
+    Vector b(runtime->size());
+    for (double& v : b) v = rng.uniform(-2.0, 2.0);
+    const Vector x_runtime = runtime->solve(b);
+    const Vector x_unrolled = unrolled->solve(std::span(b).first(n));
     for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(x_small[i], x_ref[i]) << "dim " << n << " i " << i;
+      EXPECT_EQ(x_unrolled[i], x_runtime[i]) << "dim " << n << " i " << i;
   }
 }
 
 TEST(BackendEquivalence, RefactorMatchesFreshFactor) {
-  // SmallLu::factorize doubles as the refactor entry; after restamping it
-  // must agree bitwise with LuFactor::refactor on the same values.
+  // Refactoring from CSR must agree bitwise with a fresh factor of the
+  // same values, on both solve paths.
   Rng rng(7);
-  for (std::size_t n = 2; n <= kSmallLuMaxDim; n += 3) {
+  for (std::size_t n = 2; n <= 2 * kUnrolledSolveMaxDim; n += 3) {
     const Matrix a0 = random_system(rng, n);
-    auto lu = LuFactor::make(a0);
+    auto lu = LuFactor::make(SparseMatrix::from_dense(a0));
     ASSERT_TRUE(lu.ok());
-    SmallLu small;
-    ASSERT_TRUE(small.factorize(a0).ok());
 
     const Matrix a1 = random_system(rng, n);
-    ASSERT_TRUE(lu->refactor(a1).ok());
-    ASSERT_TRUE(small.factorize(a1).ok());
+    ASSERT_TRUE(lu->refactor(SparseMatrix::from_dense(a1)).ok());
+    auto fresh = LuFactor::make(a1);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(lu->min_pivot(), fresh->min_pivot()) << "dim " << n;
     Vector b(n);
     for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-1.0, 1.0);
-    const Vector x_ref = lu->solve(b);
-    Vector x_small = b;
-    small.solve_in_place(std::span<double>(x_small));
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x_small[i], x_ref[i]);
+    const Vector x_ref = fresh->solve(b);
+    const Vector x = lu->solve(b);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(x[i], x_ref[i]) << "dim " << n << " i " << i;
   }
 }
 
 TEST(BackendEquivalence, SolveBatchMatchesSequentialSolves) {
   Rng rng(11);
-  for (std::size_t n : {1u, 3u, 8u, 16u}) {
-    const Matrix a = random_system(rng, n);
-    SmallLu small;
-    ASSERT_TRUE(small.factorize(a).ok());
+  for (std::size_t n : {1u, 3u, 8u, 16u, 17u, 24u}) {
+    auto solver = SystemSolver::make(SparseMatrix::from_dense(random_system(rng, n)),
+                                     forced(SolverBackend::kDense));
+    ASSERT_TRUE(solver.ok());
     const std::size_t k = 5;
     std::vector<double> cols(n * k);
     for (auto& v : cols) v = rng.uniform(-3.0, 3.0);
     std::vector<double> batched = cols;
-    small.solve_batch(batched, k);
+    solver->solve_batch(batched, k);
     for (std::size_t j = 0; j < k; ++j) {
       std::vector<double> one(cols.begin() + j * n, cols.begin() + (j + 1) * n);
-      small.solve_in_place(one);
+      solver->solve_in_place(one);
       for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(batched[j * n + i], one[i]) << "n " << n << " col " << j;
     }
   }
 }
 
-TEST(BackendEquivalence, SmallLuRequiresPivoting) {
-  Matrix a(2, 2);
-  a(0, 1) = 1;
-  a(1, 0) = 1;
-  SmallLu small;
-  ASSERT_TRUE(small.factorize(a).ok());
-  Vector x{2.0, 3.0};
-  small.solve_in_place(std::span<double>(x));
-  EXPECT_DOUBLE_EQ(x[0], 3.0);
-  EXPECT_DOUBLE_EQ(x[1], 2.0);
+TEST(BackendEquivalence, DenseSolverPivotsOnBothSolvePaths) {
+  for (const std::size_t n : {std::size_t{2}, kUnrolledSolveMaxDim + 1}) {
+    auto solver = SystemSolver::make(SparseMatrix::from_dense(reversal(n)),
+                                     forced(SolverBackend::kDense));
+    ASSERT_TRUE(solver.ok()) << "dim " << n;
+    Vector x(n);
+    for (std::size_t i = 0; i < n; ++i) x[i] = 2.0 + static_cast<double>(i);
+    solver->solve_in_place(x);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(x[i], 2.0 + static_cast<double>(n - 1 - i)) << "dim " << n;
+  }
 }
 
-TEST(BackendEquivalence, SmallLuSingularIsInternalError) {
-  Matrix a(2, 2);
-  a(0, 0) = 1;
-  a(0, 1) = 2;
-  a(1, 0) = 2;
-  a(1, 1) = 4;
-  SmallLu small;
-  EXPECT_EQ(small.factorize(a).code(), StatusCode::kInternal);
+TEST(BackendEquivalence, DenseSolverSingularIsInternalError) {
+  for (const std::size_t n : {std::size_t{2}, kUnrolledSolveMaxDim + 1}) {
+    Matrix sing = Matrix::identity(n);
+    sing(n - 1, n - 1) = 0.0;
+    auto made = SystemSolver::make(SparseMatrix::from_dense(sing),
+                                   forced(SolverBackend::kDense));
+    ASSERT_FALSE(made.ok()) << "dim " << n;
+    EXPECT_EQ(made.status().code(), StatusCode::kInternal);
+
+    auto solver = SystemSolver::make(SparseMatrix::from_dense(Matrix::identity(n)),
+                                     forced(SolverBackend::kDense));
+    ASSERT_TRUE(solver.ok());
+    EXPECT_EQ(solver->refactor(SparseMatrix::from_dense(sing)).code(),
+              StatusCode::kInternal)
+        << "dim " << n;
+  }
 }
 
-TEST(BackendEquivalence, SmallLuRejectsOversizedAndNonSquare) {
-  SmallLu small;
-  EXPECT_EQ(small.factorize(Matrix(17, 17)).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(small.factorize(Matrix(2, 3)).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(BackendEquivalence, SystemSolverSelectsSmallKernelAndMatchesGeneric) {
+TEST(BackendEquivalence, SystemSolverMatchesLuFactorBitwise) {
   Rng rng(42);
   const std::size_t n = 6;
   const Matrix a = random_system(rng, n);
-  const SparseMatrix sp = SparseMatrix::from_dense(a);
   Vector b(n);
   for (std::size_t i = 0; i < n; ++i) b[i] = rng.uniform(-1.0, 1.0);
 
-  SolverOptions small_opts;  // Defaults: small path active below dim 16.
   obs::set_metrics_enabled(true);
   const std::uint64_t before =
-      obs::metrics().counter("solver.backend.small_dense").value();
-  auto s_small = SystemSolver::make(sp, small_opts);
+      obs::metrics().counter("solver.backend.dense").value();
+  auto solver = SystemSolver::make(SparseMatrix::from_dense(a));
   obs::set_metrics_enabled(false);
-  ASSERT_TRUE(s_small.ok());
-  EXPECT_TRUE(s_small->uses_small_kernel());
-  EXPECT_EQ(s_small->backend(), SolverBackend::kDense);
-  EXPECT_EQ(obs::metrics().counter("solver.backend.small_dense").value(),
+  ASSERT_TRUE(solver.ok());
+  EXPECT_EQ(solver->backend(), SolverBackend::kDense);
+  EXPECT_EQ(obs::metrics().counter("solver.backend.dense").value(),
             before + 1);
 
-  // The heap-backed generic dense LU on the same matrix.
-  auto s_generic = LuFactor::make(a);
-  ASSERT_TRUE(s_generic.ok());
-
-  const Vector x_small = s_small->solve(b);
-  const Vector x_generic = s_generic->solve(b);
-  ASSERT_EQ(x_small.size(), x_generic.size());
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x_small[i], x_generic[i]);
-
-  // Batched entry on the facade: bitwise equal to one-at-a-time solves.
-  std::vector<double> cols(n * 3);
-  for (auto& v : cols) v = rng.uniform(-1.0, 1.0);
-  std::vector<double> batched = cols;
-  s_small->solve_batch(batched, 3);
-  for (std::size_t j = 0; j < 3; ++j) {
-    Vector one(n);
-    for (std::size_t i = 0; i < n; ++i) one[i] = cols[j * n + i];
-    s_generic->solve_in_place(one);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(batched[j * n + i], one[i]);
-  }
+  auto lu = LuFactor::make(a);
+  ASSERT_TRUE(lu.ok());
+  const Vector x = solver->solve(b);
+  const Vector x_ref = lu->solve(b);
+  ASSERT_EQ(x.size(), x_ref.size());
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x[i], x_ref[i]);
 }
 
 TEST(VectorOps, DotNormAxpyScale) {
