@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
 
       DelayNoiseOptions opts;
       opts.method = AlignmentMethod::Predicted;
-      opts.table = tables.table_for(net.victim.receiver, rising);
+      opts.table = tables.cache()->table_for(net.victim.receiver, rising);
       opts.search.domain =
           ScanDomain::interval(*t_center - 60 * ps, *t_center + 60 * ps);
 

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
 
       DelayNoiseOptions pred;
       pred.method = AlignmentMethod::Predicted;
-      pred.table = tables.table_for(net.victim.receiver, rising);
+      pred.table = tables.cache()->table_for(net.victim.receiver, rising);
       const DelayNoiseResult r_pred = analyze_delay_noise(eng, pred);
 
       DelayNoiseOptions rip;

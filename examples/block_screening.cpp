@@ -15,7 +15,7 @@
 #include <iostream>
 
 #include "clarinet/batch_analyzer.hpp"
-#include "clarinet/screening.hpp"
+#include "clarinet/fidelity_ladder.hpp"
 #include "rcnet/random_nets.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"

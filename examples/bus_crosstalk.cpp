@@ -67,12 +67,12 @@ int main() {
   }
   tbl.print(std::cout);
   std::printf("\n(%zu alignment tables characterized and reused)\n",
-              analyzer.tables_cached());
+              analyzer.cache()->tables_cached());
 
   // Detailed report for the worst lane configuration.
   const CoupledNet worst = bus_lane(45 * fF, 300 * ps);
   const DelayNoiseResult r = analyzer.try_analyze(worst).value();
   std::printf("\n");
-  analyzer.print_report(std::cout, worst, r);
+  DelayNoiseReport::from(worst, r).to_text(std::cout);
   return 0;
 }

@@ -51,6 +51,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", r.status().to_string().c_str());
     return 1;
   }
-  analyzer.print_report(std::cout, net, *r);
+  DelayNoiseReport::from(net, *r).to_text(std::cout);
   return 0;
 }

@@ -77,8 +77,8 @@ if [[ "$run_asan" == 1 ]]; then
   ./build-asan/tests/test_gate
   ./build-asan/tests/test_alignment
   ./build-asan/tests/test_delay_noise
-  # Deep retry ladders scale the backoff by 2^attempt; any UB there (an
-  # int shift past its width) must fail the stage, not just print.
+  # Every fault site under chaos; any UB there must fail the stage, not
+  # just print.
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ./build-asan/tests/test_fault_tolerance
 fi
@@ -114,8 +114,9 @@ fi
 
 if [[ "$run_chaos" == 1 ]]; then
   echo "== chaos: injected faults must degrade, not crash =="
-  # A batch over SPEF decks so all five sites are live: parse (deck
-  # load), cache/factor/newton (analysis), task (worker boundary). The
+  # A batch over SPEF decks so all four live sites fire: parse (deck
+  # load) and cache/factor/newton (analysis). There is no task site and
+  # no retry flag: each net gets exactly one analysis attempt. The
   # decks are distinct variants (the parse probe keys on deck content).
   # Three seeds x one mixed spec. Demands per seed: exit 0 (isolation
   # kept at least one net analyzable) and stdout byte-identical between
@@ -131,8 +132,7 @@ if [[ "$run_chaos" == 1 ]]; then
     } > "$chaosdir/net$i.spef"
   done
   chaos_args=(--batch "$chaosdir"/net*.spef --top 5 --solver sparse
-              --max-retries 2 --inject-faults
-              parse:0.25,cache:0.4,factor:0.4,newton:0.02,task:0.3)
+              --inject-faults parse:0.25,cache:0.4,factor:0.4,newton:0.02)
   for fault_seed in 1 2 3; do
     out1=$(./build/tools/dnoise_cli "${chaos_args[@]}" --fault-seed "$fault_seed" --jobs 1 2>/dev/null)
     out8=$(./build/tools/dnoise_cli "${chaos_args[@]}" --fault-seed "$fault_seed" --jobs 8 2>/dev/null)
@@ -432,8 +432,12 @@ cli_reject() {
 }
 cli_reject --prereduce --batch --random 2 --prereduce
 cli_reject --jobs --batch --random 2 --jobs four
+# The retry budget and the capped ladder are gone: their flags are
+# refused, never ignored.
+cli_reject --max-retries --batch --random 2 --max-retries 2
+cli_reject --fidelity --batch --random 2 --fidelity 1
 ./build/tools/dnoise_cli --batch --random 2 --seed 1 --jobs 1 >/dev/null 2>&1
-echo "CLI smoke: unknown flag and malformed number rejected, valid run ok"
+echo "CLI smoke: unknown flags, malformed numbers and removed values rejected, valid run ok"
 
 # A weak victim driver (INV 0.1) cannot switch its driver table's heaviest
 # loads within the first reference-sim tail; the deck must still analyze.

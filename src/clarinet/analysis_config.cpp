@@ -69,11 +69,6 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
   }
   if (key == "fidelity_margin")
     return set_num(v, "fidelity_margin", b.ladder.tier1_margin);
-  if (key == "fidelity_max_tier")
-    return set_int(v, "fidelity_max_tier", b.ladder.max_tier);
-  if (key == "max_retries") return set_int(v, "max_retries", b.max_retries);
-  if (key == "retry_backoff_ms")
-    return set_num(v, "retry_backoff_ms", b.retry_backoff_ms);
   if (key == "deadline_ms") return set_num(v, "deadline_ms", b.deadline_ms);
   if (key == "exhaustive") {
     bool exhaustive = false;
@@ -169,15 +164,10 @@ Status AnalysisConfig::validate() const {
   if (b.jobs < 0 || b.jobs > kMaxJobs)
     return range_error("jobs", "must be in [0, 1024] (0 = auto)");
   if (b.top_k < 0) return range_error("top_k", "must be >= 0");
-  if (b.max_retries < 0) return range_error("max_retries", "must be >= 0");
-  if (b.retry_backoff_ms < 0)
-    return range_error("retry_backoff_ms", "must be >= 0");
   if (!(b.ladder.dn_threshold >= 0))
     return range_error("fidelity_threshold_ps", "must be >= 0");
   if (!(b.ladder.tier1_margin >= 1.0))
     return range_error("fidelity_margin", "must be >= 1 (conservatism)");
-  if (b.ladder.max_tier < 0 || b.ladder.max_tier > 2)
-    return range_error("fidelity_max_tier", "must be in [0, 2]");
   // No key expresses another method, so it would not survive a dump.
   if (a.analysis.method != AlignmentMethod::Predicted &&
       a.analysis.method != AlignmentMethod::Exhaustive)
@@ -248,9 +238,6 @@ json::Value AnalysisConfig::to_json() const {
   o["fidelity_ladder"] = b.ladder.enabled;
   o["fidelity_threshold_ps"] = b.ladder.dn_threshold / ps;
   o["fidelity_margin"] = b.ladder.tier1_margin;
-  o["fidelity_max_tier"] = b.ladder.max_tier;
-  o["max_retries"] = b.max_retries;
-  o["retry_backoff_ms"] = b.retry_backoff_ms;
   o["deadline_ms"] = b.deadline_ms;
   o["exhaustive"] = a.analysis.method == AlignmentMethod::Exhaustive;
   o["thevenin"] = !a.analysis.use_transient_holding;

@@ -1,7 +1,7 @@
 // AnalysisConfig: the ONE externally-settable configuration surface.
 //
 // Every knob a user can turn — batch fan-out, fidelity-ladder triage,
-// retry/deadline budgets, engine time grid, solver backend, alignment
+// the deadline budget, engine time grid, solver backend, alignment
 // method, Rtr/Newton iteration limits — is a named JSON key on this
 // struct. The CLI flag parser and the server's `config` verb both build
 // a json object and funnel it through the same from_json/apply path, so

@@ -1,6 +1,5 @@
 #include "clarinet/analyzer.hpp"
 
-#include <ostream>
 #include <stdexcept>
 
 #include "util/trace.hpp"
@@ -17,11 +16,6 @@ NoiseAnalyzer::NoiseAnalyzer(AnalyzerConfig config,
   if (!cache_)
     throw std::invalid_argument("NoiseAnalyzer: null characterization cache");
   config_.table_spec = cache_->spec();
-}
-
-const AlignmentTable* NoiseAnalyzer::table_for(const GateParams& receiver,
-                                               bool victim_rising) const {
-  return cache_->table_for(receiver, victim_rising);
 }
 
 StatusOr<DelayNoiseResult> NoiseAnalyzer::try_analyze(
@@ -74,17 +68,6 @@ StatusOr<DelayNoiseResult> NoiseAnalyzer::try_analyze(
     c_failed.add();
     return status_from_exception(e);
   }
-}
-
-DelayNoiseReport NoiseAnalyzer::report(const CoupledNet& net,
-                                       const DelayNoiseResult& r,
-                                       std::string name) const {
-  return DelayNoiseReport::from(net, r, std::move(name));
-}
-
-void NoiseAnalyzer::print_report(std::ostream& os, const CoupledNet& net,
-                                 const DelayNoiseResult& r) const {
-  report(net, r).to_text(os);
 }
 
 }  // namespace dn

@@ -11,11 +11,9 @@
 // call from any number of threads simultaneously. All mutable state lives
 // in a CharacterizationCache, which is internally synchronized and may be
 // shared between analyzers (BatchAnalyzer shares one cache across all its
-// workers). Table pointers returned by table_for() are stable — never
-// invalidated by later characterizations.
+// workers). Report a result with DelayNoiseReport::from(net, result).
 #pragma once
 
-#include <iosfwd>
 #include <memory>
 
 #include "clarinet/characterization_cache.hpp"
@@ -48,29 +46,13 @@ class NoiseAnalyzer {
   /// kInvalidArgument, solver/characterization failures as kInternal.
   StatusOr<DelayNoiseResult> try_analyze(const CoupledNet& net) const;
 
-  /// The cached 8-point table for a receiver type/size and victim
-  /// direction (characterizing it on first use). The pointer is stable
-  /// for the cache's lifetime.
-  const AlignmentTable* table_for(const GateParams& receiver,
-                                  bool victim_rising) const;
-
-  /// Number of distinct receiver conditions characterized so far.
-  std::size_t tables_cached() const { return cache_->tables_cached(); }
-
-  /// The shared characterization cache.
+  /// The (possibly shared) characterization cache: table lookups and
+  /// counts.
   const std::shared_ptr<CharacterizationCache>& cache() const {
     return cache_;
   }
 
   const AnalyzerConfig& config() const { return config_; }
-
-  /// Structured per-net report.
-  DelayNoiseReport report(const CoupledNet& net, const DelayNoiseResult& r,
-                          std::string name = "") const;
-
-  /// Legacy human-readable report (renders report().to_text()).
-  void print_report(std::ostream& os, const CoupledNet& net,
-                    const DelayNoiseResult& r) const;
 
  private:
   AnalyzerConfig config_;

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "util/deadline.hpp"
 #include "util/fault_injection.hpp"
@@ -16,7 +14,7 @@ namespace dn {
 
 void finalize_batch_result(BatchResult& out, int top_k, bool ladder_enabled) {
   // Worst-K by combined delay noise, ties broken by index so the ranking
-  // is stable across thread counts. Pruned/deferred nets never rank.
+  // is stable across thread counts. Pruned nets never rank.
   std::vector<std::size_t> ok_idx;
   ok_idx.reserve(out.nets.size());
   for (const auto& nr : out.nets)
@@ -38,10 +36,9 @@ void finalize_batch_result(BatchResult& out, int top_k, bool ladder_enabled) {
 
   BatchStats& st = out.stats;
   st.total = out.nets.size();
-  st.analyzed = st.degraded = st.deferred_nets = 0;
+  st.analyzed = st.degraded = 0;
   st.tier0_pruned = st.tier1_pruned = st.tier2_analyzed = 0;
   st.max_pruned_bound = 0.0;
-  st.retries = 0;
   st.ladder = ladder_enabled;
   for (const auto& nr : out.nets) {
     switch (nr.outcome) {
@@ -51,9 +48,6 @@ void finalize_batch_result(BatchResult& out, int top_k, bool ladder_enabled) {
         else
           ++st.tier1_pruned;
         st.max_pruned_bound = std::max(st.max_pruned_bound, nr.dn_bound);
-        break;
-      case AnalysisOutcome::kDeferred:
-        ++st.deferred_nets;
         break;
       case AnalysisOutcome::kDegraded:
         ++st.degraded;
@@ -65,10 +59,8 @@ void finalize_batch_result(BatchResult& out, int top_k, bool ladder_enabled) {
       case AnalysisOutcome::kFailed:
         break;
     }
-    st.retries +=
-        static_cast<std::uint64_t>(nr.attempts > 1 ? nr.attempts - 1 : 0);
   }
-  st.failed = st.total - st.analyzed - st.pruned() - st.deferred_nets;
+  st.failed = st.total - st.analyzed - st.pruned();
 }
 
 BatchAnalyzer::BatchAnalyzer(BatchOptions opts)
@@ -110,7 +102,6 @@ BatchResult BatchAnalyzer::analyze(const std::vector<CoupledNet>& nets,
       obs::metrics().counter("batch.nets_screened");
   static obs::Counter& c_degraded =
       obs::metrics().counter("batch.nets_degraded");
-  static obs::Counter& c_retries = obs::metrics().counter("batch.retries");
   static obs::Histogram& h_net =
       obs::metrics().histogram("batch.net.seconds");
   static obs::Gauge& g_depth = obs::metrics().gauge("batch.queue_depth");
@@ -138,8 +129,6 @@ BatchResult BatchAnalyzer::analyze(const std::vector<CoupledNet>& nets,
   const Deadline deadline = opts_.deadline_ms > 0
                                 ? Deadline::after(opts_.deadline_ms * 1e-3)
                                 : Deadline();
-  const int max_attempts = 1 + std::max(opts_.max_retries, 0);
-  std::atomic<std::uint64_t> retries_total{0};
 
   pool_.parallel_for(nets.size(), [&](std::size_t i) {
     ScopedDeadline scoped_deadline(deadline);
@@ -149,7 +138,6 @@ BatchResult BatchAnalyzer::analyze(const std::vector<CoupledNet>& nets,
     {
       obs::ScopedLatency lat(h_net);
       obs::TraceSpan span("batch.net", "batch", "net", slot.name);
-      bool skip = false;
       if (do_ladder) {
         // Tiered triage (DESIGN.md §13); ladder failures on malformed
         // nets fall through so the full analysis reports the
@@ -158,71 +146,33 @@ BatchResult BatchAnalyzer::analyze(const std::vector<CoupledNet>& nets,
         if (dec.ok()) {
           slot.decided_by = dec->decided_by;
           slot.dn_bound = dec->dn_bound;
-          if (dec->pruned) {
-            slot.outcome = AnalysisOutcome::kScreened;
-            c_screened.add();
-            skip = true;
-          } else if (dec->decided_by != FidelityTier::kTier2) {
-            // Capped ladder: the survivor is reported with its bound
-            // instead of entering the full flow.
-            slot.outcome = AnalysisOutcome::kDeferred;
-            skip = true;
-          }
+          if (dec->pruned) slot.outcome = AnalysisOutcome::kScreened;
         }
       }
-      if (!skip && deadline.expired()) {
-        // Fail fast: do not start work the budget cannot pay for.
-        slot.status = deadline.check("batch worker");
-        slot.outcome = AnalysisOutcome::kFailed;
-        c_failed.add();
-        skip = true;
-      }
-      if (!skip) {
-        for (int attempt = 0; attempt < max_attempts; ++attempt) {
-          slot.attempts = attempt + 1;
-          if (attempt > 0) {
-            retries_total.fetch_add(1, std::memory_order_relaxed);
-            c_retries.add();
-            // Exponential backoff, capped at the batch deadline's
-            // remaining budget: sleeping past the deadline would turn a
-            // retryable blip into a guaranteed kDeadlineExceeded (and
-            // stall the worker for the full backoff besides).
-            double ms = std::ldexp(opts_.retry_backoff_ms, attempt - 1);
-            const double remaining_ms =
-                std::max(0.0, deadline.remaining_s() * 1e3);
-            ms = std::min(ms, remaining_ms);
-            if (ms > 0 && std::isfinite(ms))
-              std::this_thread::sleep_for(std::chrono::duration<double,
-                                                                std::milli>(ms));
-          }
-          // Deterministic identity of this attempt: every fault probe
-          // (factor, newton) inside the net's analysis is keyed to
-          // (net index, attempt), never to the thread or schedule.
-          const std::uint64_t attempt_key =
+      if (slot.outcome == AnalysisOutcome::kScreened) {
+        c_screened.add();
+      } else {
+        if (deadline.expired()) {
+          // Fail fast: do not start work the budget cannot pay for.
+          slot.status = deadline.check("batch worker");
+        } else {
+          // Deterministic identity of the analysis: every fault probe
+          // (factor, newton) inside it is keyed to the net index, never
+          // to the thread or schedule. The mix64(0) term keeps the keys
+          // of earlier releases, so a chaos run reproduces across them.
+          fault::ScopedContext fault_ctx(
               fault::mix64(static_cast<std::uint64_t>(i) + 1) ^
-              fault::mix64(static_cast<std::uint64_t>(attempt) << 32);
-          fault::ScopedContext fault_ctx(attempt_key);
-          // Task-boundary probe: a retryable infrastructure failure
-          // (worker eviction, resource exhaustion) before any analysis.
-          if (fault::should_fail(fault::Site::kTask, attempt_key)) {
-            slot.status =
-                Status::Unavailable("injected fault: batch worker task");
+              fault::mix64(0));
+          StatusOr<DelayNoiseResult> r = analyzer_.try_analyze(nets[i]);
+          if (r.ok()) {
+            slot.result = std::move(*r);
+            slot.report =
+                DelayNoiseReport::from(nets[i], slot.result, slot.name);
+            if (do_ladder)
+              slot.report.fidelity_tier = fidelity_tier_name(slot.decided_by);
           } else {
-            StatusOr<DelayNoiseResult> r = analyzer_.try_analyze(nets[i]);
-            if (r.ok()) {
-              slot.status = Status::Ok();
-              slot.result = std::move(*r);
-              slot.report =
-                  DelayNoiseReport::from(nets[i], slot.result, slot.name);
-              if (do_ladder)
-                slot.report.fidelity_tier =
-                    fidelity_tier_name(slot.decided_by);
-            } else {
-              slot.status = r.status();
-            }
+            slot.status = r.status();
           }
-          if (slot.status.ok() || !slot.status.is_transient()) break;
-          if (deadline.expired()) break;  // No budget left for retries.
         }
         if (slot.status.ok()) {
           slot.outcome = slot.result.degradations.empty()
@@ -262,25 +212,19 @@ void BatchResult::write_text(std::ostream& os) const {
      << stats.failed << " failed";
   if (stats.degraded) os << ", " << stats.degraded << " degraded";
   if (stats.pruned()) os << ", " << stats.pruned() << " screened out";
-  if (stats.retries) os << ", " << stats.retries << " retries";
-  if (stats.ladder && stats.deferred_nets)
-    os << ", " << stats.deferred_nets << " deferred";
   os << "\n";
   if (stats.ladder) {
     os << "fidelity ladder: tier0 pruned " << stats.tier0_pruned
        << ", tier1 pruned " << stats.tier1_pruned << ", tier2 analyzed "
        << stats.tier2_analyzed;
-    if (stats.deferred_nets) os << ", deferred " << stats.deferred_nets;
     if (stats.pruned())
       os << "; max pruned bound " << stats.max_pruned_bound * 1e12 << " ps";
     os << "\n";
   }
   for (const auto& nr : nets) {
     os << "  [" << nr.index << "] " << nr.name << ": ";
-    if (nr.outcome == AnalysisOutcome::kScreened ||
-        nr.outcome == AnalysisOutcome::kDeferred) {
-      os << (nr.outcome == AnalysisOutcome::kScreened ? "pruned" : "deferred")
-         << " at " << fidelity_tier_name(nr.decided_by) << " (bound "
+    if (nr.outcome == AnalysisOutcome::kScreened) {
+      os << "pruned at " << fidelity_tier_name(nr.decided_by) << " (bound "
          << nr.dn_bound * 1e12 << " ps)\n";
     } else if (nr.status.ok()) {
       os << nr.report.delay_noise_ps << " ps combined ("
@@ -318,12 +262,10 @@ json::Value BatchResult::to_json_value() const {
   json::Array entries;
   entries.reserve(nets.size());
   for (const auto& nr : nets) {
-    if (nr.outcome == AnalysisOutcome::kScreened ||
-        nr.outcome == AnalysisOutcome::kDeferred) {
+    if (nr.outcome == AnalysisOutcome::kScreened) {
       json::Object e;
       e["net"] = nr.name;
-      e[nr.outcome == AnalysisOutcome::kScreened ? "screened_out"
-                                                  : "deferred"] = true;
+      e["screened_out"] = true;
       e["tier"] = fidelity_tier_name(nr.decided_by);
       e["bound_ps"] = nr.dn_bound * 1e12;
       entries.emplace_back(std::move(e));
@@ -333,7 +275,6 @@ json::Value BatchResult::to_json_value() const {
       json::Object e;
       e["net"] = nr.name;
       e["error"] = status_code_name(nr.status.code());
-      if (nr.attempts > 1) e["attempts"] = nr.attempts;
       entries.emplace_back(std::move(e));
     }
   }
@@ -347,13 +288,11 @@ json::Value BatchResult::to_json_value() const {
   o["failed"] = stats.failed;
   if (stats.degraded) o["degraded"] = stats.degraded;
   if (stats.pruned()) o["screened_out"] = stats.pruned();
-  if (stats.retries) o["retries"] = stats.retries;
   if (stats.ladder) {
     json::Object ladder;
     ladder["tier0_pruned"] = stats.tier0_pruned;
     ladder["tier1_pruned"] = stats.tier1_pruned;
     ladder["tier2_analyzed"] = stats.tier2_analyzed;
-    ladder["deferred"] = stats.deferred_nets;
     ladder["max_pruned_bound_ps"] = stats.max_pruned_bound * 1e12;
     o["ladder"] = json::Value(std::move(ladder));
   }
@@ -378,7 +317,7 @@ std::string BatchResult::stats_text() const {
   if (stats.ladder)
     os << "; ladder: " << stats.tier0_pruned << " tier0 / "
        << stats.tier1_pruned << " tier1 pruned, " << stats.tier2_analyzed
-       << " tier2 analyzed, " << stats.deferred_nets << " deferred";
+       << " tier2 analyzed";
   return os.str();
 }
 

@@ -17,6 +17,10 @@
 //   - Isolation: a net that fails (malformed, solver blow-up) records its
 //     Status and the run continues — one bad extraction cannot kill a
 //     chip-level sweep.
+//   - One pass per net: at most one triage verdict (pruned at Tier 0/1,
+//     or analyze), then exactly one analysis attempt. Every per-net
+//     failure is deterministic, so a second attempt would fail the same
+//     way.
 #pragma once
 
 #include <cstdint>
@@ -43,16 +47,6 @@ struct BatchOptions {
   /// full flow for survivors. Disabled analyzes every net.
   FidelityLadderOptions ladder{};
 
-  /// Per-net retry budget for TRANSIENT failures (Status::is_transient(),
-  /// i.e. kUnavailable): a failing net is re-analyzed up to this many
-  /// extra times before being recorded as failed. Non-transient failures
-  /// (bad input, solver breakdown past the ladder) never retry — the
-  /// same input would fail the same way. 0 disables.
-  int max_retries = 0;
-  /// Base exponential backoff between retries [ms]: attempt r sleeps
-  /// retry_backoff_ms * 2^r. Kept tiny by default; the point is yielding
-  /// the core, not politeness to a remote service.
-  double retry_backoff_ms = 1.0;
   /// Wall-clock budget for the whole batch [ms]; <= 0 = unlimited. Every
   /// worker installs the shared deadline: nets in flight when it expires
   /// record kDeadlineExceeded (their step loops poll it), and nets not
@@ -67,7 +61,6 @@ enum class AnalysisOutcome {
   kDegraded,  // Analyzed, but at least one degradation rung was taken.
   kFailed,    // No result; BatchNetResult::status explains.
   kScreened,  // Skipped: pruned by a cheap fidelity-ladder tier.
-  kDeferred,  // Survived a capped ladder (max_tier < 2); not analyzed.
 };
 
 /// Outcome for one net of the batch (slot `index` of the input vector).
@@ -78,12 +71,11 @@ struct BatchNetResult {
   DelayNoiseResult result;   // Valid iff outcome is kOk or kDegraded.
   DelayNoiseReport report;   // Valid iff outcome is kOk or kDegraded.
   AnalysisOutcome outcome = AnalysisOutcome::kOk;
-  int attempts = 1;          // 1 + retries actually consumed.
 
   // Fidelity provenance (meaningful only when BatchOptions::ladder is
   // enabled): the tier that decided this net and the tightest cheap-tier
   // delay-noise upper bound [s] (bounds any violation a prune could
-  // miss). A kDeferred net survived every tier a capped ladder allowed.
+  // miss).
   FidelityTier decided_by = FidelityTier::kTier2;
   double dn_bound = 0.0;
 };
@@ -93,7 +85,6 @@ struct BatchStats {
   std::size_t analyzed = 0;   // Includes degraded nets: they have results.
   std::size_t failed = 0;
   std::size_t degraded = 0;   // Subset of `analyzed`.
-  std::uint64_t retries = 0;  // Extra attempts consumed across all nets.
   int jobs = 1;
   double elapsed_s = 0.0;
   double nets_per_s = 0.0;
@@ -107,7 +98,6 @@ struct BatchStats {
   std::size_t tier0_pruned = 0;
   std::size_t tier1_pruned = 0;
   std::size_t tier2_analyzed = 0;  // Nets that reached the full flow.
-  std::size_t deferred_nets = 0;   // Survivors of a capped ladder.
   /// Largest delay-noise upper bound among pruned nets [s]: no violation
   /// bigger than this can have been missed by pruning.
   double max_pruned_bound = 0.0;
@@ -141,7 +131,7 @@ struct BatchResult {
 };
 
 /// Recomputes `out.worst` and every outcome-derived stats field (counts,
-/// tier tallies, max pruned bound, retries, failed) from `out.nets`.
+/// tier tallies, max pruned bound, failed) from `out.nets`.
 /// Timing/cache/jobs figures are left to the caller. Shared by
 /// BatchAnalyzer::analyze and the resident server's slot re-assembly so
 /// the two rankings can never drift.

@@ -1,6 +1,6 @@
 // Structured per-net analysis report.
 //
-// The old free-form print_report text was fine for a human at a terminal
+// A free-form text report is fine for a human at a terminal
 // but useless to the batch engine, which must merge millions of per-net
 // outcomes into worst-K tables, CSV dumps, and downstream signoff flows.
 // DelayNoiseReport is the data; to_text() reproduces the classic report,
@@ -33,7 +33,13 @@ namespace dn {
 /// is always a ladder prune carrying "tier"/"bound_ps". The ladder-off
 /// entry with the raw screening estimate and the screen's two config
 /// keys no longer exist.
-inline constexpr int kReportSchemaVersion = 3;
+///
+/// v4: one pass per net — the retry budget and the capped ladder are
+/// gone. Failed batch entries lose "attempts", the envelope loses
+/// "retries", the "ladder" object loses "deferred", and no entry is
+/// "deferred" any more; the three config keys that set the ladder's top
+/// tier, the retry count and the retry backoff are unknown keys.
+inline constexpr int kReportSchemaVersion = 4;
 
 struct DelayNoiseReport {
   std::string net_name;         // Optional caller-assigned label.
@@ -79,8 +85,7 @@ struct DelayNoiseReport {
   static DelayNoiseReport from(const CoupledNet& net, const DelayNoiseResult& r,
                                std::string name = "");
 
-  /// The classic human-readable report (byte-compatible with the old
-  /// NoiseAnalyzer::print_report output).
+  /// The classic human-readable report.
   std::string to_text() const;
   void to_text(std::ostream& os) const;
 

@@ -257,7 +257,13 @@ Status mosfet_from_json(const json::Value& v, MosfetParams& out,
     if (!e.is_number())
       return Status::InvalidArgument(std::string(what) +
                                      " elements must be numbers");
-  out.type = static_cast<MosType>(static_cast<int>(a[0].as_number()));
+  StatusOr<int> type = a[0].require_int("mosfet type");
+  if (!type.ok()) return type.status();
+  if (*type != static_cast<int>(MosType::Nmos) &&
+      *type != static_cast<int>(MosType::Pmos))
+    return Status::InvalidArgument(std::string(what) +
+                                   " has unknown mosfet type");
+  out.type = static_cast<MosType>(*type);
   out.w = a[1].as_number();
   out.l = a[2].as_number();
   out.vt = a[3].as_number();
@@ -339,6 +345,20 @@ json::Value tree_to_json(const RcTree& t) {
   return json::Value(std::move(o));
 }
 
+/// An integral index in [0, count): the document comes from outside
+/// (requests, snapshots), and casting an arbitrary double to int is
+/// undefined behavior.
+StatusOr<int> checked_index(const json::Value& v, const char* what,
+                            int count) {
+  StatusOr<int> i = v.require_int(what);
+  if (!i.ok()) return i.status();
+  if (*i < 0 || *i >= count)
+    return Status::InvalidArgument(std::string(what) + " " +
+                                   std::to_string(*i) + " out of range [0, " +
+                                   std::to_string(count) + ")");
+  return *i;
+}
+
 Status tree_from_json(const json::Value& v, RcTree& out) {
   if (!v.is_object())
     return Status::InvalidArgument("tree must be an object");
@@ -350,28 +370,32 @@ Status tree_from_json(const json::Value& v, RcTree& out) {
     return Status::InvalidArgument("tree missing num_nodes/sink/res/caps");
   StatusOr<int> n = nn->require_int("num_nodes");
   if (!n.ok()) return n.status();
-  StatusOr<int> s = sink->require_int("sink");
-  if (!s.ok()) return s.status();
+  if (*n < 1) return Status::InvalidArgument("tree num_nodes must be >= 1");
   out.num_nodes = *n;
+  StatusOr<int> s = checked_index(*sink, "tree sink", *n);
+  if (!s.ok()) return s.status();
   out.sink = *s;
   out.res.clear();
   for (const json::Value& e : res->as_array()) {
     if (!e.is_array() || e.as_array().size() != 3 ||
-        !e.as_array()[0].is_number() || !e.as_array()[1].is_number() ||
         !e.as_array()[2].is_number())
       return Status::InvalidArgument("tree res entries must be [a,b,r]");
     const json::Array& a = e.as_array();
-    out.res.push_back({static_cast<int>(a[0].as_number()),
-                       static_cast<int>(a[1].as_number()), a[2].as_number()});
+    StatusOr<int> na = checked_index(a[0], "tree res node", *n);
+    if (!na.ok()) return na.status();
+    StatusOr<int> nb = checked_index(a[1], "tree res node", *n);
+    if (!nb.ok()) return nb.status();
+    out.res.push_back({*na, *nb, a[2].as_number()});
   }
   out.caps.clear();
   for (const json::Value& e : caps->as_array()) {
     if (!e.is_array() || e.as_array().size() != 2 ||
-        !e.as_array()[0].is_number() || !e.as_array()[1].is_number())
+        !e.as_array()[1].is_number())
       return Status::InvalidArgument("tree caps entries must be [node,c]");
     const json::Array& a = e.as_array();
-    out.caps.push_back(
-        {static_cast<int>(a[0].as_number()), a[1].as_number()});
+    StatusOr<int> node = checked_index(a[0], "tree caps node", *n);
+    if (!node.ok()) return node.status();
+    out.caps.push_back({*node, a[1].as_number()});
   }
   return Status::Ok();
 }
@@ -478,21 +502,21 @@ StatusOr<Design> Design::from_json(const json::Value& v) {
       return Status::InvalidArgument(
           "design coupling must be [a,b,a_node,b_node,c]");
     const json::Array& a = cv.as_array();
-    for (const json::Value& e : a)
-      if (!e.is_number())
-        return Status::InvalidArgument(
-            "design coupling elements must be numbers");
-    DesignCoupling cc;
-    cc.a = static_cast<int>(a[0].as_number());
-    cc.b = static_cast<int>(a[1].as_number());
-    cc.a_node = static_cast<int>(a[2].as_number());
-    cc.b_node = static_cast<int>(a[3].as_number());
-    cc.c = a[4].as_number();
-    const auto n = static_cast<int>(d.nets_.size());
-    if (cc.a < 0 || cc.a >= n || cc.b < 0 || cc.b >= n)
+    if (!a[4].is_number())
       return Status::InvalidArgument(
-          "design coupling references a net out of range");
-    d.couplings_.push_back(cc);
+          "design coupling elements must be numbers");
+    const auto n = static_cast<int>(d.nets_.size());
+    StatusOr<int> na = checked_index(a[0], "design coupling net", n);
+    if (!na.ok()) return na.status();
+    StatusOr<int> nb = checked_index(a[1], "design coupling net", n);
+    if (!nb.ok()) return nb.status();
+    StatusOr<int> a_node = checked_index(a[2], "design coupling node",
+                                      d.nets_[*na].tree.num_nodes);
+    if (!a_node.ok()) return a_node.status();
+    StatusOr<int> b_node = checked_index(a[3], "design coupling node",
+                                      d.nets_[*nb].tree.num_nodes);
+    if (!b_node.ok()) return b_node.status();
+    d.couplings_.push_back({*na, *nb, *a_node, *b_node, a[4].as_number()});
   }
   return d;
 }

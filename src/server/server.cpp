@@ -1,5 +1,6 @@
 #include "server/server.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
@@ -41,6 +42,51 @@ void install_stop_handlers() {
 
 }  // namespace
 
+void LineReader::restart() {
+  text_.clear();
+  bytes_ = 0;
+  complete_ = false;
+}
+
+void LineReader::append(const char* data, std::size_t n) {
+  bytes_ += n;
+  const std::size_t room =
+      limit_ > 0 ? limit_ - std::min(limit_, text_.size()) : n;
+  text_.append(data, std::min(n, room));
+}
+
+bool LineReader::read(std::istream& in) {
+  restart();
+  char buf[4096];
+  for (;;) {
+    in.getline(buf, sizeof buf);
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (in.good()) {  // The newline ended the line; gcount counted it.
+      append(buf, got - 1);
+      complete_ = true;
+      return true;
+    }
+    append(buf, got);
+    if (in.fail() && !in.eof() && !in.bad() && got == sizeof buf - 1) {
+      in.clear();  // The buffer filled before the newline: read on.
+      continue;
+    }
+    // End of input; a last line may lack its newline.
+    complete_ = bytes_ > 0;
+    return complete_;
+  }
+}
+
+std::size_t LineReader::feed(const char* data, std::size_t n) {
+  if (complete_) restart();
+  const void* nl = std::memchr(data, '\n', n);
+  const std::size_t len =
+      nl ? static_cast<std::size_t>(static_cast<const char*>(nl) - data) : n;
+  append(data, len);
+  complete_ = nl != nullptr;
+  return complete_ ? len + 1 : n;
+}
+
 Server::Server(ServerOptions opts)
     : opts_(std::move(opts)),
       session_(opts_.config, opts_.durability, opts_.limits) {}
@@ -55,6 +101,7 @@ int Server::serve_stream(std::istream& in, std::ostream& out) {
 
   struct Item {
     std::string line;
+    std::size_t oversized_bytes = 0;  // Nonzero: `line` was not stored.
     Admission admission = Admission::kAccept;
   };
   std::mutex mu;
@@ -66,13 +113,16 @@ int Server::serve_stream(std::istream& in, std::ostream& out) {
   // the backlog the request actually joined, and shed markers ride the
   // same queue as real work, keeping responses in request order.
   std::thread reader([&] {
-    std::string line;
-    while (!(opts_.handle_signals && g_stop) && std::getline(in, line)) {
-      if (line.empty()) continue;
+    LineReader line(opts_.limits.max_request_bytes);
+    while (!(opts_.handle_signals && g_stop) && line.read(in)) {
+      if (line.bytes() == 0) continue;
       {
         std::lock_guard<std::mutex> lk(mu);
         Item item;
-        item.line = std::move(line);
+        if (line.oversized())
+          item.oversized_bytes = line.bytes();
+        else
+          item.line = line.text();
         if (queue.size() >= opts_.queue_hard_limit)
           item.admission = Admission::kShed;
         else if (queue.size() >= opts_.queue_soft_limit)
@@ -80,7 +130,6 @@ int Server::serve_stream(std::istream& in, std::ostream& out) {
         queue.push_back(std::move(item));
       }
       cv.notify_one();
-      line.clear();
     }
     {
       std::lock_guard<std::mutex> lk(mu);
@@ -117,7 +166,9 @@ int Server::serve_stream(std::istream& in, std::ostream& out) {
       continue;
     }
     const json::Value response =
-        session_.handle_line(item.line, item.admission);
+        item.oversized_bytes
+            ? session_.reject_oversized(item.oversized_bytes)
+            : session_.handle_line(item.line, item.admission);
     response.dump(out);
     out << "\n" << std::flush;
   }
@@ -192,7 +243,7 @@ int Server::serve_unix(const std::string& path) {
       std::fprintf(stderr, "error: accept: %s\n", std::strerror(errno));
       break;
     }
-    std::string buffer;
+    LineReader line(opts_.limits.max_request_bytes);
     char chunk[4096];
     bool client_open = true;
     while (client_open) {
@@ -204,17 +255,14 @@ int Server::serve_unix(const std::string& path) {
         }
         break;
       }
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      std::size_t pos;
-      while ((pos = buffer.find('\n')) != std::string::npos) {
-        const std::string line = buffer.substr(0, pos);
-        buffer.erase(0, pos + 1);
-        if (line.empty()) continue;
-        const json::Value response = session_.handle_line(line);
-        if (!write_all(cfd, response.dump() + "\n")) {
-          client_open = false;
-          break;
-        }
+      const auto got = static_cast<std::size_t>(n);
+      for (std::size_t off = 0; off < got && client_open;) {
+        off += line.feed(chunk + off, got - off);
+        if (!line.complete() || line.bytes() == 0) continue;
+        const json::Value response =
+            line.oversized() ? session_.reject_oversized(line.bytes())
+                             : session_.handle_line(line.text());
+        client_open = write_all(cfd, response.dump() + "\n");
       }
     }
     ::close(cfd);

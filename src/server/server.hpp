@@ -17,6 +17,11 @@
 // daemon: reconnect and the design, caches, and results are still warm).
 // A shutdown verb ends the accept loop and removes the socket file.
 //
+// Both transports split their input with a LineReader bounded by
+// ProtocolLimits::max_request_bytes: past the limit a line is counted,
+// not stored, so a client that never sends a newline cannot grow the
+// server's memory, and it still gets one in-order kInvalidArgument.
+//
 // Lifecycle: both transports install SIGTERM/SIGINT handlers (without
 // SA_RESTART, so blocking reads return EINTR) and drain gracefully — the
 // in-flight request and everything already queued finish and get their
@@ -31,6 +36,39 @@
 #include "server/session.hpp"
 
 namespace dn::server {
+
+/// One request line at a time from a byte stream, storing at most `limit`
+/// bytes of it (0 = no limit); the rest of a longer line, up to its
+/// newline, is counted and dropped.
+class LineReader {
+ public:
+  explicit LineReader(std::size_t limit = 0) : limit_(limit) {}
+
+  /// Reads the next line of `in`, newline dropped. False at end of input
+  /// when no byte of a new line was read.
+  bool read(std::istream& in);
+
+  /// Consumes data[0, n) up to and including its first newline and
+  /// returns the bytes consumed; complete() turns true when a newline
+  /// ended the line. The next feed after a complete line starts a new one.
+  std::size_t feed(const char* data, std::size_t n);
+
+  bool complete() const { return complete_; }
+  /// The stored bytes of the line: all of it unless oversized().
+  const std::string& text() const { return text_; }
+  /// Length of the whole line so far, newline excluded.
+  std::size_t bytes() const { return bytes_; }
+  bool oversized() const { return limit_ > 0 && bytes_ > limit_; }
+
+ private:
+  void restart();
+  void append(const char* data, std::size_t n);
+
+  std::size_t limit_;
+  std::string text_;
+  std::size_t bytes_ = 0;
+  bool complete_ = false;
+};
 
 struct ServerOptions {
   /// Queue depth at which analyze fidelity degrades (rtr_to_rth rung).

@@ -18,12 +18,12 @@ namespace dn::server {
 namespace {
 
 /// Every config key except the SCHEDULING ones (worker count, ranking
-/// depth, retries, deadlines), which cannot change a net's result. A
+/// depth, deadline), which cannot change a net's result. A
 /// config change dirties every victim iff this fingerprint changes, so a
 /// new key invalidates stored results unless it is listed here.
 std::string analysis_fingerprint(const AnalysisConfig& cfg) {
   static constexpr const char* kSchedulingKeys[] = {
-      "jobs", "top_k", "max_retries", "retry_backoff_ms", "deadline_ms"};
+      "jobs", "top_k", "deadline_ms"};
   const json::Value all = cfg.to_json();
   json::Object subset;
   for (const auto& [key, v] : all.as_object())
@@ -250,21 +250,25 @@ json::Value Session::respond(const json::Value* id, Status status,
   return json::Value(std::move(o));
 }
 
+json::Value Session::reject_oversized(std::size_t bytes) {
+  ++requests_;
+  ++errors_;
+  return respond(nullptr,
+                 Status::InvalidArgument(
+                     "request of " + std::to_string(bytes) +
+                     " bytes exceeds the per-request limit of " +
+                     std::to_string(limits_.max_request_bytes)),
+                 {});
+}
+
 json::Value Session::handle_line(const std::string& line,
                                  Admission admission) {
-  ++requests_;
   // Size limit BEFORE parsing: a pathologically long line is rejected
   // for the cost of strlen, not of building its value tree.
   if (limits_.max_request_bytes > 0 &&
-      line.size() > limits_.max_request_bytes) {
-    ++errors_;
-    return respond(nullptr,
-                   Status::InvalidArgument(
-                       "request of " + std::to_string(line.size()) +
-                       " bytes exceeds the per-request limit of " +
-                       std::to_string(limits_.max_request_bytes)),
-                   {});
-  }
+      line.size() > limits_.max_request_bytes)
+    return reject_oversized(line.size());
+  ++requests_;
   StatusOr<json::Value> parsed = json::parse(line);
   if (!parsed.ok()) {
     ++errors_;
@@ -586,17 +590,14 @@ Status Session::verb_analyze(const json::Value& req, json::Object& result,
     for (std::size_t p = 0; p < dirty_idx.size(); ++p) {
       const std::size_t o = dirty_idx[p];
       br.nets[p].index = o;
-      // A net that ran out of deadline or hit a transient fault stays
-      // dirty: the stored slot records the failure honestly, and the
-      // next analyze retries it instead of serving the failure forever.
-      // So does every net of a fault-injected request: its faults belong
-      // to that request alone.
-      const Status& ns = br.nets[p].status;
-      const bool retry_later =
-          !ns.ok() && (ns.code() == StatusCode::kDeadlineExceeded ||
-                       ns.is_transient());
+      // A net that ran out of deadline stays dirty: the stored slot
+      // records the failure honestly, and the next analyze runs it again
+      // instead of serving the failure forever. So does every net of a
+      // fault-injected request: its faults belong to that request alone.
+      const bool out_of_time =
+          br.nets[p].status.code() == StatusCode::kDeadlineExceeded;
       slots_[o] = std::move(br.nets[p]);
-      dirty_[o] = degraded || retry_later || fault_guard.active;
+      dirty_[o] = degraded || out_of_time || fault_guard.active;
     }
     ++analyze_runs_;
     nets_reanalyzed_ += dirty_idx.size();
@@ -653,7 +654,7 @@ Status Session::verb_config(const json::Value& req, json::Object& result) {
     if (cfg_.batch.analyzer.table_spec != cache_->spec())
       cache_ = std::make_shared<CharacterizationCache>(
           cfg_.batch.analyzer.table_spec);
-    // Scheduling keys (jobs, retries, top_k...) don't change results;
+    // Scheduling keys (jobs, top_k, deadline_ms) don't change results;
     // analysis keys do — and stale slots must not masquerade as current.
     if (analysis_fingerprint(cfg_) != before) mark_all_dirty();
   }

@@ -104,6 +104,12 @@ class Session {
   json::Value handle_line(const std::string& line,
                           Admission admission = Admission::kAccept);
 
+  /// The response to a request line of `bytes` bytes, more than
+  /// ProtocolLimits::max_request_bytes: kInvalidArgument, counted as a
+  /// request and an error. handle_line answers long lines with it, and
+  /// the transports call it for lines they stopped storing at the limit.
+  json::Value reject_oversized(std::size_t bytes);
+
   /// True once a shutdown request has been handled.
   bool shutdown_requested() const { return shutdown_; }
 

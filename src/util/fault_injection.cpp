@@ -33,7 +33,6 @@ const char* site_name(Site s) {
     case Site::kCacheFill: return "cache";
     case Site::kFactor: return "factor";
     case Site::kNewton: return "newton";
-    case Site::kTask: return "task";
     case Site::kCount: break;
   }
   return "?";
@@ -43,7 +42,7 @@ StatusOr<FaultSpec> parse_fault_spec(const std::string& spec) {
   if (spec.empty())
     return Status::InvalidArgument(
         "fault spec: empty (want \"site[:p],...\" with sites parse, cache, "
-        "factor, newton, task, or all)");
+        "factor, newton, or all)");
   FaultSpec out;
   std::size_t pos = 0;
   while (pos < spec.size()) {
@@ -79,7 +78,7 @@ StatusOr<FaultSpec> parse_fault_spec(const std::string& spec) {
     if (!matched) {
       return Status::InvalidArgument(
           "fault spec: unknown site '" + name +
-          "' (want parse, cache, factor, newton, task, or all)");
+          "' (want parse, cache, factor, newton, or all)");
     }
   }
   return out;

@@ -3,19 +3,18 @@
 //
 // The degradation ladder and the batch engine's failure isolation are
 // only trustworthy if they can be exercised on demand, reproducibly.
-// This module plants five injection sites across the pipeline:
+// This module plants four injection sites across the pipeline:
 //
 //   parse    SPEF tokenize/parse            -> kInvalidArgument
 //   cache    alignment-table lookup         -> kInternal (that lookup only)
 //   factor   sparse factor/refactor, MOR    -> pivot failure / breakdown
 //   newton   NonlinearSim transient solve   -> ConvergenceError
-//   task     batch worker task boundary     -> TransientError (retryable)
 //
 // Compiled in always; when disabled every probe is a single relaxed
 // atomic load. When enabled, each probe decides "fail here?" by hashing
 // (seed, site, key) through SplitMix64 against the site's configured
 // probability — no global ordering, no RNG state. Keys are derived from
-// deterministic identities (net index + attempt, cache key, a per-scope
+// deterministic identities (net index, cache key, a per-scope
 // probe counter), so a chaos run is bit-for-bit reproducible at any
 // --jobs count: the same probes fail no matter which thread runs them.
 #pragma once
@@ -34,7 +33,6 @@ enum class Site : int {
   kCacheFill,
   kFactor,
   kNewton,
-  kTask,
   kCount,
 };
 
@@ -53,7 +51,7 @@ struct FaultSpec {
 };
 
 /// Parses "site[:p][,site[:p]]..." where site is parse|cache|factor|
-/// newton|task|all and p defaults to 1. Example: "newton:0.3,task:0.5".
+/// newton|all and p defaults to 1. Example: "newton:0.3,cache:0.5".
 StatusOr<FaultSpec> parse_fault_spec(const std::string& spec);
 
 /// Arms injection with `spec` under `seed`. A spec with no active site
@@ -76,7 +74,7 @@ inline bool enabled() noexcept {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/// Probe with an explicit deterministic key (cache keys, net×attempt).
+/// Probe with an explicit deterministic key (cache keys).
 inline bool should_fail(Site s, std::uint64_t key) noexcept {
   if (!enabled() || detail::t_suspended > 0) return false;
   return detail::decide(s, key);
@@ -98,7 +96,7 @@ std::uint64_t injected(Site s) noexcept;
 std::uint64_t injected_total() noexcept;
 
 /// Establishes the deterministic identity of the work running on this
-/// thread (a net's analysis attempt) and resets the per-site probe
+/// thread (a net's analysis) and resets the per-site probe
 /// counters for the scope. Restores the outer scope's identity and
 /// counters on destruction.
 class ScopedContext {
@@ -127,7 +125,7 @@ class ScopedSuspend {
 };
 
 /// SplitMix64 — the hash behind the decisions, exposed for callers that
-/// build composite keys (e.g. hash(net_index) ^ hash(attempt)).
+/// build composite keys (e.g. hash(net_index + 1) ^ hash(0)).
 constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

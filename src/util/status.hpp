@@ -47,8 +47,8 @@ class DeadlineError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Retryable failure (injected task faults, resource exhaustion): the
-/// batch engine's retry budget applies only to these.
+/// Transient failure (resource exhaustion, an overloaded or draining
+/// server): the client may retry the request later.
 class TransientError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -91,8 +91,6 @@ class [[nodiscard]] Status {
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }
-  /// Retryable: the batch engine's retry budget applies only to these.
-  bool is_transient() const { return code_ == StatusCode::kUnavailable; }
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
 

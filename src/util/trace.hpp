@@ -14,8 +14,8 @@
 // Span taxonomy (cat.name, see DESIGN.md §8):
 //   parse.spef.parse          one SPEF deck parse
 //   reduce.mor.prima          one PRIMA reduction
-//   screen.screen.net         one moment-level screening estimate
-//   screen.ladder.tier0       one fidelity-ladder tier-0 bound
+//   screen.screen.moments     one net's moment pass (both cheap ladder
+//                             tiers and the --screen ranking read it)
 //   characterize.cache.table  one 8-point alignment-table characterization
 //   characterize.thevenin.characterize  one driver-table fill
 //   analyze.ceff.driver       one driver's C-effective iteration

@@ -72,7 +72,7 @@ Fig13Population run_fig13_population(int n_nets, std::uint64_t seed) {
 
     DelayNoiseOptions opts;
     opts.method = AlignmentMethod::Predicted;
-    opts.table = tables.table_for(net.victim.receiver, rising);
+    opts.table = tables.cache()->table_for(net.victim.receiver, rising);
     opts.search.domain =
         ScanDomain::interval(*t_center - 60 * ps, *t_center + 60 * ps);
 
@@ -140,7 +140,7 @@ Fig14Population run_fig14_population(int n_nets, std::uint64_t seed) {
 
     DelayNoiseOptions pred;
     pred.method = AlignmentMethod::Predicted;
-    pred.table = tables.table_for(net.victim.receiver, rising);
+    pred.table = tables.cache()->table_for(net.victim.receiver, rising);
     DelayNoiseOptions rip;
     rip.method = AlignmentMethod::ReceiverInputPeak;
 

@@ -30,8 +30,7 @@ TEST(AnalysisConfig, DefaultsValidateAndRoundTrip) {
 TEST(AnalysisConfig, EveryKeyRoundTripsThroughJson) {
   AnalysisConfig cfg;
   const Status applied = cfg.apply(*json::parse(R"({
-    "jobs": 3, "top_k": 7, "max_retries": 2, "retry_backoff_ms": 1.5,
-    "deadline_ms": 250, "exhaustive": true, "thevenin": true,
+    "jobs": 3, "top_k": 7, "deadline_ms": 250, "exhaustive": true, "thevenin": true,
     "solver": "sparse", "dt_ps": 2, "horizon_ns": 4,
     "model_alignment_iterations": 2, "rtr_max_iterations": 6,
     "newton_max_iterations": 50, "newton_v_tol": 1e-8})"));
@@ -39,7 +38,7 @@ TEST(AnalysisConfig, EveryKeyRoundTripsThroughJson) {
 
   EXPECT_EQ(cfg.batch.jobs, 3);
   EXPECT_EQ(cfg.batch.top_k, 7);
-  EXPECT_EQ(cfg.batch.max_retries, 2);
+  EXPECT_EQ(cfg.batch.deadline_ms, 250.0);
   EXPECT_EQ(cfg.batch.analyzer.analysis.method, AlignmentMethod::Exhaustive);
   EXPECT_FALSE(
       cfg.batch.analyzer.analysis.use_transient_holding);  // thevenin
@@ -131,13 +130,16 @@ TEST(AnalysisConfig, RemovedScreenKeysAreUnknownKeys) {
        {"{\"screen_below_ps\":5}", "{\"screen_vn_below_v\":0.1}",
         "{\"ceff_max_dt_growth\":2}", "{\"rtr_max_dt_growth\":2}",
         "{\"search_stale_jacobian_iters\":2}", "{\"prereduce\":true}",
-        "{\"window_pruning\":false}"}) {
+        "{\"window_pruning\":false}", "{\"fidelity_max_tier\":1}",
+        "{\"max_retries\":2}", "{\"retry_backoff_ms\":1.5}"}) {
     AnalysisConfig cfg;
     ASSERT_TRUE(cfg.apply(*json::parse("{\"jobs\":5}")).ok());
     const std::string before = cfg.to_json_text();
     const Status s = cfg.apply(*json::parse(text));
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << text;
     EXPECT_NE(s.message().find("unknown key"), std::string::npos) << text;
+    const std::string key = json::parse(text)->as_object().begin()->first;
+    EXPECT_NE(s.message().find(key), std::string::npos) << text;
     EXPECT_EQ(cfg.to_json_text(), before) << text;
   }
 }
@@ -196,8 +198,7 @@ json::Object every_key_non_default() {
   return json::parse(R"({
     "jobs": 3, "top_k": 7, "fidelity_ladder": true,
     "fidelity_threshold_ps": 7, "fidelity_margin": 2.5,
-    "fidelity_max_tier": 1, "max_retries": 2,
-    "retry_backoff_ms": 1.5, "deadline_ms": 60000, "exhaustive": true,
+    "deadline_ms": 60000, "exhaustive": true,
     "thevenin": true, "solver": "sparse", "dt_ps": 2,
     "horizon_ns": 5, "model_alignment_iterations": 3,
     "rtr_max_iterations": 6, "newton_max_iterations": 50,
@@ -213,13 +214,13 @@ std::string report_bytes(const AnalysisConfig& cfg) {
   const NoiseAnalyzer analyzer(cfg.batch.analyzer);
   const StatusOr<DelayNoiseResult> r = analyzer.try_analyze(net);
   if (!r.ok()) return r.status().to_string();
-  return analyzer.report(net, *r, "n").to_json();
+  return DelayNoiseReport::from(net, *r, "n").to_json();
 }
 
 TEST(AnalysisConfig, NonDefaultTableCoversEveryKey) {
   const json::Object table = every_key_non_default();
   const json::Value defaults = AnalysisConfig().to_json();
-  EXPECT_EQ(defaults.as_object().size(), 22u);
+  EXPECT_EQ(defaults.as_object().size(), 19u);
   EXPECT_EQ(table.size(), defaults.as_object().size());
   for (const auto& [key, v] : defaults.as_object()) {
     const json::Value* set = table.find(key);

@@ -35,21 +35,21 @@ TEST(NoiseAnalyzer, TablesAreCachedPerReceiverCondition) {
   NoiseAnalyzer analyzer(fast_config());
   const CoupledNet net = example_coupled_net(1);
   ASSERT_TRUE(analyzer.try_analyze(net).ok());
-  EXPECT_EQ(analyzer.tables_cached(), 1u);
+  EXPECT_EQ(analyzer.cache()->tables_cached(), 1u);
   // Same receiver/direction: no new table.
   ASSERT_TRUE(analyzer.try_analyze(net).ok());
-  EXPECT_EQ(analyzer.tables_cached(), 1u);
+  EXPECT_EQ(analyzer.cache()->tables_cached(), 1u);
 
   CoupledNet other = example_coupled_net(1);
   other.victim.receiver.size = 4.0;  // New receiver condition.
   ASSERT_TRUE(analyzer.try_analyze(other).ok());
-  EXPECT_EQ(analyzer.tables_cached(), 2u);
+  EXPECT_EQ(analyzer.cache()->tables_cached(), 2u);
 
   CoupledNet falling = example_coupled_net(1);
   falling.victim.output_rising = false;
   falling.aggressors[0].output_rising = true;
   ASSERT_TRUE(analyzer.try_analyze(falling).ok());
-  EXPECT_EQ(analyzer.tables_cached(), 3u);
+  EXPECT_EQ(analyzer.cache()->tables_cached(), 3u);
 }
 
 TEST(NoiseAnalyzer, ExhaustiveModeDominatesPrediction) {
@@ -82,11 +82,12 @@ TEST(NoiseAnalyzer, HonorsEveryAlignmentMethod) {
     const StatusOr<DelayNoiseResult> r = an.try_analyze(net);
     ASSERT_TRUE(r.ok()) << r.status().to_string();
     EXPECT_TRUE(r->degradations.empty());
-    EXPECT_EQ(an.tables_cached(), m == AlignmentMethod::Predicted ? 1u : 0u);
+    EXPECT_EQ(an.cache()->tables_cached(), m == AlignmentMethod::Predicted ? 1u : 0u);
     if (m == AlignmentMethod::Predicted) continue;
     const SuperpositionEngine eng(net, cfg.engine);
     const DelayNoiseResult direct = analyze_delay_noise(eng, cfg.analysis);
-    EXPECT_EQ(an.report(net, *r).to_json(), an.report(net, direct).to_json());
+    EXPECT_EQ(DelayNoiseReport::from(net, *r).to_json(),
+              DelayNoiseReport::from(net, direct).to_json());
   }
 }
 
@@ -95,7 +96,7 @@ TEST(NoiseAnalyzer, ReportMentionsKeyQuantities) {
   const CoupledNet net = example_coupled_net(1);
   const DelayNoiseResult r = analyzer.try_analyze(net).value();
   std::ostringstream os;
-  analyzer.print_report(os, net, r);
+  DelayNoiseReport::from(net, r).to_text(os);
   const std::string text = os.str();
   EXPECT_NE(text.find("delay-noise report"), std::string::npos);
   EXPECT_NE(text.find("transient holding R"), std::string::npos);

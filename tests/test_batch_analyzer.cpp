@@ -221,7 +221,7 @@ TEST(BatchAnalyzer, BitIdenticalToSequentialAnalyzer) {
     EXPECT_EQ(a.composite.params.width, b.composite.params.width)
         << "net " << i;
   }
-  EXPECT_EQ(batch.cache()->tables_cached(), seq.tables_cached());
+  EXPECT_EQ(batch.cache()->tables_cached(), seq.cache()->tables_cached());
 }
 
 TEST(BatchAnalyzer, OutputByteIdenticalAcrossJobCounts) {
@@ -340,16 +340,17 @@ TEST(DelayNoiseReport, TextMatchesLegacyPrintReport) {
   NoiseAnalyzer analyzer(fast_config());
   const CoupledNet net = example_coupled_net(1);
   const DelayNoiseResult r = analyzer.try_analyze(net).value();
-  std::ostringstream legacy;
-  analyzer.print_report(legacy, net, r);
-  EXPECT_EQ(analyzer.report(net, r).to_text(), legacy.str());
+  const DelayNoiseReport report = DelayNoiseReport::from(net, r);
+  std::ostringstream streamed;
+  report.to_text(streamed);
+  EXPECT_EQ(report.to_text(), streamed.str());
 }
 
 TEST(DelayNoiseReport, JsonCarriesTheKeyFields) {
   NoiseAnalyzer analyzer(fast_config());
   const CoupledNet net = example_coupled_net(1);
   const DelayNoiseResult r = analyzer.try_analyze(net).value();
-  const std::string json = analyzer.report(net, r, "n1").to_json();
+  const std::string json = DelayNoiseReport::from(net, r, "n1").to_json();
   for (const char* key :
        {"\"net\":\"n1\"", "\"victim_driver\":\"INV\"", "\"rth_ohm\":",
         "\"holding_r_ohm\":", "\"pulse_height_v\":", "\"align_voltage_v\":",
@@ -367,7 +368,7 @@ TEST(NoiseAnalyzer, SharedCacheAndStableTablePointers) {
 
   const CoupledNet net = example_coupled_net(1);
   const AlignmentTable* t1 =
-      a.table_for(net.victim.receiver, net.victim.output_rising);
+      cache->table_for(net.victim.receiver, net.victim.output_rising);
   ASSERT_TRUE(a.try_analyze(net).ok());
   ASSERT_TRUE(b.try_analyze(net).ok());
   EXPECT_EQ(cache->tables_cached(), 1u);  // Shared: characterized once.
@@ -375,10 +376,11 @@ TEST(NoiseAnalyzer, SharedCacheAndStableTablePointers) {
   // Insertions of new keys never invalidate earlier pointers.
   GateParams other = net.victim.receiver;
   other.size = 8.0;
-  b.table_for(other, true);
-  b.table_for(other, false);
+  cache->table_for(other, true);
+  cache->table_for(other, false);
   EXPECT_EQ(cache->tables_cached(), 3u);
-  EXPECT_EQ(a.table_for(net.victim.receiver, net.victim.output_rising), t1);
+  EXPECT_EQ(cache->table_for(net.victim.receiver, net.victim.output_rising),
+            t1);
 }
 
 }  // namespace

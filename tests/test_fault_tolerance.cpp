@@ -1,7 +1,7 @@
 // Fault-tolerance layer: deadlines/cancellation (util/deadline.*), the
 // deterministic fault-injection harness (util/fault_injection.*), the
 // degradation ladder (util/degradation.*, DESIGN.md §10), and the batch
-// engine's isolation/retry/outcome accounting under injected chaos.
+// engine's isolation/outcome accounting under injected chaos.
 //
 // The two load-bearing properties:
 //   1. Injected faults at every site yield degraded-or-failed batch
@@ -155,10 +155,10 @@ TEST(Deadline, ExpiredBatchDeadlineFailsNetsWithDeadlineExceeded) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultSpec, ParsesSitesRatesAndAll) {
-  const auto spec = fault::parse_fault_spec("newton:0.25,task");
+  const auto spec = fault::parse_fault_spec("newton:0.25,cache");
   ASSERT_TRUE(spec.ok());
   EXPECT_DOUBLE_EQ(spec->rate[static_cast<int>(fault::Site::kNewton)], 0.25);
-  EXPECT_DOUBLE_EQ(spec->rate[static_cast<int>(fault::Site::kTask)], 1.0);
+  EXPECT_DOUBLE_EQ(spec->rate[static_cast<int>(fault::Site::kCacheFill)], 1.0);
   EXPECT_DOUBLE_EQ(spec->rate[static_cast<int>(fault::Site::kFactor)], 0.0);
 
   const auto all = fault::parse_fault_spec("all:0.5");
@@ -166,6 +166,13 @@ TEST(FaultSpec, ParsesSitesRatesAndAll) {
   for (const double r : all->rate) EXPECT_DOUBLE_EQ(r, 0.5);
 
   EXPECT_FALSE(fault::parse_fault_spec("bogus:0.5").ok());
+  // A net gets exactly one analysis attempt, so there is no worker-task
+  // site to fault.
+  const auto task = fault::parse_fault_spec("task:0.3");
+  ASSERT_FALSE(task.ok());
+  EXPECT_EQ(task.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(task.status().message().find("unknown site 'task'"),
+            std::string::npos);
   EXPECT_FALSE(fault::parse_fault_spec("newton:1.5").ok());
   EXPECT_FALSE(fault::parse_fault_spec("newton:x").ok());
   EXPECT_FALSE(fault::parse_fault_spec("").ok());
@@ -344,7 +351,6 @@ TEST(FaultSites, EverySiteYieldsDegradedOrFailedNeverCrash) {
       {"cache:0.5", SolverBackend::kAuto},
       {"factor:0.5", SolverBackend::kSparse},  // Sparse path hosts the probe.
       {"newton:0.05", SolverBackend::kAuto},
-      {"task:0.5", SolverBackend::kAuto},
       {"all:0.08", SolverBackend::kSparse},
   };
   for (const auto& c : cases) {
@@ -568,7 +574,7 @@ TEST(FaultSites, AlignmentTableFillsIgnoreFaultsAndDeadline) {
     EXPECT_EQ(cache.tables_cached(), 0u);
   }
   {
-    ScopedFaults faults("factor:1,newton:1,task:1", 5);
+    ScopedFaults faults("factor:1,newton:1", 5);
     ScopedDeadline expired(Deadline::after(-1.0));
     const StatusOr<const AlignmentTable*> r = cache.try_table_for(rcv, true);
     ASSERT_TRUE(r.ok()) << r.status().to_string();
@@ -610,73 +616,24 @@ TEST(FaultSites, FailedDriverTableFillIsStoredNotRetried) {
   EXPECT_EQ(store.size(), 0u);
 }
 
-TEST(FaultSites, TransientTaskFaultsRetryAndRecover) {
-  ScopedFaults faults("task:0.5", 31);
-  const auto nets = random_population(8, 37);
-
-  BatchOptions no_retry = chaos_options(2);
-  const BatchResult without = BatchAnalyzer(no_retry).analyze(nets);
-
-  BatchOptions with_retry = chaos_options(2);
-  with_retry.max_retries = 4;
-  with_retry.retry_backoff_ms = 0.0;
-  const BatchResult with = BatchAnalyzer(with_retry).analyze(nets);
-
-  // Task faults are transient (kUnavailable): without retries some nets
-  // fail; with a retry budget the independent per-attempt draws recover
-  // them. Seeds chosen so both sides are non-trivial.
-  EXPECT_GT(without.stats.failed, 0u);
-  for (const auto& nr : without.nets)
-    if (!nr.status.ok()) {
-      EXPECT_TRUE(nr.status.is_transient());
-      EXPECT_EQ(nr.attempts, 1);
-    }
-  EXPECT_LT(with.stats.failed, without.stats.failed);
-  EXPECT_GT(with.stats.retries, 0u);
-}
-
-TEST(FaultSites, DeepRetryBudgetWithZeroBackoffExhaustsCleanly) {
-  // Every attempt faults, so the engine walks all 40 retries. The
-  // exponential backoff doubles per attempt; past attempt 31 an int
-  // shift would overflow, so the base-2 scaling must stay in floating
-  // point (zero backoff times any power of two is still zero).
-  ScopedFaults faults("task:1.0", 3);
-  const auto nets = random_population(1, 53);
-  BatchOptions opts = chaos_options(1);
-  opts.max_retries = 40;
-  opts.retry_backoff_ms = 0.0;
-  const BatchResult r = BatchAnalyzer(opts).analyze(nets);
-  ASSERT_EQ(r.nets.size(), 1u);
-  EXPECT_EQ(r.nets[0].attempts, 41);
-  EXPECT_EQ(r.nets[0].status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(r.nets[0].outcome, AnalysisOutcome::kFailed);
-  EXPECT_EQ(r.stats.retries, 40u);
-}
-
 // ---------------------------------------------------------------------------
 // Chaos determinism across job counts
 // ---------------------------------------------------------------------------
 
 TEST(FaultDeterminism, IdenticalReportsForFixedSeedAtJobs1And8) {
   const auto nets = random_population(10, 41);
-  const char* specs[] = {"all:0.15", "newton:0.05,task:0.4", "cache:0.6"};
+  const char* specs[] = {"all:0.15", "newton:0.05", "cache:0.6"};
   for (const char* spec : specs) {
     std::string text1, text8, json1, json8;
     {
       ScopedFaults faults(spec, 5);
-      BatchOptions opts = chaos_options(1);
-      opts.max_retries = 2;
-      opts.retry_backoff_ms = 0.0;
-      const BatchResult r = BatchAnalyzer(opts).analyze(nets);
+      const BatchResult r = BatchAnalyzer(chaos_options(1)).analyze(nets);
       text1 = r.to_text();
       json1 = r.to_json();
     }
     {
       ScopedFaults faults(spec, 5);
-      BatchOptions opts = chaos_options(8);
-      opts.max_retries = 2;
-      opts.retry_backoff_ms = 0.0;
-      const BatchResult r = BatchAnalyzer(opts).analyze(nets);
+      const BatchResult r = BatchAnalyzer(chaos_options(8)).analyze(nets);
       text8 = r.to_text();
       json8 = r.to_json();
     }
@@ -717,10 +674,6 @@ TEST(StatusTaxonomy, ExceptionMappingAndTransience) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(status_from_exception(std::runtime_error("r")).code(),
             StatusCode::kInternal);
-
-  EXPECT_TRUE(Status::Unavailable("busy").is_transient());
-  EXPECT_FALSE(Status::Internal("broken").is_transient());
-  EXPECT_FALSE(Status::DeadlineExceeded("late").is_transient());
 }
 
 }  // namespace

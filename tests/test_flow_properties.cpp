@@ -108,7 +108,7 @@ TEST_P(FlowProperty, BackendEquivalence) {
     StatusOr<DelayNoiseResult> r = an.try_analyze(net);
     EXPECT_TRUE(r.ok()) << r.status().to_string();
     std::string text;
-    if (r.ok()) text = an.report(net, *r, "equiv").to_text();
+    if (r.ok()) text = DelayNoiseReport::from(net, *r, "equiv").to_text();
     return std::make_pair(std::move(r), std::move(text));
   };
 

@@ -82,7 +82,7 @@ TEST(ReportSchema, SchemaVersionIsTheLeadingKey) {
   EXPECT_EQ(text.substr(0, expect.size()), expect);
 }
 
-// Failed, pruned and deferred entries carry the caller's name verbatim;
+// Failed and pruned entries carry the caller's name verbatim;
 // the envelope must parse and decode each name back exactly.
 TEST(ReportSchema, BatchEnvelopeNamesDecodeExactly) {
   const std::string name = std::string("a\"b\\c") + '\x01';
@@ -94,11 +94,10 @@ TEST(ReportSchema, BatchEnvelopeNamesDecodeExactly) {
   }
   br.nets[0].outcome = AnalysisOutcome::kFailed;
   br.nets[0].status = Status::Internal("solver blew up");
-  br.nets[0].attempts = 2;
   br.nets[1].outcome = AnalysisOutcome::kScreened;
   br.nets[1].decided_by = FidelityTier::kTier0;
   br.nets[1].dn_bound = 1.5e-12;
-  br.nets[2].outcome = AnalysisOutcome::kDeferred;
+  br.nets[2].outcome = AnalysisOutcome::kScreened;
   br.nets[2].decided_by = FidelityTier::kTier1;
   br.nets[2].dn_bound = 2.5e-12;
   br.nets[3].report = fixed_report();
@@ -111,13 +110,15 @@ TEST(ReportSchema, BatchEnvelopeNamesDecodeExactly) {
   ASSERT_EQ(nets.size(), 4u);
   for (const json::Value& e : nets) EXPECT_EQ(e.find("net")->as_string(), name);
   EXPECT_EQ(nets[0].find("error")->as_string(), "INTERNAL");
-  EXPECT_EQ(nets[0].find("attempts")->as_number(), 2.0);
+  EXPECT_EQ(nets[0].find("attempts"), nullptr);
   EXPECT_TRUE(nets[1].find("screened_out")->as_bool());
   EXPECT_DOUBLE_EQ(nets[1].find("bound_ps")->as_number(), 1.5);
-  EXPECT_TRUE(nets[2].find("deferred")->as_bool());
+  EXPECT_TRUE(nets[2].find("screened_out")->as_bool());
   EXPECT_EQ(nets[2].find("tier")->as_string(), "tier1");
   EXPECT_EQ(doc->find("failed")->as_number(), 1.0);
-  EXPECT_EQ(doc->find("ladder")->find("deferred")->as_number(), 1.0);
+  EXPECT_EQ(doc->find("ladder")->find("tier1_pruned")->as_number(), 1.0);
+  EXPECT_EQ(doc->find("ladder")->find("deferred"), nullptr);
+  EXPECT_EQ(doc->find("retries"), nullptr);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Tests for the screening estimates (clarinet/screening.*).
+// Tests for the moment-level screening estimate (the fidelity ladder's Tier 1
+// in clarinet/fidelity_ladder.*) and rank_by_severity.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-#include "clarinet/screening.hpp"
+#include "clarinet/fidelity_ladder.hpp"
 #include "core/delay_noise.hpp"
 #include "rcnet/random_nets.hpp"
 #include "util/units.hpp"

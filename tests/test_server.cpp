@@ -152,6 +152,44 @@ TEST(ServerDesign, EditsValidateBeforeMutating) {
   EXPECT_EQ(d.scale_net(99, 1.0, 1.0).code(), StatusCode::kInvalidArgument);
 }
 
+// Snapshot recovery and load_design read Design::from_json: every index
+// must be an in-range integer and every enum a known value, never a
+// float-to-int cast of whatever the document holds.
+TEST(ServerDesign, FromJsonRejectsNonIntegralAndOutOfRangeNumbers) {
+  const std::string base = Design::random(1, 4, 1).to_json().dump();
+  ASSERT_TRUE(Design::from_json(*json::parse(base)).ok());
+  const std::pair<const char*, void (*)(json::Value&)> cases[] = {
+      {"coupling node 0.5",
+       [](json::Value& doc) {
+         doc.as_object()["couplings"].as_array()[0].as_array()[2] = 0.5;
+       }},
+      {"coupling net 1e300",
+       [](json::Value& doc) {
+         doc.as_object()["couplings"].as_array()[0].as_array()[0] = 1e300;
+       }},
+      {"mosfet type 7",
+       [](json::Value& doc) {
+         doc.as_object()["nets"].as_array()[0].as_object()["driver"]
+             .as_object()["nmos"].as_array()[0] = 7;
+       }},
+      {"res node >= num_nodes",
+       [](json::Value& doc) {
+         json::Object& tree =
+             doc.as_object()["nets"].as_array()[0].as_object()["tree"]
+                 .as_object();
+         tree["res"].as_array()[0].as_array()[1] =
+             tree["num_nodes"].as_number();
+       }},
+  };
+  for (const auto& [what, mutate] : cases) {
+    json::Value doc = *json::parse(base);
+    mutate(doc);
+    const StatusOr<Design> d = Design::from_json(doc);
+    ASSERT_FALSE(d.ok()) << what;
+    EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument) << what;
+  }
+}
+
 TEST(ServerSession, UpdateNetInvalidatesExactlyTheDirtyClosure) {
   Session s;
   ASSERT_TRUE(ok(req(s, load_line(7, 10, 2))));
@@ -359,7 +397,6 @@ TEST(ServerSession, EveryNonSchedulingConfigKeyDirtiesAllVictims) {
       {"fidelity_ladder", "true"},
       {"fidelity_threshold_ps", "7"},
       {"fidelity_margin", "2.5"},
-      {"fidelity_max_tier", "1"},
       {"exhaustive", "true"},
       {"thevenin", "true"},
       {"solver", "\"sparse\""},
@@ -373,8 +410,7 @@ TEST(ServerSession, EveryNonSchedulingConfigKeyDirtiesAllVictims) {
       {"max_dt_growth", "8"},
       {"stale_jacobian_iters", "0"},
       {"warm_start", "false"}};
-  const char* scheduling_keys[] = {"jobs", "top_k", "max_retries",
-                                   "retry_backoff_ms", "deadline_ms"};
+  const char* scheduling_keys[] = {"jobs", "top_k", "deadline_ms"};
   const json::Value keys = AnalysisConfig().to_json();
   for (const auto& [key, v] : keys.as_object()) {
     const bool listed =
@@ -402,8 +438,7 @@ TEST(ServerSession, EveryNonSchedulingConfigKeyDirtiesAllVictims) {
   }
   // Scheduling keys leave stored results valid.
   ASSERT_TRUE(ok(req(s, "{\"verb\":\"config\",\"set\":{\"jobs\":2,"
-                        "\"top_k\":3,\"max_retries\":1,"
-                        "\"retry_backoff_ms\":2,\"deadline_ms\":5000}}")));
+                        "\"top_k\":3,\"deadline_ms\":5000}}")));
   EXPECT_EQ(dirty(), 0.0);
 }
 
@@ -589,6 +624,97 @@ TEST(CharacterizationCachePersistence, TruncatedFileIsRejected) {
 }
 
 // --- Transport -----------------------------------------------------------
+
+/// `n` bytes of 'x', then `tail`, produced one block at a time so the
+/// test never holds the long line itself.
+class LongLineBuf : public std::streambuf {
+ public:
+  LongLineBuf(std::size_t n, std::string tail)
+      : left_(n), tail_(std::move(tail)), block_(1u << 16, 'x') {}
+
+ protected:
+  int_type underflow() override {
+    std::size_t k = 0;
+    if (left_ > 0) {
+      k = std::min(left_, block_.size());
+      left_ -= k;
+    } else if (!tail_.empty()) {
+      block_ = std::move(tail_);
+      tail_.clear();
+      k = block_.size();
+    }
+    if (k == 0) return traits_type::eof();
+    setg(block_.data(), block_.data(), block_.data() + k);
+    return traits_type::to_int_type(*gptr());
+  }
+
+ private:
+  std::size_t left_;
+  std::string tail_;
+  std::string block_;
+};
+
+constexpr std::size_t kLongLine = 64u << 20;
+constexpr std::size_t kLineLimit = 1024;
+const char* const kPingLine = "{\"id\":2,\"verb\":\"ping\"}";
+
+TEST(LineReader, ReadKeepsAnOversizedLineWithinTheLimit) {
+  LongLineBuf buf(kLongLine, std::string("\n") + kPingLine + "\n");
+  std::istream in(&buf);
+  LineReader line(kLineLimit);
+  ASSERT_TRUE(line.read(in));
+  EXPECT_TRUE(line.oversized());
+  EXPECT_EQ(line.bytes(), kLongLine);
+  EXPECT_LE(line.text().size(), kLineLimit);
+  // The rest of the long line was dropped, not left for the next read.
+  ASSERT_TRUE(line.read(in));
+  EXPECT_FALSE(line.oversized());
+  EXPECT_EQ(line.text(), kPingLine);
+  EXPECT_FALSE(line.read(in));
+}
+
+TEST(LineReader, FeedKeepsAnOversizedLineWithinTheLimit) {
+  LineReader line(kLineLimit);
+  const std::string block(4096, 'x');
+  for (std::size_t fed = 0; fed < kLongLine; fed += block.size()) {
+    ASSERT_EQ(line.feed(block.data(), block.size()), block.size());
+    ASSERT_FALSE(line.complete());
+    ASSERT_LE(line.text().size(), kLineLimit);
+  }
+  const std::string tail = std::string("\n") + kPingLine + "\n";
+  std::size_t off = line.feed(tail.data(), tail.size());
+  EXPECT_EQ(off, 1u);
+  EXPECT_TRUE(line.complete());
+  EXPECT_TRUE(line.oversized());
+  EXPECT_EQ(line.bytes(), kLongLine);
+  off += line.feed(tail.data() + off, tail.size() - off);
+  EXPECT_EQ(off, tail.size());
+  EXPECT_TRUE(line.complete());
+  EXPECT_FALSE(line.oversized());
+  EXPECT_EQ(line.text(), kPingLine);
+}
+
+TEST(ServerStream, OversizedLineGetsOneInOrderErrorAndTheNextIsServed) {
+  LongLineBuf buf(kLongLine, std::string("\n") + kPingLine + "\n");
+  std::istream in(&buf);
+  std::ostringstream out;
+  ServerOptions opts;
+  opts.limits.max_request_bytes = kLineLimit;
+  opts.handle_signals = false;
+  Server srv(opts);
+  EXPECT_EQ(srv.serve_stream(in, out), 0);
+  std::istringstream lines(out.str());
+  std::string text;
+  std::vector<json::Value> resps;
+  while (std::getline(lines, text)) resps.push_back(json::parse(text).value());
+  ASSERT_EQ(resps.size(), 2u);
+  EXPECT_EQ(error_code(resps[0]), "INVALID_ARGUMENT");
+  EXPECT_NE(resps[0].find("error")->find("message")->as_string().find(
+                std::to_string(kLongLine) + " bytes"),
+            std::string::npos);
+  EXPECT_TRUE(ok(resps[1]));
+  EXPECT_EQ(resps[1].find("id")->as_number(), 2.0);
+}
 
 TEST(ServerStream, ServesPipelinedRequestsInOrderUntilEof) {
   std::istringstream in(

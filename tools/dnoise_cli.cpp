@@ -21,6 +21,9 @@
 //     --jobs value; throughput/cache stats go to stderr.
 //     [--load-cache FILE] preloads characterized alignment and driver
 //     tables, [--save-cache FILE] persists both after the run.
+//     [--fidelity off|2] [--fidelity-threshold PS] [--fidelity-margin F]
+//     runs the fidelity ladder: Tier 0/1 prune quiet nets, every other
+//     net is analyzed once in full.
 //
 // Server mode (the resident analysis daemon, DESIGN.md §11):
 //   dnoise_cli --serve [--socket PATH] [--queue-soft N] [--queue-hard N]
@@ -48,10 +51,9 @@
 //   --deadline-ms MS       wall-clock budget (batch: whole run; single:
 //                          the one net); expired work reports
 //                          DEADLINE_EXCEEDED instead of hanging
-//   --max-retries N        batch: re-run transiently failed nets up to N times
 //   --inject-faults SPEC   deterministic chaos testing: SPEC is
 //                          "site[:rate],..." with sites
-//                          parse|cache|factor|newton|task|all
+//                          parse|cache|factor|newton|all
 //   --fault-seed N         seed for the injection hash (default 1)
 #include <cerrno>
 #include <climits>
@@ -66,7 +68,7 @@
 
 #include "clarinet/analysis_config.hpp"
 #include "clarinet/batch_analyzer.hpp"
-#include "clarinet/screening.hpp"
+#include "clarinet/fidelity_ladder.hpp"
 #include "core/baselines.hpp"
 #include "core/functional_noise.hpp"
 #include "rcnet/random_nets.hpp"
@@ -84,49 +86,52 @@ using namespace dn::units;
 namespace {
 
 /// What follows a flag on the command line.
-enum class FlagValue { kNone, kInt, kNumber, kString };
+enum class FlagValue { kNone, kInt, kBit, kNumber, kString };
 
 struct FlagSpec {
   const char* name;
   FlagValue value;
+  /// The AnalysisConfig key the flag sets, or nullptr when the flag is
+  /// read elsewhere (modes, I/O, server options, --fidelity). A kNone
+  /// flag sets its key to true, a kBit flag (an int) to value != 0.
+  const char* config_key = nullptr;
 };
 
-/// Every flag the CLI knows. Argument validation and positional-argument
-/// extraction both read this table, so a flag is either listed here or
-/// rejected.
+/// Every flag the CLI knows. Argument validation, positional-argument
+/// extraction and the flag -> config mapping all read this table, so a
+/// flag is either listed here or rejected.
 constexpr FlagSpec kFlags[] = {
     {"--batch", FlagValue::kNone},
     {"--screen", FlagValue::kNone},
     {"--serve", FlagValue::kNone},
-    {"--exhaustive", FlagValue::kNone},
-    {"--thevenin", FlagValue::kNone},
+    {"--exhaustive", FlagValue::kNone, "exhaustive"},
+    {"--thevenin", FlagValue::kNone, "thevenin"},
     {"--functional", FlagValue::kNone},
     {"--golden", FlagValue::kNone},
     {"--csv", FlagValue::kNone},
     {"--json", FlagValue::kNone},
     {"--profile", FlagValue::kNone},
     {"--recover", FlagValue::kNone},
-    {"--jobs", FlagValue::kInt},
-    {"--top", FlagValue::kInt},
+    {"--jobs", FlagValue::kInt, "jobs"},
+    {"--top", FlagValue::kInt, "top_k"},
     {"--random", FlagValue::kInt},
     {"--seed", FlagValue::kInt},
-    {"--max-retries", FlagValue::kInt},
     {"--fault-seed", FlagValue::kInt},
     {"--queue-soft", FlagValue::kInt},
     {"--queue-hard", FlagValue::kInt},
-    {"--stale-jacobian-iters", FlagValue::kInt},
-    {"--warm-start", FlagValue::kInt},
+    {"--stale-jacobian-iters", FlagValue::kInt, "stale_jacobian_iters"},
+    {"--warm-start", FlagValue::kBit, "warm_start"},
     {"--snapshot-every", FlagValue::kInt},
     {"--max-request-bytes", FlagValue::kInt},
     {"--max-request-nodes", FlagValue::kInt},
     {"--max-design-nets", FlagValue::kInt},
-    {"--deadline-ms", FlagValue::kNumber},
-    {"--lte-tol", FlagValue::kNumber},
-    {"--max-dt-growth", FlagValue::kNumber},
-    {"--fidelity-threshold", FlagValue::kNumber},
-    {"--fidelity-margin", FlagValue::kNumber},
+    {"--deadline-ms", FlagValue::kNumber, "deadline_ms"},
+    {"--lte-tol", FlagValue::kNumber, "lte_tol"},
+    {"--max-dt-growth", FlagValue::kNumber, "max_dt_growth"},
+    {"--fidelity-threshold", FlagValue::kNumber, "fidelity_threshold_ps"},
+    {"--fidelity-margin", FlagValue::kNumber, "fidelity_margin"},
     {"--watchdog-ms", FlagValue::kNumber},
-    {"--solver", FlagValue::kString},
+    {"--solver", FlagValue::kString, "solver"},
     {"--fidelity", FlagValue::kString},
     {"--config", FlagValue::kString},
     {"--metrics-json", FlagValue::kString},
@@ -181,7 +186,8 @@ std::string check_args(int argc, char** argv) {
     const char* value = argv[++i];
     int iv = 0;
     double dv = 0;
-    if ((f->value == FlagValue::kInt && !parse_int(value, iv)) ||
+    if (((f->value == FlagValue::kInt || f->value == FlagValue::kBit) &&
+         !parse_int(value, iv)) ||
         (f->value == FlagValue::kNumber && !parse_number(value, dv)))
       return std::string("bad value '") + value + "' for " + f->name;
   }
@@ -238,8 +244,8 @@ int usage() {
       "                  [--functional] [--golden] [--csv] [--json]\n"
       "       dnoise_cli --batch <file.spef>... [--jobs N] [--top K] [--json]\n"
       "                  [--load-cache F] [--save-cache F]\n"
-      "                  [--fidelity off|0|1|2]  tiered screening ladder:\n"
-      "                      max tier to run (2 = full verification)\n"
+      "                  [--fidelity off|2]  tiered screening ladder: prune\n"
+      "                      at tier 0/1, fully verify the rest at tier 2\n"
       "                  [--fidelity-threshold PS] ladder prune threshold\n"
       "                  [--fidelity-margin F]     tier-1 safety margin\n"
       "       dnoise_cli --batch --random N [--seed S] [--jobs N] [--top K]\n"
@@ -268,9 +274,9 @@ int usage() {
       "observability (any mode):\n"
       "       [--profile] [--metrics-json FILE] [--trace-out FILE]\n"
       "fault tolerance (see DESIGN.md §10):\n"
-      "       [--deadline-ms MS] [--max-retries N]\n"
+      "       [--deadline-ms MS]\n"
       "       [--inject-faults site[:rate],...] [--fault-seed N]\n"
-      "       sites: parse|cache|factor|newton|task|all\n");
+      "       sites: parse|cache|factor|newton|all\n");
   return 2;
 }
 
@@ -293,45 +299,43 @@ StatusOr<AnalysisConfig> config_from_flags(int argc, char** argv) {
   }
 
   json::Object flags;
-  if (str_flag(argc, argv, "--jobs", nullptr))
-    flags["jobs"] = int_flag(argc, argv, "--jobs", 0);
-  if (str_flag(argc, argv, "--top", nullptr))
-    flags["top_k"] = int_flag(argc, argv, "--top", 10);
-  if (const char* fid = str_flag(argc, argv, "--fidelity", nullptr)) {
-    if (std::strcmp(fid, "off") == 0) {
-      flags["fidelity_ladder"] = false;
-    } else if (std::strcmp(fid, "0") == 0 || std::strcmp(fid, "1") == 0 ||
-               std::strcmp(fid, "2") == 0) {
-      flags["fidelity_ladder"] = true;
-      flags["fidelity_max_tier"] = fid[0] - '0';
-    } else {
-      return Status::InvalidArgument(
-          "--fidelity must be off, 0, 1, or 2");
+  for (const FlagSpec& f : kFlags) {
+    if (!f.config_key) continue;
+    if (f.value == FlagValue::kNone) {
+      if (has_flag(argc, argv, f.name)) flags[f.config_key] = true;
+      continue;
+    }
+    const char* text = str_flag(argc, argv, f.name, nullptr);
+    if (!text) continue;
+    int iv = 0;
+    double dv = 0;
+    switch (f.value) {
+      case FlagValue::kInt:
+        parse_int(text, iv);
+        flags[f.config_key] = iv;
+        break;
+      case FlagValue::kBit:
+        parse_int(text, iv);
+        flags[f.config_key] = iv != 0;
+        break;
+      case FlagValue::kNumber:
+        parse_number(text, dv);
+        flags[f.config_key] = dv;
+        break;
+      case FlagValue::kString:
+        flags[f.config_key] = text;
+        break;
+      case FlagValue::kNone:
+        break;
     }
   }
-  if (str_flag(argc, argv, "--fidelity-threshold", nullptr))
-    flags["fidelity_threshold_ps"] =
-        double_flag(argc, argv, "--fidelity-threshold", 5.0);
-  if (str_flag(argc, argv, "--fidelity-margin", nullptr))
-    flags["fidelity_margin"] =
-        double_flag(argc, argv, "--fidelity-margin", 3.0);
-  if (str_flag(argc, argv, "--deadline-ms", nullptr))
-    flags["deadline_ms"] = double_flag(argc, argv, "--deadline-ms", -1.0);
-  if (str_flag(argc, argv, "--max-retries", nullptr))
-    flags["max_retries"] = int_flag(argc, argv, "--max-retries", 0);
-  if (const char* solver = str_flag(argc, argv, "--solver", nullptr))
-    flags["solver"] = solver;
-  if (has_flag(argc, argv, "--exhaustive")) flags["exhaustive"] = true;
-  if (has_flag(argc, argv, "--thevenin")) flags["thevenin"] = true;
-  if (str_flag(argc, argv, "--lte-tol", nullptr))
-    flags["lte_tol"] = double_flag(argc, argv, "--lte-tol", 5e-4);
-  if (str_flag(argc, argv, "--max-dt-growth", nullptr))
-    flags["max_dt_growth"] = double_flag(argc, argv, "--max-dt-growth", 2.0);
-  if (str_flag(argc, argv, "--stale-jacobian-iters", nullptr))
-    flags["stale_jacobian_iters"] =
-        int_flag(argc, argv, "--stale-jacobian-iters", 8);
-  if (str_flag(argc, argv, "--warm-start", nullptr))
-    flags["warm_start"] = int_flag(argc, argv, "--warm-start", 1) != 0;
+  // --fidelity is the one flag whose value picks a key's value by name.
+  if (const char* fid = str_flag(argc, argv, "--fidelity", nullptr)) {
+    if (std::strcmp(fid, "off") == 0 || std::strcmp(fid, "2") == 0)
+      flags["fidelity_ladder"] = fid[0] == '2';
+    else
+      return Status::InvalidArgument("--fidelity must be off or 2");
+  }
 
   Status applied = cfg.apply(json::Value(std::move(flags)));
   if (!applied.ok()) return applied;
@@ -526,10 +530,10 @@ int run_single(int argc, char** argv, const AnalysisConfig& cfg) {
                 r.composite.params.width / ps, r.input_delay_noise() / ps,
                 r.delay_noise() / ps);
   } else if (has_flag(argc, argv, "--json")) {
-    analyzer.report(net, r, argv[1]).to_json(std::cout);
+    DelayNoiseReport::from(net, r, argv[1]).to_json(std::cout);
     std::cout << "\n";
   } else {
-    analyzer.print_report(std::cout, net, r);
+    DelayNoiseReport::from(net, r).to_text(std::cout);
   }
 
   try {
