@@ -2,10 +2,9 @@
 //   A. PRIMA reduce-once on the real superposition circuit (Figure 1(b)):
 //      accuracy of the reduced-order noise waveform vs the full MNA sim —
 //      the paper's premise that one reduced model serves every driver sim.
-//   B. Outer model<->alignment fix-point passes (paper: "one or two
+//   B. The model<->alignment fix-point's Rtr step cap (paper: "one or two
 //      iterations are needed").
-//   C. Inner Rtr iterations (paper: "a single or at most two").
-//   D. Transient step-size sensitivity of the reported delay noise.
+//   C. Transient step-size sensitivity of the reported delay noise.
 #include <cmath>
 #include <iostream>
 
@@ -108,9 +107,9 @@ int main(int argc, char** argv) {
                 err8 < 1.0);
   }
 
-  // --- B: outer model<->alignment passes ----------------------------------
+  // --- B: Rtr step cap of the model<->alignment fix-point -----------------
   {
-    Table tbl({"outer_passes", "delay_noise_ps", "holding_r_ohm"});
+    Table tbl({"max_rtr_steps", "delay_noise_ps", "holding_r_ohm"});
     double d1 = 0, d2 = 0, d3 = 0;
     for (int passes : {1, 2, 3}) {
       DelayNoiseOptions opts;
@@ -125,34 +124,14 @@ int main(int argc, char** argv) {
     }
     tbl.print(std::cout);
     std::printf("\n");
-    ok &= check("B: pass 3 changes the result by < 2% vs pass 2",
+    ok &= check("B: a cap of 3 steps changes the result by < 2% vs 2",
                 std::abs(d3 - d2) < 0.02 * std::abs(d2));
-    ok &= check("B: pass 2 already within 5% of pass 3",
+    ok &= check("B: a cap of 2 steps already within 5% of 3",
                 std::abs(d2 - d3) < 0.05 * std::abs(d3) + 1e-15);
     (void)d1;
   }
 
-  // --- C: inner Rtr iterations --------------------------------------------
-  {
-    Table tbl({"rtr_max_iters", "delay_noise_ps", "rtr_ohm"});
-    double d2 = 0, d4 = 0;
-    for (int iters : {1, 2, 4}) {
-      DelayNoiseOptions opts;
-      opts.method = AlignmentMethod::Exhaustive;
-      opts.rtr.max_iterations = iters;
-      const DelayNoiseResult r = analyze_delay_noise(eng, opts);
-      tbl.add_row_values({static_cast<double>(iters), r.delay_noise() / ps,
-                          r.holding_r});
-      if (iters == 2) d2 = r.delay_noise();
-      if (iters == 4) d4 = r.delay_noise();
-    }
-    tbl.print(std::cout);
-    std::printf("\n");
-    ok &= check("C: two Rtr iterations within 2% of four",
-                std::abs(d2 - d4) < 0.02 * std::abs(d4));
-  }
-
-  // --- D: step-size sensitivity -------------------------------------------
+  // --- C: step-size sensitivity -------------------------------------------
   {
     Table tbl({"dt_ps", "delay_noise_ps"});
     double d1 = 0, d2 = 0;
@@ -170,7 +149,7 @@ int main(int argc, char** argv) {
     }
     tbl.print(std::cout);
     std::printf("\n");
-    ok &= check("D: halving dt moves the result by < 3%",
+    ok &= check("C: halving dt moves the result by < 3%",
                 std::abs(d1 - d2) < 0.03 * std::abs(d1));
   }
   return ok ? 0 : 1;

@@ -44,11 +44,9 @@ int main(int argc, char** argv) {
   std::vector<double> shifts = comp.shifts;
   for (double& s : shifts) s += t_tgt - comp.params.t_peak;
 
-  // The Rtr machinery's first iteration provides exactly the Fig 2 pieces:
-  // vn_linear (Thevenin-held) and vn_nonlinear (V'n = V2 - V1).
-  RtrOptions ropt;
-  ropt.max_iterations = 1;
-  const RtrResult r = compute_rtr(eng, shifts, ropt);
+  // One Rtr step from Rth provides exactly the Fig 2 pieces: vn_linear
+  // (Thevenin-held) and vn_nonlinear (V'n = V2 - V1).
+  const RtrResult r = compute_rtr(eng, shifts, rth);
 
   const PulseParams p_lin = measure_pulse(r.vn_linear);
   const PulseParams p_nl = measure_pulse(r.vn_nonlinear);

@@ -53,17 +53,22 @@ int main(int argc, char** argv) {
   std::vector<double> shifts = comp.shifts;
   for (double& s : shifts) s += t_tgt - comp.params.t_peak;
 
-  const RtrResult r = compute_rtr(eng, shifts);
+  // Two explicit Rtr steps at this alignment: the first from Rth, the
+  // second from the first's Rtr.
+  const RtrResult r1 = compute_rtr(eng, shifts, rth);
+  const RtrResult r = compute_rtr(eng, shifts, r1.rtr);
+  const double step2_move = std::abs(r.rtr - r1.rtr) / r1.rtr;
   std::printf("Rth = %.0f Ohm   Rtr = %.0f Ohm   (ratio %.2f; paper example: "
               "1203 -> 1463, ratio 1.22)\n",
               r.rth, r.rtr, r.rtr / r.rth);
-  std::printf("Rtr iterations: %d (paper: one or two suffice)\n\n",
-              r.iterations);
+  std::printf("Rtr steps: %.0f -> %.0f -> %.0f Ohm; step 2 moves R by %.1f%% "
+              "(paper: one or two suffice)\n\n",
+              rth, r1.rtr, r.rtr, 100 * step2_move);
 
   // Noise at the victim root with each holding resistance vs V'n.
   const Pwl noise_rth = eng.composite_noise_at_root(shifts, r.rth);
   const Pwl noise_rtr = eng.composite_noise_at_root(shifts, r.rtr);
-  const Pwl& noise_nl = r.vn_nonlinear;
+  const Pwl& noise_nl = r1.vn_nonlinear;  // V'n of the Thevenin-held step.
 
   const double t0 = 0.0, t1 = 3 * ns, dt = 5 * ps;
   const double scale = std::abs(measure_pulse(noise_nl).height);
@@ -88,6 +93,7 @@ int main(int argc, char** argv) {
               err_rtr < err_rth);
   ok &= check("Rtr-held RMS error < 15% of the pulse peak",
               err_rtr < 0.15 * scale);
-  ok &= check("converged in <= 3 iterations", r.iterations <= 3 && r.converged);
+  ok &= check("the second Rtr step moves R by < kRtrRelTol",
+              step2_move < kRtrRelTol);
   return ok ? 0 : 1;
 }

@@ -436,8 +436,13 @@ cli_reject --jobs --batch --random 2 --jobs four
 # refused, never ignored.
 cli_reject --max-retries --batch --random 2 --max-retries 2
 cli_reject --fidelity --batch --random 2 --fidelity 1
+# So is the inner Rtr iteration cap: a --config file carrying its key is
+# refused as an unknown key, naming it.
+printf '{"rtr_max_iterations": 4}\n' > build/removed_key.json
+cli_reject 'INVALID_ARGUMENT.*rtr_max_iterations' --batch --random 2 \
+  --config build/removed_key.json
 ./build/tools/dnoise_cli --batch --random 2 --seed 1 --jobs 1 >/dev/null 2>&1
-echo "CLI smoke: unknown flags, malformed numbers and removed values rejected, valid run ok"
+echo "CLI smoke: unknown flags, malformed numbers, removed values and removed keys rejected, valid run ok"
 
 # A weak victim driver (INV 0.1) cannot switch its driver table's heaviest
 # loads within the first reference-sim tail; the deck must still analyze.
@@ -450,5 +455,22 @@ if ! ./build/tools/dnoise_cli build/weak_driver.spef >/dev/null 2>build/cli_smok
   exit 1
 fi
 echo "CLI smoke: INV 0.1 victim-driver deck analyzed"
+
+# --screen keeps the --batch error policy: the readable corpus decks are
+# ranked and each unreadable one is listed after them by status code.
+if ! ./build/tools/dnoise_cli --screen tests/corpus/spef/*.spef \
+    > build/screen_smoke.out 2>build/cli_smoke.err; then
+  echo "CLI smoke: --screen over the corpus failed" >&2
+  cat build/cli_smoke.err >&2
+  exit 1
+fi
+if ! grep -q 'est_dn_ps' build/screen_smoke.out ||
+   ! grep -q '^tests/corpus/spef/minimal.spef .* [0-9.]*$' build/screen_smoke.out ||
+   ! grep -q '^tests/corpus/spef/dup_net.spef  *INVALID_ARGUMENT$' build/screen_smoke.out; then
+  echo "CLI smoke: --screen did not rank the corpus or list dup_net.spef" >&2
+  cat build/screen_smoke.out >&2
+  exit 1
+fi
+echo "CLI smoke: --screen ranked the readable corpus decks, listed the rest"
 
 echo "== all checks passed =="

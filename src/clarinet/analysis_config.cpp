@@ -110,8 +110,6 @@ Status apply_key(AnalysisConfig& cfg, const std::string& key,
   if (key == "model_alignment_iterations")
     return set_int(v, "model_alignment_iterations",
                    a.analysis.model_alignment_iterations);
-  if (key == "rtr_max_iterations")
-    return set_int(v, "rtr_max_iterations", a.analysis.rtr.max_iterations);
   if (key == "newton_max_iterations")
     return set_int(v, "newton_max_iterations", a.engine.newton.max_iterations);
   if (key == "newton_v_tol")
@@ -182,8 +180,6 @@ Status AnalysisConfig::validate() const {
   if (a.analysis.model_alignment_iterations < 1 ||
       a.analysis.model_alignment_iterations > 16)
     return range_error("model_alignment_iterations", "must be in [1, 16]");
-  if (a.analysis.rtr.max_iterations < 1)
-    return range_error("rtr_max_iterations", "must be >= 1");
   if (a.engine.newton.max_iterations < 1)
     return range_error("newton_max_iterations", "must be >= 1");
   if (!(a.engine.newton.v_tol > 0))
@@ -245,7 +241,6 @@ json::Value AnalysisConfig::to_json() const {
   o["dt_ps"] = a.engine.dt / ps;
   o["horizon_ns"] = a.engine.horizon / ns;
   o["model_alignment_iterations"] = a.analysis.model_alignment_iterations;
-  o["rtr_max_iterations"] = a.analysis.rtr.max_iterations;
   o["newton_max_iterations"] = a.engine.newton.max_iterations;
   o["newton_v_tol"] = a.engine.newton.v_tol;
   o["lte_tol"] = a.engine.lte_tol;

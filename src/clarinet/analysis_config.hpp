@@ -2,12 +2,12 @@
 //
 // Every knob a user can turn — batch fan-out, fidelity-ladder triage,
 // the deadline budget, engine time grid, solver backend, alignment
-// method, Rtr/Newton iteration limits — is a named JSON key on this
-// struct. The CLI flag parser and the server's `config` verb both build
-// a json object and funnel it through the same from_json/apply path, so
-// there is exactly one place where validation happens and an invalid
-// configuration is always kInvalidArgument, never a crash deep in the
-// engine.
+// method, the Rtr step cap and the Newton iteration limit — is a named
+// JSON key on this struct. The CLI flag parser and the server's `config`
+// verb both build a json object and funnel it through the same
+// from_json/apply path, so there is exactly one place where validation
+// happens and an invalid configuration is always kInvalidArgument, never
+// a crash deep in the engine.
 //
 // Contract:
 //   - apply() merges keys into the current config; unknown keys and

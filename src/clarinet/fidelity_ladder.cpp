@@ -154,8 +154,7 @@ StatusOr<LadderDecision> FidelityLadder::evaluate(const CoupledNet& net) const {
   if (!m.ok()) return m.status();
 
   LadderDecision d;
-  d.tier0 = tier0_bound(*m);
-  d.dn_bound = d.tier0.dn_bound;
+  d.dn_bound = tier0_bound(*m).dn_bound;
   const double thr = opts_.dn_threshold;
   if (thr >= 0.0 && d.dn_bound < thr) {
     d.pruned = true;
@@ -165,11 +164,9 @@ StatusOr<LadderDecision> FidelityLadder::evaluate(const CoupledNet& net) const {
   }
 
   c_t1_evals.add();
-  d.tier1 = tier1_estimate(*m);
-  d.tier1_ran = true;
   // The margin-scaled estimate is itself a (calibrated) upper bound;
   // the recorded bound keeps whichever is tighter.
-  const double t1_bound = opts_.tier1_margin * d.tier1.dn_est;
+  const double t1_bound = opts_.tier1_margin * tier1_estimate(*m).dn_est;
   d.dn_bound = std::min(d.dn_bound, t1_bound);
   if (thr >= 0.0 && t1_bound < thr) {
     d.pruned = true;

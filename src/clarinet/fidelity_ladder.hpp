@@ -117,9 +117,6 @@ struct LadderDecision {
   /// — the figure that justifies a prune (and bounds any missed
   /// violation).
   double dn_bound = 0.0;
-  Tier0Bound tier0;
-  ScreeningEstimate tier1;   // Valid: tier1_ran.
-  bool tier1_ran = false;
 };
 
 /// The cheap tiers of the ladder. Stateless and const: safe to share

@@ -55,7 +55,8 @@ struct DelayNoiseReport {
   // Driver model.
   double rth_ohm = 0.0;
   double holding_r_ohm = 0.0;
-  int rtr_iterations = 0;
+  int rtr_iterations = 0;       // Rtr steps of the model<->alignment
+                                // fix-point (0 under --thevenin).
 
   // Composite pulse and worst-case alignment.
   double pulse_height_v = 0.0;

@@ -1,9 +1,11 @@
 #include "core/delay_noise.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
+#include "core/holding_resistance.hpp"
 #include "util/trace.hpp"
 
 namespace dn {
@@ -214,58 +216,49 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
   Vector rcv_chain;
   Vector* const warm = opts.search.warm_start ? &rcv_chain : nullptr;
 
-  // Fix-point between the linear victim model and the alignment.
-  const int iters = std::max(opts.model_alignment_iterations, 1);
-  for (int pass = 0; pass < iters; ++pass) {
+  // Fix-point between the linear victim model and the alignment: compose
+  // and align at the current holding R (Rth first), then take one Rtr step
+  // at that alignment, until a step moves R by less than kRtrRelTol or
+  // model_alignment_iterations steps have run. The composite/alignment
+  // always end consistent with the last holding R.
+  static obs::Counter& c_rtr = obs::metrics().counter("rtr.iterations");
+  const int max_steps = std::max(opts.model_alignment_iterations, 1);
+  bool settled = !opts.use_transient_holding;
+  for (;;) {
     out.composite = compose_pruned(eng, out.holding_r, opts.search.domain,
                                    prune, &eff.search.domain);
     out.alignment = choose_alignment(eff, out.noiseless_sink,
                                      out.composite.at_sink, rcv, rising,
                                      warm);
-    if (!opts.use_transient_holding) break;
+    if (settled || out.rtr_iterations >= max_steps) break;
     std::vector<double> shifts = out.composite.shifts;
     for (double& s : shifts) s += out.alignment.shift;
-    static obs::Counter& c_rtr = obs::metrics().counter("rtr.iterations");
-    RtrResult rtr;
+    double rtr;
     try {
       obs::TraceSpan span("rtr.solve", "analyze");
-      rtr = compute_rtr(eng, shifts, opts.rtr, mask_of(out.composite));
+      rtr = compute_rtr(eng, shifts, out.holding_r, mask_of(out.composite))
+                .rtr;
     } catch (const DeadlineError&) {
       throw;  // A cancelled run must not silently degrade.
     } catch (const std::exception& e) {
       if (!opts.degrade.rtr_to_rth) throw;
       // Degradation ladder: Rtr extraction failed (Newton divergence in
       // the nonlinear driver sims) -> hold the victim with the aggregate
-      // Rth. Pessimistic for delay noise but always available.
+      // Rth. Pessimistic for delay noise but always available. Earlier
+      // steps moved the composite/alignment off the Rth operating point,
+      // so they are recomposed there once more.
       degrade::record(DegradeKind::kRtrToRth,
                       std::string("rtr extraction failed (") + e.what() +
                           "); holding victim with aggregate Rth");
+      if (out.holding_r == out.rth) break;
       out.holding_r = out.rth;
-      if (pass > 0) {
-        // Earlier passes moved the composite/alignment off the Rth
-        // operating point; recompute them at the fallback resistance.
-        out.composite = compose_pruned(eng, out.holding_r, opts.search.domain,
-                                       prune, &eff.search.domain);
-        out.alignment = choose_alignment(eff, out.noiseless_sink,
-                                         out.composite.at_sink, rcv, rising,
-                                         warm);
-      }
-      break;
+      settled = true;
+      continue;
     }
-    c_rtr.add(static_cast<std::uint64_t>(std::max(rtr.iterations, 0)));
-    out.rtr_iterations = rtr.iterations;  // Cost of the latest extraction.
-    if (pass + 1 < iters) {
-      out.holding_r = rtr.rtr;
-    } else {
-      // Final pass keeps the composite/alignment consistent with the last
-      // holding resistance actually simulated.
-      out.holding_r = rtr.rtr;
-      out.composite = compose_pruned(eng, out.holding_r, opts.search.domain,
-                                     prune, &eff.search.domain);
-      out.alignment = choose_alignment(eff, out.noiseless_sink,
-                                       out.composite.at_sink, rcv, rising,
-                                       warm);
-    }
+    c_rtr.add();
+    ++out.rtr_iterations;
+    settled = std::abs(rtr - out.holding_r) < kRtrRelTol * out.holding_r;
+    out.holding_r = rtr;
   }
   out.aggressors_pruned_window = prune.by_window;
   out.aggressors_pruned_exclusion = prune.by_exclusion;

@@ -14,7 +14,6 @@
 #include "core/alignment.hpp"
 #include "core/alignment_table.hpp"
 #include "core/composite_pulse.hpp"
-#include "core/holding_resistance.hpp"
 #include "core/superposition.hpp"
 #include "util/degradation.hpp"
 
@@ -30,10 +29,11 @@ const char* alignment_method_name(AlignmentMethod m);
 
 struct DelayNoiseOptions {
   bool use_transient_holding = true;  // false = traditional Thevenin holding.
-  RtrOptions rtr{};
   AlignmentMethod method = AlignmentMethod::Exhaustive;
   const AlignmentTable* table = nullptr;  // Required for Predicted.
-  int model_alignment_iterations = 2;     // Outer fix-point passes.
+  /// Cap on the model <-> alignment fix-point's Rtr steps (it stops
+  /// earlier once a step moves the holding R by less than kRtrRelTol).
+  int model_alignment_iterations = 2;
   /// Search grid, sim accuracy and the caller's scan domain. Before the
   /// search runs, the analysis intersects the net's own constraints into
   /// that domain (DESIGN.md §13): per-aggressor switching windows
@@ -58,7 +58,7 @@ struct DelayNoiseResult {
 
   double rth = 0.0;       // Victim Thevenin resistance.
   double holding_r = 0.0; // Holding resistance actually used (Rth or Rtr).
-  int rtr_iterations = 0;
+  int rtr_iterations = 0;  // Rtr steps the fix-point took (0: Thevenin).
 
   /// Aggressors removed from the composite by the pre-search pruning:
   /// window-infeasible (cannot co-switch with the stronger aggressors

@@ -27,8 +27,7 @@ Pwl differentiate(const Pwl& w, double dt) {
 }
 
 RtrResult compute_rtr(const SuperpositionEngine& eng,
-                      const std::vector<double>& shifts,
-                      const RtrOptions& opts,
+                      const std::vector<double>& shifts, double holding_r,
                       const std::vector<char>* active) {
   static obs::Counter& c_steps = obs::metrics().counter("rtr.driver_steps");
   const CeffResult& vm = eng.victim_model();
@@ -41,56 +40,31 @@ RtrResult compute_rtr(const SuperpositionEngine& eng,
   TransientSpec spec{0.0, horizon, dt};
   spec.lte_tol = eng.options().lte_tol;
   spec.stale_jacobian_iters = eng.options().newton.stale_jacobian_iters;
-  const Pwl vin = eng.victim_input();
+
+  // Step 1: total noise at the victim root with the current holding R.
+  out.vn_linear = eng.composite_noise_at_root(shifts, holding_r, active);
+
+  // Step 2: injected noise current In = Vn/R + Cload dVn/dt. The
+  // conversion happens in the Figure 4(a) circuit, whose resistance is the
+  // one used in the linear noise simulation.
+  out.in_current = out.vn_linear.scaled(1.0 / holding_r) +
+                   differentiate(out.vn_linear, dt).scaled(cload);
+
+  // Step 3: the nonlinear driver without and with the noise current, as
+  // one paired sim over [0, horizon].
   GateSim pair(eng.net().victim.driver, cload, GateSim::Kind::kPaired);
+  auto run = pair.try_run(eng.victim_input(), spec, nullptr, &out.in_current);
+  if (!run.ok()) raise(run.status());
+  out.vn_nonlinear = std::move(run).value();
+  c_steps.add(out.vn_nonlinear.size() - 1);
 
-  double holding = out.rth;
-  for (int it = 1; it <= opts.max_iterations; ++it) {
-    out.iterations = it;
-
-    // Step 1: total noise at the victim root with the current holding R.
-    const Pwl vn = eng.composite_noise_at_root(shifts, holding, active);
-
-    // Step 2: injected noise current In = Vn/Rth + Cload dVn/dt. The paper
-    // uses Rth here (the conversion happens in the Figure 4(a) circuit,
-    // whose resistance is the one used in the linear noise simulation).
-    const Pwl ivn = vn.scaled(1.0 / holding);
-    const Pwl icap = differentiate(vn, dt).scaled(cload);
-    const Pwl in_cur = ivn + icap;
-
-    // Steps 3-4: the nonlinear driver without and with the noise current,
-    // as one paired sim over [0, horizon].
-    auto run = pair.try_run(vin, spec, nullptr, &in_cur);
-    if (!run.ok()) raise(run.status());
-    Pwl vpn = std::move(run).value();
-    c_steps.add(vpn.size() - 1);
-
-    // Step 5: area matching, both integrals over the simulated span.
-    const double a_vn = vpn.integral();
-    const double q_in = in_cur.clipped(0.0, horizon).integral();
-    double rtr;
-    if (std::abs(q_in) < 1e-24) {
-      rtr = holding;  // No meaningful noise: keep the current model.
-    } else {
-      rtr = a_vn / q_in;
-    }
-    if (!(rtr > 0.0) || !std::isfinite(rtr)) rtr = out.rth;
-    rtr = std::clamp(rtr, kRtrMin, kRtrMax);
-
-    if (it == 1) {
-      out.vn_linear = vn;
-      out.in_current = in_cur;
-      out.vn_nonlinear = std::move(vpn);
-    }
-
-    const double delta = std::abs(rtr - holding) / std::max(holding, 1e-9);
-    out.rtr = rtr;
-    if (it > 1 && delta < kRtrRelTol) {
-      out.converged = true;
-      break;
-    }
-    holding = rtr;
-  }
+  // Step 4: area matching, both integrals over the simulated span.
+  const double a_vn = out.vn_nonlinear.integral();
+  const double q_in = out.in_current.clipped(0.0, horizon).integral();
+  // No meaningful noise: keep the current model.
+  double rtr = std::abs(q_in) < 1e-24 ? holding_r : a_vn / q_in;
+  if (!(rtr > 0.0) || !std::isfinite(rtr)) rtr = out.rth;
+  out.rtr = std::clamp(rtr, kRtrMin, kRtrMax);
   return out;
 }
 

@@ -632,15 +632,24 @@ Status Session::verb_analyze(const json::Value& req, json::Object& result,
   // bytes whether the slots were just computed or carried over. The
   // shared finalizer keeps the ranking/stat rules in lockstep with the
   // one-shot batch path; dirty nets re-entered the ladder at Tier 0
-  // above, so their provenance is current.
+  // above, so their provenance is current. The slots move into the
+  // assembled result and back, so their waveforms are never copied.
   BatchResult assembled;
-  assembled.nets = slots_;
-  finalize_batch_result(assembled, cfg_.batch.top_k,
-                        cfg_.batch.ladder.enabled);
+  assembled.nets = std::move(slots_);
+  json::Value report;
+  try {
+    finalize_batch_result(assembled, cfg_.batch.top_k,
+                          cfg_.batch.ladder.enabled);
+    report = assembled.to_json_value();
+  } catch (...) {
+    slots_ = std::move(assembled.nets);
+    throw;
+  }
+  slots_ = std::move(assembled.nets);
 
   result["reanalyzed"] = dirty_idx.size();
   if (degraded) result["admission_degraded"] = true;
-  result["report"] = assembled.to_json_value();
+  result["report"] = std::move(report);
   return Status::Ok();
 }
 

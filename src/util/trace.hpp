@@ -21,7 +21,7 @@
 //   analyze.ceff.driver       one driver's C-effective iteration
 //   analyze.superposition.linear  one linear superposition sim of the net
 //   analyze.receiver.eval     one receiver gate sim (probe or table point)
-//   analyze.rtr.solve         one Rtr extraction (paired driver sim)
+//   analyze.rtr.solve         one Rtr step (paired driver sim)
 //   analyze.net.analyze       one full per-net delay-noise analysis
 //   batch.batch.run           one BatchAnalyzer::analyze call
 //   batch.batch.net           one net inside a batch (args: net name)

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,8 +33,8 @@ TEST(AnalysisConfig, EveryKeyRoundTripsThroughJson) {
   const Status applied = cfg.apply(*json::parse(R"({
     "jobs": 3, "top_k": 7, "deadline_ms": 250, "exhaustive": true, "thevenin": true,
     "solver": "sparse", "dt_ps": 2, "horizon_ns": 4,
-    "model_alignment_iterations": 2, "rtr_max_iterations": 6,
-    "newton_max_iterations": 50, "newton_v_tol": 1e-8})"));
+    "model_alignment_iterations": 2, "newton_max_iterations": 50,
+    "newton_v_tol": 1e-8})"));
   ASSERT_TRUE(applied.ok()) << applied.to_string();
 
   EXPECT_EQ(cfg.batch.jobs, 3);
@@ -121,9 +122,11 @@ TEST(AnalysisConfig, NonFiniteNumbersAreRejected) {
 // The single-threshold screen is gone (the fidelity ladder is the only
 // triage path), so are the per-family override keys (each knob is one
 // key writing one value), so is the pre-reduction switch (PRIMA is the
-// one reducer), and so is the window-pruning switch (pruning always runs
-// and is a no-op on nets without windows or exclusions). Their keys are
-// unknown keys now, so a config dump written before the removal fails
+// one reducer), so is the window-pruning switch (pruning always runs
+// and is a no-op on nets without windows or exclusions), and so is the
+// inner Rtr iteration cap (compute_rtr is one step of the model <->
+// alignment fix-point, capped by model_alignment_iterations). Their keys
+// are unknown keys now, so a config dump written before the removal fails
 // cleanly on recovery instead of half-applying.
 TEST(AnalysisConfig, RemovedScreenKeysAreUnknownKeys) {
   for (const char* text :
@@ -131,7 +134,8 @@ TEST(AnalysisConfig, RemovedScreenKeysAreUnknownKeys) {
         "{\"ceff_max_dt_growth\":2}", "{\"rtr_max_dt_growth\":2}",
         "{\"search_stale_jacobian_iters\":2}", "{\"prereduce\":true}",
         "{\"window_pruning\":false}", "{\"fidelity_max_tier\":1}",
-        "{\"max_retries\":2}", "{\"retry_backoff_ms\":1.5}"}) {
+        "{\"max_retries\":2}", "{\"retry_backoff_ms\":1.5}",
+        "{\"rtr_max_iterations\":4}"}) {
     AnalysisConfig cfg;
     ASSERT_TRUE(cfg.apply(*json::parse("{\"jobs\":5}")).ok());
     const std::string before = cfg.to_json_text();
@@ -141,6 +145,12 @@ TEST(AnalysisConfig, RemovedScreenKeysAreUnknownKeys) {
     const std::string key = json::parse(text)->as_object().begin()->first;
     EXPECT_NE(s.message().find(key), std::string::npos) << text;
     EXPECT_EQ(cfg.to_json_text(), before) << text;
+    // The `--config FILE` path parses the file's text whole.
+    const StatusOr<AnalysisConfig> loaded =
+        AnalysisConfig::from_json(std::string_view(text));
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(loaded.status().message().find(key), std::string::npos)
+        << text;
   }
 }
 
@@ -201,7 +211,7 @@ json::Object every_key_non_default() {
     "deadline_ms": 60000, "exhaustive": true,
     "thevenin": true, "solver": "sparse", "dt_ps": 2,
     "horizon_ns": 5, "model_alignment_iterations": 3,
-    "rtr_max_iterations": 6, "newton_max_iterations": 50,
+    "newton_max_iterations": 50,
     "newton_v_tol": 1e-8, "lte_tol": 1e-3, "max_dt_growth": 8,
     "stale_jacobian_iters": 4, "warm_start": false})")
               ->as_object();
@@ -220,7 +230,7 @@ std::string report_bytes(const AnalysisConfig& cfg) {
 TEST(AnalysisConfig, NonDefaultTableCoversEveryKey) {
   const json::Object table = every_key_non_default();
   const json::Value defaults = AnalysisConfig().to_json();
-  EXPECT_EQ(defaults.as_object().size(), 19u);
+  EXPECT_EQ(defaults.as_object().size(), 18u);
   EXPECT_EQ(table.size(), defaults.as_object().size());
   for (const auto& [key, v] : defaults.as_object()) {
     const json::Value* set = table.find(key);

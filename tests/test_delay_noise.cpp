@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/baselines.hpp"
+#include "core/holding_resistance.hpp"
 #include "rcnet/random_nets.hpp"
 #include "util/metrics.hpp"
 #include "util/units.hpp"
@@ -78,10 +81,11 @@ TEST_F(DelayNoiseFixture, PredictedMethodTracksExhaustive) {
 }
 
 TEST_F(DelayNoiseFixture, WarmStartChainsThePredictedReceiverEvals) {
-  // The Predicted path evaluates the receiver 7 times per net: 2
-  // candidates in each of the 3 alignment choices, plus the nominal
-  // delay. With warm starts on, each one after the first seeds its DC
-  // point from the previous one; with them off, none does.
+  // The Predicted path evaluates the receiver 7 times on this net: 2
+  // candidates in each of the 3 alignment choices (its fix-point takes
+  // two Rtr steps), plus the nominal delay. With warm starts on, each one
+  // after the first seeds its DC point from the previous one; with them
+  // off, none does.
   AlignmentTableSpec spec;
   spec.search.coarse_points = 9;
   spec.search.fine_points = 5;
@@ -150,6 +154,55 @@ TEST_F(DelayNoiseFixture, WindowConstraintForcesEarlyAlignment) {
   EXPECT_LE(r_boxed.alignment.t_peak, *t20 + 1 * ps);
   // Constrained alignment cannot beat the unconstrained worst case.
   EXPECT_LE(r_boxed.delay_noise(), r_free.delay_noise() + 2 * ps);
+}
+
+// The model <-> alignment fix-point (DESIGN.md §1): each Rtr step is one
+// area-match extraction at the current alignment, from the current
+// holding R; model_alignment_iterations caps the steps.
+DelayNoiseOptions coarse_options() {
+  DelayNoiseOptions opts;
+  opts.method = AlignmentMethod::Exhaustive;
+  opts.search.coarse_points = 17;
+  opts.search.fine_points = 9;
+  opts.search.dt = 2 * ps;
+  return opts;
+}
+
+TEST_F(DelayNoiseFixture, StepCapOfOneRunsExactlyOneRtrStep) {
+  DelayNoiseOptions opts = coarse_options();
+  opts.model_alignment_iterations = 1;
+  obs::set_metrics_enabled(true);
+  const obs::Counter& steps = obs::metrics().counter("rtr.iterations");
+  const std::uint64_t before = steps.value();
+  const DelayNoiseResult r = analyze_delay_noise(eng_, opts);
+  const std::uint64_t taken = steps.value() - before;
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(r.rtr_iterations, 1);
+  EXPECT_EQ(taken, 1u);
+  EXPECT_NE(r.holding_r, r.rth);
+}
+
+TEST(DelayNoiseFixPoint, SmallFirstStepStopsTheDefaultFixPoint) {
+  // A net whose first Rtr step (from Rth) moves R by less than kRtrRelTol:
+  // the default cap of 2 must stop after that one step and report exactly
+  // what a cap of 1 reports.
+  Rng rng(3);
+  for (int i = 0; i < 12; ++i) {
+    const CoupledNet net = random_coupled_net(rng);
+    SuperpositionEngine eng(net);
+    DelayNoiseOptions one = coarse_options();
+    one.model_alignment_iterations = 1;
+    const DelayNoiseResult r1 = analyze_delay_noise(eng, one);
+    if (!(std::abs(r1.holding_r - r1.rth) < kRtrRelTol * r1.rth)) continue;
+    const DelayNoiseOptions defaults = coarse_options();
+    ASSERT_EQ(defaults.model_alignment_iterations, 2);
+    const DelayNoiseResult r = analyze_delay_noise(eng, defaults);
+    EXPECT_EQ(r.rtr_iterations, 1) << "net " << i;
+    EXPECT_EQ(r.holding_r, r1.holding_r) << "net " << i;
+    EXPECT_EQ(r.delay_noise(), r1.delay_noise()) << "net " << i;
+    return;
+  }
+  FAIL() << "no net in the draw has a first Rtr step under kRtrRelTol";
 }
 
 TEST(DelayNoiseValidation, NoAggressorsRejected) {

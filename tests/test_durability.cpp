@@ -281,12 +281,13 @@ TEST(SnapshotTest, MissingIsNotFoundAndGarbageIsInvalidArgument) {
   std::remove(path.c_str());
 }
 
-// A state directory written while the retry budget and the capped ladder
-// still existed carries their keys in its snapshot config: recovery
-// refuses it with the key named instead of guessing a meaning.
+// A state directory written while the retry budget, the capped ladder
+// and the inner Rtr iteration cap still existed carries their keys in its
+// snapshot config: recovery refuses it with the key named instead of
+// guessing a meaning.
 TEST(SnapshotTest, RemovedConfigKeysFailRecoveryNamingTheKey) {
-  for (const char* key :
-       {"fidelity_max_tier", "max_retries", "retry_backoff_ms"}) {
+  for (const char* key : {"fidelity_max_tier", "max_retries",
+                          "retry_backoff_ms", "rtr_max_iterations"}) {
     const std::string dir = state_dir("dn_snap_removed_key");
     std::filesystem::create_directories(dir);
     SnapshotData snap;

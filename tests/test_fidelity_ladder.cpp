@@ -12,6 +12,7 @@
 #include "core/delay_noise.hpp"
 #include "core/superposition.hpp"
 #include "rcnet/random_nets.hpp"
+#include "util/metrics.hpp"
 #include "util/units.hpp"
 
 namespace dn {
@@ -165,23 +166,32 @@ TEST(FidelityLadder, NoPrunedNetExceedsThreshold) {
 TEST(FidelityLadder, TierProvenanceAndCapping) {
   const CoupledNet net = example_coupled_net(1);
 
+  obs::set_metrics_enabled(true);
+  const obs::Counter& tier1_evals =
+      obs::metrics().counter("ladder.tier1_evals");
   FidelityLadderOptions lopts;
   lopts.enabled = true;
   lopts.dn_threshold = 1e9;  // Everything prunes at Tier 0.
+  std::uint64_t before = tier1_evals.value();
   const StatusOr<LadderDecision> t0 = FidelityLadder(lopts).evaluate(net);
   ASSERT_TRUE(t0.ok());
   EXPECT_TRUE(t0->pruned);
   EXPECT_EQ(t0->decided_by, FidelityTier::kTier0);
-  EXPECT_FALSE(t0->tier1_ran);  // Tier 1 never runs once Tier 0 decides.
+  // Tier 1 never runs once Tier 0 decides.
+  EXPECT_EQ(tier1_evals.value(), before);
 
   lopts.dn_threshold = 0.0;  // Nothing prunes.
+  before = tier1_evals.value();
   const StatusOr<LadderDecision> t2 = FidelityLadder(lopts).evaluate(net);
   ASSERT_TRUE(t2.ok());
   EXPECT_FALSE(t2->pruned);
   EXPECT_EQ(t2->decided_by, FidelityTier::kTier2);
-  EXPECT_TRUE(t2->tier1_ran);
+  EXPECT_EQ(tier1_evals.value(), before + 1);
+  obs::set_metrics_enabled(false);
   // The recorded bound is the tightest cheap-tier bound.
-  EXPECT_LE(t2->dn_bound, t2->tier0.dn_bound);
+  const StatusOr<NetMoments> m = try_net_moments(net);
+  ASSERT_TRUE(m.ok());
+  EXPECT_LE(t2->dn_bound, tier0_bound(*m).dn_bound);
 }
 
 // ---------------------------------------------------------------------------

@@ -48,6 +48,12 @@ std::vector<double> shifts_for_level(const SuperpositionEngine& eng,
   return shifts_for_time(eng, t_tgt.value_or(0.0));
 }
 
+/// One Rtr step from the victim's Thevenin resistance.
+RtrResult step_from_rth(const SuperpositionEngine& eng,
+                        const std::vector<double>& shifts) {
+  return compute_rtr(eng, shifts, eng.victim_model().model.rth);
+}
+
 TEST(Differentiate, RampSlope) {
   // Ramp to 1.0 over [0, 1ns], then flat until 2ns.
   const Pwl r({0.0, 1 * ns, 2 * ns}, {0.0, 1.0, 1.0});
@@ -70,12 +76,12 @@ TEST(Rtr, EarlyInjectionRaisesHoldingResistance) {
 
   // Pulse peak when the sink is at ~17% of the swing: the victim pull-up
   // is still saturated -> conductance low -> Rtr must exceed Rth clearly.
-  const RtrResult early = compute_rtr(eng, shifts_for_level(eng, 0.3));
+  const RtrResult early = step_from_rth(eng, shifts_for_level(eng, 0.3));
   EXPECT_GT(early.rtr, 1.25 * rth);
   EXPECT_DOUBLE_EQ(early.rth, rth);
 
   // Pulse peak at ~72% of the swing: pull-up in triode -> Rtr near/below Rth.
-  const RtrResult late = compute_rtr(eng, shifts_for_level(eng, 1.3));
+  const RtrResult late = step_from_rth(eng, shifts_for_level(eng, 1.3));
   EXPECT_LT(late.rtr, 1.1 * rth);
   EXPECT_GT(early.rtr, late.rtr);
 }
@@ -83,7 +89,7 @@ TEST(Rtr, EarlyInjectionRaisesHoldingResistance) {
 TEST(Rtr, DiagnosticWaveformsArePopulated) {
   const CoupledNet net = slow_victim_net();
   SuperpositionEngine eng(net);
-  const RtrResult r = compute_rtr(eng, shifts_for_level(eng, 0.9));
+  const RtrResult r = step_from_rth(eng, shifts_for_level(eng, 0.9));
   EXPECT_FALSE(r.vn_linear.empty());
   EXPECT_FALSE(r.in_current.empty());
   EXPECT_FALSE(r.vn_nonlinear.empty());
@@ -94,16 +100,19 @@ TEST(Rtr, DiagnosticWaveformsArePopulated) {
 }
 
 TEST(Rtr, ConvergesWithinBudget) {
+  // The paper reports one or two iterations in practice: at a fixed
+  // alignment, a second step from the first step's Rtr moves R by less
+  // than the tolerance at which the fix-point stops.
   const CoupledNet net = slow_victim_net();
   SuperpositionEngine eng(net);
-  RtrOptions opts;
-  const RtrResult r = compute_rtr(eng, shifts_for_level(eng, 0.9), opts);
-  EXPECT_LE(r.iterations, opts.max_iterations);
-  EXPECT_GE(r.rtr, kRtrMin);
-  EXPECT_LE(r.rtr, kRtrMax);
-  // The paper reports one or two iterations in practice.
-  EXPECT_LE(r.iterations, 3);
-  EXPECT_TRUE(r.converged);
+  const std::vector<double> shifts = shifts_for_level(eng, 0.9);
+  const RtrResult r1 = step_from_rth(eng, shifts);
+  const RtrResult r2 = compute_rtr(eng, shifts, r1.rtr);
+  for (const RtrResult* r : {&r1, &r2}) {
+    EXPECT_GE(r->rtr, kRtrMin);
+    EXPECT_LE(r->rtr, kRtrMax);
+  }
+  EXPECT_LT(std::abs(r2.rtr - r1.rtr), kRtrRelTol * r1.rtr);
 }
 
 // Paired driver sim (DESIGN.md §5): V1 and V2 are two copies of the
@@ -123,12 +132,6 @@ double two_gate_sim_rtr(const SuperpositionEngine& eng, const Pwl& in) {
   const Pwl v2 =
       injected.try_run(eng.victim_input(), spec, nullptr, &in).value();
   return (v2 - v1).integral() / in.clipped(0.0, horizon).integral();
-}
-
-RtrOptions one_pass() {
-  RtrOptions opts;
-  opts.max_iterations = 1;  // out.rtr is then the first pass's area ratio.
-  return opts;
 }
 
 SuperpositionOptions fixed_grid() {
@@ -196,14 +199,13 @@ std::vector<double> shifts_for(const SuperpositionEngine& eng, Peak peak) {
   return {};
 }
 
-/// One-pass Rtr of `c` with engine lte_tol 0, checked against the
+/// One Rtr step of `c` with engine lte_tol 0, checked against the
 /// two-gate-sim reference.
 RtrResult expect_fixed_grid_matches_reference(const PairedCase& c) {
   SCOPED_TRACE(c.name);
-  const RtrOptions opts = one_pass();
   SuperpositionEngine eng(c.net, fixed_grid());
   const double horizon = eng.options().horizon;
-  const RtrResult r = compute_rtr(eng, shifts_for(eng, c.peak), opts);
+  const RtrResult r = step_from_rth(eng, shifts_for(eng, c.peak));
   // lte_tol 0: the paired sim runs on the fixed dt grid.
   EXPECT_EQ(r.vn_nonlinear.size(),
             static_cast<std::size_t>(std::lround(horizon / eng.options().dt)) +
@@ -216,7 +218,7 @@ TEST(RtrPaired, NonlinearNoiseIsExactlyZeroBeforeOnset) {
   // Until In turns on, the two driver copies follow identical arithmetic.
   const CoupledNet net = slow_victim_net();
   SuperpositionEngine eng(net);
-  const RtrResult r = compute_rtr(eng, shifts_for_level(eng, 0.9));
+  const RtrResult r = step_from_rth(eng, shifts_for_level(eng, 0.9));
   const double t_onset = r.in_current.times()[last_zero_knot(r.in_current)];
   ASSERT_GT(t_onset, 0.0);
   const auto ts = r.vn_nonlinear.times();
@@ -255,15 +257,14 @@ TEST(RtrPaired, AdaptiveMatchesFixedGrid) {
   // Same shifts on both engines; the adaptive run (default lte_tol, for
   // the linear noise sims and the driver sims alike) stays an order
   // inside the tolerance the fix-point iteration accepts.
-  const RtrOptions opts = one_pass();
   for (const PairedCase& c : paired_cases()) {
     SCOPED_TRACE(c.name);
     SuperpositionEngine fixed(c.net, fixed_grid());
     SuperpositionEngine adaptive(c.net);
     ASSERT_GT(adaptive.options().lte_tol, 0.0);
     const std::vector<double> shifts = shifts_for(fixed, c.peak);
-    const RtrResult r0 = compute_rtr(fixed, shifts, opts);
-    const RtrResult r = compute_rtr(adaptive, shifts, opts);
+    const RtrResult r0 = step_from_rth(fixed, shifts);
+    const RtrResult r = step_from_rth(adaptive, shifts);
     EXPECT_NEAR(r.rtr / r0.rtr, 1.0, kRtrRelTol / 10);
     EXPECT_LT(r.vn_nonlinear.size(), r0.vn_nonlinear.size());
   }
@@ -275,7 +276,7 @@ TEST(Rtr, NoCouplingMeansNoCorrection) {
   CoupledNet net = example_coupled_net(1);
   for (auto& cc : net.couplings) cc.c = 1e-20;
   SuperpositionEngine eng(net);
-  const RtrResult r = compute_rtr(eng, shifts_for_level(eng, 0.9));
+  const RtrResult r = step_from_rth(eng, shifts_for_level(eng, 0.9));
   EXPECT_NEAR(r.rtr, r.rth, 0.25 * r.rth);
 }
 
@@ -288,7 +289,7 @@ TEST_P(RtrAlignmentSweep, RtrIsFiniteAndBracketed) {
   const CoupledNet net = slow_victim_net();
   SuperpositionEngine eng(net);
   const double rth = eng.victim_model().model.rth;
-  const RtrResult r = compute_rtr(eng, shifts_for_level(eng, GetParam()));
+  const RtrResult r = step_from_rth(eng, shifts_for_level(eng, GetParam()));
   EXPECT_GT(r.rtr, 0.3 * rth);
   EXPECT_LT(r.rtr, 4.0 * rth);
 }

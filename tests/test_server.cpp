@@ -403,7 +403,6 @@ TEST(ServerSession, EveryNonSchedulingConfigKeyDirtiesAllVictims) {
       {"dt_ps", "1.5"},
       {"horizon_ns", "4.5"},
       {"model_alignment_iterations", "3"},
-      {"rtr_max_iterations", "5"},
       {"newton_max_iterations", "70"},
       {"newton_v_tol", "2e-7"},
       {"lte_tol", "0"},
@@ -467,6 +466,13 @@ TEST(ServerSession, InvalidConfigIsRejectedAndLeavesConfigIntact) {
   EXPECT_EQ(error_code(grid), "INVALID_ARGUMENT");
   EXPECT_NE(grid.find("error")->find("message")->as_string().find(
                 "horizon_ns"),
+            std::string::npos);
+  // A removed key is an unknown key, named in the error.
+  const json::Value removed = req(
+      s, "{\"verb\":\"config\",\"set\":{\"rtr_max_iterations\":4}}");
+  EXPECT_EQ(error_code(removed), "INVALID_ARGUMENT");
+  EXPECT_NE(removed.find("error")->find("message")->as_string().find(
+                "rtr_max_iterations"),
             std::string::npos);
 
   const json::Value after = req(s, "{\"verb\":\"config\"}");

@@ -41,6 +41,8 @@
 //
 // Screening mode:
 //   dnoise_cli --screen <file.spef>... (rank by severity)
+//     Unreadable decks are listed after the ranking with their status
+//     code (detail on stderr); exits 1 only when no deck could be read.
 //
 // Observability (any mode; see DESIGN.md §8):
 //   --profile              per-stage metrics summary on stderr
@@ -64,6 +66,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "clarinet/analysis_config.hpp"
@@ -400,29 +403,38 @@ int run_screening(int argc, char** argv) {
   const std::vector<std::string> files = positional_args(argc, argv);
   if (files.empty()) return usage();
 
+  // The same policy as --batch: an unreadable deck is recorded and the
+  // rest are still ranked; it is listed after them by status code.
   std::vector<CoupledNet> nets;
+  std::vector<std::string> names;
+  std::vector<std::pair<std::string, StatusCode>> unreadable;
   for (const auto& f : files) {
     StatusOr<CoupledNet> net = try_read_spef_file(f);
-    if (!net.ok()) {
+    if (net.ok()) {
+      nets.push_back(std::move(*net));
+      names.push_back(f);
+    } else {
       std::fprintf(stderr, "error reading %s: %s\n", f.c_str(),
                    net.status().to_string().c_str());
-      return 1;
+      unreadable.emplace_back(f, net.status().code());
     }
-    nets.push_back(std::move(*net));
   }
+  if (nets.empty()) return 1;
   const auto order = rank_by_severity(nets);
   std::printf("%-40s %12s %12s\n", "file (most severe first)", "est_noise_V",
               "est_dn_ps");
   for (const std::size_t i : order) {
     StatusOr<ScreeningEstimate> est = try_screen_net(nets[i]);
     if (!est.ok()) {
-      std::printf("%-40s %25s\n", files[i].c_str(),
+      std::printf("%-40s %25s\n", names[i].c_str(),
                   status_code_name(est.status().code()));
       continue;
     }
-    std::printf("%-40s %12.4f %12.2f\n", files[i].c_str(), est->vn_est,
+    std::printf("%-40s %12.4f %12.2f\n", names[i].c_str(), est->vn_est,
                 est->dn_est / ps);
   }
+  for (const auto& [f, code] : unreadable)
+    std::printf("%-40s %25s\n", f.c_str(), status_code_name(code));
   return 0;
 }
 
