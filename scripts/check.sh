@@ -52,7 +52,7 @@ if [[ "$run_asan" == 1 ]]; then
              test_adaptive_sim test_pwl test_numeric test_thevenin test_ceff \
              test_rtr test_extensions test_gate test_alignment \
              test_delay_noise test_fault_tolerance test_estimators \
-             test_persistence
+             test_persistence test_server
   ./build-asan/tests/test_matrix
   ./build-asan/tests/test_sparse
   ./build-asan/tests/test_linear_sim
@@ -81,6 +81,9 @@ if [[ "$run_asan" == 1 ]]; then
   # just print.
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ./build-asan/tests/test_fault_tolerance
+  # The resident session owns the stored report slots it finalizes and
+  # renders in place across requests.
+  ./build-asan/tests/test_server
 fi
 
 if [[ "$run_tsan" == 1 ]]; then

@@ -4,7 +4,7 @@
 
 namespace dn {
 
-MnaSystem::MnaSystem(const Circuit& ckt, double gmin)
+MnaSystem::MnaSystem(const Circuit& ckt)
     : ckt_(ckt),
       n_nodes_(ckt.num_nodes()),
       n_vsrc_(ckt.vsources().size()) {
@@ -58,7 +58,7 @@ MnaSystem::MnaSystem(const Circuit& ckt, double gmin)
     }
   }
   // Gmin from every node to ground.
-  for (std::size_t i = 0; i < nv; ++i) gt.push_back({i, i, gmin});
+  for (std::size_t i = 0; i < nv; ++i) gt.push_back({i, i, kGmin});
 
   gs_ = SparseMatrix::from_triplets(dim_, dim_, gt);
   cs_ = SparseMatrix::from_triplets(dim_, dim_, ct);

@@ -19,11 +19,15 @@
 
 namespace dn {
 
+/// Conductance from every node to ground [S], regularizing DC solves of
+/// capacitively-floating nodes.
+constexpr double kGmin = 1e-12;
+
 class MnaSystem {
  public:
-  /// Assembles the linear part of `ckt`. `gmin` is added from every node to
-  /// ground, regularizing DC solves of capacitively-floating nodes.
-  explicit MnaSystem(const Circuit& ckt, double gmin = 1e-12);
+  /// Assembles the linear part of `ckt`, with kGmin from every node to
+  /// ground.
+  explicit MnaSystem(const Circuit& ckt);
 
   std::size_t dim() const { return dim_; }
   std::size_t num_node_vars() const { return n_nodes_ - 1; }

@@ -13,8 +13,8 @@
 namespace dn {
 
 void finalize_batch_result(BatchResult& out, int top_k, bool ladder_enabled) {
-  // Worst-K by combined delay noise, ties broken by index so the ranking
-  // is stable across thread counts. Pruned nets never rank.
+  // Worst-K by the reported combined delay noise, ties broken by index so
+  // the ranking is stable across thread counts. Pruned nets never rank.
   std::vector<std::size_t> ok_idx;
   ok_idx.reserve(out.nets.size());
   for (const auto& nr : out.nets)
@@ -26,8 +26,8 @@ void finalize_batch_result(BatchResult& out, int top_k, bool ladder_enabled) {
       top_k > 0 ? static_cast<std::size_t>(top_k) : ok_idx.size());
   std::partial_sort(ok_idx.begin(), ok_idx.begin() + static_cast<long>(k),
                     ok_idx.end(), [&](std::size_t a, std::size_t b) {
-                      const double da = out.nets[a].result.delay_noise();
-                      const double db = out.nets[b].result.delay_noise();
+                      const double da = out.nets[a].report.delay_noise_ps;
+                      const double db = out.nets[b].report.delay_noise_ps;
                       if (da != db) return da > db;
                       return a < b;
                     });

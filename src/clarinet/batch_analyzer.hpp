@@ -68,7 +68,9 @@ struct BatchNetResult {
   std::size_t index = 0;
   std::string name;
   Status status;             // OK unless outcome == kFailed.
-  DelayNoiseResult result;   // Valid iff outcome is kOk or kDegraded.
+  /// Valid iff outcome is kOk or kDegraded; the resident server's stored
+  /// slots reset it and keep the report alone.
+  DelayNoiseResult result;
   DelayNoiseReport report;   // Valid iff outcome is kOk or kDegraded.
   AnalysisOutcome outcome = AnalysisOutcome::kOk;
 
@@ -131,10 +133,11 @@ struct BatchResult {
 };
 
 /// Recomputes `out.worst` and every outcome-derived stats field (counts,
-/// tier tallies, max pruned bound, failed) from `out.nets`.
+/// tier tallies, max pruned bound, failed) from `out.nets`, reading only
+/// each net's report and outcome (never `result`).
 /// Timing/cache/jobs figures are left to the caller. Shared by
-/// BatchAnalyzer::analyze and the resident server's slot re-assembly so
-/// the two rankings can never drift.
+/// BatchAnalyzer::analyze and the resident server's stored slots so the
+/// two rankings can never drift.
 void finalize_batch_result(BatchResult& out, int top_k, bool ladder_enabled);
 
 class BatchAnalyzer {

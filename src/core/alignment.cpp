@@ -11,116 +11,46 @@
 
 namespace dn {
 
-namespace {
-
-// Stand-in for the whole real line while a domain is partially built.
-constexpr double kDomainHuge = 1e18;
-
-}  // namespace
-
 ScanDomain ScanDomain::interval(double lo, double hi) {
   ScanDomain d;
   d.constrained_ = true;
-  if (hi >= lo) d.iv_.emplace_back(lo, hi);
+  d.lo_ = lo;
+  d.hi_ = hi;
+  if (!(hi >= lo)) d.set_empty();
   return d;
 }
 
-void ScanDomain::materialize() {
-  if (!constrained_) {
-    constrained_ = true;
-    iv_.assign(1, {-kDomainHuge, kDomainHuge});
-  }
+void ScanDomain::set_empty() {
+  // One representation for every empty domain, so equal sets compare
+  // equal; intersecting it again keeps it.
+  lo_ = std::numeric_limits<double>::infinity();
+  hi_ = -std::numeric_limits<double>::infinity();
 }
 
 void ScanDomain::intersect(double lo, double hi) {
-  materialize();
-  std::vector<std::pair<double, double>> next;
-  for (const auto& [a, b] : iv_) {
-    const double na = std::max(a, lo);
-    const double nb = std::min(b, hi);
-    if (nb >= na) next.emplace_back(na, nb);
-  }
-  iv_ = std::move(next);
-}
-
-void ScanDomain::exclude(double lo, double hi) {
-  if (hi <= lo) return;
-  materialize();
-  std::vector<std::pair<double, double>> next;
-  for (const auto& [a, b] : iv_) {
-    if (b <= lo || a >= hi) {
-      next.emplace_back(a, b);
-      continue;
-    }
-    if (a < lo) next.emplace_back(a, lo);
-    if (b > hi) next.emplace_back(hi, b);
-  }
-  iv_ = std::move(next);
+  constrained_ = true;
+  lo_ = std::max(lo_, lo);
+  hi_ = std::min(hi_, hi);
+  if (hi_ < lo_) set_empty();
 }
 
 bool ScanDomain::contains(double t) const {
-  if (!constrained_) return true;
-  for (const auto& [a, b] : iv_)
-    if (t >= a && t <= b) return true;
-  return false;
+  return !constrained_ || (t >= lo_ && t <= hi_);
 }
 
 double ScanDomain::clamp(double t) const {
-  if (!constrained_ || iv_.empty() || contains(t)) return t;
-  double best = t;
-  double best_dist = 1e300;
-  for (const auto& [a, b] : iv_) {
-    for (const double edge : {a, b}) {
-      const double dist = std::abs(edge - t);
-      if (dist < best_dist) {
-        best_dist = dist;
-        best = edge;
-      }
-    }
-  }
-  return best;
+  if (!constrained_ || empty()) return t;
+  return std::clamp(t, lo_, hi_);
 }
-
-double ScanDomain::lo() const { return iv_.empty() ? 0.0 : iv_.front().first; }
-double ScanDomain::hi() const { return iv_.empty() ? 0.0 : iv_.back().second; }
 
 std::vector<double> ScanDomain::sample(double lo, double hi, int n) const {
   n = std::max(n, 2);
   if (!constrained_) return linspace(lo, hi, n);
-  // Clip the feasible intervals to the requested span.
-  std::vector<std::pair<double, double>> clipped;
-  double feasible_len = 0.0;
-  for (const auto& [a, b] : iv_) {
-    const double ca = std::max(a, lo);
-    const double cb = std::min(b, hi);
-    if (cb >= ca) {
-      clipped.emplace_back(ca, cb);
-      feasible_len += cb - ca;
-    }
-  }
-  if (clipped.empty()) return {};
-  // One interval covering the whole span: exactly the unconstrained grid,
-  // so a window that excludes nothing changes nothing.
-  if (clipped.size() == 1)
-    return linspace(clipped[0].first, clipped[0].second, n);
-  // Spread the budget across intervals proportionally to length; every
-  // interval keeps at least its two endpoints so narrow-but-feasible
-  // windows are never starved.
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(n) + 2 * clipped.size());
-  for (const auto& [a, b] : clipped) {
-    const double share = feasible_len > 0 ? (b - a) / feasible_len : 0.0;
-    const int pts = std::max(
-        2, static_cast<int>(std::ceil(share * static_cast<double>(n))));
-    for (const double t : linspace(a, b, pts)) out.push_back(t);
-  }
-  // Deduplicate: a zero-width clipped interval emits its endpoint twice
-  // (linspace(x, x, 2)), and abutting intervals can repeat the shared
-  // edge. The intervals are disjoint and sorted, so the concatenation is
-  // globally sorted and one unique() pass removes exactly the duplicated
-  // probe times — deterministically, without reordering anything.
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  const double a = std::max(lo_, lo);
+  const double b = std::min(hi_, hi);
+  if (b < a) return {};
+  if (b == a) return {a};
+  return linspace(a, b, n);
 }
 
 ReceiverEval evaluate_receiver(GateSim& receiver, const Pwl& vin,
@@ -234,9 +164,12 @@ AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
   double best_d = -1e300;
   std::vector<double> probes = std::move(coarse);
   for (const bool fine : {false, true}) {
-    if (fine)
+    if (fine) {
       probes = opts.domain.sample(best_t - step, best_t + step,
                                   std::max(opts.fine_points, 5));
+      // A point domain has nothing to refine: its one probe already ran.
+      if (probes.size() == 1 && probes.front() == best_t) break;
+    }
     for (const double t : probes) {
       deadline_checkpoint("alignment search");
       c_batched.add();

@@ -4,8 +4,7 @@
 // core/alignment_table.hpp.
 #pragma once
 
-#include <optional>
-#include <utility>
+#include <limits>
 #include <vector>
 
 #include "devices/gate.hpp"
@@ -13,14 +12,15 @@
 
 namespace dn {
 
-/// Feasible domain for the composite-pulse peak time: a union of closed,
-/// sorted, disjoint intervals. The timing-window / logic-correlation
-/// pruning of the fidelity ladder builds one of these BEFORE the
-/// alignment search runs, so infeasible aggressor offsets are never
-/// probed (each probe costs a nonlinear receiver simulation).
+/// Feasible domain for the composite-pulse peak time: one closed interval.
+/// `analyze_delay_noise` (core/delay_noise.cpp) intersects the active
+/// aggressors' switching windows into one of these BEFORE the alignment
+/// search runs, so infeasible aggressor offsets are never probed (each
+/// probe costs a nonlinear receiver simulation). Logic correlation never
+/// punches holes: it drops the weaker aggressor of a pair instead.
 ///
 /// A default-constructed domain is UNCONSTRAINED (every time feasible);
-/// a constrained domain whose intervals have all been intersected away is
+/// a constrained domain whose interval has been intersected away is
 /// EMPTY (no feasible alignment — the noise cannot line up with the
 /// victim at all).
 class ScanDomain {
@@ -31,43 +31,35 @@ class ScanDomain {
   static ScanDomain interval(double lo, double hi);
 
   bool unconstrained() const { return !constrained_; }
-  bool empty() const { return constrained_ && iv_.empty(); }
+  bool empty() const { return constrained_ && hi_ < lo_; }
 
   /// Constrains the domain to [lo, hi] (set intersection).
   void intersect(double lo, double hi);
-  /// Removes the open span (lo, hi) from the domain.
-  void exclude(double lo, double hi);
 
   bool contains(double t) const;
   /// Nearest feasible point to `t` (t itself when unconstrained/empty).
   double clamp(double t) const;
-  /// Hull of the feasible set; meaningless when unconstrained/empty.
-  double lo() const;
-  double hi() const;
+  /// Bounds of the feasible interval; meaningless when unconstrained/empty.
+  double lo() const { return lo_; }
+  double hi() const { return hi_; }
 
-  const std::vector<std::pair<double, double>>& intervals() const {
-    return iv_;
-  }
-
-  /// Up to `n` deterministic sample points across the feasible parts of
-  /// [lo, hi]. Unconstrained — or a single feasible interval covering all
-  /// of [lo, hi] — yields exactly linspace(lo, hi, n), so a window that
-  /// excludes nothing changes nothing (the conservatism guarantee the
-  /// flow-property tests pin). Constrained: points are spread over the
-  /// clipped intervals proportionally to their length, every interval
-  /// keeping at least its endpoints. Returns empty when nothing of
-  /// [lo, hi] is feasible.
+  /// Deterministic sample points across the feasible part of [lo, hi].
+  /// Unconstrained — or an interval covering all of [lo, hi] — yields
+  /// exactly linspace(lo, hi, n), so a window that excludes nothing
+  /// changes nothing (the conservatism guarantee the flow-property tests
+  /// pin); otherwise linspace over the covered part. A part of zero width
+  /// is one point, probed once. Returns empty when nothing of [lo, hi] is
+  /// feasible.
   std::vector<double> sample(double lo, double hi, int n) const;
 
   bool operator==(const ScanDomain&) const = default;
 
  private:
-  // Unconstrained is represented lazily: the first mutation materializes
-  // the full line as one huge interval so exclude() stays closed-form.
-  void materialize();
+  void set_empty();
 
   bool constrained_ = false;
-  std::vector<std::pair<double, double>> iv_;  // Sorted, disjoint.
+  double lo_ = -std::numeric_limits<double>::infinity();
+  double hi_ = std::numeric_limits<double>::infinity();
 };
 
 /// Receiver evaluation of a (possibly noisy) input waveform: one nonlinear
@@ -118,9 +110,8 @@ struct AlignmentSearchOptions {
   bool warm_start = true;
   /// Feasibility of the pulse peak time (absolute): the one home of every
   /// timing-window constraint. A caller's window is
-  /// ScanDomain::interval(lo, hi); the per-aggressor switching windows and
-  /// pairwise logic-correlation constraints of the flow are intersected
-  /// into it as a union of feasible intervals. Every search method
+  /// ScanDomain::interval(lo, hi); the flow intersects the active
+  /// aggressors' switching windows into it. Every search method
   /// samples or clamps to feasible points only; an unconstrained domain
   /// reproduces the unpruned scan bit-for-bit.
   ScanDomain domain{};
@@ -134,7 +125,8 @@ struct AlignmentSearchOptions {
 /// The sweep spans slew + pulse width + 100 ps on either side of the
 /// noiseless 50% crossing at the sink, sampled over its feasible part
 /// (`opts.domain`). When none of the span is feasible, the search probes
-/// the domain point nearest that crossing and its neighbourhood.
+/// the domain point nearest that crossing and its neighbourhood. A point
+/// domain is probed once.
 AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
                                            const Pwl& composite,
                                            const GateParams& receiver,

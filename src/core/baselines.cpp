@@ -22,9 +22,9 @@ Circuit build_full(const CoupledNet& net, const std::vector<double>& shifts,
   const NodeId vdd = add_vdd(ckt, net.victim.driver.vdd);
 
   // Victim driver + net + receiver.
-  const Pwl vic_in = driver_input_ramp(net.victim.driver,
-                                       net.victim.input_slew,
-                                       net.victim.output_rising, opts.t_ref);
+  const Pwl vic_in =
+      driver_input_ramp(net.victim.driver, net.victim.input_slew,
+                        net.victim.output_rising, kInputRampStart);
   const NodeId vin = ckt.node("vic_in");
   ckt.add_vsource(vin, kGround, vic_in);
   const auto vmap = net.victim.net.instantiate(ckt, "v");
@@ -41,7 +41,7 @@ Circuit build_full(const CoupledNet& net, const std::vector<double>& shifts,
   for (std::size_t k = 0; k < net.aggressors.size(); ++k) {
     const auto& agg = net.aggressors[k];
     const Pwl ramp = driver_input_ramp(agg.driver, agg.input_slew,
-                                       agg.output_rising, opts.t_ref)
+                                       agg.output_rising, kInputRampStart)
                          .shifted(shifts[k]);
     const Pwl ain_wave =
         quiet ? Pwl::constant(ramp.values().front(), 0.0, opts.horizon) : ramp;

@@ -27,8 +27,8 @@ struct GoldenResult {
 
 /// Runs the two full nonlinear simulations (quiet / switching aggressors).
 /// `shifts[k]` displaces aggressor k's input ramp from the reference
-/// position, a ramp starting at opts.t_ref; `opts` fixes the shared time
-/// frame (t_ref, horizon, dt).
+/// position, a ramp starting at kInputRampStart; `opts` fixes the shared
+/// time frame (horizon, dt).
 GoldenResult golden_nonlinear(const CoupledNet& net,
                               const std::vector<double>& shifts,
                               const SuperpositionOptions& opts = {});

@@ -15,7 +15,6 @@ CompositeAlignment compose(const SuperpositionEngine& eng,
   out.shifts = shifts;
   if (active) out.active = *active;
   out.at_sink = eng.composite_noise_at_sink(shifts, victim_holding_r, active);
-  out.at_root = eng.composite_noise_at_root(shifts, victim_holding_r, active);
   out.params = measure_pulse(out.at_sink);
   return out;
 }

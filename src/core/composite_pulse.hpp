@@ -27,7 +27,6 @@ struct CompositeAlignment {
   /// aggressor contributes (the classic unpruned composite).
   std::vector<char> active;
   Pwl at_sink;                 // Composite noise at the victim sink.
-  Pwl at_root;                 // Composite noise at the victim root.
   PulseParams params;          // Measured height/width/peak of at_sink.
 };
 

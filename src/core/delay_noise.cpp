@@ -117,15 +117,14 @@ PruneInfo resolve_exclusions(const CoupledNet& net) {
 /// Maps the active aggressors' switching windows onto feasible composite-
 /// peak times for THIS composite and intersects them into one domain.
 /// The linearized network is LTI, so placing the composite peak at t
-/// starts aggressor k's input at t_ref + shifts[k] + (t - params.t_peak);
-/// its window [w_early, w_late] therefore admits
-///   t in [params.t_peak - shifts[k] + (w_early - t_ref),
-///         params.t_peak - shifts[k] + (w_late  - t_ref)].
+/// starts aggressor k's input at t0 + shifts[k] + (t - params.t_peak),
+/// with t0 = kInputRampStart; its window [w_early, w_late] therefore admits
+///   t in [params.t_peak - shifts[k] + (w_early - t0),
+///         params.t_peak - shifts[k] + (w_late  - t0)].
 /// Aggressors whose window cannot overlap the (stronger) aggressors
 /// already kept are dropped from the composite — they cannot co-switch
 /// with it in any cycle.
-ScanDomain window_domain(const CoupledNet& net, double t_ref,
-                         const ScanDomain& seed,
+ScanDomain window_domain(const CoupledNet& net, const ScanDomain& seed,
                          const CompositeAlignment& comp,
                          std::vector<char>& active, int* dropped) {
   const std::size_t n = net.aggressors.size();
@@ -141,7 +140,7 @@ ScanDomain window_domain(const CoupledNet& net, double t_ref,
     if (!active.empty() && !active[k]) continue;
     const AggressorDesc& a = net.aggressors[k];
     if (!a.has_window()) continue;
-    const double base = comp.params.t_peak - comp.shifts[k] - t_ref;
+    const double base = comp.params.t_peak - comp.shifts[k] - kInputRampStart;
     ScanDomain trial = d;
     trial.intersect(base + a.window_early, base + a.window_late);
     if (trial.empty()) {
@@ -168,8 +167,7 @@ CompositeAlignment compose_pruned(const SuperpositionEngine& eng,
   const CoupledNet& net = eng.net();
   for (std::size_t round = 0; round <= net.aggressors.size(); ++round) {
     int dropped = 0;
-    ScanDomain d = window_domain(net, eng.options().t_ref, seed, comp,
-                                 prune.active, &dropped);
+    ScanDomain d = window_domain(net, seed, comp, prune.active, &dropped);
     if (dropped == 0) {
       *domain = std::move(d);
       return comp;
@@ -241,7 +239,6 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
     } catch (const DeadlineError&) {
       throw;  // A cancelled run must not silently degrade.
     } catch (const std::exception& e) {
-      if (!opts.degrade.rtr_to_rth) throw;
       // Degradation ladder: Rtr extraction failed (Newton divergence in
       // the nonlinear driver sims) -> hold the victim with the aggregate
       // Rth. Pessimistic for delay noise but always available. Earlier

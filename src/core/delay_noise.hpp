@@ -84,9 +84,10 @@ struct DelayNoiseResult {
 DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
                                      const DelayNoiseOptions& opts = {});
 
-/// Absolute per-aggressor input shifts implied by a result (relative to the
-/// reference input ramps, which start at t_ref): peak-alignment shifts
-/// plus the composite alignment shift. Feed these to golden_nonlinear().
+/// Absolute per-aggressor input shifts implied by a result (relative to
+/// the reference input ramps, which start at kInputRampStart):
+/// peak-alignment shifts plus the composite alignment shift. Feed these to
+/// golden_nonlinear().
 std::vector<double> absolute_shifts(const DelayNoiseResult& r);
 
 }  // namespace dn

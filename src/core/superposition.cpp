@@ -44,14 +44,14 @@ SuperpositionEngine::SuperpositionEngine(const CoupledNet& net,
   // Victim driver: Ceff + Thevenin with coupling caps grounded.
   victim_model_ = compute_ceff(
       net_.victim.driver, net_.victim.input_slew, net_.victim.output_rising,
-      opts_.t_ref, net_.victim.net, grounded_couplings_for_victim(net_),
+      kInputRampStart, net_.victim.net, grounded_couplings_for_victim(net_),
       net_.victim.receiver.input_cap(), ceff);
 
   aggressor_models_.reserve(net_.aggressors.size());
   for (std::size_t k = 0; k < net_.aggressors.size(); ++k) {
     const auto& agg = net_.aggressors[k];
     aggressor_models_.push_back(compute_ceff(
-        agg.driver, agg.input_slew, agg.output_rising, opts_.t_ref, agg.net,
+        agg.driver, agg.input_slew, agg.output_rising, kInputRampStart, agg.net,
         grounded_couplings_for_aggressor(net_, static_cast<int>(k)),
         agg.sink_load, ceff));
   }
@@ -65,7 +65,7 @@ const CeffResult& SuperpositionEngine::aggressor_model(int k) const {
 
 Pwl SuperpositionEngine::victim_input() const {
   return driver_input_ramp(net_.victim.driver, net_.victim.input_slew,
-                           net_.victim.output_rising, opts_.t_ref);
+                           net_.victim.output_rising, kInputRampStart);
 }
 
 SuperpositionEngine::Waveforms SuperpositionEngine::run_linear(

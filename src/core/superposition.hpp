@@ -27,9 +27,11 @@
 
 namespace dn {
 
+/// Input-ramp start used for all reference sims [s].
+constexpr double kInputRampStart = 300e-12;
+
 struct SuperpositionOptions {
   double dt = 1e-12;        // Reference simulation step [s].
-  double t_ref = 300e-12;   // Input-ramp start used for all reference sims [s].
   double horizon = 4e-9;    // Transient end time [s].
   /// LTE bound for adaptive stepping in every engine sim: linear
   /// aggressor/victim, paired Rtr driver, Ceff inner and the driver

@@ -5,8 +5,7 @@
 // instantiation of the gate is obtained easily through table lookup") needs
 // a notion of gate *types* shared across instances; this library provides
 // named cells for it. Only examples/library_characterization and the tests
-// use it: the random workload generators build their GateParams directly,
-// and the STA layer works on per-gate delays, not cells.
+// use it: the random workload generators build their GateParams directly.
 #pragma once
 
 #include <string>

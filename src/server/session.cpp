@@ -386,7 +386,7 @@ Status Session::verb_snapshot(json::Object& result) {
 
 void Session::rebind_design() {
   victims_ = design_.victims();
-  slots_.assign(victims_.size(), BatchNetResult{});
+  results_.nets.assign(victims_.size(), BatchNetResult{});
   dirty_.assign(victims_.size(), true);
   has_design_ = true;
 }
@@ -589,14 +589,16 @@ Status Session::verb_analyze(const json::Value& req, json::Object& result,
 
     for (std::size_t p = 0; p < dirty_idx.size(); ++p) {
       const std::size_t o = dirty_idx[p];
-      br.nets[p].index = o;
+      BatchNetResult& slot = results_.nets[o];
+      slot = std::move(br.nets[p]);
+      slot.index = o;
+      slot.result = DelayNoiseResult{};  // Reports only: no waveforms kept.
       // A net that ran out of deadline stays dirty: the stored slot
       // records the failure honestly, and the next analyze runs it again
       // instead of serving the failure forever. So does every net of a
       // fault-injected request: its faults belong to that request alone.
       const bool out_of_time =
-          br.nets[p].status.code() == StatusCode::kDeadlineExceeded;
-      slots_[o] = std::move(br.nets[p]);
+          slot.status.code() == StatusCode::kDeadlineExceeded;
       dirty_[o] = degraded || out_of_time || fault_guard.active;
     }
     ++analyze_runs_;
@@ -628,28 +630,16 @@ Status Session::verb_analyze(const json::Value& req, json::Object& result,
     }
   }
 
-  // Assemble the FULL design's report from the stored slots — identical
+  // Render the FULL design's report from the stored slots — identical
   // bytes whether the slots were just computed or carried over. The
   // shared finalizer keeps the ranking/stat rules in lockstep with the
   // one-shot batch path; dirty nets re-entered the ladder at Tier 0
-  // above, so their provenance is current. The slots move into the
-  // assembled result and back, so their waveforms are never copied.
-  BatchResult assembled;
-  assembled.nets = std::move(slots_);
-  json::Value report;
-  try {
-    finalize_batch_result(assembled, cfg_.batch.top_k,
-                          cfg_.batch.ladder.enabled);
-    report = assembled.to_json_value();
-  } catch (...) {
-    slots_ = std::move(assembled.nets);
-    throw;
-  }
-  slots_ = std::move(assembled.nets);
+  // above, so their provenance is current.
+  finalize_batch_result(results_, cfg_.batch.top_k, cfg_.batch.ladder.enabled);
 
   result["reanalyzed"] = dirty_idx.size();
   if (degraded) result["admission_degraded"] = true;
-  result["report"] = std::move(report);
+  result["report"] = results_.to_json_value();
   return Status::Ok();
 }
 

@@ -11,7 +11,8 @@
 // exactly Design::affected_victims(i): i itself and the victims i
 // appears in as an aggressor. `analyze` re-runs only dirty victims
 // through a BatchAnalyzer sharing the resident cache and splices the
-// fresh results into the stored slots; because per-net analysis is
+// fresh reports into the stored slots (the waveforms are dropped: only
+// reports are ranked and rendered); because per-net analysis is
 // deterministic, the assembled result is byte-identical to a cold full
 // run over the same design state.
 //
@@ -148,7 +149,7 @@ class Session {
   /// Applies an edit's dirty closure for design net `net_index`.
   void invalidate(int net_index, json::Object& result);
   void mark_all_dirty();
-  /// Rebuilds victims_/slots_/dirty_ after a design (re)load.
+  /// Rebuilds victims_/results_/dirty_ after a design (re)load.
   void rebind_design();
 
   AnalysisConfig cfg_;
@@ -160,7 +161,9 @@ class Session {
   bool has_design_ = false;
   Design design_;
   std::vector<int> victims_;          // Ordinal -> design net index.
-  std::vector<BatchNetResult> slots_; // Last result per victim ordinal.
+  /// Last report per victim ordinal: results_.nets[o] is victim o's
+  /// slot, stored without its waveforms, finalized and rendered in place.
+  BatchResult results_;
   std::vector<bool> dirty_;           // Per victim ordinal.
 
   bool shutdown_ = false;

@@ -34,7 +34,7 @@ SimCounters& counters() {
 
 NonlinearSim::NonlinearSim(const Circuit& ckt, NewtonOptions opts)
     : ckt_(ckt),
-      mna_(ckt, opts.gmin),
+      mna_(ckt),
       opts_(opts),
       stale_budget_(opts.stale_jacobian_iters) {
   const std::size_t dim = mna_.dim();
@@ -193,7 +193,7 @@ bool NonlinearSim::newton(Vector& x, Assemble&& assemble,
     for (std::size_t i = 0; i < dim; ++i) {
       double step = dx_[i];
       if (i < nv) {
-        step = std::clamp(step, -opts_.v_limit, opts_.v_limit);
+        step = std::clamp(step, -kNewtonVoltageLimit, kNewtonVoltageLimit);
         max_dv = std::max(max_dv, std::abs(step));
       }
       x[i] -= step;
@@ -202,7 +202,7 @@ bool NonlinearSim::newton(Vector& x, Assemble&& assemble,
     // Modified-Newton escalation: a stale factor that stops contracting
     // (or is taking clamped full-limit steps) gets replaced next
     // iteration instead of burning the whole budget.
-    if (!fresh && (max_dv >= prev_dv || max_dv >= opts_.v_limit))
+    if (!fresh && (max_dv >= prev_dv || max_dv >= kNewtonVoltageLimit))
       have_factor_ = false;
     prev_dv = max_dv;
   }

@@ -42,6 +42,9 @@
 
 namespace dn {
 
+/// Per-iteration Newton node-voltage step clamp [V].
+constexpr double kNewtonVoltageLimit = 0.5;
+
 struct NewtonOptions {
   int max_iterations = 80;
   // Convergence: max |delta V| [V]. 100 nV sits ~4 orders below the
@@ -49,8 +52,6 @@ struct NewtonOptions {
   // a full order looser still); tightening it further buys no accuracy,
   // only extra chord iterations on large adaptive steps.
   double v_tol = 1e-7;
-  double v_limit = 0.5;       // Per-iteration node-voltage step clamp [V].
-  double gmin = 1e-12;        // Baseline gmin (also in MnaSystem).
   /// Modified-Newton budget: solves allowed on one factored Jacobian
   /// before a fresh restamp+refactor is forced. 0 = classic full Newton
   /// (refactor every iteration).

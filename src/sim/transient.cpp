@@ -20,14 +20,9 @@ Status TransientSpec::validate() const {
   if (stale_jacobian_iters < -1 || stale_jacobian_iters > 1000)
     return Status::InvalidArgument(
         "TransientSpec: stale_jacobian_iters must be in [-1, 1000]");
-  if (adaptive()) {
-    if (!(max_dt_growth > 1.0) || !(max_dt_growth <= 64.0))
-      return Status::InvalidArgument(
-          "TransientSpec: max_dt_growth must be in (1, 64]");
-    if (!(dt_max_factor >= 1.0) || !(dt_max_factor <= 4096.0))
-      return Status::InvalidArgument(
-          "TransientSpec: dt_max_factor must be in [1, 4096]");
-  }
+  if (adaptive() && (!(max_dt_growth > 1.0) || !(max_dt_growth <= 64.0)))
+    return Status::InvalidArgument(
+        "TransientSpec: max_dt_growth must be in (1, 64]");
   const double n = (t_stop - t_start) / dt;
   if (n > 2e7)
     return Status::InvalidArgument(
@@ -153,7 +148,7 @@ StepController::StepController(const TransientSpec& spec, const Circuit& ckt)
       t_stop_(spec.t_stop),
       dt_ref_(spec.dt),
       dt_min_(spec.dt / 16.0),
-      dt_max_(spec.dt * (spec.adaptive() ? spec.dt_max_factor : 1.0)),
+      dt_max_(spec.dt * (spec.adaptive() ? kDtMaxFactor : 1.0)),
       dt_(spec.dt),
       growth_(spec.max_dt_growth),
       lte_tol_(spec.lte_tol) {

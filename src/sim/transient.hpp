@@ -21,6 +21,11 @@
 
 namespace dn {
 
+/// Adaptive steps never exceed dt * kDtMaxFactor: settled tails stride at
+/// 512x the reference grid, while LTE growth is still earned one
+/// power-of-two rung at a time.
+constexpr double kDtMaxFactor = 512.0;
+
 struct TransientSpec {
   double t_start = 0.0;
   double t_stop = 0.0;
@@ -33,10 +38,6 @@ struct TransientSpec {
   /// churn an 8x jump causes at sharp features; the LTE reject path
   /// bounds the cost of overshooting either way.
   double max_dt_growth = 4.0;
-  /// Steps never exceed dt * dt_max_factor (adaptive only). The default
-  /// lets settled tails stride at 512x the reference grid; LTE growth is
-  /// still earned one power-of-two rung at a time.
-  double dt_max_factor = 512.0;
   /// Chord-Newton budget for nonlinear sims: consecutive solves allowed on
   /// a stale factored Jacobian before a fresh stamp+factor. -1 (default)
   /// inherits the sim's NewtonOptions; 0 forces classic full Newton.

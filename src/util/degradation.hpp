@@ -43,9 +43,9 @@ struct Degradation {
 std::vector<Degradation> dedup_degradations(std::vector<Degradation> log);
 
 /// Which rungs a run permits. All on by default; switching one off turns
-/// that failure back into a hard error for the net.
+/// that failure back into a hard error for the net. rtr_to_rth has no
+/// switch: an Rtr failure always holds the victim with Rth.
 struct DegradePolicy {
-  bool rtr_to_rth = true;
   bool table_to_vdd2 = true;
   bool sparse_to_dense = true;
   /// Nothing in src/ reads this; perfbench/ still sets it (see ROADMAP).

@@ -3,11 +3,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "core/composite_pulse.hpp"
+#include "core/superposition.hpp"
 #include "devices/gate.hpp"
 #include "rcnet/random_nets.hpp"
 #include "util/metrics.hpp"
@@ -163,32 +164,89 @@ TEST(CompositePulse, NoAggressorsThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// ScanDomain probe generation: sample() must never emit the same probe
-// time twice — duplicates came from zero-width clipped intervals
-// (linspace(x, x, 2)) and cost a full receiver simulation each.
+// ScanDomain
+// ---------------------------------------------------------------------------
 
-TEST(ScanDomain, SampleDeduplicatesZeroWidthIntervals) {
-  ScanDomain d = ScanDomain::interval(0.0, 10.0);
-  d.exclude(1.0, 9.0);    // [0,1] U [9,10]
-  d.intersect(1.0, 9.5);  // [1,1] U [9,9.5]: first interval is one point.
-  const std::vector<double> pts = d.sample(0.0, 10.0, 8);
-  ASSERT_FALSE(pts.empty());
-  for (std::size_t i = 1; i < pts.size(); ++i)
-    EXPECT_GT(pts[i], pts[i - 1]) << "duplicate/unsorted probe at " << i;
-  // The zero-width interval still contributes its (single) endpoint.
-  EXPECT_EQ(std::count(pts.begin(), pts.end(), 1.0), 1);
+TEST(ScanDomain, UnconstrainedSamplesExactLinspace) {
+  const ScanDomain d;
+  EXPECT_TRUE(d.unconstrained());
+  EXPECT_FALSE(d.empty());
+  const auto pts = d.sample(1.0, 3.0, 5);
+  ASSERT_EQ(pts.size(), 5u);
+  // Bit-exact linspace: the unpruned scan must reproduce the classic
+  // search byte-for-byte.
+  const double step = (3.0 - 1.0) / 4.0;
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(pts[static_cast<std::size_t>(i)], 1.0 + step * i);
 }
 
-TEST(ScanDomain, MultiIntervalSampleIsStrictlyIncreasing) {
-  ScanDomain d = ScanDomain::interval(0.0, 4.0);
-  d.exclude(0.5, 1.0);
-  d.exclude(2.0, 2.25);
-  for (int n : {2, 5, 16, 33}) {
-    const std::vector<double> pts = d.sample(0.0, 4.0, n);
-    ASSERT_GE(pts.size(), 2u);
-    for (std::size_t i = 1; i < pts.size(); ++i)
-      EXPECT_GT(pts[i], pts[i - 1]) << "n=" << n << " i=" << i;
-  }
+TEST(ScanDomain, SingleCoveringIntervalSamplesExactLinspace) {
+  ScanDomain d;
+  d.intersect(0.0, 10.0);  // Covers the whole requested span.
+  const auto pts = d.sample(1.0, 3.0, 5);
+  const auto ref = ScanDomain().sample(1.0, 3.0, 5);
+  ASSERT_EQ(pts.size(), ref.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) EXPECT_EQ(pts[i], ref[i]);
+}
+
+TEST(ScanDomain, IntersectAndContains) {
+  ScanDomain d;
+  d.intersect(0.0, 10.0);
+  d.intersect(5.0, 20.0);
+  EXPECT_FALSE(d.unconstrained());
+  EXPECT_TRUE(d.contains(7.0));
+  EXPECT_FALSE(d.contains(4.0));
+  EXPECT_FALSE(d.contains(11.0));
+  EXPECT_EQ(d.lo(), 5.0);
+  EXPECT_EQ(d.hi(), 10.0);
+  d.intersect(20.0, 30.0);  // Disjoint from [5,10]: nothing left.
+  EXPECT_TRUE(d.empty());
+}
+
+TEST(ScanDomain, ClampFindsNearestFeasiblePoint) {
+  ScanDomain d;
+  d.intersect(0.0, 2.0);
+  d.intersect(1.0, 5.0);  // [1, 2].
+  EXPECT_EQ(d.clamp(1.5), 1.5);
+  EXPECT_EQ(d.clamp(-3.0), 1.0);
+  EXPECT_EQ(d.clamp(9.0), 2.0);
+}
+
+TEST(ScanDomain, EmptySpanYieldsNoSamples) {
+  ScanDomain d;
+  d.intersect(100.0, 200.0);
+  EXPECT_TRUE(d.sample(0.0, 10.0, 7).empty());
+}
+
+TEST(ScanDomain, PointSamplesOnce) {
+  // A zero-width feasible part is one probe time, however many points
+  // were asked for: repeating it would re-run the same receiver sim.
+  const ScanDomain point = ScanDomain::interval(2.0, 2.0);
+  EXPECT_EQ(point.sample(0.0, 10.0, 17), std::vector<double>{2.0});
+  const ScanDomain touching = ScanDomain::interval(3.0, 5.0);
+  EXPECT_EQ(touching.sample(0.0, 3.0, 9), std::vector<double>{3.0});
+}
+
+TEST(ExhaustiveAlignment, PointDomainProbesOnce) {
+  Rng rng(3);
+  const CoupledNet net = random_coupled_net(rng);
+  SuperpositionEngine eng(net);
+  const CompositeAlignment comp =
+      align_aggressor_peaks(eng, eng.victim_model().model.rth);
+  const Pwl& sink = eng.victim_transition().at_sink;
+  const bool rising = net.victim.output_rising;
+  const double t50 = *sink.crossing(0.5 * eng.vdd(), rising);
+  AlignmentSearchOptions opts;
+  opts.domain = ScanDomain::interval(t50, t50);
+  obs::set_metrics_enabled(true);
+  obs::Counter& evals = obs::metrics().counter("alignment.receiver_evals");
+  const std::uint64_t evals0 = evals.value();
+  const AlignmentResult r = exhaustive_worst_alignment(
+      sink, comp.at_sink, net.victim.receiver, net.victim.receiver_load,
+      rising, opts);
+  const std::uint64_t ran = evals.value() - evals0;
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(ran, 1u);
+  EXPECT_EQ(r.t_peak, t50);
 }
 
 // ---------------------------------------------------------------------------

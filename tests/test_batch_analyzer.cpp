@@ -280,6 +280,23 @@ TEST(BatchAnalyzer, WorstKRanksByCombinedDelayNoise) {
               r.nets[r.worst[i]].result.delay_noise());
 }
 
+TEST(BatchAnalyzer, FinalizeRanksSlotsByTheirReports) {
+  // The resident server stores each slot's report without its
+  // DelayNoiseResult, so the ranking must read the reports alone.
+  BatchResult r;
+  const double dn_ps[] = {3.0, 9.0, 1.0, 5.0};
+  for (std::size_t i = 0; i < 4; ++i) {
+    BatchNetResult nr;
+    nr.index = i;
+    nr.name = "n" + std::to_string(i);
+    nr.report.delay_noise_ps = dn_ps[i];
+    r.nets.push_back(nr);
+  }
+  finalize_batch_result(r, 3, false);
+  EXPECT_EQ(r.worst, (std::vector<std::size_t>{1, 3, 0}));
+  EXPECT_EQ(r.stats.analyzed, 4u);
+}
+
 // ---------------------------------------------------------------------------
 // Status error paths
 // ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
-// Fidelity ladder (clarinet/fidelity_ladder.*), alignment scan domain
-// (core/alignment.hpp ScanDomain), and the timing-window / correlation
-// aggressor pruning threaded through core/delay_noise.*.
+// Fidelity ladder (clarinet/fidelity_ladder.*) and the timing-window /
+// correlation aggressor pruning threaded through core/delay_noise.*.
 #include "clarinet/fidelity_ladder.hpp"
 
 #include <gtest/gtest.h>
@@ -8,7 +7,6 @@
 #include <vector>
 
 #include "clarinet/batch_analyzer.hpp"
-#include "core/alignment.hpp"
 #include "core/delay_noise.hpp"
 #include "core/superposition.hpp"
 #include "rcnet/random_nets.hpp"
@@ -19,73 +17,6 @@ namespace dn {
 namespace {
 
 using namespace dn::units;
-
-// ---------------------------------------------------------------------------
-// ScanDomain
-// ---------------------------------------------------------------------------
-
-TEST(ScanDomain, UnconstrainedSamplesExactLinspace) {
-  const ScanDomain d;
-  EXPECT_TRUE(d.unconstrained());
-  EXPECT_FALSE(d.empty());
-  const auto pts = d.sample(1.0, 3.0, 5);
-  ASSERT_EQ(pts.size(), 5u);
-  // Bit-exact linspace: the unpruned scan must reproduce the classic
-  // search byte-for-byte.
-  const double step = (3.0 - 1.0) / 4.0;
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(pts[static_cast<std::size_t>(i)], 1.0 + step * i);
-}
-
-TEST(ScanDomain, SingleCoveringIntervalSamplesExactLinspace) {
-  ScanDomain d;
-  d.intersect(0.0, 10.0);  // Covers the whole requested span.
-  const auto pts = d.sample(1.0, 3.0, 5);
-  const auto ref = ScanDomain().sample(1.0, 3.0, 5);
-  ASSERT_EQ(pts.size(), ref.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) EXPECT_EQ(pts[i], ref[i]);
-}
-
-TEST(ScanDomain, IntersectAndContains) {
-  ScanDomain d;
-  d.intersect(0.0, 10.0);
-  d.intersect(5.0, 20.0);
-  EXPECT_FALSE(d.unconstrained());
-  EXPECT_TRUE(d.contains(7.0));
-  EXPECT_FALSE(d.contains(4.0));
-  EXPECT_FALSE(d.contains(11.0));
-  EXPECT_EQ(d.lo(), 5.0);
-  EXPECT_EQ(d.hi(), 10.0);
-  d.intersect(20.0, 30.0);  // Disjoint from [5,10]: nothing left.
-  EXPECT_TRUE(d.empty());
-}
-
-TEST(ScanDomain, ExcludeSplitsInterval) {
-  ScanDomain d;
-  d.intersect(0.0, 10.0);
-  d.exclude(4.0, 6.0);
-  EXPECT_TRUE(d.contains(4.0));   // Exclusion is the OPEN span.
-  EXPECT_TRUE(d.contains(6.0));
-  EXPECT_FALSE(d.contains(5.0));
-  ASSERT_EQ(d.intervals().size(), 2u);
-  // Samples land only in feasible parts.
-  for (const double t : d.sample(0.0, 10.0, 11))
-    EXPECT_TRUE(d.contains(t)) << t;
-}
-
-TEST(ScanDomain, ClampFindsNearestFeasiblePoint) {
-  ScanDomain d;
-  d.intersect(0.0, 2.0);
-  d.intersect(1.0, 5.0);  // [1, 2].
-  EXPECT_EQ(d.clamp(1.5), 1.5);
-  EXPECT_EQ(d.clamp(-3.0), 1.0);
-  EXPECT_EQ(d.clamp(9.0), 2.0);
-}
-
-TEST(ScanDomain, EmptySpanYieldsNoSamples) {
-  ScanDomain d;
-  d.intersect(100.0, 200.0);
-  EXPECT_TRUE(d.sample(0.0, 10.0, 7).empty());
-}
 
 // ---------------------------------------------------------------------------
 // Tier-0 bound + ladder decisions
@@ -267,8 +198,8 @@ TEST(WindowPruning, NarrowingWindowConfinesThePeak) {
   SuperpositionEngine e0(plain);
   const DelayNoiseOptions opts = coarse_options();
   const DelayNoiseResult r0 = analyze_delay_noise(e0, opts);
-  const double t_ref = e0.options().t_ref;
-  const double start = t_ref + absolute_shifts(r0)[0];  // Aggressor input.
+  const double start =
+      kInputRampStart + absolute_shifts(r0)[0];  // Aggressor input.
 
   CoupledNet net = plain;
   net.aggressors[0].window_early = start - 300 * ps;
@@ -280,13 +211,30 @@ TEST(WindowPruning, NarrowingWindowConfinesThePeak) {
   // The final composite's mapping of the window onto peak times
   // (core/delay_noise.cpp, window_domain).
   const double base =
-      r.composite.params.t_peak - r.composite.shifts[0] - t_ref;
+      r.composite.params.t_peak - r.composite.shifts[0] - kInputRampStart;
   const double lo = base + net.aggressors[0].window_early;
   const double hi = base + net.aggressors[0].window_late;
   EXPECT_GE(r.alignment.t_peak, lo - 1e-15);
   EXPECT_LE(r.alignment.t_peak, hi + 1e-15);
   EXPECT_LT(hi, r0.alignment.t_peak);  // The free worst case is excluded.
   EXPECT_LE(r.delay_noise(), r0.delay_noise());
+}
+
+TEST(WindowPruning, PointWindowProbesOncePerPass) {
+  // A zero-width aggressor window maps onto one feasible peak time, so
+  // each fix-point pass of the exhaustive search runs one receiver sim
+  // (plus the one nominal evaluation of the net).
+  CoupledNet net = example_coupled_net(1);
+  net.aggressors[0].window_early = net.aggressors[0].window_late = 600 * ps;
+  SuperpositionEngine eng(net);
+  obs::set_metrics_enabled(true);
+  obs::Counter& evals = obs::metrics().counter("alignment.receiver_evals");
+  const std::uint64_t evals0 = evals.value();
+  const DelayNoiseResult r = analyze_delay_noise(eng, coarse_options());
+  const std::uint64_t ran = evals.value() - evals0;
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(r.aggressors_pruned_window, 0);
+  EXPECT_EQ(ran, static_cast<std::uint64_t>(r.rtr_iterations) + 2);
 }
 
 TEST(WindowPruning, ValidateRejectsBadExclusions) {
