@@ -29,8 +29,6 @@ DelayNoiseReport DelayNoiseReport::from(const CoupledNet& net,
   rep.input_delay_noise_ps = r.input_delay_noise() / ps;
   rep.delay_noise_ps = r.delay_noise() / ps;
   rep.degradations = r.degradations;
-  rep.aggressors_pruned_window = r.aggressors_pruned_window;
-  rep.aggressors_pruned_exclusion = r.aggressors_pruned_exclusion;
   return rep;
 }
 
@@ -53,11 +51,6 @@ void DelayNoiseReport::to_text(std::ostream& os) const {
   os << "  interconnect delay noise: " << input_delay_noise_ps << " ps\n";
   os << "  combined (receiver output) delay noise: " << delay_noise_ps
      << " ps\n";
-  if (aggressors_pruned_window + aggressors_pruned_exclusion > 0) {
-    os << "  aggressors pruned: " << aggressors_pruned_window
-       << " window-infeasible, " << aggressors_pruned_exclusion
-       << " exclusion-dominated\n";
-  }
   if (!fidelity_tier.empty())
     os << "  fidelity: decided by " << fidelity_tier << "\n";
   for (const auto& d : degradations) {
@@ -93,10 +86,6 @@ json::Value DelayNoiseReport::to_json_value() const {
   o["input_delay_noise_ps"] = input_delay_noise_ps;
   o["delay_noise_ps"] = delay_noise_ps;
   if (!fidelity_tier.empty()) o["fidelity_tier"] = fidelity_tier;
-  if (aggressors_pruned_window + aggressors_pruned_exclusion > 0) {
-    o["aggressors_pruned_window"] = aggressors_pruned_window;
-    o["aggressors_pruned_exclusion"] = aggressors_pruned_exclusion;
-  }
   if (!degradations.empty()) {
     json::Array steps;
     for (const Degradation& d : degradations) {

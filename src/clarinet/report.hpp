@@ -39,6 +39,10 @@ namespace dn {
 /// "retries", the "ladder" object loses "deferred", and no entry is
 /// "deferred" any more; the three config keys that set the ladder's top
 /// tier, the retry count and the retry backoff are unknown keys.
+///
+/// The two v2 pruned-aggressor counts are gone without a bump: no input
+/// the library reads could set the per-aggressor windows or pair
+/// constraints that produced them.
 inline constexpr int kReportSchemaVersion = 4;
 
 struct DelayNoiseReport {
@@ -78,9 +82,6 @@ struct DelayNoiseReport {
   // ladder-off reports stay byte-identical to schema v1 modulo the
   // version field itself.
   std::string fidelity_tier;  // "tier0"/"tier1"/"tier2"; empty = no ladder.
-  /// Aggressors removed by window/correlation pruning before the search.
-  int aggressors_pruned_window = 0;
-  int aggressors_pruned_exclusion = 0;
 
   /// Extracts every field from a net + its analysis result.
   static DelayNoiseReport from(const CoupledNet& net, const DelayNoiseResult& r,

@@ -140,10 +140,9 @@ AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
   Vector* const warm = opts.warm_start ? &chain : nullptr;
   c_batches.add();
 
-  // Coarse sweep over the FEASIBLE part of the span only: the pruned
-  // domain (per-aggressor switching windows, correlation constraints)
-  // removes candidate alignments before any receiver sim is spent on
-  // them. An unconstrained domain reproduces the classic uniform grid.
+  // Coarse sweep over the FEASIBLE part of the span only: the caller's
+  // domain removes candidate alignments before any receiver sim is spent
+  // on them. An unconstrained domain reproduces the classic uniform grid.
   static obs::Counter& c_domain_pruned =
       obs::metrics().counter("alignment.domain_pruned_probes");
   const int n_coarse = std::max(opts.coarse_points, 5);

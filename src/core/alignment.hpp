@@ -13,11 +13,9 @@
 namespace dn {
 
 /// Feasible domain for the composite-pulse peak time: one closed interval.
-/// `analyze_delay_noise` (core/delay_noise.cpp) intersects the active
-/// aggressors' switching windows into one of these BEFORE the alignment
-/// search runs, so infeasible aggressor offsets are never probed (each
-/// probe costs a nonlinear receiver simulation). Logic correlation never
-/// punches holes: it drops the weaker aggressor of a pair instead.
+/// The caller sets it (AlignmentSearchOptions::domain) and every search
+/// method samples or clamps to it, so infeasible alignments are never
+/// probed (each probe costs a nonlinear receiver simulation).
 ///
 /// A default-constructed domain is UNCONSTRAINED (every time feasible);
 /// a constrained domain whose interval has been intersected away is
@@ -110,10 +108,9 @@ struct AlignmentSearchOptions {
   bool warm_start = true;
   /// Feasibility of the pulse peak time (absolute): the one home of every
   /// timing-window constraint. A caller's window is
-  /// ScanDomain::interval(lo, hi); the flow intersects the active
-  /// aggressors' switching windows into it. Every search method
-  /// samples or clamps to feasible points only; an unconstrained domain
-  /// reproduces the unpruned scan bit-for-bit.
+  /// ScanDomain::interval(lo, hi). Every search method samples or clamps
+  /// to feasible points only; an unconstrained domain reproduces the
+  /// unconstrained scan bit-for-bit.
   ScanDomain domain{};
 
   bool operator==(const AlignmentSearchOptions&) const = default;

@@ -9,12 +9,10 @@ namespace {
 
 CompositeAlignment compose(const SuperpositionEngine& eng,
                            double victim_holding_r,
-                           const std::vector<double>& shifts,
-                           const std::vector<char>* active) {
+                           const std::vector<double>& shifts) {
   CompositeAlignment out;
   out.shifts = shifts;
-  if (active) out.active = *active;
-  out.at_sink = eng.composite_noise_at_sink(shifts, victim_holding_r, active);
+  out.at_sink = eng.composite_noise_at_sink(shifts, victim_holding_r);
   out.params = measure_pulse(out.at_sink);
   return out;
 }
@@ -22,20 +20,16 @@ CompositeAlignment compose(const SuperpositionEngine& eng,
 }  // namespace
 
 CompositeAlignment align_aggressor_peaks(const SuperpositionEngine& eng,
-                                         double victim_holding_r,
-                                         const std::vector<char>* active) {
+                                         double victim_holding_r) {
   const std::size_t n = eng.net().aggressors.size();
   if (n == 0)
     throw std::invalid_argument("align_aggressor_peaks: no aggressors");
-  if (active && active->size() != n)
-    throw std::invalid_argument("align_aggressor_peaks: wrong mask size");
 
   // Find each aggressor's peak; anchor everyone on the largest pulse.
   std::vector<double> peak_t(n, 0.0);
-  std::size_t anchor = n;
+  std::size_t anchor = 0;
   double anchor_mag = -1.0;
   for (std::size_t k = 0; k < n; ++k) {
-    if (active && !(*active)[k]) continue;
     const auto& w =
         eng.aggressor_noise(static_cast<int>(k), victim_holding_r).at_sink;
     const auto pk = w.peak(0.0);
@@ -45,14 +39,9 @@ CompositeAlignment align_aggressor_peaks(const SuperpositionEngine& eng,
       anchor = k;
     }
   }
-  if (anchor == n)
-    throw std::invalid_argument("align_aggressor_peaks: no active aggressor");
   std::vector<double> shifts(n, 0.0);
-  for (std::size_t k = 0; k < n; ++k) {
-    if (active && !(*active)[k]) continue;
-    shifts[k] = peak_t[anchor] - peak_t[k];
-  }
-  return compose(eng, victim_holding_r, shifts, active);
+  for (std::size_t k = 0; k < n; ++k) shifts[k] = peak_t[anchor] - peak_t[k];
+  return compose(eng, victim_holding_r, shifts);
 }
 
 CompositeAlignment align_with_skew(const SuperpositionEngine& eng,
@@ -63,7 +52,7 @@ CompositeAlignment align_with_skew(const SuperpositionEngine& eng,
     throw std::out_of_range("align_with_skew: bad aggressor index");
   std::vector<double> shifts = aligned.shifts;
   shifts[static_cast<std::size_t>(k)] += extra_shift;
-  return compose(eng, victim_holding_r, shifts, nullptr);
+  return compose(eng, victim_holding_r, shifts);
 }
 
 }  // namespace dn

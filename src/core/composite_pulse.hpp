@@ -15,28 +15,16 @@
 
 namespace dn {
 
-/// Input shift that parks a pruned aggressor far past any simulation
-/// horizon — equivalent to "never switches this cycle". Only used where a
-/// real transient evaluates inputs pointwise (golden_nonlinear); the
-/// linear composite drops pruned aggressors via the `active` mask instead.
-constexpr double kDroppedAggressorShift = 1.0;  // [s]
-
 struct CompositeAlignment {
   std::vector<double> shifts;  // Per-aggressor time shift vs reference runs.
-  /// Participation mask from window/correlation pruning; empty = every
-  /// aggressor contributes (the classic unpruned composite).
-  std::vector<char> active;
   Pwl at_sink;                 // Composite noise at the victim sink.
   PulseParams params;          // Measured height/width/peak of at_sink.
 };
 
 /// Aligns every aggressor's sink-noise peak to the peak time of the
-/// largest-magnitude aggressor pulse and superposes. `active`, when
-/// non-null, excludes masked-out aggressors from both the anchor choice
-/// and the superposition (at least one aggressor must stay active).
-CompositeAlignment align_aggressor_peaks(
-    const SuperpositionEngine& eng, double victim_holding_r,
-    const std::vector<char>* active = nullptr);
+/// largest-magnitude aggressor pulse and superposes.
+CompositeAlignment align_aggressor_peaks(const SuperpositionEngine& eng,
+                                         double victim_holding_r);
 
 /// Composite pulse when aggressor k is additionally skewed by `extra_shift`
 /// relative to the peak-aligned position (used to explore non-aligned

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "core/holding_resistance.hpp"
@@ -75,113 +74,6 @@ AlignmentResult choose_alignment(const DelayNoiseOptions& opts,
   throw std::invalid_argument("analyze_delay_noise: unknown method");
 }
 
-/// State of the pre-search aggressor pruning (DESIGN.md §13).
-struct PruneInfo {
-  std::vector<char> active;  // Empty until something is pruned.
-  int by_window = 0;
-  int by_exclusion = 0;
-};
-
-/// Per-aggressor coupled charge (sum of coupling caps): the dominance
-/// measure used to resolve exclusion pairs and to order the window
-/// intersection deterministically.
-std::vector<double> coupled_caps(const CoupledNet& net) {
-  std::vector<double> ccap(net.aggressors.size(), 0.0);
-  for (const auto& cc : net.couplings)
-    ccap[static_cast<std::size_t>(cc.aggressor)] += cc.c;
-  return ccap;
-}
-
-/// Resolves pairwise logic-correlation constraints: of each mutually
-/// exclusive pair, keep the aggressor coupling more charge into the
-/// victim (exact when one side dominates; the standard conservative
-/// heuristic otherwise). Ties keep the lower index so the outcome is
-/// deterministic at any --jobs.
-PruneInfo resolve_exclusions(const CoupledNet& net) {
-  PruneInfo p;
-  if (net.exclusions.empty()) return p;
-  p.active.assign(net.aggressors.size(), 1);
-  const std::vector<double> ccap = coupled_caps(net);
-  for (const auto& ex : net.exclusions) {
-    const auto a = static_cast<std::size_t>(ex.a);
-    const auto b = static_cast<std::size_t>(ex.b);
-    if (!p.active[a] || !p.active[b]) continue;  // Already resolved.
-    const std::size_t loser =
-        (ccap[a] < ccap[b] || (ccap[a] == ccap[b] && a > b)) ? a : b;
-    p.active[loser] = 0;
-    ++p.by_exclusion;
-  }
-  return p;
-}
-
-/// Maps the active aggressors' switching windows onto feasible composite-
-/// peak times for THIS composite and intersects them into one domain.
-/// The linearized network is LTI, so placing the composite peak at t
-/// starts aggressor k's input at t0 + shifts[k] + (t - params.t_peak),
-/// with t0 = kInputRampStart; its window [w_early, w_late] therefore admits
-///   t in [params.t_peak - shifts[k] + (w_early - t0),
-///         params.t_peak - shifts[k] + (w_late  - t0)].
-/// Aggressors whose window cannot overlap the (stronger) aggressors
-/// already kept are dropped from the composite — they cannot co-switch
-/// with it in any cycle.
-ScanDomain window_domain(const CoupledNet& net, const ScanDomain& seed,
-                         const CompositeAlignment& comp,
-                         std::vector<char>& active, int* dropped) {
-  const std::size_t n = net.aggressors.size();
-  const std::vector<double> ccap = coupled_caps(net);
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t x, std::size_t y) {
-                     return ccap[x] > ccap[y];
-                   });
-  ScanDomain d = seed;
-  for (const std::size_t k : order) {
-    if (!active.empty() && !active[k]) continue;
-    const AggressorDesc& a = net.aggressors[k];
-    if (!a.has_window()) continue;
-    const double base = comp.params.t_peak - comp.shifts[k] - kInputRampStart;
-    ScanDomain trial = d;
-    trial.intersect(base + a.window_early, base + a.window_late);
-    if (trial.empty()) {
-      if (active.empty()) active.assign(n, 1);
-      active[k] = 0;
-      ++*dropped;
-    } else {
-      d = std::move(trial);
-    }
-  }
-  return d;
-}
-
-/// Peak-aligned composite under the current pruning state, dropping any
-/// further aggressors whose windows turn out infeasible against it. Each
-/// drop changes the composite (and possibly its anchor), so the mapping
-/// is re-derived until the active set is stable — at most n rounds.
-CompositeAlignment compose_pruned(const SuperpositionEngine& eng,
-                                  double holding_r, const ScanDomain& seed,
-                                  PruneInfo& prune, ScanDomain* domain) {
-  CompositeAlignment comp = align_aggressor_peaks(
-      eng, holding_r, prune.active.empty() ? nullptr : &prune.active);
-  *domain = seed;
-  const CoupledNet& net = eng.net();
-  for (std::size_t round = 0; round <= net.aggressors.size(); ++round) {
-    int dropped = 0;
-    ScanDomain d = window_domain(net, seed, comp, prune.active, &dropped);
-    if (dropped == 0) {
-      *domain = std::move(d);
-      return comp;
-    }
-    prune.by_window += dropped;
-    comp = align_aggressor_peaks(eng, holding_r, &prune.active);
-  }
-  return comp;  // Unreachable: every round drops at least one aggressor.
-}
-
-const std::vector<char>* mask_of(const CompositeAlignment& comp) {
-  return comp.active.empty() ? nullptr : &comp.active;
-}
-
 }  // namespace
 
 DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
@@ -199,15 +91,6 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
   const bool rising = net.victim.output_rising;
   const double vdd = eng.vdd();
 
-  // Pre-search pruning (DESIGN.md §13): exclusion pairs are resolved once
-  // up front; window feasibility is re-derived against each pass's
-  // composite (the peak-aligned shifts move with the holding resistance).
-  // Nets carrying neither windows nor exclusions prune nothing and
-  // reproduce the classic flow bit-for-bit.
-  PruneInfo prune = resolve_exclusions(net);
-  // `eff` carries the per-pass scan domain into the search options.
-  DelayNoiseOptions eff = opts;
-
   // The net's receiver into its load, with one DC warm-start chain for the
   // Predicted candidates and the nominal evaluation when warm starts are on.
   GateSim rcv(net.victim.receiver, net.victim.receiver_load);
@@ -223,19 +106,16 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
   const int max_steps = std::max(opts.model_alignment_iterations, 1);
   bool settled = !opts.use_transient_holding;
   for (;;) {
-    out.composite = compose_pruned(eng, out.holding_r, opts.search.domain,
-                                   prune, &eff.search.domain);
-    out.alignment = choose_alignment(eff, out.noiseless_sink,
+    out.composite = align_aggressor_peaks(eng, out.holding_r);
+    out.alignment = choose_alignment(opts, out.noiseless_sink,
                                      out.composite.at_sink, rcv, rising,
                                      warm);
     if (settled || out.rtr_iterations >= max_steps) break;
-    std::vector<double> shifts = out.composite.shifts;
-    for (double& s : shifts) s += out.alignment.shift;
+    const std::vector<double> shifts = absolute_shifts(out);
     double rtr;
     try {
       obs::TraceSpan span("rtr.solve", "analyze");
-      rtr = compute_rtr(eng, shifts, out.holding_r, mask_of(out.composite))
-                .rtr;
+      rtr = compute_rtr(eng, shifts, out.holding_r).rtr;
     } catch (const DeadlineError&) {
       throw;  // A cancelled run must not silently degrade.
     } catch (const std::exception& e) {
@@ -257,17 +137,6 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
     settled = std::abs(rtr - out.holding_r) < kRtrRelTol * out.holding_r;
     out.holding_r = rtr;
   }
-  out.aggressors_pruned_window = prune.by_window;
-  out.aggressors_pruned_exclusion = prune.by_exclusion;
-  if (prune.by_window + prune.by_exclusion > 0) {
-    static obs::Counter& c_win =
-        obs::metrics().counter("prune.aggressors_window");
-    static obs::Counter& c_exc =
-        obs::metrics().counter("prune.aggressors_exclusion");
-    c_win.add(static_cast<std::uint64_t>(prune.by_window));
-    c_exc.add(static_cast<std::uint64_t>(prune.by_exclusion));
-  }
-
   out.noisy_sink = out.noiseless_sink.add_shifted(out.composite.at_sink,
                                                   out.alignment.shift);
 
@@ -295,15 +164,7 @@ DelayNoiseResult analyze_delay_noise(const SuperpositionEngine& eng,
 
 std::vector<double> absolute_shifts(const DelayNoiseResult& r) {
   std::vector<double> shifts = r.composite.shifts;
-  for (std::size_t k = 0; k < shifts.size(); ++k) {
-    if (!r.composite.active.empty() && !r.composite.active[k]) {
-      // Pruned aggressor: park it far past the horizon so a golden
-      // nonlinear replay sees it quiet, matching the linear composite.
-      shifts[k] = kDroppedAggressorShift;
-    } else {
-      shifts[k] += r.alignment.shift;
-    }
-  }
+  for (double& s : shifts) s += r.alignment.shift;
   return shifts;
 }
 

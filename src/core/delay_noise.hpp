@@ -34,11 +34,9 @@ struct DelayNoiseOptions {
   /// Cap on the model <-> alignment fix-point's Rtr steps (it stops
   /// earlier once a step moves the holding R by less than kRtrRelTol).
   int model_alignment_iterations = 2;
-  /// Search grid, sim accuracy and the caller's scan domain. Before the
-  /// search runs, the analysis intersects the net's own constraints into
-  /// that domain (DESIGN.md §13): per-aggressor switching windows
-  /// (AggressorDesc::window_early/late) and pairwise exclusions
-  /// (CoupledNet::exclusions). A no-op on nets carrying neither.
+  /// Search grid, sim accuracy and the caller's scan domain, the one
+  /// window on the composite peak time (DESIGN.md §13). Every aggressor
+  /// always takes part in the composite.
   AlignmentSearchOptions search{};
   /// Which degradation-ladder rungs (DESIGN.md §10) this analysis may
   /// take. Recorded steps surface in DelayNoiseResult::degradations.
@@ -59,13 +57,6 @@ struct DelayNoiseResult {
   double rth = 0.0;       // Victim Thevenin resistance.
   double holding_r = 0.0; // Holding resistance actually used (Rth or Rtr).
   int rtr_iterations = 0;  // Rtr steps the fix-point took (0: Thevenin).
-
-  /// Aggressors removed from the composite by the pre-search pruning:
-  /// window-infeasible (cannot co-switch with the stronger aggressors
-  /// kept) and exclusion-dominated (logic correlation). Zero on nets
-  /// without windows/exclusions.
-  int aggressors_pruned_window = 0;
-  int aggressors_pruned_exclusion = 0;
 
   CompositeAlignment composite;  // Final composite pulse (peak-aligned).
   AlignmentResult alignment;     // Final composite-vs-victim alignment.

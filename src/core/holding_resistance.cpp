@@ -27,8 +27,7 @@ Pwl differentiate(const Pwl& w, double dt) {
 }
 
 RtrResult compute_rtr(const SuperpositionEngine& eng,
-                      const std::vector<double>& shifts, double holding_r,
-                      const std::vector<char>* active) {
+                      const std::vector<double>& shifts, double holding_r) {
   static obs::Counter& c_steps = obs::metrics().counter("rtr.driver_steps");
   const CeffResult& vm = eng.victim_model();
   RtrResult out;
@@ -42,7 +41,7 @@ RtrResult compute_rtr(const SuperpositionEngine& eng,
   spec.stale_jacobian_iters = eng.options().newton.stale_jacobian_iters;
 
   // Step 1: total noise at the victim root with the current holding R.
-  out.vn_linear = eng.composite_noise_at_root(shifts, holding_r, active);
+  out.vn_linear = eng.composite_noise_at_root(shifts, holding_r);
 
   // Step 2: injected noise current In = Vn/R + Cload dVn/dt. The
   // conversion happens in the Figure 4(a) circuit, whose resistance is the

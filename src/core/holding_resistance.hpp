@@ -47,8 +47,6 @@ struct RtrResult {
 /// victim held by `holding_r` and the aggressor time shifts currently in
 /// effect (one shift per aggressor; the shift is applied to each
 /// aggressor's reference-position noise waveform).
-/// `active`, when non-null, masks window/correlation-pruned aggressors
-/// out of the injected noise (core/composite_pulse.hpp).
 ///
 /// Both driver sims (V1 without, V2 with the injected current) run as
 /// one paired GateSim: two copies of the victim driver on one input and
@@ -63,8 +61,7 @@ struct RtrResult {
 /// actually simulated.
 RtrResult compute_rtr(const SuperpositionEngine& eng,
                       const std::vector<double>& shifts,
-                      double holding_r,
-                      const std::vector<char>* active = nullptr);
+                      double holding_r);
 
 /// Differentiates a waveform numerically on a uniform grid of step dt.
 Pwl differentiate(const Pwl& w, double dt);

@@ -151,28 +151,22 @@ const SuperpositionEngine::Waveforms& SuperpositionEngine::victim_transition()
 }
 
 Pwl SuperpositionEngine::composite_noise_at_sink(
-    const std::vector<double>& shifts, double victim_holding_r,
-    const std::vector<char>* active) const {
-  return composite_noise(shifts, victim_holding_r, active, &Waveforms::at_sink);
+    const std::vector<double>& shifts, double victim_holding_r) const {
+  return composite_noise(shifts, victim_holding_r, &Waveforms::at_sink);
 }
 
 Pwl SuperpositionEngine::composite_noise_at_root(
-    const std::vector<double>& shifts, double victim_holding_r,
-    const std::vector<char>* active) const {
-  return composite_noise(shifts, victim_holding_r, active, &Waveforms::at_root);
+    const std::vector<double>& shifts, double victim_holding_r) const {
+  return composite_noise(shifts, victim_holding_r, &Waveforms::at_root);
 }
 
 Pwl SuperpositionEngine::composite_noise(const std::vector<double>& shifts,
                                          double victim_holding_r,
-                                         const std::vector<char>* active,
                                          Pwl Waveforms::*where) const {
   if (shifts.size() != net_.aggressors.size())
     throw std::invalid_argument("composite_noise: wrong shift count");
-  if (active && active->size() != shifts.size())
-    throw std::invalid_argument("composite_noise: wrong mask size");
   Pwl sum;
   for (std::size_t k = 0; k < shifts.size(); ++k) {
-    if (active && !(*active)[k]) continue;
     sum = sum.add_shifted(
         aggressor_noise(static_cast<int>(k), victim_holding_r).*where,
         shifts[k]);

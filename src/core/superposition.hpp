@@ -82,18 +82,13 @@ class SuperpositionEngine {
   const Waveforms& victim_transition() const;
 
   /// Sum of all aggressor noise waveforms at the victim sink, each shifted
-  /// by shifts[k], victim held with holding_r. `active`, when non-null,
-  /// masks aggressors out of the sum (window/correlation pruning): entry
-  /// k == 0 contributes nothing, exactly as if the aggressor never
-  /// switched within the horizon.
+  /// by shifts[k], victim held with holding_r.
   Pwl composite_noise_at_sink(const std::vector<double>& shifts,
-                              double victim_holding_r,
-                              const std::vector<char>* active = nullptr) const;
+                              double victim_holding_r) const;
 
   /// Same at the victim root (driver output).
   Pwl composite_noise_at_root(const std::vector<double>& shifts,
-                              double victim_holding_r,
-                              const std::vector<char>* active = nullptr) const;
+                              double victim_holding_r) const;
 
   /// The victim driver input ramp used by the reference simulations.
   Pwl victim_input() const;
@@ -114,8 +109,7 @@ class SuperpositionEngine {
   /// `victim_holding_r`, Figure 1(b)) and every other driver held.
   Waveforms run_linear(int switching, double victim_holding_r) const;
   Pwl composite_noise(const std::vector<double>& shifts,
-                      double victim_holding_r, const std::vector<char>* active,
-                      Pwl Waveforms::*where) const;
+                      double victim_holding_r, Pwl Waveforms::*where) const;
 
   CoupledNet net_;
   SuperpositionOptions opts_;

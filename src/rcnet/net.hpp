@@ -60,14 +60,6 @@ struct AggressorDesc {
   double input_slew = 100e-12;  // 0-100% input ramp time [s].
   bool output_rising = true;    // Direction of the aggressor OUTPUT transition.
   double sink_load = 2e-15;     // Receiver pin cap at the aggressor sink [F].
-  /// STA switching window for this aggressor's INPUT pin [s], absolute in
-  /// the engine time frame: the input ramp may only start inside
-  /// [window_early, window_late]. Unconstrained when window_late <
-  /// window_early (the default) — i.e. the aggressor may switch any time,
-  /// the classic pre-window analysis.
-  double window_early = 1.0;
-  double window_late = 0.0;
-  bool has_window() const { return window_late >= window_early; }
 };
 
 struct VictimDesc {
@@ -79,19 +71,10 @@ struct VictimDesc {
   double receiver_load = 20e-15;  // Lumped cap at the receiver output [F].
 };
 
-/// Pairwise logic-correlation (mutual exclusion) constraint: aggressors
-/// `a` and `b` can never switch in the same clock cycle (FRAME-style
-/// logical correlation). The alignment pruning keeps whichever of the two
-/// couples more charge into the victim and drops the other.
-struct AggressorExclusion {
-  int a = 0, b = 0;  // Indices into CoupledNet::aggressors.
-};
-
 struct CoupledNet {
   VictimDesc victim;
   std::vector<AggressorDesc> aggressors;
   std::vector<Coupling> couplings;
-  std::vector<AggressorExclusion> exclusions;
 
   void validate() const;
 

@@ -76,14 +76,6 @@ void CoupledNet::validate() const {
       throw std::invalid_argument("CoupledNet: bad victim node");
     if (cc.c <= 0) throw std::invalid_argument("CoupledNet: bad coupling cap");
   }
-  const int n = static_cast<int>(aggressors.size());
-  for (const auto& ex : exclusions) {
-    if (ex.a < 0 || ex.a >= n || ex.b < 0 || ex.b >= n)
-      throw std::invalid_argument("CoupledNet: bad exclusion index");
-    if (ex.a == ex.b)
-      throw std::invalid_argument("CoupledNet: exclusion pairs an aggressor "
-                                  "with itself");
-  }
 }
 
 double CoupledNet::total_coupling_cap() const {

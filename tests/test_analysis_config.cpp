@@ -122,10 +122,11 @@ TEST(AnalysisConfig, NonFiniteNumbersAreRejected) {
 // The single-threshold screen is gone (the fidelity ladder is the only
 // triage path), so are the per-family override keys (each knob is one
 // key writing one value), so is the pre-reduction switch (PRIMA is the
-// one reducer), so is the window-pruning switch (pruning always runs
-// and is a no-op on nets without windows or exclusions), and so is the
-// inner Rtr iteration cap (compute_rtr is one step of the model <->
-// alignment fix-point, capped by model_alignment_iterations). Their keys
+// one reducer), so is the window-pruning switch (the per-aggressor
+// windows it switched are gone; the caller's scan domain is the one
+// window), and so is the inner Rtr iteration cap (compute_rtr is one step
+// of the model <-> alignment fix-point, capped by
+// model_alignment_iterations). Their keys
 // are unknown keys now, so a config dump written before the removal fails
 // cleanly on recovery instead of half-applying.
 TEST(AnalysisConfig, RemovedScreenKeysAreUnknownKeys) {

@@ -141,19 +141,30 @@ TEST_F(DelayNoiseFixture, GoldenAgreesWithinModelingError) {
   EXPECT_LT(rel, 0.30);
 }
 
+// The caller's scan domain is the one window on the composite peak: both
+// search methods that place the peak must land inside it, away from
+// where they land unconstrained.
 TEST_F(DelayNoiseFixture, WindowConstraintForcesEarlyAlignment) {
-  DelayNoiseOptions free;
-  free.method = AlignmentMethod::Exhaustive;
-  const DelayNoiseResult r_free = analyze_delay_noise(eng_, free);
+  for (const AlignmentMethod method :
+       {AlignmentMethod::Exhaustive, AlignmentMethod::ReceiverInputPeak}) {
+    SCOPED_TRACE(alignment_method_name(method));
+    DelayNoiseOptions free;
+    free.method = method;
+    const DelayNoiseResult r_free = analyze_delay_noise(eng_, free);
 
-  DelayNoiseOptions boxed = free;
-  const auto t20 = r_free.noiseless_sink.crossing(0.2 * 1.8, true);
-  ASSERT_TRUE(t20.has_value());
-  boxed.search.domain = ScanDomain::interval(*t20 - 400 * ps, *t20);
-  const DelayNoiseResult r_boxed = analyze_delay_noise(eng_, boxed);
-  EXPECT_LE(r_boxed.alignment.t_peak, *t20 + 1 * ps);
-  // Constrained alignment cannot beat the unconstrained worst case.
-  EXPECT_LE(r_boxed.delay_noise(), r_free.delay_noise() + 2 * ps);
+    DelayNoiseOptions boxed = free;
+    const auto t20 = r_free.noiseless_sink.crossing(0.2 * 1.8, true);
+    ASSERT_TRUE(t20.has_value());
+    boxed.search.domain = ScanDomain::interval(*t20 - 400 * ps, *t20);
+    const DelayNoiseResult r_boxed = analyze_delay_noise(eng_, boxed);
+    EXPECT_GT(r_free.alignment.t_peak, *t20);  // The free peak is excluded.
+    EXPECT_GE(r_boxed.alignment.t_peak, *t20 - 400 * ps);
+    EXPECT_LE(r_boxed.alignment.t_peak, *t20);
+    // Constrained alignment cannot beat the unconstrained worst case.
+    if (method == AlignmentMethod::Exhaustive) {
+      EXPECT_LE(r_boxed.delay_noise(), r_free.delay_noise() + 2 * ps);
+    }
+  }
 }
 
 // The model <-> alignment fix-point (DESIGN.md §1): each Rtr step is one
@@ -180,6 +191,26 @@ TEST_F(DelayNoiseFixture, StepCapOfOneRunsExactlyOneRtrStep) {
   EXPECT_EQ(r.rtr_iterations, 1);
   EXPECT_EQ(taken, 1u);
   EXPECT_NE(r.holding_r, r.rth);
+}
+
+TEST_F(DelayNoiseFixture, PointDomainProbesOncePerPass) {
+  // A zero-width caller domain leaves one feasible peak time, so each
+  // fix-point pass of the exhaustive search runs one receiver sim (plus
+  // the one nominal evaluation of the net).
+  DelayNoiseOptions opts = coarse_options();
+  const Pwl& sink = eng_.victim_transition().at_sink;
+  const double t50 = *sink.crossing(0.5 * eng_.vdd(), true);
+  opts.search.domain = ScanDomain::interval(t50, t50);
+  obs::set_metrics_enabled(true);
+  const obs::Counter& evals =
+      obs::metrics().counter("alignment.receiver_evals");
+  const std::uint64_t evals0 = evals.value();
+  const DelayNoiseResult r = analyze_delay_noise(eng_, opts);
+  const std::uint64_t ran = evals.value() - evals0;
+  obs::set_metrics_enabled(false);
+  EXPECT_GE(r.rtr_iterations, 1);
+  EXPECT_EQ(r.alignment.t_peak, t50);
+  EXPECT_EQ(ran, static_cast<std::uint64_t>(r.rtr_iterations) + 2);
 }
 
 TEST(DelayNoiseFixPoint, SmallFirstStepStopsTheDefaultFixPoint) {

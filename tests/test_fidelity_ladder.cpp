@@ -1,5 +1,4 @@
-// Fidelity ladder (clarinet/fidelity_ladder.*) and the timing-window /
-// correlation aggressor pruning threaded through core/delay_noise.*.
+// Fidelity ladder (clarinet/fidelity_ladder.*).
 #include "clarinet/fidelity_ladder.hpp"
 
 #include <gtest/gtest.h>
@@ -123,126 +122,6 @@ TEST(FidelityLadder, TierProvenanceAndCapping) {
   const StatusOr<NetMoments> m = try_net_moments(net);
   ASSERT_TRUE(m.ok());
   EXPECT_LE(t2->dn_bound, tier0_bound(*m).dn_bound);
-}
-
-// ---------------------------------------------------------------------------
-// Window / correlation pruning in the core flow
-// ---------------------------------------------------------------------------
-
-TEST(WindowPruning, AllCoveringWindowsChangeNothing) {
-  // Acceptance property: a window that excludes nothing must leave the
-  // scan untouched — bit-identical results, not merely close.
-  const CoupledNet plain = example_coupled_net(2);
-  CoupledNet windowed = plain;
-  for (auto& a : windowed.aggressors) {
-    a.window_early = -1.0;  // The whole engine time frame and then some.
-    a.window_late = 1.0;
-  }
-  ASSERT_TRUE(windowed.aggressors[0].has_window());
-
-  SuperpositionEngine e0(plain), e1(windowed);
-  const DelayNoiseOptions opts = coarse_options();
-  const DelayNoiseResult r0 = analyze_delay_noise(e0, opts);
-  const DelayNoiseResult r1 = analyze_delay_noise(e1, opts);
-  EXPECT_EQ(r0.noisy_t50, r1.noisy_t50);
-  EXPECT_EQ(r0.nominal_t50, r1.nominal_t50);
-  EXPECT_EQ(r0.alignment.t_peak, r1.alignment.t_peak);
-  EXPECT_EQ(r1.aggressors_pruned_window, 0);
-  EXPECT_EQ(r1.aggressors_pruned_exclusion, 0);
-}
-
-TEST(WindowPruning, DisjointWindowDropsAggressor) {
-  CoupledNet net = example_coupled_net(2);
-  // Aggressor 0 switches near the victim; aggressor 1 only long after
-  // the transition is over — they can never co-switch.
-  net.aggressors[0].window_early = 0.0;
-  net.aggressors[0].window_late = 600 * ps;
-  net.aggressors[1].window_early = 100 * ns;
-  net.aggressors[1].window_late = 101 * ns;
-
-  SuperpositionEngine eng(net);
-  const DelayNoiseResult r = analyze_delay_noise(eng, coarse_options());
-  EXPECT_EQ(r.aggressors_pruned_window, 1);
-
-  // Dropping an aggressor can only reduce the worst case.
-  CoupledNet plain = example_coupled_net(2);
-  SuperpositionEngine e0(plain);
-  const DelayNoiseResult r0 = analyze_delay_noise(e0, coarse_options());
-  EXPECT_LE(r.delay_noise(), r0.delay_noise() + 1e-15);
-}
-
-TEST(WindowPruning, ExclusionKeepsStrongerAggressor) {
-  CoupledNet net = example_coupled_net(2);
-  // Logic correlation: aggressors 0 and 1 can never switch in the same
-  // cycle. The larger coupled charge wins deterministically.
-  net.exclusions.push_back({0, 1});
-  net.validate();
-
-  SuperpositionEngine eng(net);
-  const DelayNoiseResult r = analyze_delay_noise(eng, coarse_options());
-  EXPECT_EQ(r.aggressors_pruned_exclusion, 1);
-
-  CoupledNet plain = example_coupled_net(2);
-  SuperpositionEngine e0(plain);
-  const DelayNoiseResult r0 = analyze_delay_noise(e0, coarse_options());
-  EXPECT_LE(r.delay_noise(), r0.delay_noise() + 1e-15);
-  EXPECT_GT(r.delay_noise(), 0.0);
-}
-
-TEST(WindowPruning, NarrowingWindowConfinesThePeak) {
-  // An aggressor window that keeps the aggressor but admits only
-  // alignments 150-300 ps earlier than the unconstrained worst case: the
-  // exhaustive peak must land in the mapped domain, and the noise cannot
-  // exceed the unconstrained worst case.
-  const CoupledNet plain = example_coupled_net(1);
-  SuperpositionEngine e0(plain);
-  const DelayNoiseOptions opts = coarse_options();
-  const DelayNoiseResult r0 = analyze_delay_noise(e0, opts);
-  const double start =
-      kInputRampStart + absolute_shifts(r0)[0];  // Aggressor input.
-
-  CoupledNet net = plain;
-  net.aggressors[0].window_early = start - 300 * ps;
-  net.aggressors[0].window_late = start - 150 * ps;
-  SuperpositionEngine eng(net);
-  const DelayNoiseResult r = analyze_delay_noise(eng, opts);
-  EXPECT_EQ(r.aggressors_pruned_window, 0);
-
-  // The final composite's mapping of the window onto peak times
-  // (core/delay_noise.cpp, window_domain).
-  const double base =
-      r.composite.params.t_peak - r.composite.shifts[0] - kInputRampStart;
-  const double lo = base + net.aggressors[0].window_early;
-  const double hi = base + net.aggressors[0].window_late;
-  EXPECT_GE(r.alignment.t_peak, lo - 1e-15);
-  EXPECT_LE(r.alignment.t_peak, hi + 1e-15);
-  EXPECT_LT(hi, r0.alignment.t_peak);  // The free worst case is excluded.
-  EXPECT_LE(r.delay_noise(), r0.delay_noise());
-}
-
-TEST(WindowPruning, PointWindowProbesOncePerPass) {
-  // A zero-width aggressor window maps onto one feasible peak time, so
-  // each fix-point pass of the exhaustive search runs one receiver sim
-  // (plus the one nominal evaluation of the net).
-  CoupledNet net = example_coupled_net(1);
-  net.aggressors[0].window_early = net.aggressors[0].window_late = 600 * ps;
-  SuperpositionEngine eng(net);
-  obs::set_metrics_enabled(true);
-  obs::Counter& evals = obs::metrics().counter("alignment.receiver_evals");
-  const std::uint64_t evals0 = evals.value();
-  const DelayNoiseResult r = analyze_delay_noise(eng, coarse_options());
-  const std::uint64_t ran = evals.value() - evals0;
-  obs::set_metrics_enabled(false);
-  EXPECT_EQ(r.aggressors_pruned_window, 0);
-  EXPECT_EQ(ran, static_cast<std::uint64_t>(r.rtr_iterations) + 2);
-}
-
-TEST(WindowPruning, ValidateRejectsBadExclusions) {
-  CoupledNet net = example_coupled_net(2);
-  net.exclusions.push_back({0, 5});
-  EXPECT_THROW(net.validate(), std::invalid_argument);
-  net.exclusions.back() = {1, 1};
-  EXPECT_THROW(net.validate(), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -43,8 +43,6 @@ DelayNoiseReport fixed_report() {
   rep.delay_noise_ps = 41.0078125;
   // v2 fidelity provenance — pinned so the ladder fields cannot drift.
   rep.fidelity_tier = "tier2";
-  rep.aggressors_pruned_window = 1;
-  rep.aggressors_pruned_exclusion = 2;
   Degradation d;
   d.kind = DegradeKind::kRtrToRth;
   d.detail = "deadline pressure";
