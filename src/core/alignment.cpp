@@ -156,20 +156,25 @@ AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
   if (coarse.size() < static_cast<std::size_t>(n_coarse))
     c_domain_pruned.add(static_cast<std::uint64_t>(n_coarse) - coarse.size());
   // Coarse pass, then a fine pass around the best coarse point (+- one
-  // coarse step), respecting the feasible domain.
+  // coarse step), respecting the feasible domain. A fine point within a
+  // small fraction of a step of a coarse point is not probed again: the
+  // coarse winner and its two neighbours (or a point domain's one point)
+  // already ran.
   const double step =
       coarse.size() > 1 ? coarse[1] - coarse[0] : (hi - lo) / n_coarse;
+  const double same_point = 1e-6 * step;
   double best_t = coarse.front();
   double best_d = -1e300;
-  std::vector<double> probes = std::move(coarse);
+  std::vector<double> probes = coarse;
   for (const bool fine : {false, true}) {
-    if (fine) {
+    if (fine)
       probes = opts.domain.sample(best_t - step, best_t + step,
                                   std::max(opts.fine_points, 5));
-      // A point domain has nothing to refine: its one probe already ran.
-      if (probes.size() == 1 && probes.front() == best_t) break;
-    }
     for (const double t : probes) {
+      if (fine && std::any_of(coarse.begin(), coarse.end(), [&](double c) {
+            return std::abs(t - c) <= same_point;
+          }))
+        continue;
       deadline_checkpoint("alignment search");
       c_batched.add();
       const Pwl noisy = noiseless_sink.add_shifted(composite, t - pulse.t_peak);

@@ -122,8 +122,9 @@ struct AlignmentSearchOptions {
 /// The sweep spans slew + pulse width + 100 ps on either side of the
 /// noiseless 50% crossing at the sink, sampled over its feasible part
 /// (`opts.domain`). When none of the span is feasible, the search probes
-/// the domain point nearest that crossing and its neighbourhood. A point
-/// domain is probed once.
+/// the domain point nearest that crossing and its neighbourhood. The fine
+/// pass never re-probes a point the coarse pass ran, so a point domain is
+/// probed once.
 AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
                                            const Pwl& composite,
                                            const GateParams& receiver,

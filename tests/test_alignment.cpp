@@ -249,6 +249,27 @@ TEST(ExhaustiveAlignment, PointDomainProbesOnce) {
   EXPECT_EQ(r.t_peak, t50);
 }
 
+TEST(ExhaustiveAlignment, FinePassSkipsPointsTheCoarsePassRan) {
+  // The default 33-point coarse pass wins at an interior point; the
+  // 17-point fine pass over +- one coarse step lands on that point and
+  // both its neighbours, which already ran: 33 + 17 - 3 receiver sims.
+  const Pwl ramp = canonical_rise();
+  const Pwl pulse = triangle_pulse(-0.4, 120 * ps, 2 * ns);
+  const AlignmentSearchOptions opts;
+  ASSERT_EQ(opts.coarse_points, 33);
+  ASSERT_EQ(opts.fine_points, 17);
+  obs::set_metrics_enabled(true);
+  const obs::Counter& evals =
+      obs::metrics().counter("alignment.receiver_evals");
+  const std::uint64_t evals0 = evals.value();
+  const AlignmentResult r = exhaustive_worst_alignment(
+      ramp, pulse, receiver_x2(), 5 * fF, true, opts);
+  const std::uint64_t ran = evals.value() - evals0;
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(ran, 47u);
+  EXPECT_GT(r.align_voltage, 0.5 * kVdd);
+}
+
 // ---------------------------------------------------------------------------
 // Batched alignment probing: all probes of a search re-drive one receiver
 // GateSim (devices/gate.hpp). The whole point is that reuse changes
