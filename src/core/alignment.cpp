@@ -165,28 +165,25 @@ AlignmentResult exhaustive_worst_alignment(const Pwl& noiseless_sink,
   const double same_point = 1e-6 * step;
   double best_t = coarse.front();
   double best_d = -1e300;
-  std::vector<double> probes = coarse;
-  for (const bool fine : {false, true}) {
-    if (fine)
-      probes = opts.domain.sample(best_t - step, best_t + step,
-                                  std::max(opts.fine_points, 5));
-    for (const double t : probes) {
-      if (fine && std::any_of(coarse.begin(), coarse.end(), [&](double c) {
-            return std::abs(t - c) <= same_point;
-          }))
-        continue;
-      deadline_checkpoint("alignment search");
-      c_batched.add();
-      const Pwl noisy = noiseless_sink.add_shifted(composite, t - pulse.t_peak);
-      const double d =
-          evaluate_receiver(sim, noisy, victim_rising, opts.dt, opts.lte_tol,
-                            warm, opts.stale_jacobian_iters)
-              .t_out_50;
-      if (d > best_d) {
-        best_d = d;
-        best_t = t;
-      }
+  const auto probe = [&](double t) {
+    deadline_checkpoint("alignment search");
+    c_batched.add();
+    const Pwl noisy = noiseless_sink.add_shifted(composite, t - pulse.t_peak);
+    const double d =
+        evaluate_receiver(sim, noisy, victim_rising, opts.dt, opts.lte_tol,
+                          warm, opts.stale_jacobian_iters)
+            .t_out_50;
+    if (d > best_d) {
+      best_d = d;
+      best_t = t;
     }
+  };
+  for (const double t : coarse) probe(t);
+  for (const double t : opts.domain.sample(best_t - step, best_t + step,
+                                           std::max(opts.fine_points, 5))) {
+    if (std::none_of(coarse.begin(), coarse.end(),
+                     [&](double c) { return std::abs(t - c) <= same_point; }))
+      probe(t);
   }
 
   AlignmentResult out;
