@@ -60,7 +60,8 @@ double process_cpu_s() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   const auto sec = [](const timeval& tv) {
-    return static_cast<double>(tv.tv_sec) + 1e-6 * static_cast<double>(tv.tv_usec);
+    return static_cast<double>(tv.tv_sec) +
+           1e-6 * static_cast<double>(tv.tv_usec);
   };
   return sec(ru.ru_utime) + sec(ru.ru_stime);
 }
