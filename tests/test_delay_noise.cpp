@@ -213,6 +213,26 @@ TEST_F(DelayNoiseFixture, PointDomainProbesOncePerPass) {
   EXPECT_EQ(ran, static_cast<std::uint64_t>(r.rtr_iterations) + 2);
 }
 
+TEST(WindowPruning, NarrowingWindowConfinesThePeak) {
+  // A caller domain that admits only peak times 150-300 ps earlier than
+  // the unconstrained worst case: the exhaustive peak must land in it,
+  // and the noise cannot exceed the unconstrained worst case.
+  const CoupledNet net = example_coupled_net(1);
+  SuperpositionEngine eng(net);
+  const DelayNoiseOptions free = coarse_options();
+  const DelayNoiseResult r0 = analyze_delay_noise(eng, free);
+
+  const double lo = r0.alignment.t_peak - 300 * ps;
+  const double hi = r0.alignment.t_peak - 150 * ps;
+  DelayNoiseOptions boxed = free;
+  boxed.search.domain = ScanDomain::interval(lo, hi);
+  const DelayNoiseResult r = analyze_delay_noise(eng, boxed);
+  EXPECT_GE(r.alignment.t_peak, lo - 1e-15);
+  EXPECT_LE(r.alignment.t_peak, hi + 1e-15);
+  EXPECT_LT(hi, r0.alignment.t_peak);  // The free worst case is excluded.
+  EXPECT_LE(r.delay_noise(), r0.delay_noise());
+}
+
 TEST(DelayNoiseFixPoint, SmallFirstStepStopsTheDefaultFixPoint) {
   // A net whose first Rtr step (from Rth) moves R by less than kRtrRelTol:
   // the default cap of 2 must stop after that one step and report exactly
